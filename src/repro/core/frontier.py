@@ -45,6 +45,17 @@ the frontier regime instead of two fresh reductions.  ``I_t`` can only
 change where the black mask or a black-neighbour count changed, so the
 bookkeeping is scatter-updated along the same edges as the counts.
 
+The 3-state process also consumes a black1 indicator, and its second
+count is ``aux_counts[u] = |N(u) ∩ (B1_t \\ I_t)|``: black1
+neighbours *outside* ``I_t``.  A stable black vertex re-draws
+black1/black0 every round forever, so counting all of ``B1_t`` would
+scatter the flips of the whole of ``I_t`` every round; with ``I_t``
+excluded, and ``I_t`` monotone, the black1 scatter collapses with
+``V_t``.  No consumer can tell the difference: the black1 flags are read
+only at black0 vertices, and a black vertex never neighbours a stable
+one (a stable vertex has no black neighbour), so at every black vertex
+the two counts agree.
+
 The 3-color/switch process stays on the full path for now: its switch
 levels perform a ``max`` diffusion over *every* closed neighbourhood
 each round (levels decay by 1 per round everywhere), so there is no
@@ -104,7 +115,8 @@ class FrontierAggregates:
       the update rules actually consume);
     * ``aux_counts`` / ``aux_has`` — optional second count array for
       processes that consume a second indicator (the 3-state process's
-      black1 mask);
+      black1 mask), counting only indicator vertices outside ``I_t``:
+      ``aux_counts[u] = |N(u) ∩ (aux \\ I_t)|`` (module docstring);
     * ``stable``        — ``I_t``, the black vertices with no black
       neighbour;
     * ``covered``       — ``N+[I_t]``;
@@ -215,16 +227,24 @@ class FrontierAggregates:
         aux: np.ndarray | None = None,
     ) -> None:
         """Recompute every aggregate from scratch for the given mask(s)."""
+        if self.track_aux and aux is None:
+            raise ValueError("track_aux aggregates need an aux mask")
         self.counts = self._counts_for(black)
         self.has_black = self.counts > 0
-        if self.track_aux:
-            if aux is None:
-                raise ValueError("track_aux aggregates need an aux mask")
-            self.aux_counts = self._counts_for(aux)
-            self.aux_has = self.aux_counts > 0
         self.stable = black & ~self.has_black
-        self._recompute_covered()
+        self._recompute_from_stable(aux)
         self.token = token
+
+    def _recompute_from_stable(self, aux: np.ndarray | None) -> None:
+        """Everything derived from ``stable``, from scratch.
+
+        That is ``N+[I_t]`` with the unstable counter and, when tracked,
+        the auxiliary counts over ``aux \\ I_t``.
+        """
+        if self.track_aux:
+            self.aux_counts = self._counts_for(aux & ~self.stable)
+            self.aux_has = self.aux_counts > 0
+        self._recompute_covered()
 
     def _recompute_covered(self) -> None:
         """``N+[I_t]`` and the unstable counter from the current ``stable``."""
@@ -260,8 +280,11 @@ class FrontierAggregates:
 
         ``up``/``down`` are the vertices that entered/left the black
         mask this round (``aux_up``/``aux_down`` likewise for the
-        auxiliary indicator); ``new_black``/``aux_mask`` are the
-        post-round masks, used on full-recompute rounds.
+        auxiliary indicator; entries in the pre-round ``I_t`` are
+        ignored, since the auxiliary counts exclude it);
+        ``new_black``/``aux_mask`` are the post-round masks, used on
+        full-recompute rounds (``aux_mask`` is required whenever the
+        auxiliary counts are tracked).
 
         Returns the scatter targets of the black-count update (the
         vertices whose ``counts`` / ``has_black`` entries may have
@@ -273,11 +296,15 @@ class FrontierAggregates:
         black_moved = (up is not None and len(up) > 0) or (
             down is not None and len(down) > 0
         )
-        # The scatter/full crossover is decided per indicator: for the
-        # 3-state process the black deltas quiesce while the black1
-        # deltas never do (stable black vertices alternate black1/black0
-        # forever), and a pooled decision would keep recomputing the
-        # unchanged black counts from scratch.
+        if self.track_aux:
+            # The auxiliary counts cover aux \\ I_t: flips inside the
+            # pre-round I_t never reach them.  Filter before the
+            # stability pass below edits ``stable``.
+            aux_up = self._outside_stable(aux_up)
+            aux_down = self._outside_stable(aux_down)
+        # The scatter/full crossover is decided per indicator: a pooled
+        # decision would let a bulky auxiliary round force the black
+        # counts through a full recomputation too.
         black_scatter = True
         touched = self.graph.indices[:0]
         if black_moved:
@@ -295,7 +322,33 @@ class FrontierAggregates:
                 touched = None
                 self.counts = self._full_counts(new_black)
                 self.has_black = self.counts > 0
-        if self.track_aux:
+        # I_t = f(black mask, black counts): both unchanged when no
+        # vertex entered or left the black set, so the stability pass
+        # can be skipped outright on black-quiescent rounds.
+        added: np.ndarray | None = self.graph.indices[:0]
+        if black_moved:
+            if (
+                touched is not None
+                and (len(up) + len(down) + touched.size) * 8 < self.n
+            ):
+                # Small round: I_t can only change at the moved vertices
+                # and the scatter targets, so the whole stability pass
+                # runs on that candidate set instead of length-n masks
+                # (multiplicity is fine — every write is idempotent).
+                candidates = np.concatenate((up, down, touched))
+                added = self._update_stability_local(
+                    new_black, candidates, aux_mask
+                )
+            else:
+                added = self._update_stability(new_black, aux_mask)
+        # ``added is None``: I_t lost a vertex and the auxiliary counts
+        # were recomputed from scratch along with N+[I_t].
+        if self.track_aux and added is not None:
+            if added.size:
+                # Newly stable black1 vertices leave the counted set.
+                aux_down = np.concatenate(
+                    (aux_down, np.unique(added[aux_mask[added]]))
+                )
             aux_scatter = True
             if self.adaptive:
                 aux_scatter = (
@@ -312,32 +365,21 @@ class FrontierAggregates:
                 else:
                     self.aux_has = self.aux_counts > 0
             else:
-                self.aux_counts = self._full_counts(aux_mask)
+                self.aux_counts = self._full_counts(aux_mask & ~self.stable)
                 self.aux_has = self.aux_counts > 0
-            if not aux_scatter:
                 black_scatter = False  # label the round "full" below
         if black_scatter:
             self.scatter_rounds += 1
         else:
             self.full_rounds += 1
-        # I_t = f(black mask, black counts): both unchanged when no
-        # vertex entered or left the black set, so the stability pass
-        # can be skipped outright on black-quiescent rounds.
-        if black_moved:
-            if (
-                touched is not None
-                and (len(up) + len(down) + touched.size) * 8 < self.n
-            ):
-                # Small round: I_t can only change at the moved vertices
-                # and the scatter targets, so the whole stability pass
-                # runs on that candidate set instead of length-n masks
-                # (multiplicity is fine — every write is idempotent).
-                candidates = np.concatenate((up, down, touched))
-                self._update_stability_local(new_black, candidates)
-            else:
-                self._update_stability(new_black)
         self.token = token
         return touched
+
+    def _outside_stable(self, verts: np.ndarray | None) -> np.ndarray:
+        """The entries of ``verts`` outside the current ``I_t``."""
+        if verts is None or len(verts) == 0:
+            return self.graph.indices[:0]
+        return verts[~self.stable[verts]]
 
     def _cover_added(self, added: np.ndarray) -> None:
         """Monotone covered update: ``N+[added]`` becomes covered."""
@@ -348,22 +390,26 @@ class FrontierAggregates:
         self.unstable_total = self.n - int(np.count_nonzero(self.covered))
 
     def _update_stability_local(
-        self, new_black: np.ndarray, candidates: np.ndarray
-    ) -> None:
+        self,
+        new_black: np.ndarray,
+        candidates: np.ndarray,
+        aux: np.ndarray | None = None,
+    ) -> np.ndarray | None:
         """Candidate-set variant of :meth:`_update_stability`.
 
         ``candidates`` must contain every vertex whose blackness or
         black-neighbour count changed this round (multiplicity is
-        harmless); the stability state is edited in place at
-        O(vol(changed))-many positions.  The only length-n work left
-        is the SIMD popcount of the covered mask that refreshes the
-        unstable counter (cheaper in practice than deduplicating the
-        newly-covered candidates to count the delta).
+        harmless, and the returned ``added`` may repeat vertices); the
+        stability state is edited in place at O(vol(changed))-many
+        positions.  The only length-n work left is the SIMD popcount of
+        the covered mask that refreshes the unstable counter (cheaper
+        in practice than deduplicating the newly-covered candidates to
+        count the delta).
         """
         new_st = new_black[candidates] & ~self.has_black[candidates]
         diff = new_st != self.stable[candidates]
         if not diff.any():
-            return
+            return candidates[:0]
         moved = candidates[diff]
         moved_new = new_st[diff]
         added = moved[moved_new]
@@ -373,9 +419,10 @@ class FrontierAggregates:
             # Unreachable under the update rules (I_t is monotone, see
             # the class docstring) but kept exact for safety.
             self.stable[removed] = False
-            self._recompute_covered()
-            return
+            self._recompute_from_stable(aux)
+            return None
         self._cover_added(added)
+        return added
 
     # ------------------------------------------------------------------
     # Topology churn (the dynamic overlay, :mod:`repro.dynamic`).
@@ -449,16 +496,17 @@ class FrontierAggregates:
             self.rebuild(black, token, aux=aux)
             self.topology_rebuilds += 1
             return "rebuild"
+        # The auxiliary counts cover aux \\ I_t; patch the edge delta
+        # with the pre-repair I_t, then move the I_t changes below.
+        counted = aux & ~self.stable if self.track_aux else None
         for us, vs, sign in ((add_us, add_vs, 1), (rem_us, rem_vs, -1)):
             if us.size == 0:
                 continue
             self._patch_counts(self.counts, us, vs, black, sign)
-            if self.track_aux:
-                self._patch_counts(self.aux_counts, us, vs, aux, sign)
+            if counted is not None:
+                self._patch_counts(self.aux_counts, us, vs, counted, sign)
         uniq = np.unique(endpoints)
         self.has_black[uniq] = self.counts[uniq] > 0
-        if self.track_aux:
-            self.aux_has[uniq] = self.aux_counts[uniq] > 0
         # I_t can only change at the touched endpoints (blackness is
         # untouched; only their counts moved).
         new_st = black[uniq] & ~self.has_black[uniq]
@@ -467,6 +515,14 @@ class FrontierAggregates:
         removed = uniq[diff & ~new_st]
         self.stable[added] = True
         self.stable[removed] = False
+        if self.track_aux:
+            # Over the new adjacency: black1 vertices leaving I_t join
+            # the counted set, black1 vertices entering it leave.
+            aux_touched = self.ops.apply_count_delta(
+                self.aux_counts, removed[aux[removed]], added[aux[added]]
+            )
+            refresh = np.concatenate((uniq, aux_touched))
+            self.aux_has[refresh] = self.aux_counts[refresh] > 0
         # Coverage is monotone only while I_t grows and no edge out of a
         # stable vertex disappears; otherwise recompute N+[I_t].  (The
         # removed-edge test is conservative: it fires even when the
@@ -498,23 +554,28 @@ class FrontierAggregates:
         self.topology_repairs += 1
         return action
 
-    def _update_stability(self, new_black: np.ndarray) -> None:
+    def _update_stability(
+        self, new_black: np.ndarray, aux: np.ndarray | None = None
+    ) -> np.ndarray | None:
         """Update ``I_t`` / ``N+[I_t]`` / the unstable counter.
 
         ``I_t`` can only change at vertices whose blackness or
         black-neighbour count changed, and under one application of the
         update rules it can only *grow* (class docstring); the covered
-        mask therefore grows by ``added ∪ N(added)``.  A removal —
-        impossible under the dynamics — drops to the from-scratch
-        recomputation instead.
+        mask therefore grows by ``added ∪ N(added)``.  Returns
+        ``added``.  A removal — impossible under the dynamics — drops
+        to the from-scratch recomputation of everything derived from
+        ``I_t`` instead (the auxiliary counts over ``aux \\ I_t``
+        included) and returns ``None``.
         """
         new_stable = new_black & ~self.has_black
         delta = np.flatnonzero(new_stable != self.stable)
         self.stable = new_stable
         if delta.size == 0:
-            return
+            return delta
         added = delta[new_stable[delta]]
         if added.size < delta.size:  # removals present
-            self._recompute_covered()
-            return
+            self._recompute_from_stable(aux)
+            return None
         self._cover_added(added)
+        return added

@@ -73,13 +73,14 @@ class ThreeStateMIS(MISProcess):
 
     ``engine`` selects the aggregate engine (see
     :mod:`repro.core.frontier`): the frontier path maintains *two*
-    persistent count arrays — black neighbours and black1 neighbours —
-    scatter-updated along the changed vertices' edges.  Note that a
-    stable black vertex alternates black1/black0 forever, so the black1
-    deltas never fully quiesce (unlike the 2-state process); the
-    changed-set volume still collapses to ``vol(I_t ∪ ...)``, well
-    below the full graph on sparse instances.  Trajectories are
-    bitwise-identical across engines.
+    persistent count arrays — black neighbours and black1 neighbours
+    outside ``I_t`` — scatter-updated along the changed vertices'
+    edges.  A stable black vertex alternates black1/black0 forever, but
+    those flips are never scattered: the black1 count leaves ``I_t``
+    out (exact wherever it is read, since a black vertex has no stable
+    neighbour), so both counts' deltas collapse with ``V_t`` as in the
+    2-state process.  Trajectories are bitwise-identical across
+    engines.
     """
 
     name = "3-state"
@@ -120,11 +121,19 @@ class ThreeStateMIS(MISProcess):
             )
         return frontier
 
-    def _neighbor_flags(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(exists(black1), exists(black))`` via the active engine."""
+    def _neighbor_flags(
+        self,
+    ) -> tuple[FrontierAggregates | None, np.ndarray, np.ndarray]:
+        """``(frontier, exists(black1), exists(black))`` via the engine.
+
+        ``frontier`` is the synced aggregate engine, ``None`` on the
+        full path.  Its black1 flags count only black1 neighbours
+        outside ``I_t``; they are exact wherever they are read, at
+        black0 vertices (a black vertex has no neighbour in ``I_t``).
+        """
         frontier = self._frontier_aggregates()
         if frontier is not None:
-            return frontier.aux_has, frontier.has_black
+            return frontier, frontier.aux_has, frontier.has_black
         states = self.states
         has_black1_nbr = self._aggregate(
             "exists_black1", lambda: self.ops.exists(states == BLACK1)
@@ -132,35 +141,37 @@ class ThreeStateMIS(MISProcess):
         has_black_nbr = self._aggregate(
             "exists_black", lambda: self.ops.exists(states != WHITE)
         )
-        return has_black1_nbr, has_black_nbr
+        return None, has_black1_nbr, has_black_nbr
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         states = self.states
-        is_black1 = states == BLACK1
-        is_black0 = states == BLACK0
-        is_white = states == WHITE
-        has_black1_nbr, has_black_nbr = self._neighbor_flags()
-
+        frontier, has_black1_nbr, has_black_nbr = self._neighbor_flags()
         randomize = (
-            is_black1
-            | (is_black0 & ~has_black1_nbr)
-            | (is_white & ~has_black_nbr)
+            (states == BLACK1)
+            | ((states == BLACK0) & ~has_black1_nbr)
+            | ((states == WHITE) & ~has_black_nbr)
         )
-        demote = is_black0 & ~randomize  # black0 hearing a black1 beep
 
         phi = self.coins.bits(self.n)
-        new_states = states.copy()
-        new_states[randomize & phi] = BLACK1
-        new_states[randomize & ~phi] = BLACK0
-        new_states[demote] = WHITE
-        frontier = self._frontier_aggregates()
+        # With WHITE = 0, BLACK0 = 1, BLACK1 = 2 the update is
+        # arithmetic: a randomizing vertex becomes 1 + phi, and every
+        # other vertex ends white (black1 always randomizes, a
+        # non-randomizing black0 hears a black1 beep and is demoted, a
+        # non-randomizing white stays white).
+        new_states = randomize.view(np.int8) + (randomize & phi).view(np.int8)
         if frontier is not None:
-            changed = np.flatnonzero(new_states != states)
-            old_black = states[changed] != WHITE
-            new_black = new_states[changed] != WHITE
-            old_black1 = states[changed] == BLACK1
-            new_black1 = new_states[changed] == BLACK1
+            # A vertex of I_t stays black and is not counted in the
+            # black1 aggregate, so its black1/black0 flips are skipped.
+            changed = np.flatnonzero(
+                (new_states != states) & ~frontier.stable
+            )
+            old_state = states[changed]
+            new_state = new_states[changed]
+            old_black = old_state != WHITE
+            new_black = new_state != WHITE
+            old_black1 = old_state == BLACK1
+            new_black1 = new_state == BLACK1
             frontier.advance(
                 new_states != WHITE,
                 up=changed[new_black & ~old_black],
@@ -184,14 +195,12 @@ class ThreeStateMIS(MISProcess):
         black0 vertices with no black1 neighbour, and white vertices with
         all-white neighbourhoods.
         """
-        is_black1 = self.states == BLACK1
-        is_black0 = self.states == BLACK0
-        is_white = self.states == WHITE
-        has_black1_nbr, has_black_nbr = self._neighbor_flags()
+        states = self.states
+        _, has_black1_nbr, has_black_nbr = self._neighbor_flags()
         return (
-            is_black1
-            | (is_black0 & ~has_black1_nbr)
-            | (is_white & ~has_black_nbr)
+            (states == BLACK1)
+            | ((states == BLACK0) & ~has_black1_nbr)
+            | ((states == WHITE) & ~has_black_nbr)
         )
 
     def state_vector(self) -> np.ndarray:

@@ -74,6 +74,7 @@ class Graph:
         "_csr32",
         "_dense",
         "_bits",
+        "_edges",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
@@ -119,6 +120,7 @@ class Graph:
         self._csr32 = None
         self._dense = None
         self._bits = None
+        self._edges = None
         if us.size == 0 or n == 0:
             self._m = 0
             dtype = np.int32 if n <= _INT32_MAX else np.int64
@@ -305,14 +307,20 @@ class Graph:
 
         Lexicographically ordered; the inverse of
         :meth:`from_numpy_edges`.  This is the array-native edge view the
-        vectorized derived-graph operations run on.
+        vectorized derived-graph operations run on.  Built once and
+        cached as read-only arrays (callers must copy before mutating).
         """
-        src = np.repeat(
-            np.arange(self._n, dtype=np.int64), np.diff(self._indptr)
-        )
-        dst = self._indices.astype(np.int64)
-        mask = src < dst
-        return src[mask], dst[mask]
+        if self._edges is None:
+            src = np.repeat(
+                np.arange(self._n, dtype=np.int64), np.diff(self._indptr)
+            )
+            dst = self._indices.astype(np.int64)
+            mask = src < dst
+            us, vs = src[mask], dst[mask]
+            us.setflags(write=False)
+            vs.setflags(write=False)
+            self._edges = (us, vs)
+        return self._edges
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over edges as ``(u, v)`` with ``u < v``."""
@@ -739,6 +747,7 @@ class Graph:
         self._csr32 = None
         self._dense = None
         self._bits = None
+        self._edges = None
 
     def __reduce__(self) -> tuple[Any, tuple[_GraphState]]:
         return (_rebuild_graph, (self.__getstate__(),))

@@ -21,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.frontier import FrontierAggregates
 from repro.core.neighbor_ops import make_neighbor_ops
+from repro.core.states import BLACK1, WHITE
+from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.dynamic import (
     DeltaNeighborOps,
@@ -267,24 +269,11 @@ MUTATIONS = st.lists(
 
 def _assert_repair_matches_rebuild(service: MISService) -> None:
     """The engine's repaired aggregates == a from-scratch rebuild."""
-    proc = service.proc
-    frontier = proc._frontier
+    frontier = service.proc._frontier
     token, black, aux = service._state_arrays()
     if frontier is None or frontier.token is not token:
         return  # nothing incremental to audit
-    snap = service.overlay.snapshot()
-    ref = FrontierAggregates(
-        snap, make_neighbor_ops(snap), track_aux=frontier.track_aux
-    )
-    ref.rebuild(black, token, aux=aux)
-    np.testing.assert_array_equal(frontier.counts, ref.counts)
-    np.testing.assert_array_equal(frontier.has_black, ref.has_black)
-    np.testing.assert_array_equal(frontier.stable, ref.stable)
-    np.testing.assert_array_equal(frontier.covered, ref.covered)
-    assert frontier.unstable_total == ref.unstable_total
-    if frontier.track_aux:
-        np.testing.assert_array_equal(frontier.aux_counts, ref.aux_counts)
-        np.testing.assert_array_equal(frontier.aux_has, ref.aux_has)
+    _assert_frontier_exact(service.overlay, frontier, black, aux)
 
 
 def _drive(process: str, n: int, p_seed: int, moves) -> None:
@@ -416,14 +405,53 @@ def test_direct_topology_delta_actions():
     assert frontier.topology_repairs >= 1
 
 
-def _assert_frontier_exact(overlay, frontier, black):
+def _assert_frontier_exact(overlay, frontier, black, aux=None):
     snap = overlay.snapshot()
-    ref = FrontierAggregates(snap, make_neighbor_ops(snap))
-    ref.rebuild(black, black)
+    ops = make_neighbor_ops(snap)
+    ref = FrontierAggregates(snap, ops, track_aux=frontier.track_aux)
+    ref.rebuild(black, black, aux=aux)
     np.testing.assert_array_equal(frontier.counts, ref.counts)
+    np.testing.assert_array_equal(frontier.has_black, ref.has_black)
     np.testing.assert_array_equal(frontier.stable, ref.stable)
     np.testing.assert_array_equal(frontier.covered, ref.covered)
     assert frontier.unstable_total == ref.unstable_total
+    if frontier.track_aux:
+        # The black1 count covers the black1 vertices outside I_t.
+        expected = ops.count(aux & ~frontier.stable)
+        np.testing.assert_array_equal(frontier.aux_counts, expected)
+        np.testing.assert_array_equal(frontier.aux_has, expected > 0)
+        np.testing.assert_array_equal(frontier.aux_counts, ref.aux_counts)
+
+
+def test_direct_topology_delta_three_state():
+    """Edges between black1 vertices move them out of and into I_t."""
+    graph = gnp_random_graph(60, 0.05, rng=11)
+    overlay = DeltaOverlay(graph)
+    ops = DeltaNeighborOps(overlay)
+    proc = ThreeStateMIS(graph, coins=4, ops=ops)
+    proc.run(max_rounds=500)
+    frontier = proc._frontier_aggregates()
+    states = proc.states
+    black, aux = states != WHITE, states == BLACK1
+    pair = [
+        int(v) for v in np.flatnonzero(frontier.stable & aux)
+    ][:2]
+    assert len(pair) == 2 and not overlay.has_edge(*pair)
+    u, v = np.array(pair[:1]), np.array(pair[1:])
+    empty = np.zeros(0, dtype=np.int64)
+    for adds, rems in (((u, v), (empty, empty)), ((empty, empty), (u, v))):
+        if adds[0].size:
+            overlay.add_edge(pair[0], pair[1])
+        else:
+            overlay.remove_edge(pair[0], pair[1])
+        action = frontier.apply_topology_delta(
+            black, *adds, *rems, token=states, aux=aux
+        )
+        assert action in ("repair", "repair+recover")
+        proc._topology_changed()
+        # Joined by an edge, both leave I_t; parted again, both return.
+        assert frontier.stable[pair].all() == (rems[0].size > 0)
+        _assert_frontier_exact(overlay, frontier, black, aux)
 
 
 def test_huge_delta_falls_back_to_rebuild():

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.frontier import ENGINES, FrontierAggregates, resolve_engine
 from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
+from repro.core.states import BLACK1
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.graph import Graph
@@ -253,6 +254,92 @@ class TestEngineEquivalence:
                 )
 
 
+class AuditedThreeState(ThreeStateMIS):
+    """3-state process that audits its black1 aggregate after each round."""
+
+    def _advance(self):
+        super()._advance()
+        frontier = self._frontier
+        if frontier is not None and frontier.token is self.states:
+            assert_black1_counts_exact(frontier, self.states == BLACK1)
+
+
+def assert_black1_counts_exact(frontier, black1):
+    """``aux_counts`` counts the black1 neighbours outside ``I_t``."""
+    expected = frontier.ops.count(black1 & ~frontier.stable)
+    np.testing.assert_array_equal(frontier.aux_counts, expected)
+    np.testing.assert_array_equal(frontier.aux_has, expected > 0)
+
+
+class TestBlackOneAggregate:
+    """The 3-state black1 count covers ``B1_t \\ I_t`` only."""
+
+    @given(
+        graph=sparse_graphs(),
+        seed=st.integers(0, 2**20),
+        corrupt_at=st.none() | st.integers(0, 12),
+        engine=st.sampled_from(("frontier", "auto")),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_counts_exact_every_round(self, graph, seed, corrupt_at, engine):
+        proc = AuditedThreeState(graph, coins=seed, engine=engine)
+        corrupt = np.random.default_rng(seed + 1).integers(0, 3, graph.n)
+        for r in range(80):
+            if corrupt_at is not None and r == corrupt_at:
+                proc.corrupt(corrupt.astype(np.int8))
+            if proc.is_stabilized():
+                break
+            proc.step()
+
+    @given(
+        seed=st.integers(0, 2**20),
+        check_every=st.integers(2, 7),
+        engine=st.sampled_from(("frontier", "auto")),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_counts_exact_with_check_every(self, seed, check_every, engine):
+        graph = gnp_random_graph(96, 0.05, rng=seed)
+        proc = AuditedThreeState(graph, coins=seed, engine=engine)
+        result = run_until_stable(
+            proc, max_rounds=MAX_ROUNDS, check_every=check_every
+        )
+        assert result.stabilized
+
+    def test_black1_scatter_collapses_with_unstable_set(self):
+        """Late black1 scatters shrink with ``V_t``, not ``I_t``.
+
+        A stable black vertex re-draws black1/black0 every round; were
+        those flips scattered, every round would cost about 0.17 of the
+        directed edge volume ``2m``, and the second half of the run
+        alone several times ``2m``.
+        """
+        n = 1 << 14
+        graph = gnp_random_graph(n, 3.0 / n, rng=0)
+
+        class ScatterLog(SparseNeighborOps):
+            def __init__(self, graph):
+                super().__init__(graph)
+                self.proc = None
+                self.black1_edges = []  # (round, edges scattered)
+
+            def apply_count_delta(self, counts, up, down):
+                touched = super().apply_count_delta(counts, up, down)
+                if counts is self.proc._frontier.aux_counts:
+                    self.black1_edges.append((self.proc.round, touched.size))
+                return touched
+
+        ops = ScatterLog(graph)
+        proc = ThreeStateMIS(graph, coins=1, engine="frontier", ops=ops)
+        ops.proc = proc
+        result = run_until_stable(proc, max_rounds=MAX_ROUNDS, verify=False)
+        assert result.stabilized
+        rounds = result.rounds_executed
+        assert rounds >= 8
+        assert len(ops.black1_edges) == rounds
+        late = sum(e for r, e in ops.black1_edges if r >= rounds // 2)
+        assert late < graph.indices.size
+
+
 class TestEngineParameter:
     def test_resolve_engine_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -335,6 +422,119 @@ class TestFrontierAggregates:
         assert frontier.unstable_total == int(
             np.count_nonzero(~covered)
         )
+
+    @pytest.mark.parametrize("isolated", [0, 60])
+    def test_removal_fallback_reseeds_black1_counts(
+        self, isolated, monkeypatch
+    ):
+        # Vertex 0 leaves I_t when 1 turns black beside it.  On 4
+        # vertices the round takes the full-mask stability pass; with
+        # 60 isolated vertices added it takes the candidate-set pass.
+        # Either removal branch must re-seed the black1 counts from
+        # black1 \ I_t.
+        n = 4 + isolated
+        graph = Graph(n, [(0, 1), (2, 3)])
+        ops = SparseNeighborOps(graph)
+        frontier = FrontierAggregates(
+            graph, ops, adaptive=False, track_aux=True
+        )
+        branches = []
+        for name in ("_update_stability", "_update_stability_local"):
+            method = getattr(frontier, name)
+
+            def spy(*args, _name=name, _method=method):
+                result = _method(*args)
+                branches.append((_name, result is None))
+                return result
+
+            monkeypatch.setattr(frontier, name, spy)
+        black = np.zeros(n, dtype=bool)
+        black[[0, 2]] = True
+        aux = np.zeros(n, dtype=bool)
+        aux[0] = True
+        frontier.rebuild(black, token=black, aux=aux)
+        assert frontier.stable[[0, 2]].all()
+        new_black = black.copy()
+        new_black[1] = True
+        new_aux = aux.copy()
+        new_aux[[1, 2]] = True  # 2 stays stable: not counted at 3
+        frontier.advance(
+            new_black,
+            up=np.array([1]),
+            down=np.array([], dtype=np.int64),
+            token=new_black,
+            aux_mask=new_aux,
+            aux_up=np.array([1, 2]),
+            aux_down=np.array([], dtype=np.int64),
+        )
+        expected = (
+            "_update_stability_local" if isolated else "_update_stability"
+        )
+        assert branches == [(expected, True)]
+        ref = FrontierAggregates(graph, ops, track_aux=True)
+        ref.rebuild(new_black, token=new_black, aux=new_aux)
+        assert not frontier.stable[0]
+        for name in (
+            "counts", "has_black", "aux_counts", "aux_has", "stable",
+            "covered",
+        ):
+            np.testing.assert_array_equal(
+                getattr(frontier, name), getattr(ref, name), err_msg=name
+            )
+        assert frontier.unstable_total == ref.unstable_total
+        assert_black1_counts_exact(frontier, new_aux)
+
+    def test_black1_flips_inside_stable_set_not_counted(self):
+        graph = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        ops = SparseNeighborOps(graph)
+        frontier = FrontierAggregates(
+            graph, ops, adaptive=False, track_aux=True
+        )
+        black = np.array([True, False, True, False, True])
+        black1 = np.array([False, False, False, False, True])
+        frontier.rebuild(black, token=black, aux=black1)
+        assert frontier.stable.tolist() == [True, False, True, False, True]
+        assert not frontier.aux_counts.any()
+        # Every stable vertex re-draws: 0 and 2 turn black1, 4 black0.
+        new_black1 = np.array([True, False, True, False, False])
+        frontier.advance(
+            black,
+            up=np.array([], dtype=np.int64),
+            down=np.array([], dtype=np.int64),
+            token=new_black1,
+            aux_mask=new_black1,
+            aux_up=np.array([0, 2]),
+            aux_down=np.array([4]),
+        )
+        assert not frontier.aux_counts.any()
+        assert not frontier.aux_has.any()
+
+    def test_newly_stable_black1_leaves_count_once(self):
+        # 0 turns black1 as both its black neighbours turn white, so it
+        # enters I_t and shows up twice among the candidate-set pass's
+        # scatter targets; it must leave the black1 count once.
+        n = 64
+        graph = Graph(n, [(0, 1), (0, 2)])
+        ops = SparseNeighborOps(graph)
+        frontier = FrontierAggregates(
+            graph, ops, adaptive=False, track_aux=True
+        )
+        black = np.zeros(n, dtype=bool)
+        black[[0, 1, 2]] = True
+        frontier.rebuild(black, token=black, aux=np.zeros(n, dtype=bool))
+        new_black = np.zeros(n, dtype=bool)
+        new_black[0] = True
+        frontier.advance(
+            new_black,
+            up=np.array([], dtype=np.int64),
+            down=np.array([1, 2]),
+            token=new_black,
+            aux_mask=new_black,
+            aux_up=np.array([0]),
+            aux_down=np.array([], dtype=np.int64),
+        )
+        assert frontier.stable[0]
+        assert_black1_counts_exact(frontier, new_black)
 
     def test_gather_neighbors_matches_slices(self):
         graph = gnp_random_graph(60, 0.2, rng=2)

@@ -135,6 +135,27 @@ class TestCorners:
         assert back._dense is None and back._bits is None
         assert_representations_agree(back)
 
+    def test_edge_arrays_cached_read_only(self):
+        import pickle
+
+        g = gnp_random_graph(30, 0.2, rng=4)
+        us, vs = g.edge_arrays()
+        again = g.edge_arrays()
+        assert again[0] is us and again[1] is vs
+        for arr in (us, vs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        back = pickle.loads(pickle.dumps(g))
+        assert back._edges is None
+        bus, bvs = back.edge_arrays()
+        assert bus is not us
+        np.testing.assert_array_equal(bus, us)
+        np.testing.assert_array_equal(bvs, vs)
+        assert Graph.from_csr_arrays(
+            g.n, g.m, g.indptr, g.indices
+        )._edges is None
+
 
 class TestVectorizedHelpers:
     """The CSR-vectorized set helpers agree with naive references."""

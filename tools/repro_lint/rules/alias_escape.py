@@ -4,8 +4,9 @@
 access* site (``graph._degrees[...] = ...``).  But the frozen views
 also escape through the public accessors — ``degrees()``,
 ``adjacency_csr()`` / ``adjacency_csr_int32()``, ``adjacency_dense()``,
-``adjacency_bitset()`` — which hand out the identity-cached arrays
-themselves (copying would defeat the CSR substrate's memory story).
+``adjacency_bitset()``, ``edge_arrays()`` — which hand out the
+identity-cached arrays themselves (copying would defeat the CSR
+substrate's memory story).
 Once such an array is bound to a local name, a later in-place write
 corrupts the shared cache for every other holder, silently, far from
 any attribute access the per-site rule could see.
@@ -47,6 +48,7 @@ FROZEN_ACCESSORS = {
     "adjacency_csr_int32",
     "adjacency_dense",
     "adjacency_bitset",
+    "edge_arrays",
 }
 #: ndarray methods that mutate in place.
 _MUTATING_METHODS = {"fill", "sort", "partition", "put", "itemset", "resize"}
