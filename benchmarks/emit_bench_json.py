@@ -59,10 +59,14 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 
 def current_commit() -> str:
-    """Short git hash of HEAD (``"unknown"`` outside a checkout)."""
+    """Short git hash of HEAD, ``-dirty`` when the tree has uncommitted
+    changes (``"unknown"`` outside a checkout)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            [
+                "git", "describe", "--always", "--dirty", "--abbrev=7",
+                "--exclude=*",
+            ],
             cwd=ROOT,
             capture_output=True,
             text=True,

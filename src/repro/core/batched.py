@@ -290,7 +290,6 @@ class _BatchedMISEngine:
         self._collect_delta = False
         #: Reused φ_t buffer (see :meth:`_phi_rows`).
         self._phi_buf: np.ndarray | None = None
-        self._phi_scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -790,17 +789,14 @@ class _BatchedMISEngine:
 
         The returned matrix is a view into a per-engine buffer reused
         across rounds (φ_t is consumed within its round everywhere);
-        each draw lands in its row via :meth:`CoinSource.bits_into`,
-        skipping two allocations per replica per round.
+        each draw lands in its row via :meth:`CoinSource.bits_into`.
         """
         if self._phi_buf is None or self._phi_buf.shape[0] < live.size:
             self._phi_buf = np.empty((live.size, self.n), dtype=bool)
-            self._phi_scratch = np.empty(self.n, dtype=np.float64)
         phi = self._phi_buf[: live.size]
-        scratch = self._phi_scratch
         processes = self.processes
         for i, r in enumerate(live):
-            processes[r].coins.bits_into(phi[i], scratch)
+            processes[r].coins.bits_into(phi[i])
         return phi
 
     def _writeback(self) -> None:

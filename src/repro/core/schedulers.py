@@ -71,11 +71,8 @@ class SingleVertexScheduler(Scheduler):
     Selection is derived from the process's coin source to keep runs
     reproducible: one ``bits(⌈log₂ n⌉)`` array per round is assembled
     into a random index (slight modulo bias is irrelevant for a
-    daemon).  Earlier versions drew ⌈log₂ n⌉ separate ``bits(1)``
-    arrays; with a PRNG-backed :class:`~repro.sim.rng.CoinSource` the
-    single draw consumes the identical bit stream, but scripted coin
-    sources now see one length-⌈log₂ n⌉ draw per round (the trajectory
-    is pinned by ``tests/test_schedulers.py``).
+    daemon).  Scripted coin sources see one length-⌈log₂ n⌉ draw per
+    round (the trajectory is pinned by ``tests/test_schedulers.py``).
     """
 
     def select(self, process: "ScheduledTwoStateMIS") -> np.ndarray:

@@ -23,13 +23,13 @@ Checkpoint/resume
 With ``checkpoint=`` the service journals through
 :mod:`repro.sim.checkpoint`: every record under ``rec:{offset}``, and
 every ``checkpoint_every`` events a full state snapshot — the state
-vector bytes, the coin generator's bit-generator state, and the round
+vector bytes, the coin stream's ``(key, draw)`` state, and the round
 counter.  Because the mutation stream is a pure function of
 ``(seed, offset, topology)``, resume replays mutations ``0..k`` onto a
 fresh overlay (compacting at the same offsets — the criterion depends
 only on topology history), restores the state vector *without drawing
-init coins*, and splices the saved generator state into a fresh
-:class:`~repro.sim.rng.SeededCoins` — so a killed-and-resumed service
+init coins*, and rebuilds the :class:`~repro.sim.rng.SeededCoins` at the
+saved ``(key, draw)`` — so a killed-and-resumed service
 produces the *bitwise-identical* trajectory of an uninterrupted run,
 whatever the checkpoint cadence.  ``tests/test_dynamic_service.py``
 and ``python -m repro.parallel --chaos-smoke`` pin this.
@@ -59,8 +59,12 @@ from repro.dynamic.overlay import (
     DeltaOverlay,
 )
 from repro.graphs.graph import Graph
-from repro.sim.checkpoint import CheckpointJournal, CheckpointView
-from repro.sim.rng import SeededCoins
+from repro.sim.checkpoint import (
+    CheckpointError,
+    CheckpointJournal,
+    CheckpointView,
+)
+from repro.sim.rng import COIN_STREAM, SeededCoins
 
 #: Process families the service can host.
 PROCESSES = ("2-state", "3-state")
@@ -116,8 +120,8 @@ class MISService:
         ``"2-state"`` (default) or ``"3-state"``.
     seed:
         Coin seed; the service always runs a
-        :class:`~repro.sim.rng.SeededCoins` so its generator state is
-        checkpointable.
+        :class:`~repro.sim.rng.SeededCoins` so its ``(key, draw)`` state
+        is checkpointable.
     engine, backend:
         Forwarded to the process (the frontier engine is what makes
         incremental repair pay; ``engine="full"`` degrades every event
@@ -221,6 +225,7 @@ class MISService:
         """Fingerprintable identity of this service configuration."""
         return {
             "service": "mis",
+            "coins": COIN_STREAM,
             "process": self.process_name,
             "seed": self.seed,
             "engine": self.engine,
@@ -415,7 +420,7 @@ class MISService:
             {
                 "offset": int(offset),
                 "round": int(proc.round),
-                "rng": coins.generator.bit_generator.state,
+                "coins": coins.state,
                 "repairs": self.repairs,
                 "rebuilds": self.rebuilds,
                 "start_rounds": self.start_rounds,
@@ -439,6 +444,13 @@ class MISService:
         blob = self._store.get_bytes(f"blob:{last}")
         if meta is None or blob is None:  # pragma: no cover - guard
             return False
+        if "coins" not in meta:
+            # A journal opened by path is refused earlier, by fingerprint;
+            # this catches one handed in already open.
+            raise CheckpointError(
+                f"snapshot state:{last} predates the counter-based coin "
+                "stream; start over with resume=False"
+            )
         # Replay mutations 0..last topology-only onto the fresh overlay,
         # compacting on the same criterion as the live path (it depends
         # only on topology history, so the points coincide exactly).
@@ -450,10 +462,9 @@ class MISService:
                 self.ops.rebase()
         dtype = np.int8 if self.process_name == "3-state" else np.bool_
         init = np.frombuffer(blob, dtype=dtype).copy()
-        coins = SeededCoins(self.seed)
-        coins.generator.bit_generator.state = meta["rng"]
-        # Array init draws no coins, so the spliced generator state is
-        # exactly where the uninterrupted run's stream stood.
+        # Array init draws no coins, so the saved (key, draw) is exactly
+        # where the uninterrupted run's stream stood.
+        coins = SeededCoins.from_state(meta["coins"])
         self.proc = self._make_process(self.overlay.base, coins, init=init)
         self.proc.round = int(meta["round"])
         # Prime the frontier engine (coin-free) so the first post-resume

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.sim.checkpoint import CheckpointJournal, CheckpointView
-from repro.sim.rng import spawn_seeds
+from repro.sim.rng import COIN_STREAM, spawn_seeds
 from repro.sim.runner import (
     AUTO_BATCH_CHUNK,
     run_many_until_stable,
@@ -166,8 +166,11 @@ def _open_checkpoint(
     owns the close.  An already-open journal or scoped view passes
     through untouched and unverified: its opener did the verification
     (this is how a sweep hands each grid point a ``p{i}:`` view whose
-    enclosing fingerprint is the *sweep's*, not the point's).
+    enclosing fingerprint is the *sweep's*, not the point's).  The coin
+    stream's identity is part of every fingerprint, so a journal of
+    results drawn from another stream is refused.
     """
+    fingerprint = {**fingerprint, "coins": COIN_STREAM}
     if checkpoint is None:
         from repro.sim.checkpoint import open_default_journal
 

@@ -187,6 +187,24 @@ def test_estimate_checkpoint_mismatch_raises(tmp_path):
     assert len(stats.times) + stats.failures == 6
 
 
+def test_estimate_journal_from_another_coin_stream_is_refused(tmp_path):
+    # A campaign journal whose fingerprint lacks the coin-stream identity
+    # (as every journal written before the counter-based stream does)
+    # holds results drawn from another stream: never resume from it.
+    path = tmp_path / "estimate.journal"
+    spec = {
+        "kind": "estimate", "trials": 5, "max_rounds": 300, "seed": 2,
+        "batch": "auto",
+    }
+    with CheckpointJournal(path, spec, resume=False) as journal:
+        journal.put("stats", {"times": [1] * 5, "failures": 0,
+                              "max_rounds": 300})
+    with pytest.raises(CheckpointMismatchError):
+        estimate_stabilization_time(
+            _factory, trials=5, max_rounds=300, seed=2, checkpoint=path
+        )
+
+
 def test_estimate_serial_path_resumes_per_trial(tmp_path):
     path = tmp_path / "estimate.journal"
     baseline = estimate_stabilization_time(

@@ -30,7 +30,11 @@ from repro.dynamic import (
 from repro.dynamic.mutations import STREAM_KINDS
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel.chaos import ServiceChaosPolicy
-from repro.sim.checkpoint import CheckpointJournal
+from repro.sim.checkpoint import (
+    CheckpointError,
+    CheckpointJournal,
+    CheckpointMismatchError,
+)
 
 N, EVENTS = 128, 40
 
@@ -224,6 +228,56 @@ class TestCheckpointResume:
         resumed.close()
         np.testing.assert_array_equal(state_of(ref), state_of(resumed))
         assert records_of(ref) == records_of(resumed)
+
+    @staticmethod
+    def _write_pcg64_era_snapshot(store, service):
+        """A snapshot as journaled before the counter-based coin stream."""
+        state = state_of(service)
+        store.put(
+            "state:-1",
+            {
+                "offset": -1,
+                "round": int(service.proc.round),
+                "rng": np.random.default_rng(1).bit_generator.state,
+                "repairs": 0,
+                "rebuilds": 0,
+                "start_rounds": service.start_rounds,
+            },
+        )
+        store.put_bytes("blob:-1", state.tobytes())
+
+    def test_pre_counter_stream_journal_is_refused(
+        self, graph, stream, tmp_path
+    ):
+        live = MISService(graph, stream, seed=1)
+        old_spec = live._spec()
+        del old_spec["coins"]  # the fingerprint before the stream change
+        path = tmp_path / "svc.ckpt"
+        with CheckpointJournal(path, old_spec, resume=False) as journal:
+            self._write_pcg64_era_snapshot(journal, live)
+        with pytest.raises(CheckpointMismatchError):
+            MISService(graph, stream, seed=1, checkpoint=path)
+        # resume=False starts over on the current stream.
+        fresh = MISService(
+            graph, stream, seed=1, checkpoint=path, resume=False
+        )
+        assert fresh.next_offset == 0
+        fresh.close()
+
+    def test_pre_counter_snapshot_in_open_view_is_refused(
+        self, graph, stream, tmp_path
+    ):
+        # A journal handed in already open skips the fingerprint check;
+        # the snapshot's own format still refuses to resume.
+        journal = CheckpointJournal(tmp_path / "shared.ckpt", {"suite": 1})
+        self._write_pcg64_era_snapshot(
+            journal.scoped("svc/"), MISService(graph, stream, seed=1)
+        )
+        with pytest.raises(CheckpointError, match="coin stream"):
+            MISService(
+                graph, stream, seed=1, checkpoint=journal.scoped("svc/")
+            )
+        journal.close()
 
     def test_shared_journal_view(self, graph, stream, tmp_path):
         # Services can share one journal through scoped views.

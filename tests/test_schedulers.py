@@ -143,7 +143,7 @@ class TestSchedulerHotPathRegressions:
         selections = [
             int(np.flatnonzero(daemon.select(proc))[0]) for _ in range(8)
         ]
-        assert selections == [16, 26, 28, 19, 2, 23, 25, 6]
+        assert selections == [13, 20, 9, 3, 27, 7, 0, 1]
 
     def test_single_vertex_daemon_single_draw(self):
         # n = 30 needs ⌈log₂ 30⌉ = 5 bits: exactly ONE length-5 draw.
@@ -199,7 +199,7 @@ class TestSchedulerHotPathRegressions:
         )
         result = run_until_stable(proc, max_rounds=500_000)
         assert result.stabilized
-        assert result.stabilization_round == 13
+        assert result.stabilization_round == 20
 
     def test_single_vertex_daemon_pinned_stabilization(self):
         g = cycle_graph(12)
@@ -210,7 +210,7 @@ class TestSchedulerHotPathRegressions:
         assert result.stabilized
         assert is_maximal_independent_set(g, result.mis)
         # Pinned trajectory under the one-draw-per-round discipline.
-        assert result.stabilization_round == 43
+        assert result.stabilization_round == 55
 
 
 class TestScheduledSemantics:
