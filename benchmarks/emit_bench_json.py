@@ -39,11 +39,15 @@ smoke) workloads so it stays cheap enough to run on every commit.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/emit_bench_json.py
+    PYTHONPATH=src python benchmarks/emit_bench_json.py [--only FILE ...]
 
-(equivalently ``make bench-fast``).
+(equivalently ``make bench-fast``).  ``--only BENCH_churn.json``
+(repeatable) re-emits just the named families and leaves the other
+files as committed — useful when a change touches one family and the
+rest, ``BENCH_parallel.json`` especially, are machine-sensitive.
 """
 
+import argparse
 import json
 import os
 import pathlib
@@ -244,17 +248,27 @@ def churn_entries(commit: str) -> list[dict]:
     ]
 
 
-def main() -> None:
+FAMILIES = {
+    "BENCH_frontier.json": frontier_entries,
+    "BENCH_substrate.json": substrate_entries,
+    "BENCH_batched.json": batched_entries,
+    "BENCH_batched_frontier.json": batched_frontier_entries,
+    "BENCH_parallel.json": parallel_entries,
+    "BENCH_churn.json": churn_entries,
+}
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "--only", action="append", choices=sorted(FAMILIES), metavar="FILE",
+        help="emit only this BENCH file (repeatable; default: all)",
+    )
+    args = parser.parse_args(argv)
     commit = current_commit()
-    families = {
-        "BENCH_frontier.json": frontier_entries,
-        "BENCH_substrate.json": substrate_entries,
-        "BENCH_batched.json": batched_entries,
-        "BENCH_batched_frontier.json": batched_frontier_entries,
-        "BENCH_parallel.json": parallel_entries,
-        "BENCH_churn.json": churn_entries,
-    }
-    for filename, build in families.items():
+    for filename, build in FAMILIES.items():
+        if args.only and filename not in args.only:
+            continue
         entries = build(commit)
         path = ROOT / filename
         path.write_text(json.dumps(entries, indent=2) + "\n")

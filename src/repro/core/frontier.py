@@ -134,6 +134,18 @@ class FrontierAggregates:
     engine falls back to a from-scratch recomputation
     (:meth:`_recompute_covered`).
 
+    A topology delta (:meth:`apply_topology_delta`) can shrink
+    ``N+[I_t]``: a new edge to a black vertex moves a stable vertex out
+    of ``I_t`` (call the set of such vertices ``R``), and a deleted edge
+    can cut a vertex off its only stable neighbour.  Only ``N+[R]``
+    (over the new adjacency) and the deleted edges' endpoints can lose
+    their cover — any other covered vertex keeps both the stable
+    neighbour and the edge that covered it — so the delta re-derives
+    ``covered`` at exactly those candidates
+    (:meth:`_recover_covered_at`) in ``O(vol(N+[R]) + vol(near))`` work,
+    ``near`` being the stable neighbours of the candidates: about
+    ``d^2`` edges at average degree ``d``, instead of ``vol(I_t)``.
+
     ``token`` is the identity of the state array the aggregates were
     last synced to; owners compare it against their current state array
     and call :meth:`rebuild` on mismatch (which is how transient faults
@@ -466,10 +478,13 @@ class FrontierAggregates:
           covered mask all patched from only the touched endpoints
           (``O(endpoints + vol(I_t) additions)`` work).
         * ``"repair+recover"`` — counts patched incrementally, but the
-          delta invalidated the monotone-coverage invariant (a vertex
-          left ``I_t``, or a deleted edge touched a stable vertex's
-          neighbourhood), so ``N+[I_t]`` was recomputed from scratch —
-          the graceful fallback of the class docstring.
+          delta can shrink ``N+[I_t]`` (a set ``R`` of vertices left
+          ``I_t``, or a deleted edge touched a stable vertex), so the
+          cover is re-derived locally at the candidates
+          ``N+[R] ∪ {endpoints of deleted edges}`` — the only vertices
+          that can lose it (class docstring) — before the monotone
+          additions of the plain repair;
+          ``O(vol(N+[R]) + vol(near))`` work instead of ``O(vol(I_t))``.
         * ``"rebuild"``        — the aggregates were already stale, or
           the delta volume crossed the full-reduction threshold;
           everything is recomputed (lazily in the stale case).
@@ -534,25 +549,42 @@ class FrontierAggregates:
                 self.stable[rem_us].any() or self.stable[rem_vs].any()
             )
         if recover:
-            self._recompute_covered()
-            action = "repair+recover"
-        else:
-            if added.size:
-                self._cover_added(added)
-            if add_us.size:
-                # New edges out of still-stable vertices extend N+[I_t].
-                extra = np.concatenate(
-                    (add_vs[self.stable[add_us]], add_us[self.stable[add_vs]])
+            # Only N+[removed] and the deleted edges' endpoints can lose
+            # their cover (class docstring); re-derive it there.
+            self._recover_covered_at(
+                np.concatenate(
+                    (removed, self.ops.gather(removed), rem_us, rem_vs)
                 )
-                if extra.size:
-                    self.covered[extra] = True
-                    self.unstable_total = self.n - int(
-                        np.count_nonzero(self.covered)
-                    )
-            action = "repair"
+            )
+        if added.size:
+            self._cover_added(added)
+        if add_us.size:
+            # New edges out of stable vertices extend N+[I_t].
+            extra = np.concatenate(
+                (add_vs[self.stable[add_us]], add_us[self.stable[add_vs]])
+            )
+            if extra.size:
+                self.covered[extra] = True
+                self.unstable_total = self.n - int(
+                    np.count_nonzero(self.covered)
+                )
         self.token = token
         self.topology_repairs += 1
-        return action
+        return "repair+recover" if recover else "repair"
+
+    def _recover_covered_at(self, cands: np.ndarray) -> None:
+        """Re-derive ``covered`` at ``cands`` from the current ``I_t``.
+
+        A candidate is covered iff it is stable or has a stable
+        neighbour; every vertex written ``True`` here neighbours a
+        stable vertex, so writes outside ``cands`` are exact too.  Costs
+        ``O(vol(cands) + vol(stable neighbours of cands))``.
+        """
+        self.covered[cands] = self.stable[cands]
+        nbrs = self.ops.gather(cands)
+        near = nbrs[self.stable[nbrs]]
+        self.covered[self.ops.gather(near)] = True
+        self.unstable_total = self.n - int(np.count_nonzero(self.covered))
 
     def _update_stability(
         self, new_black: np.ndarray, aux: np.ndarray | None = None

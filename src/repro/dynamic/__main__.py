@@ -10,6 +10,9 @@ the contracts the test suite asserts at scale:
 * overlay/CSR equivalence — a mutated :class:`~repro.dynamic.overlay.
   DeltaOverlay` snapshots and compacts to the same graph a from-scratch
   rebuild produces;
+* local coverage recovery — after every ``"repair+recover"`` event,
+  ``N+[I_t]`` and the unstable counter equal a fresh rebuild on the
+  snapshot graph (the number of events checked is reported);
 * repair == rebuild — a service with incremental frontier repair
   produces the bitwise-identical trajectory of one that rebuilds the
   aggregates after every event;
@@ -43,9 +46,29 @@ def _records(service) -> list[dict]:
     return [r.to_dict() for r in service.records]
 
 
+def _coverage_exact(service) -> bool:
+    """``covered``/``unstable_total`` == a rebuild on the snapshot graph."""
+    from repro.core.frontier import FrontierAggregates
+    from repro.core.neighbor_ops import make_neighbor_ops
+
+    token, black, aux = service._state_arrays()
+    frontier = service.proc._frontier
+    snap = service.overlay.snapshot()
+    fresh = FrontierAggregates(
+        snap, make_neighbor_ops(snap), track_aux=frontier.track_aux
+    )
+    fresh.rebuild(black, token, aux=aux)
+    return (
+        frontier.token is token
+        and np.array_equal(frontier.covered, fresh.covered)
+        and frontier.unstable_total == fresh.unstable_total
+    )
+
+
 def doctor(n: int, events: int) -> int:
     """Run the dynamic-stack self-check; returns a process exit code."""
     from repro.dynamic import DeltaOverlay, MISService, make_stream, run_with_chaos
+    from repro.dynamic.mutations import STREAM_KINDS
     from repro.graphs.random_graphs import gnp_random_graph
     from repro.parallel.chaos import ServiceChaosPolicy
 
@@ -72,6 +95,23 @@ def doctor(n: int, events: int) -> int:
     healthy &= _check(
         "live degrees track the CSR",
         np.array_equal(overlay.degrees(), overlay.base.degrees()),
+    )
+
+    # Local coverage recovery: after every "repair+recover" event,
+    # N+[I_t] and the unstable counter equal a fresh rebuild.  Every
+    # stream kind runs, so edge deletions (rare in a uniform stream)
+    # and vertex deletions reach the recover branch too.
+    audited = drifted = 0
+    for kind in STREAM_KINDS:
+        audit = MISService(graph, make_stream(kind, n, seed=3), seed=1)
+        for offset in range(events):
+            if audit.run(offset + 1)[0].action == "repair+recover":
+                audited += 1
+                drifted += not _coverage_exact(audit)
+    healthy &= _check(
+        "local coverage recovery == rebuild",
+        audited > 0 and drifted == 0,
+        f"{audited} repair+recover events checked, {drifted} drifted",
     )
 
     # Repair == rebuild: bitwise-identical trajectories, records included.

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -100,7 +100,9 @@ class ChurnRecord:
     round_end: int
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        # Every field is a scalar: a shallow dict equals ``asdict`` and
+        # skips its recursive deep copy (one record per event).
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ChurnRecord":

@@ -478,3 +478,124 @@ def test_huge_delta_falls_back_to_rebuild():
     )
     assert action == "rebuild"
     _assert_frontier_exact(overlay, frontier, proc.black)
+
+
+# ---------------------------------------------------------------------------
+# Local coverage recovery: each trigger of "repair+recover", and its cost
+# ---------------------------------------------------------------------------
+
+
+def _settled_service(process, n, seed):
+    """A stabilized service that applies events without settling them."""
+    service = MISService(
+        gnp_random_graph(n, 3.0 / n, rng=seed),
+        ScriptedStream(n, [MutationEvent("add-edge", 0, 1)]),  # unused
+        process=process,
+        seed=seed,
+        settle_every=2**62,
+    )
+    assert service.is_stable()
+    return service
+
+
+def _apply_exact(service, kind, u, v=-1):
+    """Apply one event; the repaired aggregates must equal a rebuild."""
+    record = service.apply_event(MutationEvent(kind, u, v))
+    token, black, aux = service._state_arrays()
+    frontier = service.proc._frontier
+    assert frontier.token is token
+    _assert_frontier_exact(service.overlay, frontier, black, aux)
+    return record
+
+
+def _sole_cover(frontier, overlay):
+    """A stable vertex with a neighbour whose only stable neighbour it is."""
+    for s in np.flatnonzero(frontier.stable):
+        for w in overlay.neighbors_of(s):
+            if frontier.stable[overlay.neighbors_of(w)].sum() == 1:
+                return int(s), int(w)
+    raise AssertionError("no solely-covered vertex")
+
+
+@pytest.mark.parametrize("process", ["2-state", "3-state"])
+def test_stable_pair_insertion_recovers_locally(process):
+    """Joining two stable vertices uncovers their sole dependants.
+
+    Parting them again re-adds both to I_t while the deleted edge still
+    fires the recover branch, so the monotone additions must follow it.
+    """
+    service = _settled_service(process, 400, seed=7)
+    frontier = service.proc._frontier
+    u, w = _sole_cover(frontier, service.overlay)
+    v = next(
+        int(s) for s in np.flatnonzero(frontier.stable)
+        if s != u and not service.overlay.has_edge(u, s)
+    )
+    before = frontier.unstable_total
+    assert _apply_exact(service, "add-edge", u, v).action == "repair+recover"
+    assert not frontier.stable[[u, v]].any()
+    assert not frontier.covered[w]
+    assert frontier.unstable_total > before
+    assert _apply_exact(service, "del-edge", u, v).action == "repair+recover"
+    assert frontier.stable[[u, v]].all()
+    assert frontier.unstable_total == before
+
+
+def test_deleting_sole_stable_edge_uncovers_white():
+    service = _settled_service("2-state", 400, seed=8)
+    frontier = service.proc._frontier
+    s, w = _sole_cover(frontier, service.overlay)
+    before = frontier.unstable_total
+    assert _apply_exact(service, "del-edge", s, w).action == "repair+recover"
+    assert frontier.stable[s] and not frontier.covered[w]
+    assert frontier.unstable_total == before + 1
+
+
+@pytest.mark.parametrize("process", ["2-state", "3-state"])
+def test_deleting_stable_hub_recovers_locally(process):
+    """Its sole dependants lose their cover; the hub itself stays stable."""
+    service = _settled_service(process, 400, seed=9)
+    frontier, overlay = service.proc._frontier, service.overlay
+
+    def dependants(s):
+        return sum(
+            frontier.stable[overlay.neighbors_of(w)].sum() == 1
+            for w in overlay.neighbors_of(s)
+        )
+
+    hub = int(max(np.flatnonzero(frontier.stable), key=dependants))
+    lost = dependants(hub)
+    assert lost >= 2
+    before = frontier.unstable_total
+    record = _apply_exact(service, "del-vertex", hub)
+    assert record.action == "repair+recover" and record.removed >= lost
+    assert frontier.stable[hub]  # parked as an isolated singleton
+    assert frontier.unstable_total == before + lost
+
+
+def test_recover_gathers_only_near_the_delta(monkeypatch):
+    """A stable-pair insertion on G(2^14, 3/n) gathers O(d^2) edges.
+
+    Re-deriving N+[I_t] from scratch would gather every row of I_t
+    (about 17k edges here; this delta gathers 80).
+    """
+    service = _settled_service("2-state", 2**14, seed=5)
+    frontier = service.proc._frontier
+    assert frontier.ops is service.ops
+    u, v = (int(s) for s in np.flatnonzero(frontier.stable)[:2])
+    assert not service.overlay.has_edge(u, v)
+    gathered = []
+    gather = service.ops.gather
+
+    def counting_gather(vertices):
+        out = gather(vertices)
+        gathered.append(out.size)
+        return out
+
+    monkeypatch.setattr(service.ops, "gather", counting_gather)
+    record = service.apply_event(MutationEvent("add-edge", u, v))
+    monkeypatch.undo()
+    assert record.action == "repair+recover" and record.rounds == 0
+    assert 0 < sum(gathered) < 512
+    token, black, _ = service._state_arrays()
+    _assert_frontier_exact(service.overlay, frontier, black)

@@ -13,6 +13,7 @@ The daemon's contracts, in increasing order of adversity:
 * queries filter dead slots; streams are seekable pure functions.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -425,6 +426,24 @@ class TestStreams:
             stabilized=True, round_end=7,
         )
         assert ChurnRecord.from_dict(record.to_dict()) == record
+
+    def test_churn_record_to_dict_matches_asdict(self):
+        # Same keys, order and values: the journal's record bytes depend
+        # on all three.
+        graph = gnp_random_graph(40, 0.1, rng=2)
+        service = MISService(graph, make_stream("uniform", 40, seed=1), seed=3)
+        records = service.run(6)
+        records.append(
+            ChurnRecord(
+                offset=3, kind="add-edge", added=1, removed=0,
+                action="repair", compacted=False, rounds=2,
+                stabilized=True, round_end=7,
+            )
+        )
+        for record in records:
+            assert list(record.to_dict().items()) == list(
+                dataclasses.asdict(record).items()
+            )
 
 
 class TestServiceChaosPolicy:
