@@ -20,7 +20,11 @@ the contracts the test suite asserts at scale:
   finishes bitwise-identical to an uninterrupted run (records
   included);
 * torn-tail resume — same, when the kill also tears the journal tail
-  mid-record (the ``"poison"`` fault).
+  mid-record (the ``"poison"`` fault);
+* group commit — the journal fsyncs once per snapshot (fsyncs per event
+  are reported), and zero-filling the middle of the unsynced records
+  after the last snapshot, across line boundaries, still resumes
+  bitwise-identical.
 
 Exit 0 = healthy.  ``make churn-smoke`` runs this plus the fast E20.
 """
@@ -28,6 +32,7 @@ Exit 0 = healthy.  ``make churn-smoke`` runs this plus the fast E20.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -71,6 +76,7 @@ def doctor(n: int, events: int) -> int:
     from repro.dynamic.mutations import STREAM_KINDS
     from repro.graphs.random_graphs import gnp_random_graph
     from repro.parallel.chaos import ServiceChaosPolicy
+    from repro.sim.checkpoint import CheckpointJournal
 
     print(f"repro.dynamic doctor (n={n}, events={events})")
     graph = gnp_random_graph(n, 3.0 / n, rng=11)
@@ -157,6 +163,53 @@ def doctor(n: int, events: int) -> int:
                 ok,
                 f"{restarts} restart(s) at offset {mid}",
             )
+
+    # Group commit: records after the last snapshot are unsynced, so a
+    # crash may zero-fill any of them; resume must not care.
+    every = 5
+    stop = every * (mid // every) + 3  # three records past the last snapshot
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "service.ckpt")
+        with CheckpointJournal(path, {"doctor": "group-commit"}) as journal:
+            MISService(
+                graph, stream, seed=1, checkpoint=journal,
+                checkpoint_every=every,
+            ).run(stop)
+            fsyncs = journal.fsyncs
+        healthy &= _check(
+            "one fsync per snapshot",
+            fsyncs == 2 + stop // every,
+            f"{fsyncs} fsyncs over {stop} events, "
+            f"{fsyncs / stop:.2f} per event",
+        )
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")[:-1]
+        keys = [str(json.loads(line).get("key")) for line in lines]
+        last = max(i for i, key in enumerate(keys) if key.startswith("blob:"))
+        tail = lines[last + 1:]
+        # From mid first to mid last unsynced record, across every "\n".
+        lo = sum(len(line) + 1 for line in lines[: last + 1]) + len(tail[0]) // 2
+        hi = sum(len(line) + 1 for line in lines) - len(tail[-1]) // 2 - 1
+        with open(path, "r+b") as fh:
+            fh.seek(lo)
+            fh.write(b"\0" * (hi - lo))
+        with CheckpointJournal(path, {"doctor": "group-commit"}) as journal:
+            resumed = MISService(
+                graph, stream, seed=1, checkpoint=journal,
+                checkpoint_every=every,
+            )
+            resumed_at = resumed.next_offset
+            resumed.run(events)
+        healthy &= _check(
+            "torn unsynced group resume is bitwise-identical",
+            resumed_at == stop - 3
+            and np.array_equal(
+                ref._state_arrays()[0], resumed._state_arrays()[0]
+            )
+            and _records(ref) == _records(resumed),
+            f"{hi - lo} bytes zero-filled across {len(tail)} records, "
+            f"resumed at offset {resumed_at}",
+        )
 
     print("healthy" if healthy else "UNHEALTHY")
     return 0 if healthy else 1

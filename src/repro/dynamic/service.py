@@ -22,9 +22,17 @@ Checkpoint/resume
 
 With ``checkpoint=`` the service journals through
 :mod:`repro.sim.checkpoint`: every record under ``rec:{offset}``, and
-every ``checkpoint_every`` events a full state snapshot — the state
-vector bytes, the coin stream's ``(key, draw)`` state, and the round
-counter.  Because the mutation stream is a pure function of
+every ``checkpoint_every`` events a full state snapshot — the
+bit-packed state vector (:func:`pack_state`: one bit per vertex for
+2-state, two bit-planes for 3-state), the coin stream's ``(key, draw)``
+state, and the round counter.  Records and the snapshot's metadata are
+written unsynced; the snapshot's ``blob:{offset}`` is the one synced
+put, so a single fsync per snapshot commits the whole group.  Nothing
+is lost by this: resume needs only the last snapshot — any state is a
+valid start for a self-stabilizing process — and re-runs every later
+event, so whatever a crash tears, drops or zero-fills past the last
+fsync is disposable (the journal keeps the longest decodable prefix).
+Because the mutation stream is a pure function of
 ``(seed, offset, topology)``, resume replays mutations ``0..k`` onto a
 fresh overlay (compacting at the same offsets — the criterion depends
 only on topology history), restores the state vector *without drawing
@@ -68,6 +76,37 @@ from repro.sim.rng import COIN_STREAM, SeededCoins
 
 #: Process families the service can host.
 PROCESSES = ("2-state", "3-state")
+
+
+def pack_state(state: np.ndarray) -> bytes:
+    """Bit-pack a process state vector into a snapshot blob.
+
+    A 2-state ``bool`` vector packs to one bit per vertex; a 3-state
+    ``int8`` vector (values 0–2) to two bit-planes, low bits first.
+    """
+    if state.dtype == np.bool_:
+        return np.packbits(state).tobytes()
+    return np.packbits(state & 1).tobytes() + np.packbits(state >> 1).tobytes()
+
+
+def unpack_state(blob: bytes, n: int, dtype: Any) -> np.ndarray:
+    """Invert :func:`pack_state` for an ``n``-vertex vector of ``dtype``.
+
+    Raises ``ValueError`` when ``blob`` is not exactly the packed size.
+    """
+    planes = 1 if np.dtype(dtype) == np.bool_ else 2
+    size = planes * -(-n // 8)
+    if len(blob) != size:
+        raise ValueError(
+            f"{len(blob)} bytes, expected {size} for {planes} bit-plane(s) "
+            f"of n={n}"
+        )
+    bits = np.unpackbits(
+        np.frombuffer(blob, np.uint8).reshape(planes, -1), axis=1, count=n
+    )
+    if planes == 1:
+        return bits[0].astype(np.bool_)
+    return (bits[0] | (bits[1] << 1)).astype(np.int8)
 
 
 class ServiceKilledError(RuntimeError):
@@ -147,7 +186,9 @@ class MISService:
         — a fingerprinted :class:`~repro.sim.checkpoint.CheckpointJournal`
         there), or an existing journal/view.
     checkpoint_every:
-        Full state snapshot cadence in events (default 1).
+        Full state snapshot cadence in events (default 1).  Each
+        snapshot is the journal's one fsync for the events since the
+        previous one.
     resume:
         When ``True`` (default) and the journal holds a snapshot,
         restore from the latest one instead of starting fresh.
@@ -404,12 +445,17 @@ class MISService:
     def _journal_record(self, record: ChurnRecord) -> None:
         if self._store is None:
             return
-        self._store.put(f"rec:{record.offset}", record.to_dict())
+        # Unsynced: the next snapshot's blob commits it (module docstring).
+        self._store.put(f"rec:{record.offset}", record.to_dict(), sync=False)
         if (record.offset + 1) % self.checkpoint_every == 0:
             self._snapshot_state(record.offset)
 
     def _snapshot_state(self, offset: int) -> None:
-        """Journal a full resume point: state vector + coin-stream state."""
+        """Journal a full resume point: state vector + coin-stream state.
+
+        The synced ``blob:`` put is the commit point of everything the
+        service journaled since the previous snapshot.
+        """
         if self._store is None:
             return
         proc = self.proc
@@ -427,8 +473,9 @@ class MISService:
                 "rebuilds": self.rebuilds,
                 "start_rounds": self.start_rounds,
             },
+            sync=False,
         )
-        self._store.put_bytes(f"blob:{offset}", state.tobytes())
+        self._store.put_bytes(f"blob:{offset}", pack_state(state))
 
     def _resume(self) -> bool:
         """Restore from the journal's latest snapshot; False if none."""
@@ -453,6 +500,13 @@ class MISService:
                 f"snapshot state:{last} predates the counter-based coin "
                 "stream; start over with resume=False"
             )
+        dtype = np.int8 if self.process_name == "3-state" else np.bool_
+        try:
+            init = unpack_state(blob, self.overlay.n, dtype)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"snapshot blob:{last} does not decode: {exc}"
+            ) from exc
         # Replay mutations 0..last topology-only onto the fresh overlay,
         # compacting on the same criterion as the live path (it depends
         # only on topology history, so the points coincide exactly).
@@ -462,8 +516,6 @@ class MISService:
             if self.overlay.should_compact():
                 self.overlay.compact()
                 self.ops.rebase()
-        dtype = np.int8 if self.process_name == "3-state" else np.bool_
-        init = np.frombuffer(blob, dtype=dtype).copy()
         # Array init draws no coins, so the saved (key, draw) is exactly
         # where the uninterrupted run's stream stood.
         coins = SeededCoins.from_state(meta["coins"])

@@ -1,4 +1,4 @@
-"""Campaign checkpointing: a versioned, atomically-appended journal.
+"""Campaign checkpointing: a versioned, append-only journal.
 
 Long Monte-Carlo campaigns (a 12-point sweep × hundreds of trials) die
 for boring reasons — preemption, Ctrl-C, a full disk — and PR 9's
@@ -6,11 +6,12 @@ resilience contract says dying must not forfeit completed work.  The
 :class:`CheckpointJournal` is the persistence half of that contract: a
 single JSONL file where the first line is a header (format version +
 campaign fingerprint) and every further line is one completed unit of
-work (``{"key": ..., "value": ...}``), appended atomically (write,
-flush, fsync) the moment it completes.  A re-run with ``resume=True``
-replays the journal, skips every journaled unit, and — because every
-replica owns an independent coin stream — produces results
-bitwise-identical to an uninterrupted run.
+work (``{"key": ..., "value": ...}``), appended the moment it
+completes and, by default, made durable at once (write, flush,
+fsync).  A re-run with ``resume=True`` replays the journal, skips
+every journaled unit, and — because every replica owns an independent
+coin stream — produces results bitwise-identical to an uninterrupted
+run.
 
 Key conventions (written by :mod:`repro.sim.montecarlo` and
 :mod:`repro.parallel.fleet`):
@@ -28,11 +29,17 @@ key                    value
 
 Robustness properties:
 
-* **Torn tails tolerated.**  A crash mid-append leaves a truncated
-  final line; replay stops at the first undecodable line, truncates
-  the fragment from disk (so later appends cannot merge into it and
-  vanish from future replays), and the unit is simply re-run.
-  (Append-then-fsync means at most the *last* line can be torn.)
+* **Group commit; torn data tolerated.**  ``put(..., sync=False)``
+  only writes the line to the file buffer; the next synced put flushes
+  and fsyncs the whole file, so one fsync commits the group (the MIS
+  service journals its per-event records this way and commits with
+  each snapshot).  After a crash, any line past the last fsync may be
+  torn, missing or zero-filled — not only the last one.  Replay
+  therefore keeps the longest decodable prefix: it stops at the first
+  line that is not a keyed JSON object, truncates everything from
+  there on disk (so later appends cannot merge into the garbage and
+  vanish from future replays), and the lost units are simply re-run.
+  A line written before the last fsync always survives.
 * **Fingerprint checked.**  Resuming against a journal whose header
   fingerprint does not match the campaign raises
   :class:`CheckpointMismatchError` instead of silently splicing
@@ -52,8 +59,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-#: On-disk format version (header field ``"version"``).
-JOURNAL_VERSION = 1
+#: On-disk format version (header field ``"version"``).  Version 2: the
+#: MIS service's bit-packed snapshot blobs and group-committed records.
+JOURNAL_VERSION = 2
 
 #: Header magic so a random JSONL file is not mistaken for a journal.
 _MAGIC = "repro-checkpoint"
@@ -128,6 +136,8 @@ class CheckpointJournal:
             else campaign_fingerprint(fingerprint)
         )
         self._entries: dict[str, Any] = {}
+        #: fsyncs issued through this handle (one per synced put).
+        self.fsyncs = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if resume and self.path.exists() and self.path.stat().st_size > 0:
             self._replay()
@@ -175,45 +185,59 @@ class CheckpointJournal:
         good_end = len(lines[0]) + 1
         for line in lines[1:-1]:
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError):
-                # Torn tail from a crash mid-append: everything before
-                # it was fsync-framed, so stop here and re-run the rest.
+                # Torn, lost or zero-filled data past the last fsync:
+                # every line before the last fsync is intact, so keep
+                # the prefix and re-run the rest.
                 break
             if not isinstance(entry, dict) or "key" not in entry:
                 break
             self._entries[entry["key"]] = _decode_value(entry.get("value"))
             good_end += len(line) + 1
         if good_end < len(raw):
-            # Drop the torn fragment *on disk*, not just in replay —
+            # Drop the bad suffix *on disk*, not just in replay —
             # otherwise the very next append would merge into the
             # garbage line and hide every later entry from future
             # replays (the resume-after-poison chaos path).
             with open(self.path, "rb+") as fh:
                 fh.truncate(good_end)
 
-    def _append(self, record: Mapping[str, Any]) -> None:
+    def _append(self, record: Mapping[str, Any], sync: bool = True) -> None:
         self._file.write(
             json.dumps(record, separators=(",", ":"), default=repr) + "\n"
         )
+        if sync:
+            self._sync()
+
+    def _sync(self) -> None:
         self._file.flush()
         os.fsync(self._file.fileno())
+        self.fsyncs += 1
 
     # -- mapping-flavored API ------------------------------------------
-    def put(self, key: str, value: Any) -> None:
-        """Persist one completed unit (atomic append; survives crashes)."""
+    def put(self, key: str, value: Any, *, sync: bool = True) -> None:
+        """Journal one completed unit (durable on return unless ``sync=False``).
+
+        With ``sync=True`` (default) the line — and every unsynced line
+        before it — is flushed and fsynced before ``put`` returns, so it
+        survives a crash.  ``sync=False`` only writes it to the file
+        buffer: it becomes durable with the next synced put, and a crash
+        before that may tear, lose or zero-fill it (replay then drops it
+        and everything after it).
+        """
         if self._closed:
             raise CheckpointError(f"{self.path}: journal is closed")
         self._entries[key] = value
-        self._append({"key": key, "value": _encode_value(value)})
+        self._append({"key": key, "value": _encode_value(value)}, sync)
 
     def get(self, key: str, default: Any = None) -> Any:
         """The journaled value for ``key``, or ``default``."""
         return self._entries.get(key, default)
 
-    def put_bytes(self, key: str, data: bytes) -> None:
-        """Persist raw bytes (base64-framed on disk)."""
-        self.put(key, data)
+    def put_bytes(self, key: str, data: bytes, *, sync: bool = True) -> None:
+        """Journal raw bytes (base64-framed on disk); ``sync`` as in :meth:`put`."""
+        self.put(key, data, sync=sync)
 
     def get_bytes(self, key: str) -> bytes | None:
         """Journaled bytes for ``key``, or ``None``."""
@@ -245,8 +269,7 @@ class CheckpointJournal:
         if self._closed:
             raise CheckpointError(f"{self.path}: journal is closed")
         self._file.write('{"key": "torn-')
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self._sync()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -282,17 +305,17 @@ class CheckpointView:
         self.journal = journal
         self.prefix = prefix
 
-    def put(self, key: str, value: Any) -> None:
-        """Persist one completed unit under the view's prefix."""
-        self.journal.put(self.prefix + key, value)
+    def put(self, key: str, value: Any, *, sync: bool = True) -> None:
+        """Journal one completed unit under the view's prefix."""
+        self.journal.put(self.prefix + key, value, sync=sync)
 
     def get(self, key: str, default: Any = None) -> Any:
         """The journaled value for the prefixed ``key``, or ``default``."""
         return self.journal.get(self.prefix + key, default)
 
-    def put_bytes(self, key: str, data: bytes) -> None:
-        """Persist raw bytes under the view's prefix."""
-        self.journal.put_bytes(self.prefix + key, data)
+    def put_bytes(self, key: str, data: bytes, *, sync: bool = True) -> None:
+        """Journal raw bytes under the view's prefix."""
+        self.journal.put_bytes(self.prefix + key, data, sync=sync)
 
     def get_bytes(self, key: str) -> bytes | None:
         """Journaled bytes for the prefixed ``key``, or ``None``."""

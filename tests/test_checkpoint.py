@@ -91,14 +91,15 @@ def test_journal_rejects_foreign_and_future_files(tmp_path):
     alien.write_text('{"not": "a journal"}\n')
     with pytest.raises(CheckpointError, match="not a repro checkpoint"):
         CheckpointJournal(alien, {}, resume=True)
-    future = tmp_path / "future.journal"
     fingerprint = campaign_fingerprint({})
-    future.write_text(
-        '{"magic": "repro-checkpoint", "version": 999, '
-        f'"fingerprint": "{fingerprint}"}}\n'
-    )
-    with pytest.raises(CheckpointError, match="version"):
-        CheckpointJournal(future, {}, resume=True)
+    for version in (1, 999):  # version 1: byte-per-vertex service blobs
+        other = tmp_path / f"v{version}.journal"
+        other.write_text(
+            f'{{"magic": "repro-checkpoint", "version": {version}, '
+            f'"fingerprint": "{fingerprint}"}}\n'
+        )
+        with pytest.raises(CheckpointError, match="version"):
+            CheckpointJournal(other, {}, resume=True)
     garbled = tmp_path / "garbled.journal"
     garbled.write_text("{{{\n")
     with pytest.raises(CheckpointError, match="header"):
@@ -118,6 +119,86 @@ def test_journal_tolerates_torn_tail(tmp_path):
         assert journal.get("trial:0") == [True, 5]
         assert journal.get("trial:1") == [True, 9]
         assert "trial:2" not in journal  # re-run, not misparsed
+
+
+@pytest.fixture
+def fsync_calls(monkeypatch):
+    """Count ``os.fsync`` calls made by the checkpoint module."""
+    import repro.sim.checkpoint as checkpoint
+
+    calls = []
+    real = checkpoint.os.fsync
+    monkeypatch.setattr(
+        checkpoint.os, "fsync", lambda fd: (calls.append(fd), real(fd))
+    )
+    return calls
+
+
+def test_unsynced_puts_commit_with_next_synced_put(tmp_path, fsync_calls):
+    path = tmp_path / "group.journal"
+    with CheckpointJournal(path, {}, resume=False) as journal:
+        assert len(fsync_calls) == 1  # the header
+        journal.put("rec:0", 0, sync=False)
+        journal.scoped("v/").put_bytes("rec:1", b"\x01", sync=False)
+        assert len(fsync_calls) == 1
+        journal.put("blob:1", 1)
+        assert len(fsync_calls) == journal.fsyncs == 2
+        # One fsync made the whole group durable.
+        assert path.read_bytes().count(b"\n") == 4
+    with CheckpointJournal(path, {}, resume=True) as journal:
+        assert list(journal.keys()) == ["rec:0", "v/rec:1", "blob:1"]
+
+
+def _garble_line(raw, lines, i):
+    """Overwrite line ``i`` (newline kept) with same-length garbage."""
+    start = sum(len(line) + 1 for line in lines[:i])
+    return raw[:start] + b"#" * len(lines[i]) + raw[start + len(lines[i]):]
+
+
+def _zero_fill_across(raw, lines, i):
+    """A NUL run from mid-line ``i`` into line ``i + 1``."""
+    start = sum(len(line) + 1 for line in lines[:i]) + len(lines[i]) // 2
+    stop = start + len(lines[i]) // 2 + 1 + len(lines[i + 1]) // 2
+    return raw[:start] + b"\0" * (stop - start) + raw[stop:]
+
+
+@pytest.mark.parametrize("corrupt", [_garble_line, _zero_fill_across])
+def test_replay_keeps_prefix_before_bad_line_in_unsynced_group(
+    tmp_path, corrupt
+):
+    # After a crash any unsynced line may be bad, not only the last:
+    # replay keeps exactly the lines before the first bad one, even when
+    # valid lines follow it, and truncates the rest on disk.
+    path = tmp_path / "group.journal"
+    with CheckpointJournal(path, {}, resume=False) as journal:
+        journal.put("snap:0", 0)
+        for i in range(1, 6):
+            journal.put(f"rec:{i}", [i, "x" * i], sync=False)
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")
+    path.write_bytes(corrupt(raw, lines, 3))  # rec:2's line
+    with CheckpointJournal(path, {}, resume=True) as journal:
+        assert list(journal.keys()) == ["snap:0", "rec:1"]
+    assert path.read_bytes() == b"".join(line + b"\n" for line in lines[:3])
+
+
+def test_campaign_journals_fsync_every_put(tmp_path, fsync_calls):
+    # Estimate and fleet journals keep one synced put per completed unit.
+    estimate = tmp_path / "estimate.journal"
+    estimate_stabilization_time(
+        _factory, trials=4, max_rounds=300, seed=4, batch=None,
+        checkpoint=estimate,
+    )
+    assert len(fsync_calls) == estimate.read_bytes().count(b"\n") == 6
+    fleet = tmp_path / "fleet.journal"
+    graph = gnp_random_graph(40, 0.1, rng=3)
+    with CheckpointJournal(fleet, {"kind": "fleet"}, resume=False) as journal:
+        run_many_until_stable(
+            [TwoStateMIS(graph, coins=50 + i) for i in range(8)],
+            max_rounds=400, n_jobs=2, journal=journal,
+        )
+        assert journal.fsyncs == fleet.read_bytes().count(b"\n") == 3
+    assert len(fsync_calls) == 6 + 3
 
 
 def test_closed_journal_refuses_writes(tmp_path):

@@ -10,10 +10,14 @@ The daemon's contracts, in increasing order of adversity:
   uninterrupted trajectory — including when the kill tears the journal
   tail mid-record (the ``"poison"`` fault), and for any
   ``checkpoint_every`` cadence;
+* the journal commits once per snapshot: a crash may garble, drop or
+  zero-fill any line past the last fsync, and resume keeps the longest
+  decodable prefix and still reproduces the trajectory bitwise;
 * queries filter dead slots; streams are seekable pure functions.
 """
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -29,6 +33,7 @@ from repro.dynamic import (
     run_with_chaos,
 )
 from repro.dynamic.mutations import STREAM_KINDS
+from repro.dynamic.service import pack_state, unpack_state
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel.chaos import ServiceChaosPolicy
 from repro.sim.checkpoint import (
@@ -288,6 +293,115 @@ class TestCheckpointResume:
         )
         service.run(5)
         assert any(k.startswith("svc/rec:") for k in journal.keys())
+        journal.close()
+
+
+# ---------------------------------------------------------------------------
+# Group commit: one fsync per snapshot, bit-packed snapshot blobs
+# ---------------------------------------------------------------------------
+
+
+class TestGroupCommit:
+    EVERY = 8
+    WRITTEN = 36  # snapshots at -1, 7, ..., 31; rec:32..35 are unsynced
+
+    def _journal(self, graph, stream, path):
+        service = MISService(
+            graph, stream, seed=1, checkpoint=path, checkpoint_every=self.EVERY
+        )
+        service.run(self.WRITTEN)
+        service.close()
+        raw = path.read_bytes()
+        lines = raw.split(b"\n")[:-1]
+        return raw, lines, [json.loads(line).get("key") for line in lines]
+
+    @pytest.mark.parametrize(
+        "case", ["garbled-record", "zero-filled-hole", "cut-before-blob"]
+    )
+    def test_torn_group_resume_is_bitwise(self, graph, stream, tmp_path, case):
+        ref = run_reference(graph, stream)
+        path = tmp_path / "svc.ckpt"
+        raw, lines, keys = self._journal(graph, stream, path)
+
+        def start(i):
+            return sum(len(line) + 1 for line in lines[:i])
+
+        if case == "garbled-record":
+            # A crash during the last commit: rec:28 is garbage, yet valid
+            # records and a whole snapshot (state:31, blob:31) follow it.
+            bad = keys.index("rec:28")
+            end = start(bad) + len(lines[bad])
+            damaged = raw[:start(bad)] + b"#" * len(lines[bad]) + raw[end:]
+            resume_at = 24
+        elif case == "zero-filled-hole":
+            # A NUL run from mid rec:33 into rec:34, after the last snapshot.
+            bad = keys.index("rec:33")
+            lo = start(bad) + len(lines[bad]) // 2
+            hi = start(bad + 1) + len(lines[bad + 1]) // 2
+            damaged = raw[:lo] + b"\0" * (hi - lo) + raw[hi:]
+            resume_at = 32
+        else:
+            # The file ends after state:31, part-way into blob:31.
+            bad = keys.index("blob:31")
+            damaged = raw[:start(bad) + len(lines[bad]) // 2]
+            resume_at = 24
+        path.write_bytes(damaged)
+        resumed = MISService(
+            graph, stream, seed=1, checkpoint=path, checkpoint_every=self.EVERY
+        )
+        # Exactly the prefix before the first bad line survives, on disk.
+        assert path.read_bytes() == raw[:start(bad)]
+        assert resumed.next_offset == resume_at
+        resumed.run(EVENTS)
+        resumed.close()
+        np.testing.assert_array_equal(state_of(ref), state_of(resumed))
+        assert records_of(ref) == records_of(resumed)
+        assert ref.proc.round == resumed.proc.round
+
+    def test_one_fsync_per_snapshot(self, tmp_path, monkeypatch):
+        import repro.sim.checkpoint as checkpoint
+
+        calls = []
+        monkeypatch.setattr(checkpoint.os, "fsync", calls.append)
+        n, events, every = 2**12, 4096, 16
+        service = MISService(
+            gnp_random_graph(n, 3.0 / n, rng=11),
+            make_stream("uniform", n, seed=3),
+            seed=1,
+            checkpoint=tmp_path / "svc.ckpt",
+            checkpoint_every=every,
+        )
+        service.run(events)
+        service.close()
+        # The header, the initial snapshot, then one per checkpoint_every.
+        assert len(calls) == 2 + events // every == 258
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 4097])
+    def test_snapshot_codec_roundtrip(self, n):
+        rng = np.random.default_rng(n)
+        black = rng.random(n) < 0.5
+        blob = pack_state(black)
+        assert len(blob) == -(-n // 8)
+        decoded = unpack_state(blob, n, np.bool_)
+        assert decoded.dtype == np.bool_
+        np.testing.assert_array_equal(decoded, black)
+        states = rng.integers(0, 3, size=n).astype(np.int8)
+        blob = pack_state(states)
+        assert len(blob) == 2 * -(-n // 8)
+        decoded = unpack_state(blob, n, np.int8)
+        assert decoded.dtype == np.int8
+        np.testing.assert_array_equal(decoded, states)
+
+    def test_wrong_length_blob_is_refused(self, graph, stream, tmp_path):
+        journal = CheckpointJournal(tmp_path / "shared.ckpt", {"suite": 1})
+        view = journal.scoped("svc/")
+        MISService(
+            graph, stream, seed=1, checkpoint=view, checkpoint_every=4
+        ).run(8)
+        # One byte per vertex, as journal version 1 stored the blob.
+        view.put_bytes("blob:7", np.zeros(N, dtype=np.bool_).tobytes())
+        with pytest.raises(CheckpointError, match="blob:7"):
+            MISService(graph, stream, seed=1, checkpoint=view)
         journal.close()
 
 
