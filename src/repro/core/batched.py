@@ -591,7 +591,9 @@ class _BatchedMISEngine:
             Per-replica round budget (counted from the replica's
             current round), as in :func:`repro.sim.runner.run_until_stable`.
         verify:
-            Assert each stabilized replica's black set is a valid MIS.
+            Assert each stabilized replica's black set is a valid MIS —
+            after the run, one ``(k, n)`` check per graph over every
+            replica that stabilized (:meth:`_verify_retired`).
         """
         from repro.sim.runner import RunResult
 
@@ -607,6 +609,8 @@ class _BatchedMISEngine:
         self._gather()
         start_rounds = self._rounds.copy()
 
+        retired: list[int] = []
+
         def retire(rows: np.ndarray, black_rows: np.ndarray) -> None:
             if rows.size == 0:
                 return
@@ -619,11 +623,10 @@ class _BatchedMISEngine:
                     dtype=np.int64,
                 )[:-1],
             )
+            retired.extend(rows.tolist())
             for i, r in enumerate(rows):
                 r = int(r)
                 mis = splits[i]
-                if verify:
-                    assert_valid_mis(self.processes[r].graph, mis)
                 elapsed = int(self._rounds[r] - start_rounds[r])
                 results[r] = RunResult(
                     stabilized=True,
@@ -782,7 +785,33 @@ class _BatchedMISEngine:
         self._frontier_state = None
         self._reset_frontier_scratch()
         self._writeback()
+        if verify:
+            self._verify_retired(sorted(retired), results)
         return results
+
+    #: Cells (rows × max(n, m)) of one batched MIS check: bounds the
+    #: memory of :meth:`_verify_retired`'s row matrices.
+    _VERIFY_CELLS = 1 << 23
+
+    def _verify_retired(self, rows: list[int], results: list) -> None:
+        """Assert every retired replica's MIS, one ``(k, n)`` pass per graph.
+
+        Replicas sharing a graph are checked together (in row chunks
+        of at most :attr:`_VERIFY_CELLS` cells); a failure names the
+        replica's row in this engine.
+        """
+        groups: dict[int, list[int]] = {}
+        for r in rows:
+            groups.setdefault(id(self.processes[r].graph), []).append(r)
+        for group in groups.values():
+            graph = self.processes[group[0]].graph
+            step = max(1, self._VERIFY_CELLS // max(graph.n, graph.m, 1))
+            for lo in range(0, len(group), step):
+                chunk = group[lo:lo + step]
+                mask = np.zeros((len(chunk), self.n), dtype=bool)
+                for i, r in enumerate(chunk):
+                    mask[i, results[r].mis] = True
+                assert_valid_mis(graph, mask, rows=chunk)
 
     def _phi_rows(self, live: np.ndarray) -> np.ndarray:
         """One ``bits(n)`` draw per live replica, in replica order.

@@ -37,13 +37,14 @@ keep the run loop from paying for them twice:
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
+from repro.core.replica import ReplicaState, replica_class
 from repro.graphs.graph import Graph
-from repro.sim.rng import CoinSource, as_coin_source
+from repro.sim.rng import CoinSource, SeededCoins, as_coin_source
 
 if TYPE_CHECKING:  # import cycles: frontier/runner both import process
     from repro.core.frontier import FrontierAggregates
@@ -274,6 +275,112 @@ class MISProcess:
         from repro.sim.runner import run_until_stable
 
         return run_until_stable(self, max_rounds=max_rounds)
+
+    # ------------------------------------------------------------------
+    # Replica records (repro.core.replica)
+    # ------------------------------------------------------------------
+    def _replica_config(self) -> dict[str, Any]:
+        """Constructor configuration a record carries (subclass hook).
+
+        Raises ``TypeError`` for a configuration the record cannot
+        express.
+        """
+        raise TypeError(f"{type(self).__name__} has no replica record")
+
+    def replica_unsupported(self) -> str | None:
+        """Why this process has no :class:`ReplicaState`, or ``None``."""
+        if replica_class(self.name) is not type(self):
+            return f"{type(self).__name__} is not a replica record family"
+        if type(self.coins) is not SeededCoins:
+            return (
+                f"{type(self).__name__} draws from a "
+                f"{type(self.coins).__name__}, not a SeededCoins stream"
+            )
+        try:
+            self._replica_config()
+        except TypeError as exc:
+            return str(exc)
+        return None
+
+    def _replica_record(self, state: bytes) -> ReplicaState:
+        """The record of this process around its packed ``state``."""
+        reason = self.replica_unsupported()
+        if reason is not None:
+            raise TypeError(reason)
+        assert isinstance(self.coins, SeededCoins)
+        return ReplicaState(
+            family=self.name,
+            n=self.n,
+            config=self._replica_config(),
+            coins=self.coins.state,
+            round=self.round,
+            state=state,
+        )
+
+    def _restore_header(self, state: ReplicaState) -> None:
+        """Check ``state`` fits this process; reset round and coins."""
+        if replica_class(state.family) is not type(self):
+            raise TypeError(
+                f"cannot restore a {state.family!r} record into "
+                f"{type(self).__name__}"
+            )
+        if state.n != self.n:
+            raise ValueError(
+                f"cannot restore an n={state.n} record into an "
+                f"n={self.n} process"
+            )
+        config = self._replica_config()
+        if state.config != config:
+            raise ValueError(
+                f"record config {state.config!r} does not match the "
+                f"process's {config!r}"
+            )
+        self.coins = SeededCoins.from_state(state.coins)
+        self.round = int(state.round)
+
+    def replica_state(self) -> ReplicaState:
+        """This process's resumable state as a packed record.
+
+        Raises ``TypeError`` when :meth:`replica_unsupported` says why
+        there is none.
+        """
+        raise TypeError(f"{type(self).__name__} has no replica record")
+
+    def restore(self, state: ReplicaState) -> None:
+        """Reset round, coins and state to ``state``, in place.
+
+        Every memoized, frontier and active-set cache is invalidated.
+        Raises ``TypeError`` for another family and ``ValueError`` for
+        another ``n`` or configuration.
+        """
+        raise TypeError(f"{type(self).__name__} has no replica record")
+
+    @classmethod
+    def _blank(
+        cls,
+        graph: Graph,
+        coins: SeededCoins,
+        ops: NeighborOps | None,
+        config: dict[str, Any],
+    ) -> MISProcess:
+        """An all-white process of ``config`` (draws no coins)."""
+        return cls(  # type: ignore[call-arg]
+            graph, coins=coins, init="all_white", ops=ops, **config
+        )
+
+    @classmethod
+    def from_replica_state(
+        cls,
+        state: ReplicaState,
+        graph: Graph,
+        ops: NeighborOps | None = None,
+    ) -> MISProcess:
+        """A new process on ``graph`` positioned at ``state``."""
+        process = cls._blank(
+            graph, SeededCoins.from_state(state.coins), ops, state.config
+        )
+        process.restore(state)
+        return process
 
     # ------------------------------------------------------------------
     # Fault injection hooks (self-stabilization experiments)

@@ -28,14 +28,18 @@ enabled vertex every round and enabled sets shrink under it).
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.frontier import FrontierAggregates, resolve_engine
+from repro.core.neighbor_ops import NeighborOps
 from repro.core.process import MISProcess
+from repro.core.replica import ReplicaState
 from repro.core.two_state import resolve_two_state_init
-from repro.core.states import validate_two_state
+from repro.core.states import pack_state, unpack_state, validate_two_state
 from repro.graphs.graph import Graph
-from repro.sim.rng import CoinSource
+from repro.sim.rng import CoinSource, SeededCoins
 
 
 class Scheduler:
@@ -121,6 +125,10 @@ class ScheduledTwoStateMIS(MISProcess):
     frontier path's scatter updates shrink with the daemon's
     activation rate as well as with the frontier.  Trajectories are
     bitwise-identical across engines per seed.
+
+    ``ops`` adopts a pre-built
+    :class:`~repro.core.neighbor_ops.NeighborOps` instead of
+    constructing one from ``backend``.
     """
 
     name = "2-state (scheduled)"
@@ -134,8 +142,9 @@ class ScheduledTwoStateMIS(MISProcess):
         init: np.ndarray | str | None = None,
         backend: str = "auto",
         engine: str = "auto",
+        ops: NeighborOps | None = None,
     ) -> None:
-        super().__init__(graph, coins, backend)
+        super().__init__(graph, coins, backend, ops=ops)
         self.scheduler = (
             scheduler if scheduler is not None else SynchronousScheduler()
         )
@@ -197,3 +206,57 @@ class ScheduledTwoStateMIS(MISProcess):
     def corrupt(self, states: np.ndarray) -> None:
         self.black = validate_two_state(states, self.n)
         self._state_changed()
+
+    def _replica_config(self) -> dict[str, Any]:
+        scheduler = self.scheduler
+        name = _SCHEDULER_NAMES.get(type(scheduler))
+        if name is None:
+            raise TypeError(
+                f"a scheduled replica record cannot carry a "
+                f"{type(scheduler).__name__}"
+            )
+        config: dict[str, Any] = {"engine": self.engine, "scheduler": name}
+        if isinstance(scheduler, IndependentScheduler):
+            config["q"] = scheduler.q
+        return config
+
+    def replica_state(self) -> ReplicaState:
+        return self._replica_record(pack_state(self.black))
+
+    def restore(self, state: ReplicaState) -> None:
+        self._restore_header(state)
+        self.black = unpack_state(state.state, self.n, np.bool_)
+        self._state_changed()
+
+    @classmethod
+    def _blank(
+        cls,
+        graph: Graph,
+        coins: SeededCoins,
+        ops: NeighborOps | None,
+        config: dict[str, Any],
+    ) -> "ScheduledTwoStateMIS":
+        scheduler_cls = _SCHEDULERS[config["scheduler"]]
+        scheduler = (
+            IndependentScheduler(config["q"])
+            if scheduler_cls is IndependentScheduler
+            else scheduler_cls()
+        )
+        return cls(
+            graph,
+            scheduler=scheduler,
+            coins=coins,
+            init="all_white",
+            engine=config["engine"],
+            ops=ops,
+        )
+
+
+#: Replica-record names of the schedulers (all stateless but ``q``).
+_SCHEDULERS: dict[str, type[Scheduler]] = {
+    "synchronous": SynchronousScheduler,
+    "independent": IndependentScheduler,
+    "single-vertex": SingleVertexScheduler,
+    "adversarial-greedy": AdversarialGreedyScheduler,
+}
+_SCHEDULER_NAMES = {cls: name for name, cls in _SCHEDULERS.items()}

@@ -17,9 +17,18 @@ white.
 
 Randomized logarithmic switch (Definition 26): levels ``0..5`` stored in
 ``int8``; the on/off mapping is ``on ⇔ level <= 2``.
+
+Bit-plane codec
+---------------
+:func:`pack_state` / :func:`unpack_state` bit-pack any of these vectors
+into ``k`` planes of one bit per vertex: the churn service's snapshot
+blobs and the fleet's :class:`~repro.core.replica.ReplicaState` records
+share it.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -89,3 +98,54 @@ def validate_switch_levels(levels: np.ndarray, n: int) -> np.ndarray:
     if not np.isin(arr, range(SWITCH_LEVELS)).all():
         raise ValueError("switch levels must be in 0..5")
     return arr.astype(np.int8)
+
+
+# --- bit-plane codec (service snapshots, fleet replica records) ---
+def _default_planes(dtype: np.dtype) -> int:
+    return 1 if dtype == np.bool_ else 2
+
+
+def pack_state(state: np.ndarray, planes: int | None = None) -> bytes:
+    """Bit-pack a per-vertex state vector into ``planes`` bit-planes.
+
+    Plane ``k`` holds bit ``k`` of every entry, one bit per vertex,
+    low bits first.  ``planes`` defaults to 1 for a ``bool`` vector
+    (2-state) and to 2 otherwise (3-state states, 3-color colors);
+    switch levels (0–5) need 3.  Entries must fit in ``planes`` bits.
+    """
+    if planes is None:
+        planes = _default_planes(state.dtype)
+    if state.dtype == np.bool_:
+        if planes != 1:
+            raise ValueError("a bool vector packs to exactly 1 bit-plane")
+        return np.packbits(state).tobytes()
+    return b"".join(
+        np.packbits((state >> k) & 1).tobytes() for k in range(planes)
+    )
+
+
+def unpack_state(
+    blob: bytes, n: int, dtype: Any, planes: int | None = None
+) -> np.ndarray:
+    """Invert :func:`pack_state` for an ``n``-vertex vector of ``dtype``.
+
+    Raises ``ValueError`` when ``blob`` is not exactly the packed size.
+    """
+    dtype = np.dtype(dtype)
+    if planes is None:
+        planes = _default_planes(dtype)
+    size = planes * -(-n // 8)
+    if len(blob) != size:
+        raise ValueError(
+            f"{len(blob)} bytes, expected {size} for {planes} bit-plane(s) "
+            f"of n={n}"
+        )
+    bits = np.unpackbits(
+        np.frombuffer(blob, np.uint8).reshape(planes, -1), axis=1, count=n
+    )
+    if dtype == np.bool_:
+        return bits[0].astype(np.bool_)
+    out = bits[0].astype(dtype)
+    for k in range(1, planes):
+        out |= bits[k].astype(dtype) << k
+    return out

@@ -31,18 +31,32 @@ value *before* the switch advances — matching Definition 28.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.frontier import resolve_engine
+from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
 from repro.core.process import MISProcess
-from repro.core.states import BLACK, GRAY, WHITE, validate_three_color
+from repro.core.replica import ReplicaState
+from repro.core.states import (
+    BLACK,
+    GRAY,
+    WHITE,
+    pack_state,
+    unpack_state,
+    validate_three_color,
+)
 from repro.core.switch import (
     DEFAULT_A,
     RandomizedLogSwitch,
     SwitchProcess,
 )
 from repro.graphs.graph import Graph
-from repro.sim.rng import CoinSource
+from repro.sim.rng import CoinSource, SeededCoins
+
+#: Bit-planes of a packed switch-level vector (levels 0..5).
+_LEVEL_PLANES = 3
 
 
 def resolve_three_color_init(
@@ -99,6 +113,10 @@ class ThreeColorMIS(MISProcess):
         its switch levels diffuse a ``max`` over *every* closed
         neighbourhood each round, so there is no small changed set for
         an incremental engine to exploit.
+    ops:
+        A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
+        adopt instead of constructing one from ``backend`` (shared with
+        the default switch).
     """
 
     name = "3-color"
@@ -113,8 +131,9 @@ class ThreeColorMIS(MISProcess):
         a: float = DEFAULT_A,
         backend: str = "auto",
         engine: str = "auto",
+        ops: NeighborOps | None = None,
     ) -> None:
-        super().__init__(graph, coins, backend)
+        super().__init__(graph, coins, backend, ops=ops)
         self.colors = resolve_three_color_init(init, self.n, self.coins)
         if switch is None:
             switch = RandomizedLogSwitch(
@@ -202,3 +221,59 @@ class ThreeColorMIS(MISProcess):
         if not isinstance(self.switch, RandomizedLogSwitch):
             raise TypeError("switch corruption requires the randomized switch")
         self.switch.corrupt(levels)
+
+    # ------------------------------------------------------------------
+    def _replica_config(self) -> dict[str, Any]:
+        switch = self.switch
+        if not (
+            type(switch) is RandomizedLogSwitch
+            and switch.graph is self.graph
+            and switch.coins is self.coins
+        ):
+            raise TypeError(
+                "a 3-color replica record needs a RandomizedLogSwitch on "
+                "the process's own graph and coin stream"
+            )
+        return {"engine": self.engine, "a": self.a, "zeta": switch.zeta}
+
+    def replica_state(self) -> ReplicaState:
+        record = self._replica_record(pack_state(self.colors, 2))
+        assert isinstance(self.switch, RandomizedLogSwitch)
+        record.levels = pack_state(self.switch.levels, _LEVEL_PLANES)
+        record.switch_round = self.switch.round
+        return record
+
+    def restore(self, state: ReplicaState) -> None:
+        self._restore_header(state)
+        if state.levels is None:
+            raise ValueError("a 3-color record carries switch levels")
+        assert isinstance(self.switch, RandomizedLogSwitch)
+        self.colors = unpack_state(state.state, self.n, np.int8, 2)
+        self.switch.levels = unpack_state(
+            state.levels, self.n, np.int8, _LEVEL_PLANES
+        )
+        self.switch.round = int(state.switch_round)
+        self.switch.coins = self.coins
+        self._state_changed()
+
+    @classmethod
+    def _blank(
+        cls,
+        graph: Graph,
+        coins: SeededCoins,
+        ops: NeighborOps | None,
+        config: dict[str, Any],
+    ) -> "ThreeColorMIS":
+        ops = ops if ops is not None else make_neighbor_ops(graph)
+        switch = RandomizedLogSwitch(
+            graph, coins=coins, zeta=config["zeta"], init="all_zero", ops=ops
+        )
+        return cls(
+            graph,
+            coins=coins,
+            init="all_white",
+            switch=switch,
+            a=config["a"],
+            engine=config["engine"],
+            ops=ops,
+        )

@@ -27,12 +27,22 @@ Experiment E10 compares all three processes empirically.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.frontier import FrontierAggregates, resolve_engine
 from repro.core.neighbor_ops import NeighborOps
 from repro.core.process import MISProcess
-from repro.core.states import BLACK0, BLACK1, WHITE, validate_three_state
+from repro.core.replica import ReplicaState
+from repro.core.states import (
+    BLACK0,
+    BLACK1,
+    WHITE,
+    pack_state,
+    unpack_state,
+    validate_three_state,
+)
 from repro.graphs.graph import Graph
 from repro.sim.rng import CoinSource
 
@@ -208,4 +218,15 @@ class ThreeStateMIS(MISProcess):
 
     def corrupt(self, states: np.ndarray) -> None:
         self.states = validate_three_state(states, self.n)
+        self._state_changed()
+
+    def _replica_config(self) -> dict[str, Any]:
+        return {"engine": self.engine}
+
+    def replica_state(self) -> ReplicaState:
+        return self._replica_record(pack_state(self.states, 2))
+
+    def restore(self, state: ReplicaState) -> None:
+        self._restore_header(state)
+        self.states = unpack_state(state.state, self.n, np.int8, 2)
         self._state_changed()

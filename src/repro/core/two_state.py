@@ -22,13 +22,15 @@ round (§2.1); active vertices set their state to the coin.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import Any
 
 import numpy as np
 
 from repro.core.frontier import FrontierAggregates, resolve_engine
 from repro.core.neighbor_ops import NeighborOps
 from repro.core.process import MISProcess
-from repro.core.states import validate_two_state
+from repro.core.replica import ReplicaState
+from repro.core.states import pack_state, unpack_state, validate_two_state
 from repro.graphs.graph import Graph
 from repro.sim.rng import CoinSource
 
@@ -262,6 +264,20 @@ class TwoStateMIS(MISProcess):
 
     def corrupt(self, states: np.ndarray) -> None:
         self.black = validate_two_state(states, self.n)
+        self._state_changed()
+
+    def _replica_config(self) -> dict[str, Any]:
+        return {
+            "engine": self.engine,
+            "eager_white_promotion": self.eager_white_promotion,
+        }
+
+    def replica_state(self) -> ReplicaState:
+        return self._replica_record(pack_state(self.black))
+
+    def restore(self, state: ReplicaState) -> None:
+        self._restore_header(state)
+        self.black = unpack_state(state.state, self.n, np.bool_)
         self._state_changed()
 
     def corrupt_vertices(self, vertices: Iterable[int], black: bool) -> None:

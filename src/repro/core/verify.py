@@ -9,7 +9,8 @@ and the experiment harness.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from repro.graphs.graph import Graph
 def _as_mask(graph: Graph, vertices: Iterable[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(vertices)
     if arr.dtype == bool:
-        if arr.shape != (graph.n,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != graph.n:
             raise ValueError(
-                f"boolean mask must have shape ({graph.n},), got {arr.shape}"
+                f"boolean mask must have shape ({graph.n},) or "
+                f"(k, {graph.n}), got {arr.shape}"
             )
         return arr
     mask = np.zeros(graph.n, dtype=bool)
@@ -33,28 +35,78 @@ def _as_mask(graph: Graph, vertices: Iterable[int] | np.ndarray) -> np.ndarray:
     return mask
 
 
+def _vertex_words(mask: np.ndarray) -> np.ndarray:
+    """``(n, ⌈k/64⌉)`` words: bit ``j`` of vertex ``v``'s is ``mask[j, v]``.
+
+    The row form's working representation: a whole row matrix costs
+    one bit per (row, vertex), and one gather per edge or CSR slot
+    checks 64 rows at once.
+    """
+    k, n = mask.shape
+    packed = np.zeros((n, 8 * -(-k // 64)), dtype=np.uint8)
+    packed[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(mask.T), axis=1)
+    return packed.view(np.uint64)
+
+
+def _by_row(hits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` of the set bits of ``hits`` (one word per item),
+    ordered by row, then item."""
+    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=k)
+    items, rows = np.nonzero(bits)
+    order = np.argsort(rows, kind="stable")
+    return rows[order], items[order]
+
+
 def independence_violations(
     graph: Graph, vertices: Iterable[int] | np.ndarray
-) -> list[tuple[int, int]]:
-    """Edges with both endpoints in the set (empty iff independent)."""
+) -> list[tuple[int, ...]]:
+    """Edges with both endpoints in the set (empty iff independent).
+
+    Row form: a ``(k, n)`` boolean matrix checks ``k`` sets in one pass
+    and reports ``(row, u, v)`` triples, ordered by row.
+    """
     mask = _as_mask(graph, vertices)
     us, vs = graph.edge_arrays()
-    bad = mask[us] & mask[vs]
-    return list(zip(us[bad].tolist(), vs[bad].tolist()))
+    if mask.ndim == 1:
+        bad = mask[us] & mask[vs]
+        return list(zip(us[bad].tolist(), vs[bad].tolist()))
+    words = _vertex_words(mask)
+    both = words[us] & words[vs]
+    edges = np.flatnonzero(both.any(axis=1))
+    rows, hit = _by_row(both[edges], mask.shape[0])
+    edges = edges[hit]
+    return list(zip(rows.tolist(), us[edges].tolist(), vs[edges].tolist()))
 
 
 def maximality_violations(
     graph: Graph, vertices: Iterable[int] | np.ndarray
-) -> list[int]:
+) -> list[int] | list[tuple[int, int]]:
     """Vertices outside the set with no neighbour inside (empty iff maximal).
 
-    Only meaningful when the set is independent.
+    Only meaningful when the set is independent.  Row form: a
+    ``(k, n)`` boolean matrix checks ``k`` sets in one pass and reports
+    ``(row, v)`` pairs, ordered by row.
     """
     mask = _as_mask(graph, vertices)
     if graph.n == 0:
         return []
-    counts = graph.adjacency_csr().dot(mask.astype(np.int32))
-    return np.flatnonzero(~mask & (counts == 0)).tolist()
+    if mask.ndim == 1:
+        counts = graph.adjacency_csr().dot(mask.astype(np.int32))
+        return np.flatnonzero(~mask & (counts == 0)).tolist()
+    # Covered words: own word OR-ed with every neighbour's (reduceat
+    # over the non-empty CSR rows only — it mishandles empty slices).
+    words = _vertex_words(mask)
+    covered = words.copy()
+    indptr = graph.indptr.astype(np.intp)
+    busy = np.flatnonzero(np.diff(indptr))
+    if busy.size:
+        covered[busy] |= np.bitwise_or.reduceat(
+            words[graph.indices], indptr[busy], axis=0
+        )
+    missing = ~covered & _vertex_words(np.ones((mask.shape[0], 1), dtype=bool))
+    verts = np.flatnonzero(missing.any(axis=1))
+    rows, hit = _by_row(missing[verts], mask.shape[0])
+    return list(zip(rows.tolist(), verts[hit].tolist()))
 
 
 def is_independent_set(
@@ -75,18 +127,37 @@ def is_maximal_independent_set(
 
 
 def assert_valid_mis(
-    graph: Graph, vertices: Iterable[int] | np.ndarray
+    graph: Graph,
+    vertices: Iterable[int] | np.ndarray,
+    rows: Sequence[int] | None = None,
 ) -> None:
-    """Raise ``AssertionError`` with diagnostics if the set is not an MIS."""
-    ind = independence_violations(graph, vertices)
+    """Raise ``AssertionError`` with diagnostics if the set is not an MIS.
+
+    A ``(k, n)`` boolean matrix checks ``k`` sets in one pass (two
+    reductions in all); the error then names the first failing row, as
+    ``rows[i]`` when row labels are given (the batched engines pass
+    replica indices).
+    """
+    mask = _as_mask(graph, vertices)
+    where = ""
+    ind: list[Any] = independence_violations(graph, mask)
+    if ind and mask.ndim == 2:
+        row = ind[0][0]
+        where = f"row {row if rows is None else rows[row]}: "
+        ind = [(u, v) for r, u, v in ind if r == row]
     if ind:
         raise AssertionError(
-            f"independence violated on {len(ind)} edge(s), e.g. {ind[:5]}"
+            f"{where}independence violated on {len(ind)} edge(s), "
+            f"e.g. {ind[:5]}"
         )
-    maxi = maximality_violations(graph, vertices)
+    maxi: list[Any] = maximality_violations(graph, mask)
+    if maxi and mask.ndim == 2:
+        row = maxi[0][0]
+        where = f"row {row if rows is None else rows[row]}: "
+        maxi = [v for r, v in maxi if r == row]
     if maxi:
         raise AssertionError(
-            f"maximality violated at {len(maxi)} vertex(ices), "
+            f"{where}maximality violated at {len(maxi)} vertex(ices), "
             f"e.g. {maxi[:5]}"
         )
 

@@ -23,14 +23,14 @@ Checkpoint/resume
 With ``checkpoint=`` the service journals through
 :mod:`repro.sim.checkpoint`: every record under ``rec:{offset}``, and
 every ``checkpoint_every`` events a full state snapshot — the
-bit-packed state vector (:func:`pack_state`: one bit per vertex for
-2-state, two bit-planes for 3-state), the coin stream's ``(key, draw)``
-state, and the round counter.  Records and the snapshot's metadata are
-written unsynced; the snapshot's ``blob:{offset}`` is the one synced
-put, so a single fsync per snapshot commits the whole group.  Nothing
-is lost by this: resume needs only the last snapshot — any state is a
-valid start for a self-stabilizing process — and re-runs every later
-event, so whatever a crash tears, drops or zero-fills past the last
+bit-packed state vector (:func:`~repro.core.states.pack_state`: one
+bit per vertex for 2-state, two bit-planes for 3-state), the coin
+stream's ``(key, draw)`` state, and the round counter.  Records and
+the snapshot's metadata are written unsynced; the snapshot's
+``blob:{offset}`` is the one synced put, so a single fsync per
+snapshot commits the whole group.  Nothing is lost by this: resume
+needs only the last snapshot — any state is a valid start for a
+self-stabilizing process — and re-runs every later event, so whatever a crash tears, drops or zero-fills past the last
 fsync is disposable (the journal keeps the longest decodable prefix).
 Because the mutation stream is a pure function of
 ``(seed, offset, topology)``, resume replays mutations ``0..k`` onto a
@@ -57,7 +57,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.core.states import BLACK1, WHITE
+from repro.core.states import BLACK1, WHITE, pack_state, unpack_state
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.dynamic.mutations import MutationEvent, MutationStream
@@ -76,37 +76,6 @@ from repro.sim.rng import COIN_STREAM, SeededCoins
 
 #: Process families the service can host.
 PROCESSES = ("2-state", "3-state")
-
-
-def pack_state(state: np.ndarray) -> bytes:
-    """Bit-pack a process state vector into a snapshot blob.
-
-    A 2-state ``bool`` vector packs to one bit per vertex; a 3-state
-    ``int8`` vector (values 0–2) to two bit-planes, low bits first.
-    """
-    if state.dtype == np.bool_:
-        return np.packbits(state).tobytes()
-    return np.packbits(state & 1).tobytes() + np.packbits(state >> 1).tobytes()
-
-
-def unpack_state(blob: bytes, n: int, dtype: Any) -> np.ndarray:
-    """Invert :func:`pack_state` for an ``n``-vertex vector of ``dtype``.
-
-    Raises ``ValueError`` when ``blob`` is not exactly the packed size.
-    """
-    planes = 1 if np.dtype(dtype) == np.bool_ else 2
-    size = planes * -(-n // 8)
-    if len(blob) != size:
-        raise ValueError(
-            f"{len(blob)} bytes, expected {size} for {planes} bit-plane(s) "
-            f"of n={n}"
-        )
-    bits = np.unpackbits(
-        np.frombuffer(blob, np.uint8).reshape(planes, -1), axis=1, count=n
-    )
-    if planes == 1:
-        return bits[0].astype(np.bool_)
-    return (bits[0] | (bits[1] << 1)).astype(np.int8)
 
 
 class ServiceKilledError(RuntimeError):

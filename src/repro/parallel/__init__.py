@@ -9,9 +9,11 @@ in PR 9:
   them as read-only numpy views over one mmap (zero copies), with
   unlink-on-exit hygiene on every path (including the atexit/SIGTERM
   backstop's :func:`unlink_all_stores`).
-* :mod:`~repro.parallel.jobs` — the swap pickler that replaces graph /
-  CSR / NeighborOps references with tokens, plus the
-  :class:`JobQueue` job-spec transport that replaced factory pickling.
+* :mod:`~repro.parallel.jobs` — the wire format: shard jobs carry
+  packed :class:`~repro.core.replica.ReplicaState` records plus graph
+  indices into a :class:`GraphRegistry`, never process objects; and
+  the :class:`JobQueue` job-spec transport that replaced factory
+  pickling.
 * :mod:`~repro.parallel.pool` — the persistent :class:`WorkerPool`
   (crash detection, stop sentinels, ``n_jobs`` resolution) and the
   shared teardown machinery: the join → terminate → kill escalation,
@@ -26,7 +28,8 @@ in PR 9:
   (:class:`ChaosPolicy`) that makes every recovery path reproducibly
   testable.
 * :mod:`~repro.parallel.fleet` — replica-range sharding, checkpoint
-  journaling, and state writeback; bitwise-identical to the serial
+  journaling, and restoring the returned records into the caller's
+  processes; bitwise-identical to the serial
   path for any worker count, shard boundaries, or fault schedule.
 * :mod:`~repro.parallel.config` — process-wide default ``n_jobs`` and
   supervision defaults for entry points (``python -m repro.experiments
@@ -57,7 +60,7 @@ from repro.parallel.config import (
     set_default_supervision,
 )
 from repro.parallel.fleet import (
-    adopt_state,
+    decode_results,
     fleet_shards,
     run_fleet_sharded,
     shard_key,
@@ -68,6 +71,7 @@ from repro.parallel.jobs import (
     JobQueue,
     ShardJob,
     ShardResult,
+    unshippable,
 )
 from repro.parallel.pool import (
     WORKER_NAME_PREFIX,
@@ -114,8 +118,8 @@ __all__ = [
     "WORKER_NAME_PREFIX",
     "WorkerCrashError",
     "WorkerPool",
-    "adopt_state",
     "cpu_count",
+    "decode_results",
     "default_n_jobs",
     "default_supervision",
     "fleet_shards",
@@ -134,5 +138,6 @@ __all__ = [
     "shutdown_processes",
     "supervised_pool_for",
     "unlink_all_stores",
+    "unshippable",
     "worker_main",
 ]

@@ -7,8 +7,10 @@ Usage::
 
 ``--doctor`` verifies the machinery on *this* machine: shared-memory
 hygiene (no leaked ``repro-graphs-*`` segments before or after), worker
-spawn, crash detection, respawn, retry, and bitwise equality of a
-supervised chaos run against the serial path.  Exit 0 = healthy.
+spawn, crash detection, respawn, retry, bitwise equality of a
+supervised chaos run against the serial path, and one shard's wire
+round trip, whose records must stay within their packed state plus a
+fixed header (it prints the bytes per replica).  Exit 0 = healthy.
 
 ``--chaos-smoke`` is the CI resilience gate: for each worker count it
 runs one fleet under a deterministic fault plan that exercises every
@@ -121,6 +123,7 @@ def doctor() -> int:
         zombies = pool.close()
         healthy &= _check("shutdown leaves no zombies", zombies == [])
 
+    healthy &= _wire_check()
     healthy &= _check(
         "no leaked segments after runs",
         leaked_segments() == [],
@@ -128,6 +131,67 @@ def doctor() -> int:
     )
     print("healthy" if healthy else "UNHEALTHY")
     return 0 if healthy else 1
+
+
+def _wire_check(replicas: int = 8, n: int = 4096) -> bool:
+    """Round-trip one shard through the wire format and bound its size.
+
+    Encodes a 2-state shard, runs it in-process exactly as a worker
+    would, decodes the returned records and restores them: the
+    processes must end bitwise where the serial path leaves them, and
+    every record, in and out, must stay within its packed state plus
+    :data:`~repro.core.replica.RECORD_HEADER_BYTES` — a shard that
+    shipped process objects again would blow the bound.
+    """
+    from repro.core.replica import RECORD_HEADER_BYTES
+    from repro.core.two_state import TwoStateMIS
+    from repro.graphs.random_graphs import gnp_random_graph
+    from repro.parallel.fleet import decode_results
+    from repro.parallel.jobs import GraphRegistry, ShardJob
+    from repro.parallel.shared_graph import SharedGraphStore
+    from repro.parallel.worker import run_shard
+    from repro.sim.runner import run_many_until_stable
+
+    graph = gnp_random_graph(n, 3.0 / n, rng=11)
+    coins = range(2000, 2000 + replicas)
+    serial = [TwoStateMIS(graph, coins=c) for c in coins]
+    ref = run_many_until_stable(serial, max_rounds=4000)
+    fleet = [TwoStateMIS(graph, coins=c) for c in coins]
+    registry = GraphRegistry([graph])
+    with SharedGraphStore([graph]) as store:
+        job = ShardJob(
+            indices=(0, replicas),
+            payload=registry.encode_shard(fleet),
+            handle=store.handle,
+            max_rounds=4000,
+            verify=True,
+            batch="auto",
+            engine="auto",
+        )
+        result = run_shard(registry, job)
+    records = decode_results(registry, result.payload, fleet) or []
+    for process, record in zip(fleet, records):
+        process.restore(record)
+    exact = len(records) == replicas and all(
+        (a.stabilized, a.stabilization_round, a.rounds_executed)
+        == record.outcome
+        and np.array_equal(p.state_vector(), q.state_vector())
+        and p.coins.state == q.coins.state
+        for a, p, q, record in zip(ref, serial, fleet, records)
+    )
+    packed = -(-n // 8)
+    inbound = len(job.payload) / replicas
+    outbound = len(result.payload) / replicas
+    ok = _check(
+        "shard wire round trip",
+        exact,
+        f"{inbound:.0f} B/replica in, {outbound:.0f} B/replica out",
+    )
+    return ok & _check(
+        "wire records stay packed",
+        max(inbound, outbound) <= packed + RECORD_HEADER_BYTES,
+        f"bound {packed} B packed state + {RECORD_HEADER_BYTES} B header",
+    )
 
 
 def _service_chaos_smoke() -> bool:

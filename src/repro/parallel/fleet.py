@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
+from repro.core.replica import ReplicaState
 from repro.graphs.graph import Graph
 from repro.parallel.jobs import (
     GraphRegistry,
@@ -40,11 +43,11 @@ from repro.parallel.pool import WorkerPool, resolve_n_jobs
 from repro.parallel.shared_graph import SharedGraphStore
 from repro.parallel.supervisor import SupervisedPool
 from repro.parallel.worker import run_shard
+from repro.sim.runner import RunResult
 
 if TYPE_CHECKING:
     from repro.core.process import MISProcess
     from repro.sim.checkpoint import CheckpointView
-    from repro.sim.runner import RunResult
 
 
 def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
@@ -83,22 +86,45 @@ def shard_key(lo: int, hi: int) -> str:
     return f"shard:{lo}:{hi}"
 
 
-def adopt_state(target: MISProcess, source: MISProcess) -> None:
-    """Graft a worker-final process's state onto the master's object.
+def decode_results(
+    registry: GraphRegistry,
+    payload: bytes,
+    processes: Sequence[MISProcess],
+) -> list[ReplicaState] | None:
+    """A shard result's records, or ``None`` if they do not fit.
 
-    The caller keeps its object identity (references to the process
-    stay valid); the whole ``__dict__`` is swapped — the process
-    classes keep all state there (none defines ``__slots__``), and the
-    unpickled source already references the master's own graph and ops
-    through the swap tokens of :mod:`repro.parallel.jobs`.
+    The records must be one finished :class:`ReplicaState` per process
+    of ``processes``, of its family and vertex count — anything else (a
+    poisoned or foreign payload) is refused, not restored.
     """
-    if type(target) is not type(source):
-        raise TypeError(
-            f"cannot adopt {type(source).__name__} state into "
-            f"{type(target).__name__}"
-        )
-    target.__dict__.clear()
-    target.__dict__.update(source.__dict__)
+    try:
+        records = registry.loads(payload)
+    except Exception:
+        return None
+    if not isinstance(records, list) or len(records) != len(processes):
+        return None
+    for record, process in zip(records, processes):
+        if (
+            not isinstance(record, ReplicaState)
+            or record.outcome is None
+            or record.family != process.name
+            or record.n != process.n
+        ):
+            return None
+    return records
+
+
+def _adopt(process: MISProcess, record: ReplicaState) -> RunResult:
+    """Restore ``record`` into ``process``; the run's result."""
+    process.restore(record)
+    assert record.outcome is not None
+    stabilized, stabilization_round, rounds_executed = record.outcome
+    return RunResult(
+        stabilized=stabilized,
+        stabilization_round=stabilization_round,
+        rounds_executed=rounds_executed,
+        mis=np.flatnonzero(process.black_mask()) if stabilized else None,
+    )
 
 
 def _distinct_graphs(processes: Sequence[MISProcess]) -> list[Graph]:
@@ -128,7 +154,11 @@ def run_fleet_sharded(
     (which is the only intended caller): identical signature semantics,
     identical results, with replicas advanced in worker processes.  On
     return, every process in ``processes`` holds its post-run state
-    exactly as the serial path would have left it.
+    exactly as the serial path would have left it.  Every process must
+    pass :func:`~repro.parallel.jobs.unshippable`: replicas travel as
+    :class:`~repro.core.replica.ReplicaState` records, and each final
+    record is restored into the caller's own object, whose identity,
+    graph and ops are kept.
 
     ``pool=None`` spins up a private :class:`SupervisedPool` of
     ``min(shards, resolve_n_jobs(n_jobs))`` workers and closes it
@@ -144,7 +174,8 @@ def run_fleet_sharded(
     ``shard:{lo}:{hi}`` the moment it lands — before any later shard
     can fail — and shards already journaled are not re-dispatched; an
     interrupted campaign therefore resumes from its last completed
-    shard with bitwise-identical results.
+    shard with bitwise-identical results.  A journaled shard whose
+    records do not fit the fleet is re-run.
     """
     processes = list(processes)
     ranges = shard_ranges(len(processes), fleet_shards(n_jobs, pool))
@@ -153,7 +184,7 @@ def run_fleet_sharded(
     for process in processes:
         registry.register_ops(process.ops)
 
-    payloads: dict[tuple[int, int], bytes] = {}
+    records: dict[tuple[int, int], list[ReplicaState]] = {}
     pending: list[tuple[int, int]] = []
     for lo, hi in ranges:
         restored = (
@@ -161,8 +192,13 @@ def run_fleet_sharded(
             if journal is not None
             else None
         )
-        if restored is not None:
-            payloads[(lo, hi)] = restored
+        shard = (
+            decode_results(registry, restored, processes[lo:hi])
+            if restored is not None
+            else None
+        )
+        if shard is not None:
+            records[(lo, hi)] = shard
         else:
             pending.append((lo, hi))
 
@@ -177,7 +213,7 @@ def run_fleet_sharded(
                 jobs = [
                     ShardJob(
                         indices=(lo, hi),
-                        payload=registry.dumps(processes[lo:hi]),
+                        payload=registry.encode_shard(processes[lo:hi]),
                         handle=store.handle,
                         max_rounds=max_rounds,
                         verify=verify,
@@ -187,80 +223,108 @@ def run_fleet_sharded(
                     for lo, hi in pending
                 ]
                 if isinstance(pool, SupervisedPool):
-                    outcomes = _run_supervised(
-                        pool, jobs, registry, journal
+                    records.update(
+                        _run_supervised(
+                            pool, jobs, registry, processes, journal
+                        )
                     )
                 else:
-                    outcomes = _run_legacy(pool, jobs)
+                    records.update(
+                        _run_legacy(pool, jobs, registry, processes, journal)
+                    )
             finally:
                 if own_pool and pool is not None:
                     pool.close()
-        for key, result in outcomes.items():
-            payloads[key] = result.payload
-            # The supervised path journals incrementally via on_result;
-            # the legacy path can only journal after the barrier.
-            if journal is not None and not isinstance(pool, SupervisedPool):
-                journal.put_bytes(shard_key(*key), result.payload)
 
     results: list[RunResult | None] = [None] * len(processes)
-    for (lo, hi), payload in payloads.items():
-        shard_results, shard_processes = registry.loads(payload)
-        for offset, final in enumerate(shard_processes):
-            adopt_state(processes[lo + offset], final)
-            results[lo + offset] = shard_results[offset]
+    for (lo, hi), shard in records.items():
+        for offset, record in enumerate(shard):
+            results[lo + offset] = _adopt(processes[lo + offset], record)
     missing = [i for i, result in enumerate(results) if result is None]
     if missing:  # pragma: no cover - dispatch already raises
         raise RuntimeError(f"shard results missing for replicas {missing}")
     return [result for result in results if result is not None]
 
 
+def _shard_records(
+    registry: GraphRegistry,
+    processes: Sequence[MISProcess],
+    key: tuple[int, int],
+    result: ShardResult,
+) -> list[ReplicaState]:
+    """Decode a trusted (unvalidated) shard result, or raise."""
+    shard = decode_results(registry, result.payload, processes[key[0]:key[1]])
+    if shard is None:
+        raise RuntimeError(f"shard {key} returned records that do not fit")
+    return shard
+
+
 def _run_supervised(
     pool: SupervisedPool,
     jobs: list[ShardJob],
     registry: GraphRegistry,
+    processes: Sequence[MISProcess],
     journal: "CheckpointView | None",
-) -> dict[tuple[int, int], ShardResult]:
-    """Dispatch shard jobs under supervision.
+) -> dict[tuple[int, int], list[ReplicaState]]:
+    """Dispatch shard jobs under supervision; records by shard.
 
     Wires the three master-side hooks: *validation* (a result must
-    carry the right indices and a payload that unpickles to the right
-    shapes — the poisoned-result quarantine), *degradation* (a
-    deadline-killed shard re-runs in-process against the master's own
-    registry), and *journaling* (each completed shard is persisted
-    immediately, so partial progress survives a later
-    ``ShardFailedError`` or interrupt).
+    carry the right indices and decode to one finished record per
+    replica — the poisoned-result quarantine; the decode is kept, so
+    each result is decoded once), *degradation* (a deadline-killed
+    shard re-runs in-process against the master's own registry), and
+    *journaling* (each completed shard is persisted immediately, so
+    partial progress survives a later ``ShardFailedError`` or
+    interrupt).
     """
+    decoded: dict[tuple[int, int], list[ReplicaState]] = {}
 
     def validate(job: ShardJob, result: ShardResult) -> bool:
         if tuple(result.indices) != tuple(job.indices):
             return False
-        try:
-            shard_results, shard_processes = registry.loads(result.payload)
-        except Exception:
+        lo, hi = job.indices
+        shard = decode_results(registry, result.payload, processes[lo:hi])
+        if shard is None:
             return False
-        size = job.indices[1] - job.indices[0]
-        return len(shard_results) == size and len(shard_processes) == size
+        decoded[(lo, hi)] = shard
+        return True
 
     def on_result(key: tuple[int, int], result: ShardResult) -> None:
         if journal is not None:
             journal.put_bytes(shard_key(*key), result.payload)
 
-    return pool.run_jobs(
+    outcomes = pool.run_jobs(
         jobs,
         local_runner=lambda job: run_shard(registry, job),
         validate=validate,
         on_result=on_result,
     )
+    # Degraded (in-process) shards skip validation: decode them here.
+    return {
+        key: decoded.get(key)
+        or _shard_records(registry, processes, key, result)
+        for key, result in outcomes.items()
+    }
 
 
 def _run_legacy(
-    pool: WorkerPool, jobs: list[ShardJob]
-) -> dict[tuple[int, int], ShardResult]:
-    """PR 8 fail-fast dispatch through a plain WorkerPool (no retry)."""
+    pool: WorkerPool,
+    jobs: list[ShardJob],
+    registry: GraphRegistry,
+    processes: Sequence[MISProcess],
+    journal: "CheckpointView | None",
+) -> dict[tuple[int, int], list[ReplicaState]]:
+    """Fail-fast dispatch through a plain WorkerPool (no retry).
+
+    Shards can only be journaled after the barrier.
+    """
     queue = JobQueue(pool)
     submitted = [(queue.submit(job), tuple(job.indices)) for job in jobs]
     outcomes = queue.wait_all()
-    return {
-        (indices[0], indices[1]): outcomes[job_id]
-        for job_id, indices in submitted
-    }
+    shards: dict[tuple[int, int], list[ReplicaState]] = {}
+    for job_id, (lo, hi) in submitted:
+        result = outcomes[job_id]
+        shards[(lo, hi)] = _shard_records(registry, processes, (lo, hi), result)
+        if journal is not None:
+            journal.put_bytes(shard_key(lo, hi), result.payload)
+    return shards

@@ -1,16 +1,18 @@
-"""Job specs and the graph-swapping pickler.
+"""Job specs and the replica-record wire format.
 
-Workers receive *small* payloads: a shard's process objects with every
-reference to a published graph — the :class:`~repro.graphs.graph.Graph`
-itself, its CSR arrays, its cached degree array, and any
-:class:`~repro.core.neighbor_ops.NeighborOps` bound to it — replaced by
-a token (``pickle`` persistent IDs).  The receiving side resolves
-tokens against its own :class:`GraphRegistry`: a worker's registry is
-built over the shared-memory view graphs, the master's over the
-original objects, so a round trip master → worker → master hands the
-caller back processes that reference the caller's *own* graph and ops
-instances.  Adjacency structure never crosses a queue; what does cross
-is O(shard size × n) bytes of process state.
+Workers receive *small* payloads.  A shard job carries, per replica,
+the registry index of its graph, the class name of its
+:class:`~repro.core.neighbor_ops.NeighborOps` backend, and its
+:class:`~repro.core.replica.ReplicaState` — the round, the coin
+stream's ``(key, draw)`` and the bit-packed state planes, about
+``n / 8`` bytes for a 2-state replica.  The receiving side rebuilds
+processes from those records against its own :class:`GraphRegistry`
+(a worker's is built over the shared-memory view graphs, the master's
+over the original objects), runs them, and ships back one record per
+replica with its run outcome filled in.  The master restores its own
+process objects from the records in place
+(:meth:`~repro.core.process.MISProcess.restore`).  Adjacency structure
+never crosses a queue, and neither do process objects.
 
 :class:`ShardJob` / :class:`ShardResult` are the wire format, and
 :class:`JobQueue` is the master-side bookkeeping that feeds them
@@ -21,7 +23,6 @@ which is what replaces the legacy factory-pickling path.
 
 from __future__ import annotations
 
-import io
 import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
@@ -31,10 +32,11 @@ from repro.graphs.graph import Graph
 from repro.parallel.shared_graph import SharedGraphHandle
 
 if TYPE_CHECKING:
+    from repro.core.process import MISProcess
     from repro.parallel.pool import WorkerPool
 
-#: NeighborOps classes eligible for token swapping (rebuildable from a
-#: graph alone).  Instances of other subclasses pickle by value.
+#: NeighborOps classes a worker can rebuild from a graph alone; a
+#: replica's backend ships as its class name.
 _OPS_CLASSES: dict[str, type[_nops.NeighborOps]] = {
     cls.__name__: cls
     for cls in (
@@ -45,122 +47,107 @@ _OPS_CLASSES: dict[str, type[_nops.NeighborOps]] = {
     )
 }
 
-#: Persistent-ID token: ("graph", i) | ("csr", i, which) |
-#: ("degrees", i) | ("ops", i, clsname).
-_Token = tuple[Any, ...]
 
+def unshippable(process: MISProcess) -> str | None:
+    """Why ``process`` cannot ride a shard job, or ``None`` if it can.
 
-class _SwapPickler(pickle.Pickler):
-    """Pickler that swaps registered graph-adjacent objects for tokens."""
-
-    def __init__(self, file: io.BytesIO, ids: dict[int, _Token]) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._ids = ids
-
-    def persistent_id(self, obj: Any) -> _Token | None:
-        token = self._ids.get(id(obj))
-        if token is not None:
-            return token
-        if isinstance(obj, _nops.NeighborOps):
-            clsname = type(obj).__name__
-            if _OPS_CLASSES.get(clsname) is type(obj):
-                slot = self._ids.get(id(obj.graph))
-                if slot is not None and slot[0] == "graph":
-                    return ("ops", slot[1], clsname)
-        return None
-
-
-class _SwapUnpickler(pickle.Unpickler):
-    """Unpickler resolving swap tokens through a :class:`GraphRegistry`."""
-
-    def __init__(self, file: io.BytesIO, registry: "GraphRegistry") -> None:
-        super().__init__(file)
-        self._registry = registry
-
-    def persistent_load(self, pid: _Token) -> Any:
-        return self._registry.resolve(pid)
+    It needs a :class:`~repro.core.replica.ReplicaState` encoding and a
+    stock NeighborOps backend bound to its own graph.
+    """
+    reason = process.replica_unsupported()
+    if reason is not None:
+        return reason
+    ops = process.ops
+    if _OPS_CLASSES.get(type(ops).__name__) is not type(ops):
+        return f"{type(ops).__name__} is not a stock NeighborOps backend"
+    if ops.graph is not process.graph:
+        return "its NeighborOps is bound to another graph"
+    return None
 
 
 class GraphRegistry:
-    """Token table over a concrete list of graphs (one per endpoint).
+    """Index table over a concrete list of graphs (one per endpoint).
 
     The master builds one over the fleet's original graphs, each worker
     over its attached shared-memory views — the graph at index ``i`` is
-    the *same published graph* on both sides, which is what makes the
-    token scheme a no-copy identity map.  NeighborOps resolve through a
-    per-``(graph, class)`` cache, so every process of a shard that
-    shared an ops instance (or a graph) before the trip shares one
-    after it too.
+    the *same published graph* on both sides, so a record's graph index
+    means the same thing at both ends.  NeighborOps resolve through a
+    per-``(graph, class)`` cache, so every replica of a shard that
+    shares a graph shares one ops instance.
+
+    :meth:`dumps` / :meth:`loads` are the one place shard payloads are
+    serialized (the benchmark's pickling layer wraps them).
     """
 
     def __init__(self, graphs: Sequence[Graph]) -> None:
         self.graphs: list[Graph] = list(graphs)
-        self._ids: dict[int, _Token] = {}
-        for i, graph in enumerate(self.graphs):
-            self._ids[id(graph)] = ("graph", i)
-            self._ids[id(graph.indptr)] = ("csr", i, "indptr")
-            self._ids[id(graph.indices)] = ("csr", i, "indices")
-            self._ids[id(graph.degrees())] = ("degrees", i)
+        self._index = {id(graph): i for i, graph in enumerate(self.graphs)}
         self._ops: dict[tuple[int, str], _nops.NeighborOps] = {}
 
     def index_of(self, graph: Graph) -> int | None:
         """Registry index of ``graph`` (by identity), or ``None``."""
-        slot = self._ids.get(id(graph))
-        if slot is not None and slot[0] == "graph":
-            return int(slot[1])
-        return None
+        return self._index.get(id(graph))
 
     def register_ops(self, ops: _nops.NeighborOps) -> None:
-        """Memoize an existing ops instance under its would-be token.
+        """Memoize an existing ops instance for its graph and class.
 
-        The master registers each process's ops before dumping a shard,
-        so results coming back resolve to the *original* instances
-        instead of fresh rebuilds.
+        The master registers each process's ops before dispatch, so a
+        shard degraded to an in-process run reuses the *original*
+        instances instead of fresh rebuilds.
         """
         clsname = type(ops).__name__
-        if _OPS_CLASSES.get(clsname) is not type(ops):
-            return
-        slot = self._ids.get(id(ops.graph))
-        if slot is not None and slot[0] == "graph":
-            self._ops.setdefault((int(slot[1]), clsname), ops)
+        index = self.index_of(ops.graph)
+        if _OPS_CLASSES.get(clsname) is type(ops) and index is not None:
+            self._ops.setdefault((index, clsname), ops)
 
-    def resolve(self, pid: _Token) -> Any:
-        """Materialize the object a swap token stands for."""
-        kind = pid[0]
-        if kind == "graph":
-            return self.graphs[pid[1]]
-        if kind == "csr":
-            graph = self.graphs[pid[1]]
-            return graph.indptr if pid[2] == "indptr" else graph.indices
-        if kind == "degrees":
-            return self.graphs[pid[1]].degrees()
-        if kind == "ops":
-            key = (int(pid[1]), str(pid[2]))
-            ops = self._ops.get(key)
-            if ops is None:
-                ops = _OPS_CLASSES[key[1]](self.graphs[key[0]])
-                self._ops[key] = ops
-            return ops
-        raise pickle.UnpicklingError(f"unknown swap token {pid!r}")
+    def ops(self, index: int, clsname: str) -> _nops.NeighborOps:
+        """The (cached) ``clsname`` backend over graph ``index``."""
+        key = (index, clsname)
+        ops = self._ops.get(key)
+        if ops is None:
+            ops = self._ops[key] = _OPS_CLASSES[clsname](self.graphs[index])
+        return ops
 
     def dumps(self, obj: Any) -> bytes:
-        """Pickle ``obj`` with registered objects swapped for tokens."""
-        buffer = io.BytesIO()
-        _SwapPickler(buffer, self._ids).dump(obj)
-        return buffer.getvalue()
+        """Serialize a shard payload."""
+        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
     def loads(self, data: bytes) -> Any:
-        """Unpickle swap-pickled bytes, resolving tokens locally."""
-        return _SwapUnpickler(io.BytesIO(data), self).load()
+        """Deserialize a shard payload."""
+        return pickle.loads(data)
+
+    def encode_shard(self, processes: Sequence[MISProcess]) -> bytes:
+        """A :class:`ShardJob` payload for ``processes``.
+
+        Every process must be :func:`shippable <unshippable>` and live
+        on a registered graph.
+        """
+        items = []
+        for process in processes:
+            index = self.index_of(process.graph)
+            if index is None:
+                raise ValueError("process graph is not in the registry")
+            items.append(
+                (index, type(process.ops).__name__, process.replica_state())
+            )
+        return self.dumps(items)
+
+    def decode_shard(self, payload: bytes) -> list[MISProcess]:
+        """Fresh processes rebuilt from a :class:`ShardJob` payload."""
+        return [
+            record.build(self.graphs[index], self.ops(index, clsname))
+            for index, clsname, record in self.loads(payload)
+        ]
 
 
 @dataclass
 class ShardJob:
     """One unit of worker work: run a slab of replicas to stabilization.
 
-    ``payload`` is a swap-pickled ``list[MISProcess]`` (the shard's
-    replicas); ``handle`` locates the published graphs the tokens
-    resolve against.  Everything else mirrors the
+    ``payload`` is :meth:`GraphRegistry.encode_shard` of the shard's
+    replicas: a list of ``(graph index, ops class name, ReplicaState)``.
+    ``handle`` locates the published graphs the indices refer to.
+    Everything else mirrors the
     :func:`~repro.sim.runner.run_many_until_stable` parameters the
     worker forwards verbatim.
     """
@@ -180,7 +167,13 @@ class ShardJob:
 
 @dataclass
 class ShardResult:
-    """A finished shard: swap-pickled ``(results, processes)``."""
+    """A finished shard: a serialized ``list[ReplicaState]``.
+
+    One record per replica, in shard order, each with its final state
+    and :attr:`~repro.core.replica.ReplicaState.outcome` set.  The
+    master rebuilds each MIS from the final black mask; it is not
+    shipped.  This payload is also what the fleet journals.
+    """
 
     indices: tuple[int, int]
     payload: bytes

@@ -5,9 +5,9 @@ Deliberately *not* a ``concurrent.futures`` pool:
 * workers are long-lived — a published graph store amortizes over every
   shard of every job of a whole sweep, instead of re-shipping state per
   task;
-* the task payloads are bytes produced by the swap pickler of
-  :mod:`repro.parallel.jobs` (a stock pool's pickler cannot token-swap
-  graph references);
+* the task payloads are packed replica records
+  (:mod:`repro.parallel.jobs`) whose graph indices only mean something
+  against a worker's attached graph store;
 * a worker that dies mid-job (segfault, OOM kill, ``os._exit``) is
   detected by liveness polling and surfaced as
   :class:`WorkerCrashError` instead of hanging the master — the

@@ -30,18 +30,22 @@ if TYPE_CHECKING:
 def run_shard(registry: Any, job: Any) -> Any:
     """Run one shard job against an attached (or master) registry.
 
-    A separate function so every reference to the shard's processes —
+    Rebuilds the shard's processes from their replica records, runs
+    them, and returns one record per replica with its outcome set.  A
+    separate function so every reference to the shard's processes —
     whose arrays view the shared mapping — dies on return; the worker
     can then unmap its cached store cleanly when the master publishes a
     new segment.  The supervisor's deadline-degradation path calls this
-    too, against the *master's* registry: the payload round-trips
-    through the same pickler either way, so a degraded shard is
-    bitwise-identical to a worker-run one.
+    too, against the *master's* registry: the records round-trip the
+    same way either way, so a degraded shard is bitwise-identical to a
+    worker-run one.
     """
+    from dataclasses import replace
+
     from repro.parallel.jobs import ShardResult
     from repro.sim.runner import run_many_until_stable
 
-    processes = registry.loads(job.payload)
+    processes = registry.decode_shard(job.payload)
     shard_results = run_many_until_stable(
         processes,
         max_rounds=job.max_rounds,
@@ -50,7 +54,18 @@ def run_shard(registry: Any, job: Any) -> Any:
         engine=job.engine,
         n_jobs=1,  # a worker never recurses into its own pool
     )
-    return ShardResult(job.indices, registry.dumps((shard_results, processes)))
+    records = [
+        replace(
+            process.replica_state(),
+            outcome=(
+                result.stabilized,
+                result.stabilization_round,
+                result.rounds_executed,
+            ),
+        )
+        for process, result in zip(processes, shard_results)
+    ]
+    return ShardResult(job.indices, registry.dumps(records))
 
 
 def worker_main(

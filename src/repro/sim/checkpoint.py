@@ -22,7 +22,7 @@ key                    value
 ``stats``              a finished estimate's summarized TrialStats
 ``trial:{i}``          serial-path per-trial ``[stabilized, round]``
 ``chunk:{lo}``         chunked-path per-chunk result list
-``shard:{lo}:{hi}``    fleet-path swap-pickled shard payload (bytes)
+``shard:{lo}:{hi}``    fleet-path shard records (bytes, ReplicaState)
 ``point:{i}``          a sweep grid point's finished TrialStats
 ``p{i}:...``           the i-th grid point's scoped sub-campaign
 =====================  ==============================================
@@ -44,8 +44,8 @@ Robustness properties:
   fingerprint does not match the campaign raises
   :class:`CheckpointMismatchError` instead of silently splicing
   results from a different experiment.
-* **Version gated.**  A journal written by a future format version is
-  refused, not misparsed.
+* **Version gated.**  A journal written by any other format version
+  (an older one included) is refused, not misparsed.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ from typing import Any, Iterator, Mapping
 
 #: On-disk format version (header field ``"version"``).  Version 2: the
 #: MIS service's bit-packed snapshot blobs and group-committed records.
-JOURNAL_VERSION = 2
+#: Version 3: fleet ``shard:`` blobs hold packed
+#: :class:`~repro.core.replica.ReplicaState` records, not pickled
+#: processes.
+JOURNAL_VERSION = 3
 
 #: Header magic so a random JSONL file is not mistaken for a journal.
 _MAGIC = "repro-checkpoint"

@@ -207,7 +207,11 @@ def run_many_until_stable(
         worker against shared-memory graph views — results and final
         process states are **bitwise-identical to the serial path for
         any worker count**, because every replica's coin stream is
-        independent.
+        independent.  Replicas travel as packed
+        :class:`~repro.core.replica.ReplicaState` records; a fleet with
+        any process that has none (a subclass, scripted coins, a custom
+        switch, scheduler or NeighborOps — see
+        :func:`repro.parallel.jobs.unshippable`) runs in-process.
     pool:
         An existing pool to reuse (amortizes worker startup across
         calls); implies parallel dispatch with one shard per worker
@@ -241,8 +245,13 @@ def run_many_until_stable(
         n_jobs = get_default_n_jobs()
     if (n_jobs is not None and n_jobs != 1) or pool is not None:
         from repro.parallel.fleet import fleet_shards, run_fleet_sharded
+        from repro.parallel.jobs import unshippable
 
-        if len(processes) >= 2 and fleet_shards(n_jobs, pool) >= 2:
+        if (
+            len(processes) >= 2
+            and fleet_shards(n_jobs, pool) >= 2
+            and not any(unshippable(p) for p in processes)
+        ):
             return run_fleet_sharded(
                 processes,
                 max_rounds=max_rounds,

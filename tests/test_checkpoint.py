@@ -12,12 +12,15 @@ The persistence half of the PR 9 resilience contract:
   and the child-process refusal.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.checkpoint import (
+    JOURNAL_VERSION,
     CheckpointError,
     CheckpointJournal,
     CheckpointMismatchError,
@@ -297,7 +300,8 @@ def test_estimate_serial_path_resumes_per_trial(tmp_path):
     )
     # Drop the summary so the re-run must rebuild from trial keys.
     lines = path.read_text().splitlines()
-    kept = [line for line in lines if '"key": "stats"' not in line]
+    kept = [line for line in lines if json.loads(line).get("key") != "stats"]
+    assert len(kept) == len(lines) - 1
     path.write_text("\n".join(kept) + "\n")
     resumed = estimate_stabilization_time(
         _factory, trials=6, max_rounds=300, seed=4, batch=None,
@@ -410,6 +414,26 @@ def test_fleet_restores_journaled_shards(tmp_path):
     for a, b in zip(serial, restored):
         assert np.array_equal(a.state_vector(), b.state_vector())
         assert np.array_equal(a.coins.bits(8), b.coins.bits(8))
+
+
+def test_version_2_fleet_journal_is_refused(tmp_path):
+    # Version 2 journaled shards as pickled process objects; a version 3
+    # build must refuse the file rather than try to decode its shards.
+    graph = gnp_random_graph(40, 0.1, rng=3)
+    path = tmp_path / "fleet.journal"
+    spec = {"kind": "fleet"}
+    with CheckpointJournal(path, spec, resume=False) as journal:
+        run_many_until_stable(
+            [TwoStateMIS(graph, coins=50 + i) for i in range(4)],
+            max_rounds=400, n_jobs=2, journal=journal.scoped("f:"),
+        )
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["version"] == JOURNAL_VERSION == 3
+    header["version"] = 2
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(CheckpointError, match="version 2"):
+        CheckpointJournal(path, spec, resume=True)
 
 
 # ---------------------------------------------------------------------------

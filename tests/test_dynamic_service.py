@@ -33,7 +33,7 @@ from repro.dynamic import (
     run_with_chaos,
 )
 from repro.dynamic.mutations import STREAM_KINDS
-from repro.dynamic.service import pack_state, unpack_state
+from repro.core.states import pack_state, unpack_state
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel.chaos import ServiceChaosPolicy
 from repro.sim.checkpoint import (

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.replica import ReplicaState
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.graph import Graph
@@ -28,7 +29,6 @@ from repro.parallel import (
     SharedGraphStore,
     WorkerCrashError,
     WorkerPool,
-    adopt_state,
     cpu_count,
     default_n_jobs,
     fleet_shards,
@@ -37,6 +37,7 @@ from repro.parallel import (
     resolve_n_jobs,
     set_default_n_jobs,
     shard_ranges,
+    unshippable,
 )
 from repro.sim.montecarlo import (
     estimate_stabilization_time,
@@ -311,19 +312,32 @@ def test_attached_store_roundtrips_graphs():
     _assert_no_leaks()
 
 
-class _CrashOnLoad(TwoStateMIS):
-    """A process whose unpickling kills the worker outright."""
-
-    def __setstate__(self, state):
-        os._exit(3)
+def _crash_on_build(self, graph, ops=None):
+    os._exit(3)
 
 
-def test_worker_crash_raises_and_leaks_nothing():
+def test_worker_crash_raises_and_leaks_nothing(monkeypatch):
+    # Workers fork after the patch: rebuilding a replica from its
+    # record kills every worker outright, on every attempt.
+    monkeypatch.setattr(ReplicaState, "build", _crash_on_build)
     graph = gnp_random_graph(30, 0.1, rng=1)
-    fleet = [_CrashOnLoad(graph, coins=i) for i in range(4)]
+    fleet = [TwoStateMIS(graph, coins=i) for i in range(4)]
     with pytest.raises(WorkerCrashError, match="died"):
         run_many_until_stable(fleet, max_rounds=100, n_jobs=2)
     _assert_no_leaks()
+
+
+def test_unshippable_fleet_runs_in_process():
+    class Custom(TwoStateMIS):
+        pass
+
+    graph = gnp_random_graph(30, 0.1, rng=1)
+    serial = [Custom(graph, coins=i) for i in range(4)]
+    parallel = [Custom(graph, coins=i) for i in range(4)]
+    assert "record family" in unshippable(parallel[0])
+    sr = run_many_until_stable(serial, max_rounds=400)
+    pr = run_many_until_stable(parallel, max_rounds=400, n_jobs=2)
+    _assert_fleets_identical(serial, parallel, sr, pr)
 
 
 def test_pool_survives_python_level_job_errors():
@@ -405,14 +419,6 @@ def test_shard_ranges_properties(count, shards):
         assert hi == nxt[0]  # contiguous
         sizes.append(hi - lo)
     assert max(sizes) - min(sizes) <= 1  # near-equal
-
-
-def test_adopt_state_rejects_type_mismatch():
-    graph = gnp_random_graph(10, 0.2, rng=1)
-    two = TwoStateMIS(graph, coins=1)
-    three = ThreeStateMIS(graph, coins=1)
-    with pytest.raises(TypeError, match="adopt"):
-        adopt_state(two, three)
 
 
 def test_default_n_jobs_config():

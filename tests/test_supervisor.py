@@ -256,7 +256,7 @@ def _make_jobs(fleet, ranges, max_rounds=400):
     jobs = [
         ShardJob(
             indices=(lo, hi),
-            payload=registry.dumps(fleet[lo:hi]),
+            payload=registry.encode_shard(fleet[lo:hi]),
             handle=store.handle,
             max_rounds=max_rounds,
             verify=False,

@@ -95,3 +95,39 @@ class TestSizeBounds:
         lower, upper = greedy_mis_size_bounds(Graph(5))
         assert lower >= 1
         assert upper == 5
+
+
+class TestRowForm:
+    """A ``(k, n)`` matrix checks k sets at once, row-labelled."""
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 64, 70])
+    def test_matches_per_row_checks(self, k):
+        from repro.graphs.random_graphs import gnp_random_graph
+
+        rng = np.random.default_rng(k)
+        for trial in range(8):
+            n = int(rng.integers(0, 30))
+            g = gnp_random_graph(n, float(rng.random()), rng=trial)
+            rows = rng.random((k, n)) < rng.random()
+            assert independence_violations(g, rows) == [
+                (j, u, v)
+                for j in range(k)
+                for u, v in independence_violations(g, rows[j])
+            ]
+            assert maximality_violations(g, rows) == [
+                (j, v)
+                for j in range(k)
+                for v in maximality_violations(g, rows[j])
+            ]
+
+    def test_assert_names_the_failing_row(self):
+        g = path_graph(4)
+        rows = np.array(
+            [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 1], [1, 0, 0, 0]],
+            dtype=bool,
+        )
+        assert_valid_mis(g, rows[:2])
+        with pytest.raises(AssertionError, match=r"row 2: independence .*1 edge"):
+            assert_valid_mis(g, rows)
+        with pytest.raises(AssertionError, match=r"row 7: maximality"):
+            assert_valid_mis(g, rows[[0, 3]], rows=[5, 7])
