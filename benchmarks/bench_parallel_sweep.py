@@ -4,9 +4,9 @@ The acceptance workload for the parallel layer (ISSUE 8): the E4/E10
 Monte-Carlo shape — 256 independent 2-state trials on G(n = 4096, 3/n)
 — run through :func:`repro.sim.montecarlo.estimate_stabilization_time`
 serially (``n_jobs=1``) and sharded across a persistent
-:class:`repro.parallel.pool.WorkerPool` (``n_jobs=4``), with the
-per-trial stabilization times asserted bitwise-identical between the
-two paths.  Two fleet shapes are measured:
+:class:`repro.parallel.supervisor.SupervisedPool` (``n_jobs=4``), with
+the per-trial stabilization times asserted bitwise-identical between
+the two paths.  Two fleet shapes are measured:
 
 * ``resampled`` — per-trial resampled graphs (the E4 sweep shape): all
   256 CSRs are published into one shared-memory segment, so this is
@@ -15,9 +15,9 @@ two paths.  Two fleet shapes are measured:
   is published, and the per-job payload is only process state.
 
 The pool is created and warmed *outside* the timed region — worker
-startup amortizes over a whole sweep in real use (the
-``dispatch="fleet"`` sweep path reuses one pool for every grid point),
-so it is not part of the per-call cost being measured.
+startup amortizes over a whole sweep in real use (the sweep reuses one
+pool for every grid point), so it is not part of the per-call cost
+being measured.
 
 **Hardware-aware acceptance floors.**  Sharding buys wall-clock only
 when the machine has cores to shard onto, so the asserted floor is a
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.random_graphs import gnp_random_graph
-from repro.parallel import WorkerPool, cpu_count, resolve_n_jobs
+from repro.parallel import SupervisedPool, cpu_count, resolve_n_jobs
 from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.runner import run_many_until_stable
 
@@ -143,7 +143,7 @@ def _measure_workload(name, pool):
 
 def measure():
     """Both fleet shapes, as a dict keyed by workload name."""
-    with WorkerPool(resolve_n_jobs(WORKERS)) as pool:
+    with SupervisedPool(resolve_n_jobs(WORKERS)) as pool:
         _warm_pool(pool)
         return {
             name: _measure_workload(name, pool) for name in _FACTORIES

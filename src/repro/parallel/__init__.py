@@ -11,26 +11,26 @@ in PR 9:
   backstop's :func:`unlink_all_stores`).
 * :mod:`~repro.parallel.jobs` — the wire format: shard jobs carry
   packed :class:`~repro.core.replica.ReplicaState` records plus graph
-  indices into a :class:`GraphRegistry`, never process objects; and
-  the :class:`JobQueue` job-spec transport that replaced factory
-  pickling.
-* :mod:`~repro.parallel.pool` — the persistent :class:`WorkerPool`
-  (crash detection, stop sentinels, ``n_jobs`` resolution) and the
-  shared teardown machinery: the join → terminate → kill escalation,
-  zombie reporting, and :func:`install_signal_backstop`.
+  indices into a :class:`GraphRegistry`, never process objects or
+  factories.
+* :mod:`~repro.parallel.pool` — ``n_jobs`` resolution and the worker
+  teardown machinery: the join → terminate → kill escalation, zombie
+  reporting, and :func:`install_signal_backstop`.
 * :mod:`~repro.parallel.worker` — the dumb module-level worker loop,
   with the chaos-policy fault hook.
 * :mod:`~repro.parallel.supervisor` — the self-healing
-  :class:`SupervisedPool`: worker respawn, bounded shard retry with
-  exponential backoff (:mod:`~repro.parallel.retry`), per-shard
-  deadlines with in-process degradation, poisoned-result quarantine.
+  :class:`SupervisedPool`, the one worker pool: worker respawn,
+  bounded shard retry with exponential backoff
+  (:mod:`~repro.parallel.retry`), per-shard deadlines with in-process
+  degradation, poisoned-result quarantine.
 * :mod:`~repro.parallel.chaos` — the deterministic fault injector
   (:class:`ChaosPolicy`) that makes every recovery path reproducibly
   testable.
-* :mod:`~repro.parallel.fleet` — replica-range sharding, checkpoint
+* :mod:`~repro.parallel.fleet` — the one dispatch path
+  (:func:`run_fleet_sharded`): replica-range sharding, checkpoint
   journaling, and restoring the returned records into the caller's
-  processes; bitwise-identical to the serial
-  path for any worker count, shard boundaries, or fault schedule.
+  processes; bitwise-identical to the serial path for any worker
+  count, shard boundaries, or fault schedule.
 * :mod:`~repro.parallel.config` — process-wide default ``n_jobs`` and
   supervision defaults for entry points (``python -m repro.experiments
   run E4 --jobs auto``).
@@ -68,7 +68,6 @@ from repro.parallel.fleet import (
 )
 from repro.parallel.jobs import (
     GraphRegistry,
-    JobQueue,
     ShardJob,
     ShardResult,
     unshippable,
@@ -76,7 +75,6 @@ from repro.parallel.jobs import (
 from repro.parallel.pool import (
     WORKER_NAME_PREFIX,
     WorkerCrashError,
-    WorkerPool,
     cpu_count,
     install_signal_backstop,
     resolve_n_jobs,
@@ -104,7 +102,6 @@ __all__ = [
     "ChaosPolicy",
     "FAULT_KINDS",
     "GraphRegistry",
-    "JobQueue",
     "POISON_PAYLOAD",
     "RetryPolicy",
     "ShardFailedError",
@@ -117,7 +114,6 @@ __all__ = [
     "SupervisionEvent",
     "WORKER_NAME_PREFIX",
     "WorkerCrashError",
-    "WorkerPool",
     "cpu_count",
     "decode_results",
     "default_n_jobs",

@@ -1,10 +1,11 @@
 """Master-side fleet sharding.
 
-This is the dispatch target behind ``run_many_until_stable(...,
-n_jobs=...)``: split a fleet of R independent replicas into contiguous
-per-worker ranges, publish the distinct graphs once
-(:class:`~repro.parallel.shared_graph.SharedGraphStore`), run the
-shards under a self-healing
+This is the one parallel dispatch path, behind
+``run_many_until_stable(..., n_jobs=...)`` and so behind every
+Monte-Carlo estimate and sweep: split a fleet of R independent
+replicas into contiguous per-worker ranges, publish the distinct
+graphs once (:class:`~repro.parallel.shared_graph.SharedGraphStore`),
+run the shards under a self-healing
 :class:`~repro.parallel.supervisor.SupervisedPool`, and graft each
 worker's final process state back onto the caller's original objects.
 
@@ -21,27 +22,23 @@ of groupmates, so the results are **bitwise-identical to the serial
 path for any worker count, any shard boundaries, and any fault
 schedule** — sharding stays a pure wall-clock knob even under chaos.
 The shard count equals the *requested* ``n_jobs``
-(machine-independent); only the pool width is clamped to the usable
-CPUs.
+(machine-independent, resolved by :func:`fleet_shards`); only the pool
+width is clamped to the usable CPUs
+(:func:`~repro.parallel.supervisor.supervised_pool_for`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.replica import ReplicaState
 from repro.graphs.graph import Graph
-from repro.parallel.jobs import (
-    GraphRegistry,
-    JobQueue,
-    ShardJob,
-    ShardResult,
-)
-from repro.parallel.pool import WorkerPool, resolve_n_jobs
+from repro.parallel.jobs import GraphRegistry, ShardJob, ShardResult
+from repro.parallel.pool import resolve_n_jobs
 from repro.parallel.shared_graph import SharedGraphStore
-from repro.parallel.supervisor import SupervisedPool
+from repro.parallel.supervisor import SupervisedPool, supervised_pool_for
 from repro.parallel.worker import run_shard
 from repro.sim.runner import RunResult
 
@@ -70,12 +67,21 @@ def shard_ranges(count: int, shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def fleet_shards(n_jobs: int | str | None, pool: Any | None) -> int:
+def fleet_shards(
+    n_jobs: int | str | None, pool: SupervisedPool | None
+) -> int:
     """Shard count implied by an ``n_jobs`` spec and/or an explicit pool.
 
     An explicit ``n_jobs`` wins (unclamped — shard shapes are
-    machine-independent); with only a pool given, one shard per worker.
+    machine-independent); with only a pool given, one shard per worker;
+    with neither, the process-wide default of
+    :mod:`repro.parallel.config` (itself ``None`` = one shard, serial).
+    This is the one place a dispatch consults that default.
     """
+    if n_jobs is None and pool is None:
+        from repro.parallel.config import get_default_n_jobs
+
+        n_jobs = get_default_n_jobs()
     if n_jobs is not None:
         return resolve_n_jobs(n_jobs, clamp=False)
     return int(pool.workers) if pool is not None else 1
@@ -145,7 +151,7 @@ def run_fleet_sharded(
     batch: str | int | None,
     engine: str,
     n_jobs: int | str | None,
-    pool: SupervisedPool | WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
 ) -> list[RunResult]:
     """Run a fleet sharded across supervised worker processes.
@@ -160,15 +166,13 @@ def run_fleet_sharded(
     record is restored into the caller's own object, whose identity,
     graph and ops are kept.
 
-    ``pool=None`` spins up a private :class:`SupervisedPool` of
-    ``min(shards, resolve_n_jobs(n_jobs))`` workers and closes it
-    before returning; passing a persistent pool amortizes worker
-    startup across calls (the sweep path does).  A legacy
-    :class:`~repro.parallel.pool.WorkerPool` is still accepted and
-    dispatches through the PR 8 fail-fast
-    :class:`~repro.parallel.jobs.JobQueue` path.  The published graph
-    store is unlinked on every exit path, including worker crashes and
-    retry exhaustion.
+    ``pool=None`` spins up a private :class:`SupervisedPool` sized by
+    :func:`~repro.parallel.supervisor.supervised_pool_for` (one worker
+    per pending shard, clamped to the usable CPUs) and closes it before
+    returning; passing a persistent pool amortizes worker startup
+    across calls (the sweep path does).  The published graph store is
+    unlinked on every exit path, including worker crashes and retry
+    exhaustion.
 
     With a ``journal``, each completed shard is persisted under
     ``shard:{lo}:{hi}`` the moment it lands — before any later shard
@@ -178,7 +182,8 @@ def run_fleet_sharded(
     records do not fit the fleet is re-run.
     """
     processes = list(processes)
-    ranges = shard_ranges(len(processes), fleet_shards(n_jobs, pool))
+    shards = fleet_shards(n_jobs, pool)
+    ranges = shard_ranges(len(processes), shards)
     graphs = _distinct_graphs(processes)
     registry = GraphRegistry(graphs)
     for process in processes:
@@ -207,9 +212,7 @@ def run_fleet_sharded(
         with SharedGraphStore(graphs) as store:
             try:
                 if pool is None:
-                    pool = SupervisedPool(
-                        min(len(pending), resolve_n_jobs(n_jobs))
-                    )
+                    pool = supervised_pool_for(len(pending), shards)
                 jobs = [
                     ShardJob(
                         indices=(lo, hi),
@@ -222,16 +225,9 @@ def run_fleet_sharded(
                     )
                     for lo, hi in pending
                 ]
-                if isinstance(pool, SupervisedPool):
-                    records.update(
-                        _run_supervised(
-                            pool, jobs, registry, processes, journal
-                        )
-                    )
-                else:
-                    records.update(
-                        _run_legacy(pool, jobs, registry, processes, journal)
-                    )
+                records.update(
+                    _run_supervised(pool, jobs, registry, processes, journal)
+                )
             finally:
                 if own_pool and pool is not None:
                     pool.close()
@@ -305,26 +301,3 @@ def _run_supervised(
         or _shard_records(registry, processes, key, result)
         for key, result in outcomes.items()
     }
-
-
-def _run_legacy(
-    pool: WorkerPool,
-    jobs: list[ShardJob],
-    registry: GraphRegistry,
-    processes: Sequence[MISProcess],
-    journal: "CheckpointView | None",
-) -> dict[tuple[int, int], list[ReplicaState]]:
-    """Fail-fast dispatch through a plain WorkerPool (no retry).
-
-    Shards can only be journaled after the barrier.
-    """
-    queue = JobQueue(pool)
-    submitted = [(queue.submit(job), tuple(job.indices)) for job in jobs]
-    outcomes = queue.wait_all()
-    shards: dict[tuple[int, int], list[ReplicaState]] = {}
-    for job_id, (lo, hi) in submitted:
-        result = outcomes[job_id]
-        shards[(lo, hi)] = _shard_records(registry, processes, (lo, hi), result)
-        if journal is not None:
-            journal.put_bytes(shard_key(lo, hi), result.payload)
-    return shards

@@ -14,11 +14,10 @@ process objects from the records in place
 (:meth:`~repro.core.process.MISProcess.restore`).  Adjacency structure
 never crosses a queue, and neither do process objects.
 
-:class:`ShardJob` / :class:`ShardResult` are the wire format, and
-:class:`JobQueue` is the master-side bookkeeping that feeds them
-through a :class:`~repro.parallel.pool.WorkerPool` — sweeps, fault
-campaigns and experiment workloads all reduce to submitting shard jobs,
-which is what replaces the legacy factory-pickling path.
+:class:`ShardJob` / :class:`ShardResult` are the wire format that
+:class:`~repro.parallel.supervisor.SupervisedPool` dispatches — sweeps,
+fault campaigns and experiment workloads all reduce to shard jobs, so
+no process factory ever crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.parallel.shared_graph import SharedGraphHandle
 
 if TYPE_CHECKING:
     from repro.core.process import MISProcess
-    from repro.parallel.pool import WorkerPool
 
 #: NeighborOps classes a worker can rebuild from a graph alone; a
 #: replica's backend ships as its class name.
@@ -177,38 +175,3 @@ class ShardResult:
 
     indices: tuple[int, int]
     payload: bytes
-
-
-class JobQueue:
-    """Master-side bookkeeping of in-flight shard jobs on one pool.
-
-    Thin by design (the Ganeti-jqueue split): the queue owns *which*
-    jobs are outstanding, the pool owns the transport, and the workers
-    stay dumb executors.  One queue can feed many submission rounds —
-    a whole sweep reuses a single queue over a single persistent pool.
-    """
-
-    def __init__(self, pool: "WorkerPool") -> None:
-        self._pool = pool
-        self._pending: set[int] = set()
-
-    @property
-    def pool(self) -> "WorkerPool":
-        """The pool this queue submits to."""
-        return self._pool
-
-    def submit(self, job: ShardJob) -> int:
-        """Enqueue a shard job; returns its id."""
-        job_id = self._pool.submit(job)
-        self._pending.add(job_id)
-        return job_id
-
-    def wait_all(self) -> dict[int, ShardResult]:
-        """Block until every pending job finished; results by job id.
-
-        Raises :class:`~repro.parallel.pool.WorkerCrashError` if a
-        worker dies first, and re-raises worker-side exceptions.
-        """
-        pending = self._pending
-        self._pending = set()
-        return self._pool.collect(pending)

@@ -1,38 +1,29 @@
-"""Persistent worker pool: the master side of the master/worker split.
+"""Worker lifecycle machinery shared by the supervised pool.
 
-Deliberately *not* a ``concurrent.futures`` pool:
+The pool itself is :class:`~repro.parallel.supervisor.SupervisedPool`;
+this module holds what any owner of worker processes needs:
 
-* workers are long-lived — a published graph store amortizes over every
-  shard of every job of a whole sweep, instead of re-shipping state per
-  task;
-* the task payloads are packed replica records
-  (:mod:`repro.parallel.jobs`) whose graph indices only mean something
-  against a worker's attached graph store;
-* a worker that dies mid-job (segfault, OOM kill, ``os._exit``) is
-  detected by liveness polling and surfaced as
-  :class:`WorkerCrashError` instead of hanging the master — the
-  failure mode that makes the shared-memory cleanup guarantees
-  testable.
-
-:func:`resolve_n_jobs` is the single interpretation point for the
-``n_jobs`` knob that :func:`~repro.sim.runner.run_many_until_stable`
-and the Monte-Carlo layer expose.
+* :func:`shutdown_processes` — the join → terminate → kill escalation,
+  with zombie reporting;
+* ``_LIVE_POOLS`` plus the atexit/SIGTERM backstop
+  (:func:`install_signal_backstop`), which close pools and unlink
+  shared-memory stores whose owner never reached its ``finally``;
+* :class:`WorkerCrashError`, the base of
+  :class:`~repro.parallel.retry.ShardFailedError`;
+* :func:`cpu_count` and :func:`resolve_n_jobs`, the single
+  interpretation point for the ``n_jobs`` knob that
+  :func:`~repro.sim.runner.run_many_until_stable` and the Monte-Carlo
+  layer expose.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing as mp
 import os
-import queue as queue_mod
 import signal
 import warnings
 import weakref
-from types import TracebackType
 from typing import Any, Iterable
-
-from repro.parallel.jobs import ShardJob, ShardResult
-from repro.parallel.worker import worker_main
 
 #: Seconds between liveness checks while awaiting results.
 _POLL_INTERVAL = 0.1
@@ -44,10 +35,10 @@ _JOIN_TIMEOUT = 5.0
 #: interrupt-hygiene regression tests rely on it).
 WORKER_NAME_PREFIX = "repro-worker-"
 
-#: Every open pool (WorkerPool and SupervisedPool alike) registers
-#: here so the atexit/SIGTERM backstop can close stragglers — the
-#: Ctrl-C hygiene contract: no teardown path may strand workers or
-#: queues, even when the owner never reaches its ``finally``.
+#: Every open pool registers here so the atexit/SIGTERM backstop can
+#: close stragglers — the Ctrl-C hygiene contract: no teardown path may
+#: strand workers or queues, even when the owner never reaches its
+#: ``finally``.
 _LIVE_POOLS: "weakref.WeakSet[Any]" = weakref.WeakSet()
 
 
@@ -182,142 +173,3 @@ def resolve_n_jobs(n_jobs: int | str | None, clamp: bool = True) -> int:
             f"n_jobs must be a positive int, 'auto', or None; got {n_jobs!r}"
         )
     return min(int(n_jobs), cpu_count()) if clamp else int(n_jobs)
-
-
-class WorkerPool:
-    """A fixed-width pool of persistent worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes, taken verbatim (callers clamp via
-        :func:`resolve_n_jobs`; tests deliberately oversubscribe).
-    start_method:
-        ``multiprocessing`` start method; default is ``"fork"`` where
-        available (cheap, inherits imports) and ``"spawn"`` elsewhere.
-
-    Use as a context manager, or call :meth:`close` in a ``finally`` —
-    workers are daemonic, so even a crashed master cannot strand them,
-    but an explicit close is what drains the queues deterministically.
-    """
-
-    def __init__(self, workers: int, start_method: str | None = None) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = mp.get_context(start_method)
-        self._tasks: Any = ctx.Queue()
-        self._results: Any = ctx.Queue()
-        self._next_id = 0
-        self._closed = False
-        self._procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(self._tasks, self._results),
-                daemon=True,
-                name=f"{WORKER_NAME_PREFIX}{i}",
-            )
-            for i in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        _LIVE_POOLS.add(self)
-
-    @property
-    def workers(self) -> int:
-        """The pool width."""
-        return len(self._procs)
-
-    def submit(self, job: ShardJob) -> int:
-        """Enqueue one job; returns its id (FIFO among idle workers)."""
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed WorkerPool")
-        job_id = self._next_id
-        self._next_id += 1
-        self._tasks.put((job_id, job))
-        return job_id
-
-    def collect(self, job_ids: Iterable[int]) -> dict[int, ShardResult]:
-        """Await the given jobs; returns ``{job id: ShardResult}``.
-
-        Raises
-        ------
-        WorkerCrashError
-            If a worker process dies while results are outstanding (a
-            job's execution can then never complete — surviving workers
-            keep draining the task queue, but the in-flight job died
-            with its worker).
-        RuntimeError
-            If a worker reports a Python-level exception; the worker
-            itself survives and keeps serving (the traceback is
-            embedded in the message).
-        """
-        pending = set(job_ids)
-        out: dict[int, ShardResult] = {}
-        while pending:
-            try:
-                job_id, status, value = self._results.get(
-                    timeout=_POLL_INTERVAL
-                )
-            except queue_mod.Empty:
-                dead = [
-                    proc.exitcode
-                    for proc in self._procs
-                    if proc.exitcode not in (None, 0)
-                ]
-                if dead:
-                    raise WorkerCrashError(
-                        f"{len(dead)} worker(s) died (exit codes "
-                        f"{sorted(set(dead))}) with {len(pending)} "
-                        f"job(s) outstanding"
-                    )
-                continue
-            if job_id not in pending:
-                continue  # stale result from an abandoned batch
-            pending.discard(job_id)
-            if status == "error":
-                raise RuntimeError(
-                    f"worker job {job_id} raised:\n{value}"
-                )
-            out[job_id] = value
-        return out
-
-    def close(self) -> list[int]:
-        """Stop the workers and release the queues (idempotent).
-
-        Live workers get a stop sentinel and a grace period, then the
-        full escalation ladder (join → terminate → kill).  Workers
-        that survive even ``kill()`` are reported with a
-        :class:`RuntimeWarning` and returned as a pid list instead of
-        being silently left as zombies; a clean shutdown returns
-        ``[]``.
-        """
-        if self._closed:
-            return []
-        self._closed = True
-        _LIVE_POOLS.discard(self)
-        for _ in self._procs:
-            try:
-                self._tasks.put(None)
-            except (ValueError, OSError):  # pragma: no cover - queue gone
-                break
-        zombies = _report_zombies(shutdown_processes(self._procs))
-        for q in (self._tasks, self._results):
-            q.close()
-            # Unsent buffered items (e.g. after a crash) must not block
-            # interpreter exit on the queue's feeder thread.
-            q.cancel_join_thread()
-        return zombies
-
-    def __enter__(self) -> WorkerPool:
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()

@@ -32,8 +32,8 @@ class RetryPolicy:
     Attempt ``k`` (0-based) that fails is re-dispatched after
     ``min(backoff_base * backoff_factor**k, backoff_max)`` seconds, up
     to ``max_retries`` re-dispatches (so a shard is attempted at most
-    ``max_retries + 1`` times).  ``max_retries=0`` restores the PR 8
-    fail-fast behavior.
+    ``max_retries + 1`` times).  ``max_retries=0`` fails fast: the
+    first crash raises :class:`ShardFailedError`.
     """
 
     max_retries: int = 3

@@ -1,11 +1,9 @@
 """Self-healing worker pool: supervision, retry, deadlines, degradation.
 
-PR 8's :class:`~repro.parallel.pool.WorkerPool` detects a dead worker
-only to abort the whole campaign with a fatal
-:class:`~repro.parallel.pool.WorkerCrashError`.  The
-:class:`SupervisedPool` here makes the execution substrate as
-self-stabilizing as the algorithm it simulates: crashed workers are
-respawned and their in-flight shards re-dispatched with bounded,
+:class:`SupervisedPool` is the repository's one worker pool.  It makes
+the execution substrate as self-stabilizing as the algorithm it
+simulates: instead of aborting a campaign when a worker dies, it
+respawns the worker and re-dispatches its in-flight shard with bounded,
 exponentially backed-off retries; shards that out-live a per-shard
 deadline get their straggler killed and gracefully degrade to
 in-process execution; poisoned results are quarantined and retried.
@@ -120,7 +118,8 @@ class SupervisedPool:
         Deterministic fault injector threaded into every worker;
         ``None`` means the config default (normally: no chaos).
     start_method:
-        As for :class:`~repro.parallel.pool.WorkerPool`.
+        ``multiprocessing`` start method; default is ``"fork"`` where
+        available (cheap, inherits imports) and ``"spawn"`` elsewhere.
 
     Use as a context manager or call :meth:`close` in a ``finally``;
     the atexit/SIGTERM backstop of :mod:`repro.parallel.pool` catches
@@ -425,10 +424,12 @@ class SupervisedPool:
     def close(self) -> list[int]:
         """Stop the workers and release the queues (idempotent).
 
-        Same contract as :meth:`WorkerPool.close
-        <repro.parallel.pool.WorkerPool.close>`: sentinel, then the
-        join → terminate → kill escalation, with survivors reported
-        via :class:`RuntimeWarning` and returned as pids.
+        Live workers get a stop sentinel, then the join → terminate →
+        kill escalation of
+        :func:`~repro.parallel.pool.shutdown_processes`; workers that
+        survive even ``kill()`` are reported with a
+        :class:`RuntimeWarning` and returned as a pid list (a clean
+        shutdown returns ``[]``).
         """
         if self._closed:
             return []
@@ -464,7 +465,13 @@ class SupervisedPool:
 def supervised_pool_for(
     jobs: int, n_jobs: int | str | None, **kwargs: Any
 ) -> SupervisedPool:
-    """A SupervisedPool sized for ``jobs`` shards under an ``n_jobs`` spec."""
+    """A SupervisedPool sized for ``jobs`` shards under an ``n_jobs`` spec.
+
+    The one pool-width rule: ``min(jobs, resolve_n_jobs(n_jobs))``
+    workers, at least one — never wider than the shard count or the
+    usable CPUs.  ``n_jobs`` may be a shard count from
+    :func:`~repro.parallel.fleet.fleet_shards`.
+    """
     from repro.parallel.pool import resolve_n_jobs
 
     return SupervisedPool(

@@ -407,10 +407,9 @@ def open_default_journal(
     """Open the default-directory journal for one campaign, if armed.
 
     ``None`` when no default directory is installed — and always in
-    worker/child processes (a forked ProcessPoolExecutor worker
-    inherits the default, but only the master owns campaign
-    journaling; children would assign nondeterministic sequence
-    numbers).
+    worker/child processes (a forked worker inherits the default, but
+    only the master owns campaign journaling; children would assign
+    nondeterministic sequence numbers).
     """
     global _scope_counter
     if _default_dir is None or mp.parent_process() is not None:

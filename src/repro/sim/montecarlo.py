@@ -20,16 +20,14 @@ Multi-core execution goes through :mod:`repro.parallel`:
 ``estimate_stabilization_time(n_jobs=...)`` shards each trial fleet
 into per-worker replica ranges against shared-memory graph views
 (statistics bitwise-identical to serial for any worker count), and
-``sweep_stabilization_times`` dispatches every grid point's fleet
-through one persistent worker pool by default (``dispatch="fleet"``) —
-the factory never crosses a process boundary, so lambdas and closures
-parallelize like everything else.  The legacy per-grid-point pool
-(``dispatch="points"``) remains for picklable factories.
+``sweep_stabilization_times`` evaluates grid points in order, sharding
+each point's fleet through one supervised pool kept for the whole
+sweep — the factory never crosses a process boundary, so lambdas and
+closures parallelize like everything else.
 """
 
 from __future__ import annotations
 
-import pickle
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -49,7 +47,6 @@ from repro.sim.runner import (
 )
 
 if TYPE_CHECKING:
-    from repro.parallel.pool import WorkerPool
     from repro.parallel.supervisor import SupervisedPool
 
 
@@ -192,7 +189,7 @@ def estimate_stabilization_time(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    pool: "WorkerPool | SupervisedPool | None" = None,
+    pool: "SupervisedPool | None" = None,
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
     ),
@@ -300,7 +297,7 @@ def _estimate_journaled(
     batch: str | int | None,
     engine: str,
     n_jobs: int | str | None,
-    pool: "WorkerPool | SupervisedPool | None",
+    pool: "SupervisedPool | None",
     journal: "CheckpointJournal | CheckpointView | None",
 ) -> TrialStats:
     """The estimate body, with an optional journal threaded through."""
@@ -338,16 +335,9 @@ def _estimate_journaled(
 
     use_fleet = False
     if batch is not None and trials >= 2:
-        spec = n_jobs
-        if spec is None and pool is None:
-            from repro.parallel.config import get_default_n_jobs
+        from repro.parallel.fleet import fleet_shards
 
-            spec = get_default_n_jobs()
-        if spec not in (None, 1) or pool is not None:
-            from repro.parallel.fleet import fleet_shards
-
-            use_fleet = fleet_shards(spec, pool) >= 2
-            n_jobs = spec
+        use_fleet = fleet_shards(n_jobs, pool) >= 2
     if use_fleet:
         processes = [probe] + [process_factory(s) for s in seeds[1:]]
         record(
@@ -470,34 +460,6 @@ class SweepResult(Mapping):
         return f"SweepResult({self.entries!r})"
 
 
-def _sweep_point(
-    payload: tuple,
-    n_jobs: int | str | None = None,
-    pool: "WorkerPool | SupervisedPool | None" = None,
-    journal: "CheckpointJournal | CheckpointView | None" = None,
-) -> TrialStats:
-    """Evaluate one grid point (module-level so process pools can pickle it).
-
-    The legacy ``dispatch="points"`` path maps this over a stock pool
-    with the payload alone (journals are not picklable, so that path
-    checkpoints only at whole-point granularity, in the caller); the
-    fleet path calls it in-process with the persistent pool and the
-    point's scoped journal view, sharding each point's replicas.
-    """
-    make_factory, point, trials, budget, point_seed, batch, engine = payload
-    return estimate_stabilization_time(
-        make_factory(point),
-        trials=trials,
-        max_rounds=budget,
-        seed=point_seed,
-        batch=batch,
-        engine=engine,
-        n_jobs=n_jobs,
-        pool=pool,
-        checkpoint=journal,
-    )
-
-
 def sweep_stabilization_times(
     make_factory: Callable[[object], Callable[[int], object]],
     grid: list,
@@ -507,7 +469,6 @@ def sweep_stabilization_times(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    dispatch: str = "fleet",
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
     ),
@@ -540,48 +501,34 @@ def sweep_stabilization_times(
         Multi-core width (``"auto"`` = every usable core).  ``None``
         defers to the process-wide default of
         :mod:`repro.parallel.config`; ``1`` (or a resolved 1) runs
-        fully in-process.  Results are identical in every mode.
-    dispatch:
-        How ``n_jobs >= 2`` parallelizes.  ``"fleet"`` (default)
-        evaluates grid points in order, sharding each point's *trial
-        fleet* across one persistent worker pool reused for the whole
-        sweep — ``make_factory`` never crosses a process boundary, so
-        lambdas and closures parallelize and nothing ever silently
-        degrades.  ``"points"`` is the legacy path: whole grid points
-        fan out to a ``ProcessPoolExecutor`` (width clamped to the CPU
-        count), which requires ``make_factory`` to be picklable;
-        unpicklable factories are detected up front and fall back to
-        the in-process path with a :class:`RuntimeWarning` — that
-        warning is now exclusive to this legacy path.
+        fully in-process.  With ``n_jobs >= 2`` grid points are still
+        evaluated in order, each point's *trial fleet* sharded across
+        one supervised pool reused for the whole sweep —
+        ``make_factory`` never crosses a process boundary, so lambdas
+        and closures parallelize.  Results are identical in every
+        mode.
     checkpoint, resume:
         Campaign checkpointing (see :mod:`repro.sim.checkpoint`): a
         journal path or open journal.  Each finished grid point is
-        persisted under ``point:{i}`` the moment it completes, and on
-        the fleet/in-process paths each point additionally journals
-        its own shards/chunks under a ``p{i}:`` scope — so an
-        interrupted sweep resumes mid-point, not merely mid-grid, and
-        produces a bitwise-identical :class:`SweepResult`.  The legacy
-        ``dispatch="points"`` executor checkpoints at whole-point
-        granularity only (journals do not cross process boundaries).
+        persisted under ``point:{i}`` the moment it completes, and
+        each point additionally journals its own shards/chunks under a
+        ``p{i}:`` scope — so an interrupted sweep resumes mid-point,
+        not merely mid-grid, and produces a bitwise-identical
+        :class:`SweepResult`.
 
     Returns
     -------
     SweepResult — a mapping from grid point to :class:`TrialStats`,
     with ``.entries`` carrying one result per grid entry.
     """
-    if dispatch not in ("fleet", "points"):
-        raise ValueError(
-            f"dispatch must be 'fleet' or 'points', got {dispatch!r}"
-        )
+    from repro.parallel.fleet import fleet_shards
+    from repro.parallel.supervisor import supervised_pool_for
+
     point_seeds = spawn_seeds(seed, len(grid))
-    payloads = []
-    budgets = []
-    for point, point_seed in zip(grid, point_seeds):
-        budget = max_rounds(point) if callable(max_rounds) else max_rounds
-        budgets.append(budget)
-        payloads.append(
-            (make_factory, point, trials, budget, point_seed, batch, engine)
-        )
+    budgets = [
+        max_rounds(point) if callable(max_rounds) else max_rounds
+        for point in grid
+    ]
     journal, own_journal = _open_checkpoint(
         checkpoint,
         {
@@ -594,92 +541,40 @@ def sweep_stabilization_times(
         },
         resume,
     )
+    pool: SupervisedPool | None = None
     try:
-        stats_by_index: dict[int, TrialStats] = {}
+        stats: list[TrialStats | None] = [None] * len(grid)
         if journal is not None:
-            for i in range(len(payloads)):
+            for i in range(len(grid)):
                 cached = journal.get(f"point:{i}")
                 if cached is not None:
-                    stats_by_index[i] = _stats_from_json(cached)
-        todo = [i for i in range(len(payloads)) if i not in stats_by_index]
-
-        def point_journal(i: int) -> "CheckpointView | None":
-            return journal.scoped(f"p{i}:") if journal is not None else None
-
-        def finish(i: int, point_stats: TrialStats) -> None:
+                    stats[i] = _stats_from_json(cached)
+        todo = [i for i, done in enumerate(stats) if done is None]
+        shards = fleet_shards(n_jobs, None)
+        if todo and shards >= 2:
+            # One pool serves every point: each point's trial fleet is
+            # sharded through it, so factories stay on this side.
+            pool = supervised_pool_for(shards, shards)
+        for i in todo:
+            point_stats = estimate_stabilization_time(
+                make_factory(grid[i]),
+                trials=trials,
+                max_rounds=budgets[i],
+                seed=point_seeds[i],
+                batch=batch,
+                engine=engine,
+                n_jobs=shards,
+                pool=pool,
+                checkpoint=(
+                    journal.scoped(f"p{i}:") if journal is not None else None
+                ),
+            )
             if journal is not None:
                 journal.put(f"point:{i}", _stats_to_json(point_stats))
-            stats_by_index[i] = point_stats
-
-        if n_jobs is None:
-            from repro.parallel.config import get_default_n_jobs
-
-            n_jobs = get_default_n_jobs()
-        shards = 1
-        if n_jobs is not None:
-            from repro.parallel.pool import resolve_n_jobs
-
-            shards = resolve_n_jobs(n_jobs, clamp=False)
-        if todo and shards >= 2 and dispatch == "fleet":
-            from repro.parallel.pool import resolve_n_jobs
-            from repro.parallel.supervisor import SupervisedPool
-
-            with SupervisedPool(
-                min(shards, resolve_n_jobs(n_jobs))
-            ) as pool:
-                for i in todo:
-                    finish(
-                        i,
-                        _sweep_point(
-                            payloads[i],
-                            n_jobs=n_jobs,
-                            pool=pool,
-                            journal=point_journal(i),
-                        ),
-                    )
-            todo = []
-        use_pool = bool(todo) and shards >= 2
-        if use_pool:
-            # The legacy path: a ProcessPoolExecutor pickles each
-            # payload; a lambda/closure make_factory would raise
-            # PicklingError from deep inside the pool, so probe up
-            # front and degrade gracefully (dispatch="fleet" has no
-            # such constraint).
-            try:
-                pickle.dumps(make_factory)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                warnings.warn(
-                    f"make_factory is not picklable ({exc}); evaluating "
-                    "the sweep in-process (n_jobs ignored). Use a "
-                    "module-level factory function, or dispatch='fleet', "
-                    "to enable the process pool.",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                use_pool = False
-        if use_pool:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.parallel.pool import resolve_n_jobs
-
-            with ProcessPoolExecutor(
-                max_workers=resolve_n_jobs(n_jobs)
-            ) as executor:
-                for i, point_stats in zip(
-                    todo,
-                    executor.map(
-                        _sweep_point, [payloads[i] for i in todo]
-                    ),
-                ):
-                    finish(i, point_stats)
-        else:
-            for i in todo:
-                finish(
-                    i,
-                    _sweep_point(payloads[i], journal=point_journal(i)),
-                )
-        stats = [stats_by_index[i] for i in range(len(payloads))]
+            stats[i] = point_stats
     finally:
+        if pool is not None:
+            pool.close()
         if own_journal and journal is not None:
             journal.close()  # type: ignore[union-attr]
     return SweepResult(list(grid), stats)

@@ -25,6 +25,7 @@ results bitwise-identical either way.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,7 +36,7 @@ from repro.sim.trace import Trace, TraceRecorder
 
 if TYPE_CHECKING:
     from repro.core.process import MISProcess
-    from repro.parallel.pool import WorkerPool
+    from repro.parallel.supervisor import SupervisedPool
     from repro.sim.checkpoint import CheckpointView
 
 
@@ -163,7 +164,7 @@ def run_many_until_stable(
     batch: str | int | None = "auto",
     engine: str = "auto",
     n_jobs: int | str | None = None,
-    pool: WorkerPool | None = None,
+    pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
 ) -> list[RunResult]:
     """Run many independent processes to stabilization, batching when possible.
@@ -211,15 +212,15 @@ def run_many_until_stable(
         :class:`~repro.core.replica.ReplicaState` records; a fleet with
         any process that has none (a subclass, scripted coins, a custom
         switch, scheduler or NeighborOps — see
-        :func:`repro.parallel.jobs.unshippable`) runs in-process.
+        :func:`repro.parallel.jobs.unshippable`) runs in-process, with
+        one :class:`RuntimeWarning` naming the first offender's reason.
     pool:
-        An existing pool to reuse (amortizes worker startup across
-        calls); implies parallel dispatch with one shard per worker
-        unless ``n_jobs`` says otherwise.  A
-        :class:`repro.parallel.supervisor.SupervisedPool` (what the
-        fleet path builds itself by default) self-heals worker
-        crashes, stragglers, and poisoned results; a legacy
-        :class:`repro.parallel.pool.WorkerPool` stays fail-fast.
+        An existing :class:`repro.parallel.supervisor.SupervisedPool`
+        to reuse (amortizes worker startup across calls); implies
+        parallel dispatch with one shard per worker unless ``n_jobs``
+        says otherwise.  Without one, the fleet path builds a private
+        pool; either way worker crashes, stragglers, and poisoned
+        results self-heal.
     journal:
         A :class:`repro.sim.checkpoint.CheckpointView` for the fleet
         path: completed shards are persisted the moment they land and
@@ -239,19 +240,12 @@ def run_many_until_stable(
     validate_batch(batch)
     resolve_engine(engine)
 
-    if n_jobs is None and pool is None:
-        from repro.parallel.config import get_default_n_jobs
+    from repro.parallel.fleet import fleet_shards, run_fleet_sharded
+    from repro.parallel.jobs import unshippable
 
-        n_jobs = get_default_n_jobs()
-    if (n_jobs is not None and n_jobs != 1) or pool is not None:
-        from repro.parallel.fleet import fleet_shards, run_fleet_sharded
-        from repro.parallel.jobs import unshippable
-
-        if (
-            len(processes) >= 2
-            and fleet_shards(n_jobs, pool) >= 2
-            and not any(unshippable(p) for p in processes)
-        ):
+    if len(processes) >= 2 and fleet_shards(n_jobs, pool) >= 2:
+        reason = next(filter(None, map(unshippable, processes)), None)
+        if reason is None:
             return run_fleet_sharded(
                 processes,
                 max_rounds=max_rounds,
@@ -262,6 +256,12 @@ def run_many_until_stable(
                 pool=pool,
                 journal=journal,
             )
+        warnings.warn(
+            f"a process cannot ship to a worker ({reason}); running "
+            "the fleet in-process, n_jobs ignored",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     results: list[RunResult | None] = [None] * len(processes)
 

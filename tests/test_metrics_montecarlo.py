@@ -213,8 +213,8 @@ class TestSweepRegressions:
     """
 
     def test_lambda_factory_parallelizes_via_fleet_dispatch(self):
-        # The default dispatch="fleet" shards replicas, not factories:
-        # lambdas parallelize with no degradation and no warning.
+        # The sweep shards replicas, not factories: lambdas
+        # parallelize with no degradation and no warning.
         kw = dict(
             make_factory=lambda n: (
                 lambda s: TwoStateMIS(complete_graph(n), coins=s)
@@ -229,27 +229,6 @@ class TestSweepRegressions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pooled = sweep_stabilization_times(n_jobs=2, **kw)
-        solo = sweep_stabilization_times(**kw)
-        assert solo.keys() == pooled.keys()
-        for point in solo:
-            assert np.array_equal(solo[point].times, pooled[point].times)
-
-    def test_lambda_factory_points_dispatch_falls_back_in_process(self):
-        # Only the legacy points path pickles factories; it still
-        # probes up front and degrades with the warning.
-        kw = dict(
-            make_factory=lambda n: (
-                lambda s: TwoStateMIS(complete_graph(n), coins=s)
-            ),
-            grid=[8, 12],
-            trials=3,
-            max_rounds=10_000,
-            seed=7,
-        )
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            pooled = sweep_stabilization_times(
-                n_jobs=2, dispatch="points", **kw
-            )
         solo = sweep_stabilization_times(**kw)
         assert solo.keys() == pooled.keys()
         for point in solo:

@@ -9,7 +9,7 @@ The load-bearing guarantees under test:
 * **Shared-memory hygiene** — no ``/dev/shm`` segment survives a pool
   shutdown, an exception, a dropped owner, or a worker crash mid-job.
 * **Dispatch plumbing** — ``n_jobs`` resolution/clamping, the
-  process-wide default, sweep fleet-vs-points routing, and pool reuse.
+  process-wide default, sweep routing, and supervised-pool reuse.
 """
 
 import gc
@@ -27,8 +27,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel import (
     SharedGraphStore,
+    SupervisedPool,
     WorkerCrashError,
-    WorkerPool,
     cpu_count,
     default_n_jobs,
     fleet_shards,
@@ -98,7 +98,7 @@ def test_fleet_identical_with_explicit_pool():
     serial = _two_state_fleet(8, True)
     parallel = _two_state_fleet(8, True)
     rs = run_many_until_stable(serial, max_rounds=400)
-    with WorkerPool(2) as pool:
+    with SupervisedPool(2) as pool:
         rp = run_many_until_stable(parallel, max_rounds=400, pool=pool)
     _assert_fleets_identical(serial, parallel, rs, rp)
     _assert_no_leaks()
@@ -201,15 +201,8 @@ def test_estimate_stabilization_time_parallel_identical():
 
 
 # ---------------------------------------------------------------------------
-# Sweep dispatch: fleet vs legacy points
+# Sweep dispatch
 # ---------------------------------------------------------------------------
-
-
-def _module_level_make_factory(n):
-    def factory(seed):
-        return TwoStateMIS(gnp_random_graph(n, 0.1, rng=seed), coins=seed)
-
-    return factory
 
 
 def test_sweep_fleet_dispatch_handles_lambdas():
@@ -229,37 +222,6 @@ def test_sweep_fleet_dispatch_handles_lambdas():
         assert np.array_equal(sa.times, sb.times)
         assert sa.failures == sb.failures
     _assert_no_leaks()
-
-
-def test_sweep_points_dispatch_warns_on_unpicklable_factory():
-    make = lambda n: (  # noqa: E731
-        lambda seed: TwoStateMIS(gnp_random_graph(n, 0.1, rng=seed), coins=seed)
-    )
-    serial = sweep_stabilization_times(
-        make, grid=[20], trials=4, max_rounds=300, seed=2
-    )
-    with pytest.warns(RuntimeWarning, match="fleet"):
-        fallback = sweep_stabilization_times(
-            make,  # repro-lint: disable=parallel-safety (the legacy path's degradation is the behavior under test)
-            grid=[20],
-            trials=4,
-            max_rounds=300,
-            seed=2,
-            n_jobs=2,
-            dispatch="points",
-        )
-    assert np.array_equal(serial[20].times, fallback[20].times)
-
-
-def test_sweep_rejects_unknown_dispatch():
-    with pytest.raises(ValueError, match="dispatch"):
-        sweep_stabilization_times(
-            _module_level_make_factory,
-            grid=[10],
-            trials=2,
-            max_rounds=100,
-            dispatch="banana",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +297,37 @@ def test_unshippable_fleet_runs_in_process():
     serial = [Custom(graph, coins=i) for i in range(4)]
     parallel = [Custom(graph, coins=i) for i in range(4)]
     assert "record family" in unshippable(parallel[0])
-    sr = run_many_until_stable(serial, max_rounds=400)
-    pr = run_many_until_stable(parallel, max_rounds=400, n_jobs=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a worker's n_jobs=1 never warns
+        sr = run_many_until_stable(serial, max_rounds=400, n_jobs=1)
+    with pytest.warns(RuntimeWarning, match="record family") as caught:
+        pr = run_many_until_stable(parallel, max_rounds=400, n_jobs=2)
+    assert len(caught) == 1  # one warning per call, not per process
     _assert_fleets_identical(serial, parallel, sr, pr)
 
 
 def test_pool_survives_python_level_job_errors():
     graph = gnp_random_graph(30, 0.1, rng=1)
-    with WorkerPool(1) as pool:
+    with SupervisedPool(2) as pool:
         bad = [TwoStateMIS(graph, coins=i) for i in range(2)]
         with pytest.raises(RuntimeError, match="max_rounds"):
             run_many_until_stable(bad, max_rounds=-1, n_jobs=2, pool=pool)
-        # The worker caught the exception and keeps serving jobs.
-        good = [TwoStateMIS(graph, coins=i) for i in range(2)]
-        results = run_many_until_stable(good, max_rounds=400, pool=pool)
-        assert len(results) == 2
+        # The workers caught the exception and keep serving the next
+        # fleet; the other shard's late error result is dropped as stale.
+        serial = [TwoStateMIS(graph, coins=i) for i in range(4)]
+        good = [TwoStateMIS(graph, coins=i) for i in range(4)]
+        rs = run_many_until_stable(serial, max_rounds=400)
+        rp = run_many_until_stable(good, max_rounds=400, pool=pool)
+        _assert_fleets_identical(serial, good, rs, rp)
+        assert pool.respawns == 0
     _assert_no_leaks()
 
 
 def test_pool_reuse_across_different_graph_stores():
-    with WorkerPool(2) as pool:
-        for seed in (1, 2, 3):  # each call publishes a fresh segment
+    # Each call publishes a fresh segment; every worker must drop its
+    # cached attachment and re-attach (what a sweep relies on).
+    with SupervisedPool(2) as pool:
+        for seed in (1, 2, 3):
             graph = gnp_random_graph(30, 0.1, rng=seed)
             serial = [TwoStateMIS(graph, coins=10 * seed + i) for i in range(4)]
             parallel = [
@@ -365,14 +337,6 @@ def test_pool_reuse_across_different_graph_stores():
             rp = run_many_until_stable(parallel, max_rounds=400, pool=pool)
             _assert_fleets_identical(serial, parallel, rs, rp)
     _assert_no_leaks()
-
-
-def test_closed_pool_rejects_submission():
-    pool = WorkerPool(1)
-    pool.close()
-    pool.close()  # idempotent
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.submit(None)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +359,14 @@ def test_fleet_shards_resolution():
     assert fleet_shards(None, None) == 1
     assert fleet_shards(4, None) == 4  # unclamped: machine-independent
     assert fleet_shards("auto", None) == cpu_count()
-    with WorkerPool(2) as pool:
+    with default_n_jobs(3):
+        assert fleet_shards(None, None) == 3  # the installed default
+        assert fleet_shards(1, None) == 1  # explicit n_jobs wins
+    with SupervisedPool(2) as pool:
         assert fleet_shards(None, pool) == 2
         assert fleet_shards(3, pool) == 3  # explicit n_jobs wins
+        with default_n_jobs(3):
+            assert fleet_shards(None, pool) == 2  # a pool beats the default
 
 
 @settings(max_examples=60, deadline=None)

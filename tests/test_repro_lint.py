@@ -523,22 +523,6 @@ def test_parallel_safety_exempts_fleet_dispatch_callees(tmp_path):
     assert findings == []
 
 
-def test_parallel_safety_flags_legacy_points_dispatch(tmp_path):
-    # dispatch="points" opts back into the pickling executor path.
-    findings = lint_source(
-        tmp_path,
-        """
-        def run_sweep(grid):
-            return sweep_stabilization_times(
-                lambda n: make(n), grid, n_jobs=4, dispatch="points"
-            )
-        """,
-        "parallel-safety",
-    )
-    assert len(findings) == 1
-    assert "n_jobs" in findings[0].message
-
-
 def test_parallel_safety_flags_worker_global_mutation(tmp_path):
     # Indexed path: the worker is resolved through the call graph.
     findings = lint_source(

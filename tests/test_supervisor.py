@@ -29,7 +29,6 @@ from repro.parallel import (
     RetryPolicy,
     ShardFailedError,
     SupervisedPool,
-    WorkerPool,
     iter_chaos_fault_plan,
     leaked_segments,
     shard_ranges,
@@ -292,7 +291,7 @@ def test_deadline_without_local_runner_consumes_a_retry():
 
 def test_python_level_job_errors_stay_fail_fast():
     # A deterministic in-job bug must not burn retries: it raises
-    # RuntimeError immediately, exactly like the PR 8 pool.
+    # RuntimeError immediately.
     fleet = _fleet(4)
     with SupervisedPool(2) as pool:
         with pytest.raises(RuntimeError, match="max_rounds"):
@@ -465,17 +464,3 @@ def test_retry_policy_backoff_schedule():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(backoff_factor=0.5)
-
-
-# ---------------------------------------------------------------------------
-# Legacy pool interop
-# ---------------------------------------------------------------------------
-
-
-def test_legacy_worker_pool_still_dispatches():
-    serial, legacy = _fleet(6), _fleet(6)
-    rs = run_many_until_stable(serial, max_rounds=400)
-    with WorkerPool(2) as pool:
-        rp = run_many_until_stable(legacy, max_rounds=400, pool=pool)
-    _assert_identical(serial, legacy, rs, rp)
-    _assert_no_leaks()

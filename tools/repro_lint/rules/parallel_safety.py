@@ -1,9 +1,8 @@
 """parallel-safety: what may cross a process-pool boundary.
 
-The Monte-Carlo sweep fans work out over ``ProcessPoolExecutor``, and
-the ROADMAP's fleet-sharding item will push engine state through
-``multiprocessing.shared_memory``.  Both paths have the same two
-silent failure modes:
+Any code that hands work to ``multiprocessing`` or
+``concurrent.futures`` workers — or to an API advertising ``n_jobs=`` —
+risks the same two silent failure modes:
 
 1. **Unpicklable work units.**  Lambdas, closures, locally defined
    functions/classes and bound methods cannot cross the pickle
@@ -12,15 +11,12 @@ silent failure modes:
    ``executor.submit``, ``Process(target=...)``) and callables passed
    alongside an ``n_jobs=`` keyword.  The fleet-dispatch entry points
    of :mod:`repro.parallel` (:data:`_FLEET_SAFE_CALLEES`) are exempt:
-   their ``n_jobs`` shards *replicas* in-process and the callable
-   never crosses the boundary — except on the sweep's explicit legacy
-   ``dispatch="points"`` path, which still fans whole payloads
-   (factory included) into a stock executor and stays flagged.
-   Likewise exempt: ``SupervisedPool.run_jobs``
-   (:data:`_MASTER_SIDE_POOL_METHODS`), whose callable keywords
-   (``local_runner``/``validate``/``on_result``) are supervision hooks
-   invoked in the dispatching process — lambdas there are idiomatic,
-   not a pickle hazard.
+   their ``n_jobs`` shards *replicas* as packed records and the
+   callable never crosses the boundary.  Likewise exempt:
+   ``SupervisedPool.run_jobs`` (:data:`_MASTER_SIDE_POOL_METHODS`),
+   whose callable keywords (``local_runner``/``validate``/
+   ``on_result``) are supervision hooks invoked in the dispatching
+   process — lambdas there are idiomatic, not a pickle hazard.
 
 2. **Worker-side module-global mutation.**  A worker process runs in a
    *copy* of the module: mutating a module-level binding there is lost
@@ -70,16 +66,14 @@ _POOL_METHODS = {
 _WORKER_CTORS = {"Process", "Pool", "ProcessPoolExecutor", "ThreadPoolExecutor"}
 #: Keyword arguments that carry callables across the boundary.
 _WORKER_KWARGS = {"target", "func", "function", "initializer"}
-#: Callees whose ``n_jobs`` shards replicas in-process (the
+#: Callees whose ``n_jobs`` shards replicas as packed records (the
 #: repro.parallel fleet dispatch): callable arguments stay on the
-#: master side, so closures and lambdas are safe — except under the
-#: sweep's legacy ``dispatch="points"`` (see :func:`_dispatches_points`).
+#: master side, so closures and lambdas are safe.
 _FLEET_SAFE_CALLEES = {
     "run_many_until_stable",
     "estimate_stabilization_time",
     "sweep_stabilization_times",
     "run_fleet_sharded",
-    "_sweep_point",
     "_estimate_journaled",
 }
 
@@ -90,22 +84,6 @@ _FLEET_SAFE_CALLEES = {
 #: invoked by the supervision loop in the dispatching process, so
 #: lambdas and closures are the *idiomatic* arguments there.
 _MASTER_SIDE_POOL_METHODS = {"run_jobs"}
-
-
-def _dispatches_points(call: ast.Call) -> bool:
-    """Whether a fleet-safe call opts into the legacy points path.
-
-    A missing ``dispatch=`` means the fleet default; any value other
-    than the literal ``"fleet"`` (including a dynamic expression) is
-    treated as the pickling path, erring toward a finding.
-    """
-    for kw in call.keywords:
-        if kw.arg == "dispatch":
-            value = kw.value
-            return not (
-                isinstance(value, ast.Constant) and value.value == "fleet"
-            )
-    return False
 
 
 def _receiver_is_pool(func: ast.Attribute) -> bool:
@@ -218,7 +196,7 @@ class ParallelSafetyRule(Rule):
         elif any(kw.arg == "n_jobs" for kw in call.keywords):
             callee = dotted_name(call.func)
             base = callee.rsplit(".", 1)[-1] if callee is not None else None
-            if base in _FLEET_SAFE_CALLEES and not _dispatches_points(call):
+            if base in _FLEET_SAFE_CALLEES:
                 # Fleet dispatch: replicas are sharded in-process and
                 # the callable never crosses the pickle boundary.
                 return []
