@@ -3,11 +3,12 @@
 The acceptance workload for the batched frontier engine (ISSUE 5): a
 Monte-Carlo fleet of 256 independent 2-state replicas on per-trial
 resampled G(n = 4096, 3/n) — the E4 sweep shape, riding the
-block-diagonal CSR path — run to stabilization under
-:func:`repro.sim.runner.run_many_until_stable` with
-``engine="auto"`` (incremental per-replica counts, pair-set tail
-rounds, O(1) retirement) against ``engine="full"`` (the PR 2 loop:
-one ``(R, n)`` count reduction plus a coverage reduction every round).
+block-diagonal CSR path — run to stabilization by
+:class:`~repro.core.batched.BatchedTwoStateMIS` (incremental
+per-replica counts, pair-set tail rounds, O(1) retirement) against
+:class:`FullBatchedTwoStateMIS`, the same engine with
+``supports_frontier = False`` (the original batched loop: one
+``(R, n)`` count reduction plus a coverage reduction every round).
 
 Two fleet shapes are measured, each with bitwise-identical per-replica
 results asserted between the engines:
@@ -57,7 +58,6 @@ from repro.core.batched import BatchedTwoStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.rng import spawn_seeds
-from repro.sim.runner import run_many_until_stable
 
 FAST = bool(int(os.environ.get("BENCH_FAST", "0"))) or "--fast" in sys.argv[1:]
 
@@ -86,6 +86,12 @@ _GRAPHS = [
 ]
 
 
+class FullBatchedTwoStateMIS(BatchedTwoStateMIS):
+    """The full-reduction batched loop: no incremental aggregates."""
+
+    supports_frontier = False
+
+
 def _build_fleet():
     """Fresh replicas (per-trial graphs, independent coin streams)."""
     return [
@@ -101,26 +107,18 @@ def _corrupt(processes, wave):
         process.corrupt_vertices(idx, black=True)
 
 
-def _run(build, engine):
+def _run(build, engine_cls):
     processes = build()
     start = time.perf_counter()
-    results = run_many_until_stable(
-        processes,
-        max_rounds=MAX_ROUNDS,
-        batch=TRIALS,
-        verify=False,
-        engine=engine,
-    )
+    results = engine_cls(processes).run(MAX_ROUNDS, verify=False)
     return time.perf_counter() - start, results
 
 
-def _run_recovery(engine):
+def _run_recovery(engine_cls):
     """Stabilize a fresh fleet, then time ``WAVES`` fault recoveries."""
     processes = _build_fleet()
-    run_many_until_stable(
-        processes, max_rounds=MAX_ROUNDS, batch=TRIALS, verify=False
-    )
-    runner = BatchedTwoStateMIS(processes, engine=engine)
+    BatchedTwoStateMIS(processes).run(MAX_ROUNDS, verify=False)
+    runner = engine_cls(processes)
     elapsed = 0.0
     results = []
     for wave in range(WAVES):
@@ -148,9 +146,9 @@ def _measure_workload(run_one):
     t_full = t_frontier = float("inf")
     rounds = 0
     for _ in range(REPEATS):
-        elapsed, full = run_one("full")
+        elapsed, full = run_one(FullBatchedTwoStateMIS)
         t_full = min(t_full, elapsed)
-        elapsed, frontier = run_one("auto")
+        elapsed, frontier = run_one(BatchedTwoStateMIS)
         t_frontier = min(t_frontier, elapsed)
         _assert_identical(full, frontier)
         rounds = max(r.rounds_executed for r in full)
@@ -167,7 +165,7 @@ def measure():
     return {
         "recovery": _measure_workload(_run_recovery),
         "fleet": _measure_workload(
-            lambda engine: _run(_build_fleet, engine)
+            lambda engine_cls: _run(_build_fleet, engine_cls)
         ),
     }
 
@@ -195,13 +193,17 @@ def test_batched_frontier_acceptance(benchmark):
 
 def test_batched_frontier_fleet(benchmark):
     benchmark.pedantic(
-        lambda: _run(_build_fleet, "auto"), rounds=REPEATS, iterations=1
+        lambda: _run(_build_fleet, BatchedTwoStateMIS),
+        rounds=REPEATS,
+        iterations=1,
     )
 
 
 def test_batched_full_fleet(benchmark):
     benchmark.pedantic(
-        lambda: _run(_build_fleet, "full"), rounds=REPEATS, iterations=1
+        lambda: _run(_build_fleet, FullBatchedTwoStateMIS),
+        rounds=REPEATS,
+        iterations=1,
     )
 
 

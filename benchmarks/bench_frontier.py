@@ -2,11 +2,11 @@
 
 The acceptance workload for the frontier engine (ISSUE 4): a single
 2-state run on G(n = 2¹⁸, 3/n).  The baseline is the PR 3 loop,
-reconstructed faithfully: ``engine="full"`` with the per-round
-aggregate memoization disabled, so ``_advance`` and every
-stability-protocol call issue fresh full-graph reductions — exactly
-what the PR 3 code did (three CSR matvecs per round for a plain run,
-five to six for a trajectory-recording run).
+reconstructed faithfully: no incremental aggregates and no per-round
+memoization, so ``_advance`` and every stability-protocol call issue
+fresh full-graph reductions — exactly what that code did (three CSR
+matvecs per round for a plain run, five to six for a
+trajectory-recording run).
 
 Two workloads are measured, both with bitwise-identical trajectories
 asserted between the engines:
@@ -64,23 +64,32 @@ _GRAPH = gnp_random_graph(N, C / N, rng=0)
 class PR3TwoStateMIS(TwoStateMIS):
     """The PR 3 full-recompute loop, reconstructed.
 
-    ``engine="full"`` with the aggregate memoization disabled: every
-    ``_advance`` / ``stable_black_mask`` / ``covered_mask`` call issues
-    a fresh full-graph reduction, as the PR 3 code did.  Trajectories
-    are still bitwise-identical to the shipped engines (asserted
-    below), so the comparison is apples to apples.
+    No frontier aggregates and no memoization: every ``_advance`` /
+    ``active_mask`` / ``stable_black_mask`` / ``covered_mask`` call
+    issues a fresh full-graph reduction, as the original loop did.
+    Trajectories are still bitwise-identical to the shipped process
+    (asserted below), so the comparison is apples to apples.
     """
 
-    def __init__(self, *args, **kwargs):
-        kwargs["engine"] = "full"
-        super().__init__(*args, **kwargs)
+    def _frontier_aggregates(self):
+        return None
 
     def _aggregate(self, key, compute):
         return compute()
 
+    def _has_black_neighbor(self):
+        return self.ops.exists(self.black)
 
-def _run(cls, record_trace, **kwargs):
-    proc = cls(_GRAPH, coins=SEED, **kwargs)
+    def _advance(self):
+        black = self.black
+        # A_t = (black & has) | (~black & ~has), i.e. elementwise XNOR.
+        active = black == self._has_black_neighbor()
+        phi = self.coins.bits(self.n)
+        self.black = black ^ (active & (phi ^ black))
+
+
+def _run(cls, record_trace):
+    proc = cls(_GRAPH, coins=SEED)
     start = time.perf_counter()
     result = run_until_stable(
         proc,
@@ -99,9 +108,7 @@ def _measure_workload(record_trace):
     for _ in range(REPEATS):
         elapsed, base, _ = _run(PR3TwoStateMIS, record_trace)
         t_base = min(t_base, elapsed)
-        elapsed, frontier, proc = _run(
-            TwoStateMIS, record_trace, engine="auto"
-        )
+        elapsed, frontier, proc = _run(TwoStateMIS, record_trace)
         t_frontier = min(t_frontier, elapsed)
     # --- bitwise equivalence of the two paths -----------------------
     assert base.stabilization_round == frontier.stabilization_round
@@ -149,7 +156,7 @@ def test_frontier_acceptance(benchmark):
 
 def test_frontier_single_run(benchmark):
     benchmark.pedantic(
-        lambda: _run(TwoStateMIS, False, engine="auto"),
+        lambda: _run(TwoStateMIS, False),
         rounds=3,
         iterations=1,
     )

@@ -40,15 +40,15 @@ processes by engine (no hardcoded type checks).
 Aggregate engine
 ----------------
 
-Every engine takes ``engine="auto" | "frontier" | "full"`` (default
-``"auto"``, also exposed on the batched entry points): the frontier
-modes maintain the per-replica neighbour counts and the stability
-bookkeeping incrementally (:mod:`repro.core.batched_frontier`), so a
-round's cost tracks the fleet's changed set — bulk rounds for the
-early collapse, flat-index scatter updates plus O(1) retirement for
-the long tail — instead of paying full ``(R, n)`` reductions every
-round.  The 3-color engine accepts the kwarg but always runs the full
-path (its switch diffuses over every closed neighbourhood per round).
+Engines with ``supports_frontier`` (the 2-state, 3-state and scheduled
+families) maintain the per-replica neighbour counts and the stability
+bookkeeping incrementally (:mod:`repro.core.batched_frontier`) wherever
+scatter can win — the block-diagonal path, or a shared graph on the CSR
+backend — so a round's cost tracks the fleet's changed set: bulk
+rounds for the early collapse, flat-index scatter updates plus O(1)
+retirement for the long tail.  Elsewhere, and always for the 3-color
+engine (its switch diffuses over every closed neighbourhood per round),
+they pay full ``(R, n)`` reductions every round.
 Engines are reusable across :meth:`~_BatchedMISEngine.run` calls
 (state is re-adopted per call), so fault-injection campaigns keep
 their block-diagonal adjacency.
@@ -100,7 +100,6 @@ from repro.core.batched_frontier import (
     BatchedFrontierAggregates,
     RoundDelta,
 )
-from repro.core.frontier import resolve_engine
 from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
 from repro.core.schedulers import (
     IndependentScheduler,
@@ -229,8 +228,8 @@ class _BatchedMISEngine:
     process_type: type | None = None
 
     #: Whether the engine implements the incremental frontier contract
-    #: (delta-reporting ``_advance_rows``); families without it quietly
-    #: run the full-reduction loop whatever ``engine=`` says.
+    #: (delta-reporting ``_advance_rows``); families without it run the
+    #: full-reduction loop.
     supports_frontier = False
 
     #: Whether the frontier path maintains a second count matrix
@@ -246,7 +245,7 @@ class _BatchedMISEngine:
         """Whether this engine can reproduce ``process`` bitwise."""
         return type(process) is cls.process_type
 
-    def __init__(self, processes: Sequence, engine: str = "auto") -> None:
+    def __init__(self, processes: Sequence) -> None:
         processes = list(processes)
         if not processes:
             raise ValueError("need at least one process to batch")
@@ -261,7 +260,6 @@ class _BatchedMISEngine:
             raise ValueError("all batched processes must share n")
         self.processes = processes
         self.n = n
-        self.engine = resolve_engine(engine)
         self.replicas = len(processes)
         self.shared_graph = all(
             p.graph is processes[0].graph for p in processes
@@ -644,24 +642,17 @@ class _BatchedMISEngine:
         black = self._black_rows(live)
         frontier: BatchedFrontierAggregates | None = None
         self._reset_frontier_scratch()
-        # ``auto`` only engages the frontier where scatter can win: the
+        # The frontier only engages where scatter can win: the
         # block-diagonal path, or a shared graph on the CSR backend.
         # Against the dense/bitset matmul backends (small or dense
         # graphs) a full reduction is a near-free BLAS call and the
-        # incremental bookkeeping only adds overhead.  An explicit
-        # ``engine="frontier"`` overrides the heuristic.
-        engage = self.engine == "frontier" or (
-            self.engine == "auto"
-            and (
-                not self.shared_graph
-                or isinstance(self._ops, SparseNeighborOps)
-            )
+        # incremental bookkeeping only adds overhead.
+        engage = not self.shared_graph or isinstance(
+            self._ops, SparseNeighborOps
         )
         if engage and self.supports_frontier:
             frontier = BatchedFrontierAggregates(
-                self,
-                adaptive=(self.engine == "auto"),
-                track_aux=self.track_aux_counts,
+                self, track_aux=self.track_aux_counts
             )
             frontier.rebuild(black, pos, aux_mask=self._aux_rows(live))
             # In frontier mode the loop's `counts` variable carries the
@@ -741,7 +732,7 @@ class _BatchedMISEngine:
                     touched = frontier.advance(black, delta, pos)
                     counts = frontier.has
                     self._sync_act_pairs(black, counts, delta, touched)
-                elif self.engine == "auto" and (
+                elif (
                     self._changed_count is None
                     or self._changed_count * BULK_ADVANCE_FRACTION
                     > black.size

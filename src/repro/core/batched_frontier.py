@@ -27,8 +27,7 @@ Each round every replica decides independently between the scatter
 update and one full row reduction (the PR 4 crossover,
 :data:`repro.core.frontier.DEFAULT_CROSSOVER`, applied to that
 replica's own directed edge volume), so a replica mid-collapse
-scatters while a freshly corrupted or bulky replica recomputes — and
-``engine="frontier"`` forces the scatter path everywhere.
+scatters while a freshly corrupted or bulky replica recomputes.
 
 Stability bookkeeping rides the same deltas: per-replica ``I_t`` and
 ``N+[I_t]`` masks grow add-only (one application of the update rules
@@ -43,8 +42,9 @@ lockstep with replica retirement (:meth:`BatchedFrontierAggregates.filter`),
 so the count matrix, the stability masks and the flat indices shrink
 alongside the block CSR.  Everything is exact integer arithmetic on the
 same coin stream, so replicas stay bitwise-identical to their serial
-counterparts whatever the engine — ``tests/test_batched_frontier.py``
-pins this.
+counterparts, whichever path a round takes —
+``tests/test_batched_frontier.py`` pins batched runs against serial
+runs and the literal references of :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.frontier import DEFAULT_CROSSOVER
+from repro.core import frontier
 
 if TYPE_CHECKING:  # import cycle: batched.py imports this module
     from repro.core.batched import _BatchedMISEngine
@@ -74,8 +74,8 @@ PAIR_ADVANCE_FRACTION = 10
 #: O(|A_t| log |A_t|) instead of rescanning R_live * n booleans.
 PAIR_INDEX_FRACTION = 64
 
-#: Changed-pair bound (as a fraction of R_live * n) above which an
-#: ``engine="auto"`` round runs as a *bulk* round: one full reduction
+#: Changed-pair bound (as a fraction of R_live * n) above which a
+#: round runs as a *bulk* round: one full reduction
 #: per indicator and no delta extraction.  Batched reductions amortize
 #: far better than serial ones (one CSR × dense product serves every
 #: replica), so the batched scatter pays off only at much smaller
@@ -175,29 +175,22 @@ class BatchedFrontierAggregates:
         The owning batched engine (provides the shared-graph /
         block-diagonal reductions, flat-target gathers and per-pair
         degrees).
-    adaptive:
-        ``True`` for ``engine="auto"`` (per-replica scatter/full
-        crossover), ``False`` for ``engine="frontier"`` (always
-        scatter).
     track_aux:
         Maintain the auxiliary count matrix as well.
-    crossover:
-        Scatter/full switch point as a fraction of each replica's
-        directed edge volume (only consulted when ``adaptive``).
+
+    Each replica's scatter/full switch point is
+    :data:`repro.core.frontier.DEFAULT_CROSSOVER` of its own directed
+    edge volume, read at every rebuild.
     """
 
     def __init__(
         self,
         engine: "_BatchedMISEngine",
-        adaptive: bool = True,
         track_aux: bool = False,
-        crossover: float = DEFAULT_CROSSOVER,
     ) -> None:
         self.engine = engine
         self.n = engine.n
-        self.adaptive = bool(adaptive)
         self.track_aux = bool(track_aux)
-        self.crossover = float(crossover)
         self.counts: np.ndarray | None = None
         self.has: np.ndarray | None = None
         self.aux_counts: np.ndarray | None = None
@@ -255,7 +248,7 @@ class BatchedFrontierAggregates:
     ) -> None:
         """Recompute every aggregate from scratch for the given mask(s)."""
         self.row_vols = self.engine._row_volumes(pos)
-        self._thresholds = self.crossover * self.row_vols
+        self._thresholds = frontier.DEFAULT_CROSSOVER * self.row_vols
         # The backend's native count dtype is kept (int32 for the
         # matvec backends): the scatter adds stay exact — counts never
         # leave [0, n) — and narrower rows halve mask-pass traffic.
@@ -320,7 +313,7 @@ class BatchedFrontierAggregates:
     ) -> None:
         """One bulk round: full count reductions, add-only stability.
 
-        The ``engine="auto"`` shortcut for rounds where most of the
+        The shortcut for rounds where most of the
         graph is still moving: recomputing the count matrices with one
         reduction each is cheaper than extracting the changed pairs,
         and the stability bookkeeping still advances through the
@@ -418,27 +411,21 @@ class BatchedFrontierAggregates:
         moved = up_rows.size + down_rows.size > 0
         if not moved:
             return _EMPTY
-        scatter_all = True
-        full_rows = None
-        if self.adaptive:
-            vol = np.zeros(L, dtype=np.int64)
-            if up_rows.size:
-                np.add.at(
-                    vol, up_rows, engine._pair_degrees(up_rows, up_verts, pos)
-                )
-            if down_rows.size:
-                np.add.at(
-                    vol,
-                    down_rows,
-                    engine._pair_degrees(down_rows, down_verts, pos),
-                )
-            heavy = vol > self._thresholds
-            if heavy.any():
-                scatter_all = False
-                full_rows = np.flatnonzero(heavy)
+        vol = np.zeros(L, dtype=np.int64)
+        if up_rows.size:
+            np.add.at(
+                vol, up_rows, engine._pair_degrees(up_rows, up_verts, pos)
+            )
+        if down_rows.size:
+            np.add.at(
+                vol,
+                down_rows,
+                engine._pair_degrees(down_rows, down_verts, pos),
+            )
+        heavy = vol > self._thresholds
         counts_flat = counts.reshape(-1)
         has_flat = has.reshape(-1)
-        if scatter_all:
+        if not heavy.any():
             up_t = engine._flat_targets(up_rows, up_verts, pos)
             down_t = engine._flat_targets(down_rows, down_verts, pos)
             apply_flat_delta(counts_flat, up_t, down_t)
@@ -453,6 +440,7 @@ class BatchedFrontierAggregates:
             return touched
         # Mixed round: heavy replicas recompute their row, the rest
         # scatter.  (`heavy` rows' pairs are dropped from the scatter.)
+        full_rows = np.flatnonzero(heavy)
         sub_pos = None if pos is None else pos[full_rows]
         counts[full_rows] = engine._count_nbrs(new_mask[full_rows], sub_pos)
         light_up = ~heavy[up_rows]
@@ -649,7 +637,7 @@ class BatchedFrontierAggregates:
         live = 0 if self.unstable is None else self.unstable.shape[0]
         return (
             f"BatchedFrontierAggregates(live={live}, n={self.n}, "
-            f"adaptive={self.adaptive}, aux={self.track_aux}, "
+            f"aux={self.track_aux}, "
             f"scatter_rounds={self.scatter_rounds}, "
             f"full_rounds={self.full_rounds})"
         )

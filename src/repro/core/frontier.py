@@ -16,23 +16,20 @@ vertices whose state changed.  Per-round cost becomes
 ``O(n + vol(changed))`` instead of ``O(m)`` (the ``O(n)`` term is the
 coin draw and the boolean mask algebra, which every engine pays).
 
-Engine modes (``engine=`` on the 2-state and 3-state constructors):
+Each round, :meth:`FrontierAggregates.advance` scatter-updates the
+persistent counts when the changed set's edge volume is below the
+crossover fraction of the graph's total directed edge volume, and
+otherwise recomputes them with one full reduction (the counts stay
+persistent either way): early rounds where most of the graph moves pay
+one matvec, and as ``V_t`` collapses the aggregates switch to scatter
+updates.  The choice is the code's, not the caller's.
 
-* ``"full"``     — the classic path: one fresh reduction per aggregate
-  per round (memoized within a round, see
-  :meth:`repro.core.process.MISProcess._aggregate`).
-* ``"frontier"`` — always scatter-update the persistent counts.
-* ``"auto"``     — per round, scatter-update when the changed set's
-  edge volume is below the crossover fraction of the graph's total
-  directed edge volume, otherwise recompute the counts with one full
-  reduction (the counts stay persistent either way).  This is the
-  default: early rounds where most of the graph moves pay one matvec,
-  and as ``V_t`` collapses the engine switches to scatter updates.
-
-All three modes produce bitwise-identical trajectories: the aggregates
-are exact integer counts however they are computed, and the coin
+Both paths produce bitwise-identical trajectories: the aggregates are
+exact integer counts however they are computed, and the coin
 discipline is untouched (``bits(n)`` is drawn every round even when few
-vertices consume it).  ``tests/test_frontier.py`` pins this.
+vertices consume it).  ``tests/test_frontier.py`` pins the processes
+against the literal per-vertex references of :mod:`repro.core.reference`
+with the crossover forced to either extreme as well as at its default.
 
 Stabilization bookkeeping
 -------------------------
@@ -83,9 +80,6 @@ import numpy as np
 from repro.core.neighbor_ops import NeighborOps
 from repro.graphs.graph import Graph
 
-#: Engine modes accepted by the 2-state / 3-state constructors.
-ENGINES = ("auto", "frontier", "full")
-
 #: Scatter/full crossover as a fraction of the directed edge volume 2m
 #: (see the module docstring; picked empirically, flat optimum — the
 #: bincount scatter stays competitive with the CSR matvec up to about
@@ -94,15 +88,6 @@ DEFAULT_CROSSOVER = 0.25
 
 #: Token meaning "aggregates out of sync with the process state".
 STALE = object()
-
-
-def resolve_engine(engine: str) -> str:
-    """Validate an ``engine=`` argument (``"auto"``/``"frontier"``/``"full"``)."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
 
 
 class FrontierAggregates:
@@ -158,38 +143,30 @@ class FrontierAggregates:
     ops:
         The owner's :class:`~repro.core.neighbor_ops.NeighborOps`, used
         for full recomputations and scatter deltas.
-    adaptive:
-        ``True`` for ``engine="auto"`` (per-round scatter/full
-        crossover), ``False`` for ``engine="frontier"`` (always
-        scatter).
     track_aux:
         Maintain the auxiliary count array as well.
-    crossover:
-        Scatter/full switch point as a fraction of the directed edge
-        volume (only consulted when ``adaptive``).
+
+    The scatter/full switch point is :data:`DEFAULT_CROSSOVER`, read
+    whenever the edge volume is (re)measured.
     """
 
     def __init__(
         self,
         graph: Graph,
         ops: NeighborOps,
-        adaptive: bool = True,
         track_aux: bool = False,
-        crossover: float = DEFAULT_CROSSOVER,
     ) -> None:
         self.graph = graph
         self.ops = ops
         self.n = graph.n
-        self.adaptive = bool(adaptive)
         self.track_aux = bool(track_aux)
-        self.crossover = float(crossover)
         # Degrees/volume come from the ops backend, not the graph: the
         # dynamic overlay backend (repro.dynamic.overlay) reports the
         # live churn-adjusted topology through the same hooks.
         self._degrees = ops.degrees()
         #: Directed edge volume 2m — the cost of one full reduction.
         self.volume = int(ops.volume())
-        self._threshold = self.crossover * self.volume
+        self._threshold = DEFAULT_CROSSOVER * self.volume
         self.token: object = STALE
         self.counts: np.ndarray | None = None
         self.has_black: np.ndarray | None = None
@@ -320,10 +297,7 @@ class FrontierAggregates:
         black_scatter = True
         touched = self.graph.indices[:0]
         if black_moved:
-            if self.adaptive:
-                black_scatter = (
-                    self.changed_volume(up, down) <= self._threshold
-                )
+            black_scatter = self.changed_volume(up, down) <= self._threshold
             if black_scatter:
                 touched = self.ops.apply_count_delta(self.counts, up, down)
                 if touched.size * 16 < self.n:
@@ -361,12 +335,7 @@ class FrontierAggregates:
                 aux_down = np.concatenate(
                     (aux_down, np.unique(added[aux_mask[added]]))
                 )
-            aux_scatter = True
-            if self.adaptive:
-                aux_scatter = (
-                    self.changed_volume(aux_up, aux_down) <= self._threshold
-                )
-            if aux_scatter:
+            if self.changed_volume(aux_up, aux_down) <= self._threshold:
                 aux_touched = self.ops.apply_count_delta(
                     self.aux_counts, aux_up, aux_down
                 )
@@ -499,7 +468,7 @@ class FrontierAggregates:
         # us, and every later cost estimate must see the new topology.
         self._degrees = self.ops.degrees()
         self.volume = int(self.ops.volume())
-        self._threshold = self.crossover * self.volume
+        self._threshold = DEFAULT_CROSSOVER * self.volume
         if self.token is not token or self.counts is None:
             # Already out of sync with the state — nothing worth
             # repairing; the next aggregate access rebuilds.
@@ -507,7 +476,7 @@ class FrontierAggregates:
             self.topology_rebuilds += 1
             return "rebuild"
         endpoints = np.concatenate((add_us, add_vs, rem_us, rem_vs))
-        if self.adaptive and self.changed_volume(endpoints) > self._threshold:
+        if self.changed_volume(endpoints) > self._threshold:
             self.rebuild(black, token, aux=aux)
             self.topology_rebuilds += 1
             return "rebuild"

@@ -95,8 +95,8 @@ class MISProcess:
         self.round: int = 0
         self._agg_cache: dict[str, np.ndarray] = {}
         self._agg_token: object = _STALE
-        #: Incremental aggregates, when a frontier engine is active
-        #: (set lazily by subclasses that support ``engine=``).
+        #: Incremental aggregates (set lazily by the families that keep
+        #: them: the 2-state, 3-state and scheduled 2-state processes).
         self._frontier = None
 
     # ------------------------------------------------------------------

@@ -14,14 +14,14 @@ Four process families have a record encoding, keyed by their ``name``:
 ==========================  ==========================================
 family                      state bit-planes / config
 ==========================  ==========================================
-``2-state``                 black (1 plane); ``engine``,
+``2-state``                 black (1 plane);
                             ``eager_white_promotion``
-``3-state``                 states (2 planes); ``engine``
+``3-state``                 states (2 planes); no config
 ``3-color``                 colors (2 planes) + switch levels (3
                             planes, ``levels``) and ``switch_round``;
-                            ``engine``, ``a``, ``zeta``
-``2-state (scheduled)``     black (1 plane); ``engine``, ``scheduler``
-                            (and ``q`` for the independent daemon)
+                            ``a``, ``zeta``
+``2-state (scheduled)``     black (1 plane); ``scheduler`` (and ``q``
+                            for the independent daemon)
 ==========================  ==========================================
 
 Each family's process class implements ``replica_state()`` (process →

@@ -32,12 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.frontier import FrontierAggregates, resolve_engine
 from repro.core.neighbor_ops import NeighborOps
-from repro.core.process import MISProcess
-from repro.core.replica import ReplicaState
-from repro.core.two_state import resolve_two_state_init
-from repro.core.states import pack_state, unpack_state, validate_two_state
+from repro.core.two_state import _BlackStateProcess, resolve_two_state_init
 from repro.graphs.graph import Graph
 from repro.sim.rng import CoinSource, SeededCoins
 
@@ -112,19 +108,18 @@ class AdversarialGreedyScheduler(Scheduler):
         return mask
 
 
-class ScheduledTwoStateMIS(MISProcess):
+class ScheduledTwoStateMIS(_BlackStateProcess):
     """The 2-state MIS rule under a pluggable activation scheduler.
 
     With :class:`SynchronousScheduler` this is exactly
     :class:`~repro.core.two_state.TwoStateMIS` (tested).  Coin order per
     round: the scheduler's draws (if any) first, then the φ_t array.
 
-    ``engine`` selects the aggregate engine (see
-    :mod:`repro.core.frontier`): under a daemon the black mask changes
-    only at the activated subset of the rule-enabled vertices, so the
-    frontier path's scatter updates shrink with the daemon's
-    activation rate as well as with the frontier.  Trajectories are
-    bitwise-identical across engines per seed.
+    The black-neighbour counts are persistent
+    :class:`~repro.core.frontier.FrontierAggregates`: under a daemon
+    the black mask changes only at the activated subset of the
+    rule-enabled vertices, so their scatter updates shrink with the
+    daemon's activation rate as well as with the frontier.
 
     ``ops`` adopts a pre-built
     :class:`~repro.core.neighbor_ops.NeighborOps` instead of
@@ -141,7 +136,6 @@ class ScheduledTwoStateMIS(MISProcess):
         coins: CoinSource | int | np.random.Generator | None = None,
         init: np.ndarray | str | None = None,
         backend: str = "auto",
-        engine: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
         super().__init__(graph, coins, backend, ops=ops)
@@ -149,63 +143,23 @@ class ScheduledTwoStateMIS(MISProcess):
             scheduler if scheduler is not None else SynchronousScheduler()
         )
         self.black = resolve_two_state_init(init, self.n, self.coins)
-        self.engine = resolve_engine(engine)
-
-    def _state_token(self) -> object:
-        return self.black
-
-    def _frontier_aggregates(self) -> FrontierAggregates | None:
-        if self.engine == "full":
-            return None
-        frontier = self._frontier
-        if frontier is None:
-            frontier = self._frontier = FrontierAggregates(
-                self.graph, self.ops, adaptive=(self.engine == "auto")
-            )
-        if frontier.token is not self.black:
-            frontier.rebuild(self.black, token=self.black)
-        return frontier
-
-    def _has_black_neighbor(self) -> np.ndarray:
-        """``exists(B_t)`` via the engine-appropriate path (no mutation)."""
-        frontier = self._frontier_aggregates()
-        if frontier is not None:
-            return frontier.has_black
-        return self._aggregate(
-            "exists_black", lambda: self.ops.exists(self.black)
-        )
 
     def _advance(self) -> None:
         selected = self.scheduler.select(self)
         black = self.black
-        rule_enabled = black == self._has_black_neighbor()  # XNOR
+        frontier = self._frontier_aggregates()
+        rule_enabled = black == frontier.has_black  # XNOR
         active = rule_enabled & selected
         phi = self.coins.bits(self.n)
         # Active vertices adopt phi; equivalently, flip exactly the
         # active vertices whose coin differs from their state.
         changed_mask = active & (phi ^ black)
         new_black = black ^ changed_mask
-        frontier = self._frontier_aggregates()
-        if frontier is not None:
-            changed = np.flatnonzero(changed_mask)
-            up = changed[new_black[changed]]
-            down = changed[~new_black[changed]]
-            frontier.advance(new_black, up, down, token=new_black)
+        changed = np.flatnonzero(changed_mask)
+        up = changed[new_black[changed]]
+        down = changed[~new_black[changed]]
+        frontier.advance(new_black, up, down, token=new_black)
         self.black = new_black
-
-    def black_mask(self) -> np.ndarray:
-        return self.black.copy()
-
-    def active_mask(self) -> np.ndarray:
-        """Rule-enabled vertices (scheduler-independent activity)."""
-        return self.black == self._has_black_neighbor()  # XNOR
-
-    def state_vector(self) -> np.ndarray:
-        return self.black.copy()
-
-    def corrupt(self, states: np.ndarray) -> None:
-        self.black = validate_two_state(states, self.n)
-        self._state_changed()
 
     def _replica_config(self) -> dict[str, Any]:
         scheduler = self.scheduler
@@ -215,18 +169,10 @@ class ScheduledTwoStateMIS(MISProcess):
                 f"a scheduled replica record cannot carry a "
                 f"{type(scheduler).__name__}"
             )
-        config: dict[str, Any] = {"engine": self.engine, "scheduler": name}
+        config: dict[str, Any] = {"scheduler": name}
         if isinstance(scheduler, IndependentScheduler):
             config["q"] = scheduler.q
         return config
-
-    def replica_state(self) -> ReplicaState:
-        return self._replica_record(pack_state(self.black))
-
-    def restore(self, state: ReplicaState) -> None:
-        self._restore_header(state)
-        self.black = unpack_state(state.state, self.n, np.bool_)
-        self._state_changed()
 
     @classmethod
     def _blank(
@@ -247,7 +193,6 @@ class ScheduledTwoStateMIS(MISProcess):
             scheduler=scheduler,
             coins=coins,
             init="all_white",
-            engine=config["engine"],
             ops=ops,
         )
 

@@ -35,7 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.frontier import resolve_engine
 from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
 from repro.core.process import MISProcess
 from repro.core.replica import ReplicaState
@@ -106,17 +105,18 @@ class ThreeColorMIS(MISProcess):
     a:
         Switch parameter when ``switch`` is ``None`` (Definition 28 uses
         a = 512, giving ζ = 4/a = 2^-7 and 18 states total).
-    engine:
-        Accepted for interface uniformity with the 2-/3-state
-        processes and the batched entry points (validated and stored),
-        but the 3-color process always runs the memoized full path:
-        its switch levels diffuse a ``max`` over *every* closed
-        neighbourhood each round, so there is no small changed set for
-        an incremental engine to exploit.
     ops:
         A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
         adopt instead of constructing one from ``backend`` (shared with
         the default switch).
+
+    Notes
+    -----
+    Unlike the 2-/3-state processes, this one keeps no incremental
+    aggregates: its switch levels diffuse a ``max`` over *every* closed
+    neighbourhood each round, so there is no small changed set to
+    exploit.  Its reductions are memoized per round instead
+    (:meth:`~repro.core.process.MISProcess._aggregate`).
     """
 
     name = "3-color"
@@ -130,7 +130,6 @@ class ThreeColorMIS(MISProcess):
         switch: SwitchProcess | None = None,
         a: float = DEFAULT_A,
         backend: str = "auto",
-        engine: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
         super().__init__(graph, coins, backend, ops=ops)
@@ -141,7 +140,6 @@ class ThreeColorMIS(MISProcess):
             )  # repro-lint: disable=coin-flow (documented init-time draw; callers not passing a switch opt into its default init)
         self.switch = switch
         self.a = a
-        self.engine = resolve_engine(engine)
 
     # ------------------------------------------------------------------
     def _state_token(self) -> object:
@@ -234,7 +232,7 @@ class ThreeColorMIS(MISProcess):
                 "a 3-color replica record needs a RandomizedLogSwitch on "
                 "the process's own graph and coin stream"
             )
-        return {"engine": self.engine, "a": self.a, "zeta": switch.zeta}
+        return {"a": self.a, "zeta": switch.zeta}
 
     def replica_state(self) -> ReplicaState:
         record = self._replica_record(pack_state(self.colors, 2))
@@ -274,6 +272,5 @@ class ThreeColorMIS(MISProcess):
             init="all_white",
             switch=switch,
             a=config["a"],
-            engine=config["engine"],
             ops=ops,
         )

@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.frontier import FrontierAggregates, resolve_engine
+from repro.core.frontier import FrontierAggregates
 from repro.core.neighbor_ops import NeighborOps
 from repro.core.process import MISProcess
 from repro.core.replica import ReplicaState
@@ -81,16 +81,14 @@ class ThreeStateMIS(MISProcess):
     Per round, exactly one ``bits(n)`` draw is consumed: the coin that
     chooses black1 (True) vs black0 (False) for re-randomizing vertices.
 
-    ``engine`` selects the aggregate engine (see
-    :mod:`repro.core.frontier`): the frontier path maintains *two*
-    persistent count arrays — black neighbours and black1 neighbours
-    outside ``I_t`` — scatter-updated along the changed vertices'
-    edges.  A stable black vertex alternates black1/black0 forever, but
-    those flips are never scattered: the black1 count leaves ``I_t``
-    out (exact wherever it is read, since a black vertex has no stable
-    neighbour), so both counts' deltas collapse with ``V_t`` as in the
-    2-state process.  Trajectories are bitwise-identical across
-    engines.
+    The process keeps *two* persistent count arrays
+    (:class:`~repro.core.frontier.FrontierAggregates`) — black
+    neighbours and black1 neighbours outside ``I_t`` — updated along
+    the changed vertices' edges.  A stable black vertex alternates
+    black1/black0 forever, but those flips are never scattered: the
+    black1 count leaves ``I_t`` out (exact wherever it is read, since a
+    black vertex has no stable neighbour), so both counts' deltas
+    collapse with ``V_t`` as in the 2-state process.
     """
 
     name = "3-state"
@@ -102,27 +100,20 @@ class ThreeStateMIS(MISProcess):
         coins: CoinSource | int | np.random.Generator | None = None,
         init: np.ndarray | str | None = None,
         backend: str = "auto",
-        engine: str = "auto",
         ops: "NeighborOps | None" = None,
     ) -> None:
         super().__init__(graph, coins, backend, ops=ops)
         self.states = resolve_three_state_init(init, self.n, self.coins)
-        self.engine = resolve_engine(engine)
 
     # ------------------------------------------------------------------
     def _state_token(self) -> object:
         return self.states
 
-    def _frontier_aggregates(self) -> FrontierAggregates | None:
-        if self.engine == "full":
-            return None
+    def _frontier_aggregates(self) -> FrontierAggregates:
         frontier = self._frontier
         if frontier is None:
             frontier = self._frontier = FrontierAggregates(
-                self.graph,
-                self.ops,
-                adaptive=(self.engine == "auto"),
-                track_aux=True,
+                self.graph, self.ops, track_aux=True
             )
         if frontier.token is not self.states:
             states = self.states
@@ -131,38 +122,11 @@ class ThreeStateMIS(MISProcess):
             )
         return frontier
 
-    def _neighbor_flags(
-        self,
-    ) -> tuple[FrontierAggregates | None, np.ndarray, np.ndarray]:
-        """``(frontier, exists(black1), exists(black))`` via the engine.
-
-        ``frontier`` is the synced aggregate engine, ``None`` on the
-        full path.  Its black1 flags count only black1 neighbours
-        outside ``I_t``; they are exact wherever they are read, at
-        black0 vertices (a black vertex has no neighbour in ``I_t``).
-        """
-        frontier = self._frontier_aggregates()
-        if frontier is not None:
-            return frontier, frontier.aux_has, frontier.has_black
-        states = self.states
-        has_black1_nbr = self._aggregate(
-            "exists_black1", lambda: self.ops.exists(states == BLACK1)
-        )
-        has_black_nbr = self._aggregate(
-            "exists_black", lambda: self.ops.exists(states != WHITE)
-        )
-        return None, has_black1_nbr, has_black_nbr
-
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         states = self.states
-        frontier, has_black1_nbr, has_black_nbr = self._neighbor_flags()
-        randomize = (
-            (states == BLACK1)
-            | ((states == BLACK0) & ~has_black1_nbr)
-            | ((states == WHITE) & ~has_black_nbr)
-        )
-
+        frontier = self._frontier_aggregates()
+        randomize = self.active_mask()
         phi = self.coins.bits(self.n)
         # With WHITE = 0, BLACK0 = 1, BLACK1 = 2 the update is
         # arithmetic: a randomizing vertex becomes 1 + phi, and every
@@ -170,27 +134,24 @@ class ThreeStateMIS(MISProcess):
         # non-randomizing black0 hears a black1 beep and is demoted, a
         # non-randomizing white stays white).
         new_states = randomize.view(np.int8) + (randomize & phi).view(np.int8)
-        if frontier is not None:
-            # A vertex of I_t stays black and is not counted in the
-            # black1 aggregate, so its black1/black0 flips are skipped.
-            changed = np.flatnonzero(
-                (new_states != states) & ~frontier.stable
-            )
-            old_state = states[changed]
-            new_state = new_states[changed]
-            old_black = old_state != WHITE
-            new_black = new_state != WHITE
-            old_black1 = old_state == BLACK1
-            new_black1 = new_state == BLACK1
-            frontier.advance(
-                new_states != WHITE,
-                up=changed[new_black & ~old_black],
-                down=changed[old_black & ~new_black],
-                token=new_states,
-                aux_mask=new_states == BLACK1,
-                aux_up=changed[new_black1 & ~old_black1],
-                aux_down=changed[old_black1 & ~new_black1],
-            )
+        # A vertex of I_t stays black and is not counted in the black1
+        # aggregate, so its black1/black0 flips are skipped.
+        changed = np.flatnonzero((new_states != states) & ~frontier.stable)
+        old_state = states[changed]
+        new_state = new_states[changed]
+        old_black = old_state != WHITE
+        new_black = new_state != WHITE
+        old_black1 = old_state == BLACK1
+        new_black1 = new_state == BLACK1
+        frontier.advance(
+            new_states != WHITE,
+            up=changed[new_black & ~old_black],
+            down=changed[old_black & ~new_black],
+            token=new_states,
+            aux_mask=new_states == BLACK1,
+            aux_up=changed[new_black1 & ~old_black1],
+            aux_down=changed[old_black1 & ~new_black1],
+        )
         self.states = new_states
 
     # ------------------------------------------------------------------
@@ -206,11 +167,14 @@ class ThreeStateMIS(MISProcess):
         all-white neighbourhoods.
         """
         states = self.states
-        _, has_black1_nbr, has_black_nbr = self._neighbor_flags()
+        frontier = self._frontier_aggregates()
+        # The black1 flags count only black1 neighbours outside I_t;
+        # they are read at black0 vertices only, where they are exact
+        # (a black vertex has no neighbour in I_t).
         return (
             (states == BLACK1)
-            | ((states == BLACK0) & ~has_black1_nbr)
-            | ((states == WHITE) & ~has_black_nbr)
+            | ((states == BLACK0) & ~frontier.aux_has)
+            | ((states == WHITE) & ~frontier.has_black)
         )
 
     def state_vector(self) -> np.ndarray:
@@ -221,7 +185,7 @@ class ThreeStateMIS(MISProcess):
         self._state_changed()
 
     def _replica_config(self) -> dict[str, Any]:
-        return {"engine": self.engine}
+        return {}
 
     def replica_state(self) -> ReplicaState:
         return self._replica_record(pack_state(self.states, 2))

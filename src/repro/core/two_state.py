@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.frontier import FrontierAggregates, resolve_engine
+from repro.core.frontier import FrontierAggregates
 from repro.core.neighbor_ops import NeighborOps
 from repro.core.process import MISProcess
 from repro.core.replica import ReplicaState
@@ -58,7 +58,55 @@ def resolve_two_state_init(
     return validate_two_state(init, n)
 
 
-class TwoStateMIS(MISProcess):
+class _BlackStateProcess(MISProcess):
+    """Shared machinery of the processes whose whole state is one black
+    mask (the plain and scheduled 2-state processes): the frontier
+    aggregates over ``black`` and the record/fault-injection plumbing."""
+
+    black: np.ndarray
+
+    def _state_token(self) -> object:
+        return self.black
+
+    def _frontier_aggregates(self) -> FrontierAggregates:
+        frontier = self._frontier
+        if frontier is None:
+            frontier = self._frontier = FrontierAggregates(
+                self.graph, self.ops
+            )
+        if frontier.token is not self.black:
+            frontier.rebuild(self.black, token=self.black)
+        return frontier
+
+    def _has_black_neighbor(self) -> np.ndarray:
+        """``exists(B_t)`` from the synced aggregates (no mutation)."""
+        return self._frontier_aggregates().has_black
+
+    def black_mask(self) -> np.ndarray:
+        return self.black.copy()
+
+    def active_mask(self) -> np.ndarray:
+        """``A_t``: black with a black neighbour, or white with none."""
+        # (black & has) | (~black & ~has) — elementwise XNOR.
+        return self.black == self._has_black_neighbor()
+
+    def state_vector(self) -> np.ndarray:
+        return self.black.copy()
+
+    def corrupt(self, states: np.ndarray) -> None:
+        self.black = validate_two_state(states, self.n)
+        self._state_changed()
+
+    def replica_state(self) -> ReplicaState:
+        return self._replica_record(pack_state(self.black))
+
+    def restore(self, state: ReplicaState) -> None:
+        self._restore_header(state)
+        self.black = unpack_state(state.state, self.n, np.bool_)
+        self._state_changed()
+
+
+class TwoStateMIS(_BlackStateProcess):
     """Vectorized implementation of the 2-state MIS process.
 
     Parameters
@@ -73,18 +121,14 @@ class TwoStateMIS(MISProcess):
         vertex with no black neighbour turns black with probability 1
         instead of 1/2.  Black-with-black-neighbour transitions keep the
         fair coin.  Default ``False`` (the paper's process).
-    engine:
-        Aggregate engine (see :mod:`repro.core.frontier`): ``"full"``
-        recomputes the neighbourhood reduction every round, ``"frontier"``
-        scatter-updates persistent black-neighbour counts along only
-        the changed vertices' edges, and ``"auto"`` (default) switches
-        between the two per round at the empirical volume crossover.
-        All three produce bitwise-identical trajectories.
 
     Notes
     -----
     Per round, exactly one ``bits(n)`` draw is consumed from the coin
-    source — the φ_t array of §2.1 — regardless of the engine.
+    source — the φ_t array of §2.1.  The black-neighbour counts are
+    persistent :class:`~repro.core.frontier.FrontierAggregates`,
+    scatter-updated along the changed vertices' edges or recomputed in
+    one reduction, whichever the round's changed volume makes cheaper.
     """
 
     name = "2-state"
@@ -97,22 +141,17 @@ class TwoStateMIS(MISProcess):
         init: np.ndarray | str | None = None,
         backend: str = "auto",
         eager_white_promotion: bool = False,
-        engine: str = "auto",
         ops: "NeighborOps | None" = None,
     ) -> None:
         super().__init__(graph, coins, backend, ops=ops)
         self.black = resolve_two_state_init(init, self.n, self.coins)
         self.eager_white_promotion = bool(eager_white_promotion)
-        self.engine = resolve_engine(engine)
         # Frontier-localized active set: sorted indices of A_t, kept
         # only while small (see _advance); None = not maintained.
         self._active_idx: np.ndarray | None = None
         self._active_token: object = None
 
     # ------------------------------------------------------------------
-    def _state_token(self) -> object:
-        return self.black
-
     def _state_changed(self) -> None:
         self._active_idx = None
         super()._state_changed()
@@ -122,27 +161,6 @@ class TwoStateMIS(MISProcess):
         # no longer trustworthy after an edge delta.
         self._active_idx = None
         super()._topology_changed()
-
-    def _frontier_aggregates(self) -> FrontierAggregates | None:
-        if self.engine == "full":
-            return None
-        frontier = self._frontier
-        if frontier is None:
-            frontier = self._frontier = FrontierAggregates(
-                self.graph, self.ops, adaptive=(self.engine == "auto")
-            )
-        if frontier.token is not self.black:
-            frontier.rebuild(self.black, token=self.black)
-        return frontier
-
-    def _has_black_neighbor(self) -> np.ndarray:
-        """``exists(B_t)`` via the engine-appropriate path (no mutation)."""
-        frontier = self._frontier_aggregates()
-        if frontier is not None:
-            return frontier.has_black
-        return self._aggregate(
-            "exists_black", lambda: self.ops.exists(self.black)
-        )
 
     # ------------------------------------------------------------------
     #: |A_t| bound (as a fraction of n) below which the active set is
@@ -155,16 +173,14 @@ class TwoStateMIS(MISProcess):
         black = self.black
         frontier = self._frontier_aggregates()
         if (
-            frontier is not None
-            and not self.eager_white_promotion
+            not self.eager_white_promotion
             and self._active_idx is not None
             and self._active_token is black
         ):
             self._advance_on_active_idx(frontier)  # repro-lint: disable=coin-flow (fast path draws the identical full-width bits(n))
             return
-        has_black_nbr = self._has_black_neighbor()
         # A_t = (black & has) | (~black & ~has), i.e. elementwise XNOR.
-        active = black == has_black_nbr
+        active = black == frontier.has_black
         phi = self.coins.bits(self.n)
         if self.eager_white_promotion:
             # Ablation: active white vertices turn black deterministically;
@@ -179,27 +195,25 @@ class TwoStateMIS(MISProcess):
             # active vertices whose coin differs from their state.
             changed_mask = active & (phi ^ black)
             new_black = black ^ changed_mask
-        if frontier is not None:
-            changed = np.flatnonzero(changed_mask)
-            up = changed[new_black[changed]]
-            down = changed[~new_black[changed]]
-            touched = frontier.advance(new_black, up, down, token=new_black)
-            if (
-                not self.eager_white_promotion
-                and touched is not None
-                and int(np.count_nonzero(active))
-                * self._ACTIVE_IDX_FRACTION
-                < self.n
-            ):
-                # The frontier has collapsed: start maintaining A_t as
-                # a sorted index array (exact — A_t can only flip at
-                # changed vertices and their neighbours).
-                self._active_idx = np.flatnonzero(active & ~changed_mask)
-                self._sync_active_idx(
-                    new_black, frontier, np.concatenate((changed, touched))
-                )
-            else:
-                self._active_idx = None
+        changed = np.flatnonzero(changed_mask)
+        up = changed[new_black[changed]]
+        down = changed[~new_black[changed]]
+        touched = frontier.advance(new_black, up, down, token=new_black)
+        if (
+            not self.eager_white_promotion
+            and touched is not None
+            and int(np.count_nonzero(active)) * self._ACTIVE_IDX_FRACTION
+            < self.n
+        ):
+            # The frontier has collapsed: start maintaining A_t as a
+            # sorted index array (exact — A_t can only flip at changed
+            # vertices and their neighbours).
+            self._active_idx = np.flatnonzero(active & ~changed_mask)
+            self._sync_active_idx(
+                new_black, frontier, np.concatenate((changed, touched))
+            )
+        else:
+            self._active_idx = None
         self.black = new_black
 
     def _advance_on_active_idx(self, frontier: FrontierAggregates) -> None:
@@ -250,35 +264,8 @@ class TwoStateMIS(MISProcess):
             self._active_idx = idx
             self._active_token = new_black
 
-    # ------------------------------------------------------------------
-    def black_mask(self) -> np.ndarray:
-        return self.black.copy()
-
-    def active_mask(self) -> np.ndarray:
-        """``A_t``: black with a black neighbour, or white with none."""
-        # (black & has) | (~black & ~has) — elementwise XNOR.
-        return self.black == self._has_black_neighbor()
-
-    def state_vector(self) -> np.ndarray:
-        return self.black.copy()
-
-    def corrupt(self, states: np.ndarray) -> None:
-        self.black = validate_two_state(states, self.n)
-        self._state_changed()
-
     def _replica_config(self) -> dict[str, Any]:
-        return {
-            "engine": self.engine,
-            "eager_white_promotion": self.eager_white_promotion,
-        }
-
-    def replica_state(self) -> ReplicaState:
-        return self._replica_record(pack_state(self.black))
-
-    def restore(self, state: ReplicaState) -> None:
-        self._restore_header(state)
-        self.black = unpack_state(state.state, self.n, np.bool_)
-        self._state_changed()
+        return {"eager_white_promotion": self.eager_white_promotion}
 
     def corrupt_vertices(self, vertices: Iterable[int], black: bool) -> None:
         """Set the given vertices' colors (targeted fault injection)."""

@@ -132,10 +132,8 @@ class MISService:
         Coin seed; the service always runs a
         :class:`~repro.sim.rng.SeededCoins` so its ``(key, draw)`` state
         is checkpointable.
-    engine, backend:
-        Forwarded to the process (the frontier engine is what makes
-        incremental repair pay; ``engine="full"`` degrades every event
-        to the rebuild path).
+    backend:
+        Forwarded to the process.
     compact_fraction:
         Overlay compaction threshold (see
         :data:`~repro.dynamic.overlay.DEFAULT_COMPACT_FRACTION`).
@@ -170,7 +168,6 @@ class MISService:
         *,
         process: str = "2-state",
         seed: int = 0,
-        engine: str = "auto",
         backend: str = "auto",
         compact_fraction: float = DEFAULT_COMPACT_FRACTION,
         settle_every: int = 1,
@@ -193,7 +190,6 @@ class MISService:
         self.stream = stream
         self.process_name = process
         self.seed = int(seed)
-        self.engine = engine
         self.backend = backend
         self.settle_every = int(settle_every)
         self.checkpoint_every = int(checkpoint_every)
@@ -240,7 +236,6 @@ class MISService:
             "coins": COIN_STREAM,
             "process": self.process_name,
             "seed": self.seed,
-            "engine": self.engine,
             "backend": self.backend,
             "settle_every": self.settle_every,
             "repair": self.repair,
@@ -259,7 +254,6 @@ class MISService:
             graph,
             coins=coins,
             init=init,
-            engine=self.engine,
             backend=self.backend,
             ops=self.ops,
         )

@@ -16,16 +16,15 @@ Three ablations on the 2-state process:
    bitset (popcount), sparse (CSR) and pure-python backends on a dense and a sparse
    workload, justifying the ``make_neighbor_ops`` auto heuristic.
 
-3. **Execution path (ISSUE 4/5).**  A small Monte-Carlo fleet on a
-   sparse G(n, 3/n) run through all four execution paths —
-   serial-full, serial-frontier (:mod:`repro.core.frontier`),
-   batched-full and batched-frontier
-   (:mod:`repro.core.batched_frontier`) — with a trajectory-identity
-   verdict: every path must report the same per-seed stabilization
-   round and MIS (and the two serial paths the same aggregate
-   curves).  The wall-time column reports each path's cost; the
-   incremental engines' payoff grows with n and with the fleet's
-   tail (see ``benchmarks/bench_frontier.py`` and
+3. **Execution path.**  A small Monte-Carlo fleet on a sparse
+   G(n, 3/n) run serially (:mod:`repro.core.frontier`) and batched
+   (:mod:`repro.core.batched_frontier`), with identity verdicts: both
+   paths must report the same per-seed stabilization round and MIS,
+   and the serial path's black masks must equal the literal
+   per-vertex reference (:class:`repro.core.reference.ReferenceTwoState`)
+   round by round.  The wall-time column reports each path's cost;
+   the incremental aggregates' payoff grows with n and with the
+   fleet's tail (see ``benchmarks/bench_frontier.py`` and
    ``benchmarks/bench_batched_frontier.py`` for the asserted
    full-size numbers).
 """
@@ -46,7 +45,7 @@ from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.stats import mann_whitney_faster
 
 
-@register("E18", "Ablations: transition randomization; backend; engine")
+@register("E18", "Ablations: transition randomization; backend; path")
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     if fast:
         n = 256
@@ -148,51 +147,31 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         rows2[1][3] >= 0.5 * rows2[1][1]
     )
 
-    # --- Ablation 3: execution path (serial/batched x full/frontier) ---
+    # --- Ablation 3: execution path (serial / batched vs reference) ---
+    from repro.core.reference import ReferenceTwoState
     from repro.sim.rng import spawn_seeds
     from repro.sim.runner import run_many_until_stable, run_until_stable
 
-    n_engine = 8 * n
+    n_path = 8 * n
     replicas = 8 if fast else 16
-    engine_graph = gnp_random_graph(n_engine, 3.0 / n_engine, rng=seed + 9)
+    path_graph = gnp_random_graph(n_path, 3.0 / n_path, rng=seed + 9)
     replica_seeds = spawn_seeds(seed + 13, replicas)
-    budget = 500 * int(math.log2(n_engine)) ** 2
-
-    def fleet(engine="auto"):
-        return [
-            TwoStateMIS(engine_graph, coins=s, engine=engine)
-            for s in replica_seeds
-        ]
+    budget = 500 * int(math.log2(n_path)) ** 2
 
     path_results = {}
-    path_traces = {}
     rows3 = []
-    for path in (
-        "serial-full",
-        "serial-frontier",
-        "batched-full",
-        "batched-frontier",
-    ):
-        # The "-frontier" rows force engine="frontier" (always scatter)
-        # so the row exercises exactly the path its label names; the
-        # adaptive "auto" blend is pinned to these by the equivalence
-        # suites (tests/test_frontier.py, tests/test_batched_frontier.py).
-        serial, engine = path.split("-")
+    for path in ("serial", "batched"):
+        processes = [
+            TwoStateMIS(path_graph, coins=s) for s in replica_seeds
+        ]
         start = time.perf_counter()
-        if serial == "serial":
-            processes = fleet(engine)
+        if path == "serial":
             results = [
-                run_until_stable(p, max_rounds=budget, record_trace=True)
-                for p in processes
+                run_until_stable(p, max_rounds=budget) for p in processes
             ]
-            path_traces[path] = [r.trace.as_arrays() for r in results]
         else:
-            processes = fleet()
             results = run_many_until_stable(
-                processes,
-                max_rounds=budget,
-                batch=replicas,
-                engine=engine,
+                processes, max_rounds=budget, batch=replicas
             )
         elapsed = time.perf_counter() - start
         path_results[path] = results
@@ -211,37 +190,44 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         rows3,
         title=(
             f"Execution-path ablation: {replicas} replicas on "
-            f"G({n_engine}, 3/n)"
+            f"G({n_path}, 3/n)"
         ),
     )
-    reference = path_results["serial-full"]
-    verdicts["execution paths agree on every stabilization round"] = all(
-        [r.stabilization_round for r in results]
-        == [r.stabilization_round for r in reference]
-        for results in path_results.values()
+    serial, batched = path_results["serial"], path_results["batched"]
+    verdicts["serial and batched agree on every stabilization round"] = (
+        [r.stabilization_round for r in serial]
+        == [r.stabilization_round for r in batched]
     )
-    verdicts["execution paths agree on every MIS"] = all(
-        all(
-            np.array_equal(a.mis, b.mis)
-            for a, b in zip(results, reference)
+    verdicts["serial and batched agree on every MIS"] = all(
+        np.array_equal(a.mis, b.mis) for a, b in zip(serial, batched)
+    )
+    # Every replica replays through the literal per-vertex reference,
+    # compared round by round with a fresh serial process.
+    matches = []
+    for coin_seed, result in zip(replica_seeds, serial):
+        proc = TwoStateMIS(path_graph, coins=coin_seed)
+        reference = ReferenceTwoState(path_graph, coins=coin_seed)
+        same = np.array_equal(proc.black, reference.black)
+        for _ in range(result.rounds_executed):
+            proc.step()
+            reference.step()
+            same = same and np.array_equal(proc.black, reference.black)
+        matches.append(
+            same
+            and np.array_equal(np.flatnonzero(reference.black), result.mis)
         )
-        for results in path_results.values()
-    )
-    ref_traces = path_traces["serial-full"]
-    verdicts["serial engines agree on every trajectory"] = all(
-        np.array_equal(curves[key], ref[key])
-        for curves, ref in zip(path_traces["serial-frontier"], ref_traces)
-        for key in ref
+    verdicts["serial path matches the literal reference every round"] = all(
+        matches
     )
 
     return ExperimentResult(
         experiment_id="E18",
-        title="Design ablations (footnote 1; backends; aggregate engine)",
+        title="Design ablations (footnote 1; backends; execution path)",
         tables=[table1, table2, table3],
         verdicts=verdicts,
         data={
             "footnote1": rows1,
             "backends": rows2,
-            "engines": rows3,
+            "paths": rows3,
         },
     )

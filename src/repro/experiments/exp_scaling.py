@@ -12,15 +12,10 @@ Verdicts assert the claim shape (sublinear growth of the mean
 stabilization time — the observed growth is logarithmic), full
 stabilization success within generous budgets, and that the CSR arrays
 stay within a small constant number of bytes per edge (the property
-that makes the frontier reachable at all).
-
-Since ISSUE 4, each size also times one seeded 2-state single run under
-``engine="full"`` vs ``engine="auto"`` (the incremental frontier
-engine, :mod:`repro.core.frontier`): the ``full``/``frontier`` columns
-report wall seconds and the speedup column their ratio, with a verdict
-asserting the two engines agree on the stabilization round and the
-MIS at every n (full per-round bitwise identity is pinned by
-``tests/test_frontier.py`` and the E18 trace verdict).
+that makes the frontier reachable at all).  The incremental
+aggregates' own speedup is measured by ``benchmarks/bench_frontier.py``;
+their per-round identity with the literal reference processes is
+pinned by ``tests/test_frontier.py`` and E18.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.montecarlo import estimate_stabilization_time
-from repro.sim.runner import run_until_stable
 
 #: Mean degree of the sparse frontier workload G(n, c/n).
 C = 3.0
@@ -76,8 +70,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     means: dict[str, list[float]] = {name: [] for name in processes}
     success: dict[str, list[float]] = {name: [] for name in processes}
     bytes_per_edge = []
-    engine_match: list[bool] = []
-    frontier_speedups: list[float] = []
     data: dict[str, object] = {
         "ns": ns,
         "c": C,
@@ -111,34 +103,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             success[name].append(stats.success_rate)
             row.append(stats.mean)
             row.append(stats.max)
-        # One seeded single run per engine: the frontier column of the
-        # scaling table (trajectories asserted identical).
-        engine_seconds = {}
-        engine_results = {}
-        for engine in ("full", "auto"):
-            proc = TwoStateMIS(
-                graph, coins=seed + 77 + idx, engine=engine
-            )
-            t0 = time.perf_counter()
-            engine_results[engine] = run_until_stable(
-                proc, max_rounds=max_rounds, verify=False
-            )
-            engine_seconds[engine] = time.perf_counter() - t0
-        full_res, auto_res = engine_results["full"], engine_results["auto"]
-        engine_match.append(
-            full_res.stabilization_round == auto_res.stabilization_round
-            and (full_res.mis is None) == (auto_res.mis is None)
-            and (
-                full_res.mis is None
-                or np.array_equal(full_res.mis, auto_res.mis)
-            )
-        )
-        frontier_speedups.append(
-            engine_seconds["full"] / max(engine_seconds["auto"], 1e-9)
-        )
-        row.append(f"{engine_seconds['full'] * 1e3:.0f}ms")
-        row.append(f"{engine_seconds['auto'] * 1e3:.0f}ms")
-        row.append(f"{frontier_speedups[-1]:.1f}x")
         rss_kb = _peak_rss_kb()
         row.append(f"{rss_kb / 1024:.0f}MB")
         rows.append(row)
@@ -157,9 +121,6 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
                 "2st max",
                 "3st mean",
                 "3st max",
-                "full",
-                "frontier",
-                "spdup",
                 "peak RSS",
             ],
             rows,
@@ -180,13 +141,9 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             rate == 1.0 for rate in success[name]
         )
     data["bytes_per_edge"] = bytes_per_edge
-    data["frontier_speedups"] = frontier_speedups
     verdicts[
         f"CSR footprint <= {_MAX_BYTES_PER_EDGE:.0f} bytes/edge"
     ] = max(bytes_per_edge) <= _MAX_BYTES_PER_EDGE
-    verdicts["frontier engine matches full at every n"] = all(
-        engine_match
-    )
     return ExperimentResult(
         experiment_id="E19",
         title="Frontier scaling: 2/3-state MIS on G(n, c/n)",

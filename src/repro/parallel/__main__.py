@@ -166,7 +166,6 @@ def _wire_check(replicas: int = 8, n: int = 4096) -> bool:
             max_rounds=4000,
             verify=True,
             batch="auto",
-            engine="auto",
         )
         result = run_shard(registry, job)
     records = decode_results(registry, result.payload, fleet) or []

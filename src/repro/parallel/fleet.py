@@ -149,7 +149,6 @@ def run_fleet_sharded(
     max_rounds: int,
     verify: bool,
     batch: str | int | None,
-    engine: str,
     n_jobs: int | str | None,
     pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
@@ -221,7 +220,6 @@ def run_fleet_sharded(
                         max_rounds=max_rounds,
                         verify=verify,
                         batch=batch,
-                        engine=engine,
                     )
                     for lo, hi in pending
                 ]

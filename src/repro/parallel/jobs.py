@@ -156,7 +156,6 @@ class ShardJob:
     max_rounds: int
     verify: bool
     batch: str | int | None
-    engine: str
     #: Supervision bookkeeping: which dispatch attempt this is (the
     #: SupervisedPool bumps it on every re-dispatch; the chaos policy
     #: keys faults on it).  The payload never changes across attempts.

@@ -51,7 +51,6 @@ def run_shard(registry: Any, job: Any) -> Any:
         max_rounds=job.max_rounds,
         verify=job.verify,
         batch=job.batch,
-        engine=job.engine,
         n_jobs=1,  # a worker never recurses into its own pool
     )
     records = [

@@ -63,8 +63,9 @@ from typing import Any, Iterator, Mapping
 #: MIS service's bit-packed snapshot blobs and group-committed records.
 #: Version 3: fleet ``shard:`` blobs hold packed
 #: :class:`~repro.core.replica.ReplicaState` records, not pickled
-#: processes.
-JOURNAL_VERSION = 3
+#: processes.  Version 4: replica record configs and the MIS service
+#: spec no longer carry an ``engine`` key.
+JOURNAL_VERSION = 4
 
 #: Header magic so a random JSONL file is not mistaken for a journal.
 _MAGIC = "repro-checkpoint"

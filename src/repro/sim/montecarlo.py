@@ -187,7 +187,6 @@ def estimate_stabilization_time(
     max_rounds: int,
     seed: int | None = 0,
     batch: str | int | None = "auto",
-    engine: str = "auto",
     n_jobs: int | str | None = None,
     pool: "SupervisedPool | None" = None,
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
@@ -224,14 +223,6 @@ def estimate_stabilization_time(
         are detected from the first trial and routed to the serial loop
         without up-front chunk construction; batchable families (see
         :mod:`repro.core.batched`) ride their engine automatically.
-    engine:
-        Aggregate engine for the batched chunks
-        (``"auto"``/``"frontier"``/``"full"``, see
-        :mod:`repro.core.batched_frontier`) — ``"auto"`` (default)
-        maintains incremental per-replica neighbour counts and falls
-        back to full reductions on bulky rounds.  Statistics are
-        identical across engines; serial-path trials use the
-        process's own ``engine`` setting.
     n_jobs, pool:
         Multi-core fleet sharding, forwarded to
         :func:`~repro.sim.runner.run_many_until_stable`: the whole
@@ -254,13 +245,9 @@ def estimate_stabilization_time(
         the factory itself cannot be fingerprinted — resume with the
         factory you started with.
     """
-    from repro.core.batched import batchable
-    from repro.core.frontier import resolve_engine
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     validate_batch(batch)
-    resolve_engine(engine)
     journal, own_journal = _open_checkpoint(
         checkpoint,
         {
@@ -279,7 +266,6 @@ def estimate_stabilization_time(
             max_rounds,
             seed,
             batch,
-            engine,
             n_jobs,
             pool,
             journal,
@@ -295,7 +281,6 @@ def _estimate_journaled(
     max_rounds: int,
     seed: int | None,
     batch: str | int | None,
-    engine: str,
     n_jobs: int | str | None,
     pool: "SupervisedPool | None",
     journal: "CheckpointJournal | CheckpointView | None",
@@ -345,7 +330,6 @@ def _estimate_journaled(
                 processes,
                 max_rounds=max_rounds,
                 batch=batch,
-                engine=engine,
                 n_jobs=n_jobs,
                 pool=pool,
                 journal=journal,
@@ -388,7 +372,6 @@ def _estimate_journaled(
                 processes,
                 max_rounds=max_rounds,
                 batch=batch,
-                engine=engine,
             )
             if journal is not None:
                 journal.put(
@@ -467,7 +450,6 @@ def sweep_stabilization_times(
     max_rounds: int | Callable[[object], int],
     seed: int | None = 0,
     batch: str | int | None = "auto",
-    engine: str = "auto",
     n_jobs: int | str | None = None,
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
@@ -494,9 +476,6 @@ def sweep_stabilization_times(
     batch:
         Per-point trial execution strategy (see
         :func:`estimate_stabilization_time`).
-    engine:
-        Aggregate engine for the batched chunks at every grid point
-        (see :func:`estimate_stabilization_time`).
     n_jobs:
         Multi-core width (``"auto"`` = every usable core).  ``None``
         defers to the process-wide default of
@@ -562,7 +541,6 @@ def sweep_stabilization_times(
                 max_rounds=budgets[i],
                 seed=point_seeds[i],
                 batch=batch,
-                engine=engine,
                 n_jobs=shards,
                 pool=pool,
                 checkpoint=(

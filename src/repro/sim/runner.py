@@ -10,10 +10,10 @@ The per-round predicate is cheap: processes memoize their
 neighbourhood reductions per state version (so ``step()`` and
 ``is_stabilized()`` share one computation instead of recomputing —
 see :meth:`repro.core.process.MISProcess._aggregate`), and processes
-running the incremental frontier engine (:mod:`repro.core.frontier`,
-the 2-/3-state default) answer it from an O(1) unstable-vertex
-counter, with trace snapshots served from the same maintained
-aggregates.
+with incremental frontier aggregates (:mod:`repro.core.frontier`: the
+2-state, 3-state and scheduled families) answer it from an O(1)
+unstable-vertex counter, with trace snapshots served from the same
+maintained aggregates.
 
 For Monte-Carlo campaigns, :func:`run_many_until_stable` runs a whole
 list of independent processes, routing batchable ones (2-state,
@@ -162,7 +162,6 @@ def run_many_until_stable(
     max_rounds: int = 1_000_000,
     verify: bool = True,
     batch: str | int | None = "auto",
-    engine: str = "auto",
     n_jobs: int | str | None = None,
     pool: SupervisedPool | None = None,
     journal: "CheckpointView | None" = None,
@@ -188,15 +187,9 @@ def run_many_until_stable(
         ``"auto"`` (group batchable processes in chunks of
         :data:`AUTO_BATCH_CHUNK`, bounding peak memory), an ``int`` cap
         on replicas per batch, or ``None`` (serial loop for everything).
-    engine:
-        Aggregate engine for the *batched* groups (see
-        :mod:`repro.core.batched_frontier`): ``"full"`` recomputes the
-        ``(R, n)`` neighbour reductions every round, ``"frontier"``
-        scatter-updates persistent per-replica counts along only the
-        changed pairs' edges, and ``"auto"`` (default) decides per
-        replica per round at the volume crossover.  A pure performance
-        knob — results are bitwise-identical.  Processes on the serial
-        fallback use their own ``engine`` setting.
+        A batch group of size 1 — a lone process of its family and
+        ``n``, the last chunk's remainder, or every group under
+        ``batch=1`` — runs serially.
     n_jobs:
         Multi-core fleet sharding (see :mod:`repro.parallel`): ``None``
         defers to the process-wide default
@@ -234,11 +227,9 @@ def run_many_until_stable(
     :func:`run_until_stable` directly to record trajectories).
     """
     from repro.core.batched import engine_for
-    from repro.core.frontier import resolve_engine
 
     processes = list(processes)
     validate_batch(batch)
-    resolve_engine(engine)
 
     from repro.parallel.fleet import fleet_shards, run_fleet_sharded
     from repro.parallel.jobs import unshippable
@@ -251,7 +242,6 @@ def run_many_until_stable(
                 max_rounds=max_rounds,
                 verify=verify,
                 batch=batch,
-                engine=engine,
                 n_jobs=n_jobs,
                 pool=pool,
                 journal=journal,
@@ -280,9 +270,7 @@ def run_many_until_stable(
             chunk = indices[lo:lo + cap]
             if len(chunk) == 1:
                 continue
-            runner = engine_cls(
-                [processes[i] for i in chunk], engine=engine
-            )
+            runner = engine_cls([processes[i] for i in chunk])
             for i, result in zip(chunk, runner.run(max_rounds, verify=verify)):
                 results[i] = result
             batched_indices.update(chunk)

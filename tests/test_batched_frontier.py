@@ -1,22 +1,32 @@
 """Batched-frontier equivalence and bookkeeping guarantees.
 
-The batched frontier engine (:mod:`repro.core.batched_frontier`, wired
-as ``engine="auto" | "frontier" | "full"`` on the batched engine
-family) must be a pure performance transformation: for every seed and
-every replica, the batched ``frontier``/``auto`` paths must produce
-results *bitwise-identical* to the batched ``full`` path and to
+The batched engines (:mod:`repro.core.batched`) keep per-replica
+aggregates incrementally (:mod:`repro.core.batched_frontier`) wherever
+scatter can win, and choose per round between bulk, delta and pair
+rounds, with a per-replica fallback to a full row reduction at
+``DEFAULT_CROSSOVER``.  Whatever path a round takes, every replica must
+follow the paper's rules exactly: for every seed, batched results,
+final states and coin-stream positions are *bitwise-identical* to
 running each replica serially through
-:func:`repro.sim.runner.run_until_stable` — across shared and
-per-trial resampled (block-diagonal) graphs, mid-run retirement,
-budget exhaustion, corrupted starts, and engine reuse over fault
-waves.  This suite pins that, plus the flat-scatter primitives and the
-O(1)-retirement reduction-count contract.
+:func:`repro.sim.runner.run_until_stable` and to the literal per-vertex
+references of :mod:`repro.core.reference` — across shared and
+per-trial resampled (block-diagonal) graphs, mid-run retirement, budget
+exhaustion, corrupted starts, and engine reuse over fault waves, in
+three regimes (the matmul backend, where the aggregates do not engage;
+the CSR backend with every moving replica recomputing its row; and the
+CSR backend with every round scattering).  This suite pins that, plus
+the flat-scatter primitives and the O(1)-retirement reduction-count
+contract.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import batched as batched_module
+from repro.core import frontier as frontier_module
 from repro.core.batched import (
     BatchedScheduledTwoStateMIS,
     BatchedThreeStateMIS,
@@ -27,7 +37,11 @@ from repro.core.batched_frontier import (
     RoundDelta,
     apply_flat_delta,
 )
-from repro.core.frontier import ENGINES
+from repro.core.reference import (
+    ReferenceIndependentDaemon,
+    ReferenceThreeState,
+    ReferenceTwoState,
+)
 from repro.core.schedulers import IndependentScheduler, ScheduledTwoStateMIS
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
@@ -39,23 +53,66 @@ from repro.sim.runner import run_many_until_stable, run_until_stable
 
 MAX_ROUNDS = 50_000
 
-#: Engine classes driven through the generic equivalence helper.
+#: Per family: (engine class, build(graph, coins, backend),
+#: reference(graph, coins)).
 FAMILIES = {
     "two_state": (
         BatchedTwoStateMIS,
-        lambda graph, seed: TwoStateMIS(graph, coins=seed),
+        lambda graph, coins, backend: TwoStateMIS(
+            graph, coins=coins, backend=backend
+        ),
+        lambda graph, coins: ReferenceTwoState(graph, coins=coins),
     ),
     "three_state": (
         BatchedThreeStateMIS,
-        lambda graph, seed: ThreeStateMIS(graph, coins=seed),
+        lambda graph, coins, backend: ThreeStateMIS(
+            graph, coins=coins, backend=backend
+        ),
+        lambda graph, coins: ReferenceThreeState(graph, coins=coins),
     ),
     "scheduled": (
         BatchedScheduledTwoStateMIS,
-        lambda graph, seed: ScheduledTwoStateMIS(
-            graph, scheduler=IndependentScheduler(0.5), coins=seed
+        lambda graph, coins, backend: ScheduledTwoStateMIS(
+            graph,
+            scheduler=IndependentScheduler(0.5),
+            coins=coins,
+            backend=backend,
+        ),
+        lambda graph, coins: ReferenceIndependentDaemon(
+            graph, 0.5, coins=coins
+        ),
+    ),
+    "eager": (
+        BatchedTwoStateMIS,
+        lambda graph, coins, backend: TwoStateMIS(
+            graph, coins=coins, backend=backend, eager_white_promotion=True
+        ),
+        lambda graph, coins: ReferenceTwoState(
+            graph, coins=coins, eager_white_promotion=True
         ),
     ),
 }
+
+#: Batched regimes: (backend, crossover, bulk-round fraction).  The
+#: matmul backend keeps a shared graph off the aggregates; on the CSR
+#: backend a zero crossover makes every moving replica recompute its
+#: row, and a huge one (1e18) with no bulk threshold makes every round
+#: after the first scatter.
+REGIMES = {
+    "matmul": ("auto", frontier_module.DEFAULT_CROSSOVER, None),
+    "recompute": ("sparse", 0.0, None),
+    "scatter": ("sparse", 1e18, 0),
+}
+
+
+@contextmanager
+def regime(crossover, bulk=None):
+    """Batched runs inside the block use the given crossover and bulk rule."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "DEFAULT_CROSSOVER", crossover)
+        if bulk is not None:
+            mp.setattr(batched_module, "BULK_ADVANCE_FRACTION", bulk)
+        yield
 
 
 class CountingCoins(SeededCoins):
@@ -86,48 +143,79 @@ def assert_same_results(reference, observed):
             assert np.array_equal(a.mis, b.mis)
 
 
+def reference_state(ref):
+    return ref.states if isinstance(ref, ReferenceThreeState) else ref.black
+
+
+def set_reference_state(ref, states):
+    if isinstance(ref, ReferenceThreeState):
+        ref.states = np.asarray(states, dtype=np.int8).copy()
+    else:
+        ref.black = np.asarray(states, dtype=bool).copy()
+
+
+def run_reference(ref, max_rounds):
+    """Run ``ref`` to stabilization; ``run_until_stable``'s outcome."""
+    start = ref.round
+    while not ref.is_stabilized():
+        if ref.round - start == max_rounds:
+            return (False, None, max_rounds, None)
+        ref.step()
+    elapsed = ref.round - start
+    return (True, elapsed, elapsed, np.flatnonzero(ref.black_mask()))
+
+
 def assert_engines_match_serial(
-    engine_cls,
-    build,
+    family,
     graphs,
     seeds,
     max_rounds=MAX_ROUNDS,
     corrupt=None,
 ):
-    """Serial runs vs every batched engine mode, bitwise.
+    """Serial runs and batched runs in every regime vs the references.
 
-    ``build(graph, coins)`` constructs one replica; ``corrupt`` (if
-    given) is applied to every replica before running.  Checks
-    results, final state vectors and per-replica coin-stream
+    ``corrupt(i, n)`` (if given) returns replica ``i``'s corrupted
+    start, applied to every replica and reference before running.
+    Checks results, final state vectors and per-replica coin-stream
     positions.
     """
-    reference = None
-    for mode in ("serial",) + ENGINES:
+    engine_cls, build, build_ref = FAMILIES[family]
+    refs, ref_coins, expected = [], [], []
+    for i, (g, s) in enumerate(zip(graphs, seeds)):
+        rc = CountingCoins(s)
+        ref = build_ref(g, rc)
+        if corrupt is not None:
+            set_reference_state(ref, corrupt(i, g.n))
+        expected.append(run_reference(ref, max_rounds))
+        refs.append(ref)
+        ref_coins.append(rc)
+    for mode in ("serial",) + tuple(REGIMES):
+        backend, crossover, bulk = REGIMES.get(mode, REGIMES["matmul"])
         coins = [CountingCoins(s) for s in seeds]
-        procs = [build(g, c) for g, c in zip(graphs, coins)]
+        procs = [build(g, c, backend) for g, c in zip(graphs, coins)]
         if corrupt is not None:
             for i, p in enumerate(procs):
-                corrupt(i, p)
+                p.corrupt(corrupt(i, p.n))
         if mode == "serial":
             results = [
                 run_until_stable(p, max_rounds=max_rounds) for p in procs
             ]
         else:
-            results = engine_cls(procs, engine=mode).run(max_rounds)
-        observed = (
-            results,
-            [p.state_vector() for p in procs],
-            [p.round for p in procs],
-            [c.draws for c in coins],
-        )
-        if reference is None:
-            reference = observed
-            continue
-        assert_same_results(reference[0], observed[0])
-        for a, b in zip(reference[1], observed[1]):
-            assert np.array_equal(a, b), mode
-        assert reference[2] == observed[2], mode
-        assert reference[3] == observed[3], mode
+            with regime(crossover, bulk):
+                results = engine_cls(procs).run(max_rounds)
+        assert len(results) == len(expected)
+        for result, want in zip(results, expected):
+            stabilized, stab_round, executed, mis = want
+            assert result.stabilized == stabilized, mode
+            assert result.stabilization_round == stab_round, mode
+            assert result.rounds_executed == executed, mode
+            if mis is None:
+                assert result.mis is None, mode
+            else:
+                assert np.array_equal(result.mis, mis), mode
+        for p, c, ref, rc in zip(procs, coins, refs, ref_coins):
+            assert np.array_equal(p.state_vector(), reference_state(ref)), mode
+            assert c.draws == rc.draws, mode
 
 
 @st.composite
@@ -142,50 +230,41 @@ class TestEngineEquivalence:
     @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
     @settings(max_examples=25, deadline=None)
     def test_two_state_shared_graph(self, graph, seed):
-        engine_cls, build = FAMILIES["two_state"]
         seeds = spawn_seeds(seed, 7)
-        assert_engines_match_serial(
-            engine_cls, build, [graph] * 7, seeds
-        )
+        assert_engines_match_serial("two_state", [graph] * 7, seeds)
 
     @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
     @settings(max_examples=15, deadline=None)
     def test_three_state_shared_graph(self, graph, seed):
-        engine_cls, build = FAMILIES["three_state"]
         seeds = spawn_seeds(seed, 6)
-        assert_engines_match_serial(
-            engine_cls, build, [graph] * 6, seeds
-        )
+        assert_engines_match_serial("three_state", [graph] * 6, seeds)
 
     @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
     @settings(max_examples=15, deadline=None)
     def test_scheduled_shared_graph(self, graph, seed):
-        engine_cls, build = FAMILIES["scheduled"]
         seeds = spawn_seeds(seed, 6)
         assert_engines_match_serial(
-            engine_cls, build, [graph] * 6, seeds, max_rounds=200_000
+            "scheduled", [graph] * 6, seeds, max_rounds=200_000
         )
 
     @given(seed=st.integers(0, 2**20))
     @settings(max_examples=20, deadline=None)
     def test_two_state_resampled_graphs(self, seed):
         # Per-trial resampled graphs ride the block-diagonal CSR path.
-        engine_cls, build = FAMILIES["two_state"]
         seeds = spawn_seeds(seed, 8)
         graphs = [
             gnp_random_graph(60, 0.05, rng=s + 1) for s in seeds
         ]
-        assert_engines_match_serial(engine_cls, build, graphs, seeds)
+        assert_engines_match_serial("two_state", graphs, seeds)
 
     @given(seed=st.integers(0, 2**20))
     @settings(max_examples=10, deadline=None)
     def test_three_state_resampled_graphs(self, seed):
-        engine_cls, build = FAMILIES["three_state"]
         seeds = spawn_seeds(seed, 6)
         graphs = [
             gnp_random_graph(50, 0.06, rng=s + 1) for s in seeds
         ]
-        assert_engines_match_serial(engine_cls, build, graphs, seeds)
+        assert_engines_match_serial("three_state", graphs, seeds)
 
     @given(
         graph=sparse_graphs(),
@@ -195,16 +274,14 @@ class TestEngineEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_corrupted_starts(self, graph, seed, frac):
         # Arbitrary (adversarial) initial configurations: the frontier
-        # bookkeeping must recover them identically to serial runs.
-        engine_cls, build = FAMILIES["two_state"]
+        # bookkeeping must recover them exactly.
         seeds = spawn_seeds(seed, 6)
 
-        def corrupt(i, process):
-            rng = np.random.default_rng(seed + 31 * i)
-            process.corrupt(rng.random(graph.n) < frac)
+        def corrupt(i, n):
+            return np.random.default_rng(seed + 31 * i).random(n) < frac
 
         assert_engines_match_serial(
-            engine_cls, build, [graph] * 6, seeds, corrupt=corrupt
+            "two_state", [graph] * 6, seeds, corrupt=corrupt
         )
 
     @given(seed=st.integers(0, 2**20), budget=st.integers(0, 6))
@@ -215,11 +292,10 @@ class TestEngineEquivalence:
         # through both kinds of drop.
         from repro.graphs.generators import complete_graph
 
-        engine_cls, build = FAMILIES["two_state"]
         graph = complete_graph(16)
         seeds = spawn_seeds(seed, 12)
         assert_engines_match_serial(
-            engine_cls, build, [graph] * 12, seeds, max_rounds=budget
+            "two_state", [graph] * 12, seeds, max_rounds=budget
         )
 
     @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
@@ -227,15 +303,8 @@ class TestEngineEquivalence:
     def test_eager_ablation_replicas_veto_pair_rounds(self, graph, seed):
         # eager_white_promotion replicas change the activity rule; the
         # engine must still be exact (pair rounds are vetoed).
-        engine_cls = BatchedTwoStateMIS
         seeds = spawn_seeds(seed, 5)
-
-        def build(g, coins):
-            return TwoStateMIS(g, coins=coins, eager_white_promotion=True)
-
-        assert_engines_match_serial(
-            engine_cls, build, [graph] * 5, seeds
-        )
+        assert_engines_match_serial("eager", [graph] * 5, seeds)
 
 
 class TestEngineReuse:
@@ -246,42 +315,53 @@ class TestEngineReuse:
         seeds = spawn_seeds(3, 10)
         graphs = [gnp_random_graph(70, 0.05, rng=s + 9) for s in seeds]
 
+        def faults(wave, i, n):
+            rng = np.random.default_rng(1000 * wave + i)
+            return rng.choice(n, size=4, replace=False)
+
+        # The literal reference, wave by wave.
+        refs = [ReferenceTwoState(g, coins=s) for g, s in zip(graphs, seeds)]
+        ref_outs = [[run_reference(r, MAX_ROUNDS) for r in refs]]
+        for wave in range(2):
+            for i, r in enumerate(refs):
+                r.black[faults(wave, i, r.n)] = True
+            ref_outs.append([run_reference(r, MAX_ROUNDS) for r in refs])
+
         def wave_runs(mode):
             procs = [
                 TwoStateMIS(g, coins=s) for g, s in zip(graphs, seeds)
             ]
-            outs = []
             if mode == "serial":
-                outs.append(
-                    [run_until_stable(p, max_rounds=MAX_ROUNDS) for p in procs]
-                )
+                def run():
+                    return [
+                        run_until_stable(p, max_rounds=MAX_ROUNDS)
+                        for p in procs
+                    ]
             else:
-                engine = BatchedTwoStateMIS(procs, engine=mode)
-                outs.append(engine.run(MAX_ROUNDS))
+                _, crossover, bulk = REGIMES[mode]
+                engine = BatchedTwoStateMIS(procs)
+
+                def run():
+                    with regime(crossover, bulk):
+                        return engine.run(MAX_ROUNDS)
+            outs = [run()]
             for wave in range(2):
                 for i, p in enumerate(procs):
-                    rng = np.random.default_rng(1000 * wave + i)
-                    p.corrupt_vertices(
-                        rng.choice(p.n, size=4, replace=False), black=True
-                    )
-                if mode == "serial":
-                    outs.append(
-                        [
-                            run_until_stable(p, max_rounds=MAX_ROUNDS)
-                            for p in procs
-                        ]
-                    )
-                else:
-                    outs.append(engine.run(MAX_ROUNDS))
+                    p.corrupt_vertices(faults(wave, i, p.n), black=True)
+                outs.append(run())
             return outs, [p.black.copy() for p in procs]
 
-        ref_outs, ref_state = wave_runs("serial")
-        for mode in ENGINES:
+        for mode in ("serial",) + tuple(REGIMES):
             outs, state = wave_runs(mode)
-            for a, b in zip(ref_outs, outs):
-                assert_same_results(a, b)
-            for a, b in zip(ref_state, state):
-                assert np.array_equal(a, b), mode
+            for wave_out, wave_ref in zip(outs, ref_outs):
+                for result, want in zip(wave_out, wave_ref):
+                    stabilized, stab_round, executed, mis = want
+                    assert result.stabilized == stabilized, mode
+                    assert result.stabilization_round == stab_round, mode
+                    assert result.rounds_executed == executed, mode
+                    assert np.array_equal(result.mis, mis), mode
+            for a, ref in zip(state, refs):
+                assert np.array_equal(a, ref.black), mode
 
     def test_mutations_between_construction_and_run_are_adopted(self):
         # run() adopts the processes' *current* state: corruption (or
@@ -290,7 +370,7 @@ class TestEngineReuse:
         graph = gnp_random_graph(80, 0.06, rng=2)
         seeds = spawn_seeds(7, 6)
         batch_procs = [TwoStateMIS(graph, coins=s) for s in seeds]
-        engine = BatchedTwoStateMIS(batch_procs, engine="auto")
+        engine = BatchedTwoStateMIS(batch_procs)
         serial_procs = [TwoStateMIS(graph, coins=s) for s in seeds]
         for procs in (batch_procs, serial_procs):
             for i, p in enumerate(procs):
@@ -308,10 +388,10 @@ class TestEngineReuse:
         seeds = spawn_seeds(5, 6)
         graphs = [gnp_random_graph(40, 0.08, rng=s) for s in seeds]
         procs = [TwoStateMIS(g, coins=s) for g, s in zip(graphs, seeds)]
-        engine = BatchedTwoStateMIS(procs, engine="frontier")
+        engine = BatchedTwoStateMIS(procs)
         engine.run(MAX_ROUNDS)
         block = engine._block
-        assert block is not None  # frontier mode skips compaction
+        assert block is not None  # frontier runs skip compaction
         for p in procs:
             p.corrupt_vertices([0, 1], black=True)
         engine.run(MAX_ROUNDS)
@@ -319,63 +399,25 @@ class TestEngineReuse:
 
 
 class TestMonteCarloEntryPoints:
-    def test_engine_kwarg_identical_stats(self):
-        def make(s):
-            rng = np.random.default_rng(s)
-            graph = gnp_random_graph(60, 0.06, rng=rng)
-            return TwoStateMIS(graph, coins=rng)
-
-        kw = dict(trials=18, max_rounds=MAX_ROUNDS, seed=11)
-        by_engine = {
-            engine: estimate_stabilization_time(make, engine=engine, **kw)
-            for engine in ENGINES
-        }
-        serial = estimate_stabilization_time(make, batch=None, **kw)
-        for engine, stats in by_engine.items():
-            assert np.array_equal(serial.times, stats.times), engine
-            assert serial.failures == stats.failures
-
     def test_run_many_rejects_unknown_engine(self):
+        # engine= is a parameter of no entry point.
         graph = Graph(4, [(0, 1), (2, 3)])
         procs = [TwoStateMIS(graph, coins=s) for s in range(3)]
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             run_many_until_stable(procs, engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             estimate_stabilization_time(
                 lambda s: TwoStateMIS(graph, coins=s),
                 trials=2,
                 max_rounds=10,
                 engine="warp",
             )
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             BatchedTwoStateMIS(procs, engine="warp")
-
-    def test_sweep_engine_kwarg(self):
-        from repro.sim.montecarlo import sweep_stabilization_times
-
-        def make_factory(n):
-            def factory(s):
-                return TwoStateMIS(
-                    gnp_random_graph(n, 0.1, rng=s), coins=s
-                )
-
-            return factory
-
-        grids = {}
-        for engine in ("full", "auto"):
-            result = sweep_stabilization_times(
-                make_factory,
-                grid=[20, 30],
-                trials=6,
-                max_rounds=MAX_ROUNDS,
-                seed=2,
-                engine=engine,
+        with pytest.raises(TypeError, match="adaptive"):
+            BatchedFrontierAggregates(
+                BatchedTwoStateMIS(procs), adaptive=False
             )
-            grids[engine] = {
-                point: stats.times.tolist()
-                for point, stats in result.items()
-            }
-        assert grids["full"] == grids["auto"]
 
 
 class TestFlatScatterPrimitives:
@@ -432,8 +474,9 @@ class TestStabilityBookkeeping:
         # tracker must stay exact if driven there by hand.
         graph = Graph(4, [(0, 1), (2, 3)])
         procs = [TwoStateMIS(graph, coins=s) for s in range(2)]
-        engine = BatchedTwoStateMIS(procs, engine="frontier")
-        aggregates = BatchedFrontierAggregates(engine, adaptive=False)
+        engine = BatchedTwoStateMIS(procs)
+        with regime(1e18):
+            aggregates = BatchedFrontierAggregates(engine)
         black = np.array(
             [[True, False, True, False], [True, False, True, False]]
         )
@@ -465,6 +508,8 @@ class TestStabilityBookkeeping:
         # The O(1)-retirement contract: a near-stable fleet recovers
         # on the scatter path with exactly one count reduction (the
         # rebuild) — no per-round reductions, no final coverage pass.
+        # (The CSR backend: a shared graph on the matmul backend stays
+        # on full reductions.)
         graph = gnp_random_graph(300, 0.02, rng=4)
         seeds = spawn_seeds(9, 8)
 
@@ -475,8 +520,10 @@ class TestStabilityBookkeeping:
                 type(self).reductions += 1
                 return super()._count_nbrs(masks, pos)
 
-        procs = [TwoStateMIS(graph, coins=s) for s in seeds]
-        engine = CountingEngine(procs, engine="frontier")
+        procs = [
+            TwoStateMIS(graph, coins=s, backend="sparse") for s in seeds
+        ]
+        engine = CountingEngine(procs)
         engine.run(MAX_ROUNDS, verify=False)
         for i, p in enumerate(procs):
             rng = np.random.default_rng(100 + i)
@@ -488,7 +535,10 @@ class TestStabilityBookkeeping:
         assert all(r.stabilized for r in results)
         assert CountingEngine.reductions == 1  # the rebuild, nothing else
 
-    def test_frontier_mode_never_takes_full_rounds(self):
+    def test_frontier_mode_never_takes_full_rounds(self, monkeypatch):
+        # A huge crossover and no bulk threshold keep a recovering
+        # fleet on the scatter paths: pair and delta rounds only (a
+        # near-stable fleet starts on pair rounds, so no first bulk round).
         from repro.core import batched_frontier as bf
 
         calls = {"full": 0, "scatter": 0}
@@ -503,14 +553,22 @@ class TestStabilityBookkeeping:
             calls["scatter"] += 1
             return orig_adv(self, *args, **kwargs)
 
-        bf.BatchedFrontierAggregates.full_round = full_round
-        bf.BatchedFrontierAggregates.advance = advance
-        try:
-            graph = gnp_random_graph(120, 0.04, rng=2)
-            procs = [TwoStateMIS(graph, coins=s) for s in range(6)]
-            BatchedTwoStateMIS(procs, engine="frontier").run(MAX_ROUNDS)
-        finally:
-            bf.BatchedFrontierAggregates.full_round = orig_full
-            bf.BatchedFrontierAggregates.advance = orig_adv
+        graph = gnp_random_graph(120, 0.04, rng=2)
+        procs = [
+            TwoStateMIS(graph, coins=s, backend="sparse") for s in range(6)
+        ]
+        engine = BatchedTwoStateMIS(procs)
+        engine.run(MAX_ROUNDS)
+        for i, p in enumerate(procs):
+            rng = np.random.default_rng(200 + i)
+            p.corrupt_vertices(
+                rng.choice(p.n, size=3, replace=False), black=True
+            )
+        aggregates = bf.BatchedFrontierAggregates
+        monkeypatch.setattr(aggregates, "full_round", full_round)
+        monkeypatch.setattr(aggregates, "advance", advance)
+        with regime(1e18, bulk=0):
+            results = engine.run(MAX_ROUNDS)
+        assert all(r.stabilized for r in results)
         assert calls["full"] == 0
         assert calls["scatter"] > 0

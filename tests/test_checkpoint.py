@@ -416,9 +416,8 @@ def test_fleet_restores_journaled_shards(tmp_path):
         assert np.array_equal(a.coins.bits(8), b.coins.bits(8))
 
 
-def test_version_2_fleet_journal_is_refused(tmp_path):
-    # Version 2 journaled shards as pickled process objects; a version 3
-    # build must refuse the file rather than try to decode its shards.
+def _rewrite_fleet_journal_version(tmp_path, version):
+    """A journaled fleet run whose header is rewritten to ``version``."""
     graph = gnp_random_graph(40, 0.1, rng=3)
     path = tmp_path / "fleet.journal"
     spec = {"kind": "fleet"}
@@ -429,10 +428,26 @@ def test_version_2_fleet_journal_is_refused(tmp_path):
         )
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["version"] == JOURNAL_VERSION == 3
-    header["version"] = 2
+    assert header["version"] == JOURNAL_VERSION == 4
+    header["version"] = version
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return path, spec
+
+
+def test_version_2_fleet_journal_is_refused(tmp_path):
+    # Version 2 journaled shards as pickled process objects; the
+    # current build must refuse the file rather than try to decode its
+    # shards.
+    path, spec = _rewrite_fleet_journal_version(tmp_path, 2)
     with pytest.raises(CheckpointError, match="version 2"):
+        CheckpointJournal(path, spec, resume=True)
+
+
+def test_version_3_fleet_journal_is_refused(tmp_path):
+    # Version 3 replica records carried an ``engine`` config key, which
+    # no process accepts any more.
+    path, spec = _rewrite_fleet_journal_version(tmp_path, 3)
+    with pytest.raises(CheckpointError, match="version 3"):
         CheckpointJournal(path, spec, resume=True)
 
 

@@ -1,22 +1,33 @@
-"""Frontier-engine equivalence and aggregate-memoization guarantees.
+"""Frontier-aggregate exactness and aggregate-memoization guarantees.
 
-The incremental frontier engine (:mod:`repro.core.frontier`) must be a
-pure performance transformation: for every seed, every round and every
-observable — state vectors, active/stable/covered masks, stabilization
-round, coin-stream position — ``engine="frontier"`` and
-``engine="auto"`` are bitwise-identical to ``engine="full"``.  This
-suite pins that, plus the cache-invalidation paths (``corrupt`` /
-``corrupt_vertices`` / batched-engine write-back) and the
-reduction-count contract of the memoized full path.
+The 2-state and 3-state processes keep their neighbourhood aggregates
+incrementally (:mod:`repro.core.frontier`) and choose per round between
+a scatter update and a full recomputation at ``DEFAULT_CROSSOVER``.
+Whichever they take, they must follow the paper's rules exactly: for
+every seed, every round and every observable — state vectors,
+active/stable/covered masks, stabilization round, coin-stream position
+— a process equals the literal per-vertex reference of
+:mod:`repro.core.reference`.  This suite pins that in three regimes
+(the crossover patched to 0, so every moving round recomputes; left at
+its default; or huge (1e18), so every round scatters), plus the
+cache-invalidation paths (``corrupt`` / ``corrupt_vertices`` /
+batched-engine write-back) and the reduction-count contract of the
+memoized 3-color path.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.frontier import ENGINES, FrontierAggregates, resolve_engine
+from repro.core import frontier as frontier_module
+from repro.core.frontier import FrontierAggregates
 from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
-from repro.core.states import BLACK1
+from repro.core.reference import ReferenceThreeState, ReferenceTwoState
+from repro.core.states import BLACK, BLACK1
+from repro.core.switch import RandomizedLogSwitch
+from repro.core.three_color import ThreeColorMIS
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.graph import Graph
@@ -25,6 +36,18 @@ from repro.sim.rng import SeededCoins
 from repro.sim.runner import run_until_stable
 
 MAX_ROUNDS = 4000
+
+#: Crossover values that force each regime: recompute on every round
+#: that moves an edge, the shipped blend, scatter on every round.
+CROSSOVERS = (0.0, frontier_module.DEFAULT_CROSSOVER, 1e18)
+
+
+@contextmanager
+def crossover(value):
+    """Aggregates built inside the block use ``value`` as the crossover."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier_module, "DEFAULT_CROSSOVER", value)
+        yield
 
 
 class CountingCoins(SeededCoins):
@@ -55,57 +78,113 @@ class CountingOps(SparseNeighborOps):
         return super().count(mask)
 
 
-def make_pair(cls, graph, seed, engine, **kwargs):
-    coins = CountingCoins(seed)
-    return cls(graph, coins=coins, engine=engine, **kwargs), coins
+def make_reference(cls, graph, coins, eager_white_promotion=False):
+    """The literal reference of ``cls`` on ``coins``."""
+    if cls is TwoStateMIS:
+        return ReferenceTwoState(
+            graph, coins=coins, eager_white_promotion=eager_white_promotion
+        )
+    return ReferenceThreeState(graph, coins=coins)
+
+
+def reference_state(ref):
+    return ref.black if isinstance(ref, ReferenceTwoState) else ref.states
+
+
+def set_reference_state(ref, states):
+    if isinstance(ref, ReferenceTwoState):
+        ref.black = np.asarray(states, dtype=bool).copy()
+    else:
+        ref.states = np.asarray(states, dtype=np.int8).copy()
+
+
+def regime_processes(cls, graph, seed, **kwargs):
+    """One process per crossover regime, each on its own counting coins.
+
+    The aggregates read the crossover when they measure the edge
+    volume, so each process builds them inside its regime's block.
+    """
+    procs = []
+    for value in CROSSOVERS:
+        coins = CountingCoins(seed)
+        with crossover(value):
+            proc = cls(graph, coins=coins, **kwargs)
+            proc.is_stabilized()
+        procs.append((value, proc, coins))
+    return procs
+
+
+def assert_matches_reference(procs, ref, ref_coins, label):
+    """Every observable of every process equals the reference's."""
+    black = ref.black_mask()
+    active = ref.active_mask()
+    stable = ref.stable_black_mask()
+    covered = ref.covered_mask()
+    stabilized = bool(covered.all())
+    expected = (
+        reference_state(ref),
+        active,
+        stable,
+        covered,
+        ~covered,
+        stabilized,
+        (
+            int(black.sum()),
+            int(active.sum()),
+            int(stable.sum()),
+            ref.n - int(covered.sum()),
+        ),
+        ref_coins.draws,
+    )
+    for value, proc, coins in procs:
+        observed = (
+            proc.state_vector(),
+            proc.active_mask(),
+            proc.stable_black_mask(),
+            proc.covered_mask(),
+            proc.unstable_mask(),
+            proc.is_stabilized(),
+            proc.trajectory_counts(),
+            coins.draws,
+        )
+        for a, b in zip(observed, expected):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), (value, label)
+            else:
+                assert a == b, (value, label)
+    return stabilized
+
+
+def run_lockstep(procs, ref, ref_coins, rounds, before_step=None):
+    """Step the processes and the reference together, comparing each round."""
+    for r in range(rounds):
+        if assert_matches_reference(procs, ref, ref_coins, r):
+            return  # stabilized — nothing changes afterwards
+        if before_step is not None:
+            before_step(r)
+        for _, proc, _ in procs:
+            proc.step()
+        ref.step()
 
 
 def assert_lockstep_equal(cls, graph, seed, rounds=80, corrupt_at=None, **kw):
-    """Advance one process per engine in lockstep; compare everything."""
-    procs = {}
-    coins = {}
-    for engine in ENGINES:
-        procs[engine], coins[engine] = make_pair(
-            cls, graph, seed, engine, **kw
-        )
+    """Every regime's process vs the literal reference, round by round."""
+    procs = regime_processes(cls, graph, seed, **kw)
+    ref_coins = CountingCoins(seed)
+    ref = make_reference(cls, graph, ref_coins, **kw)
     corrupt_rng = np.random.default_rng(seed + 1)
-    corrupt_states = None
-    if corrupt_at is not None:
-        if cls is TwoStateMIS:
-            corrupt_states = corrupt_rng.random(graph.n) < 0.5
-        else:
-            corrupt_states = corrupt_rng.integers(
-                0, 3, graph.n
-            ).astype(np.int8)
-    for r in range(rounds):
-        reference = None
-        for engine in ENGINES:
-            proc = procs[engine]
-            observed = (
-                proc.state_vector(),
-                proc.active_mask(),
-                proc.stable_black_mask(),
-                proc.covered_mask(),
-                proc.unstable_mask(),
-                proc.is_stabilized(),
-                proc.trajectory_counts(),
-                coins[engine].draws,
-            )
-            if reference is None:
-                reference = observed
-            else:
-                for a, b in zip(observed, reference):
-                    if isinstance(a, np.ndarray):
-                        assert np.array_equal(a, b), (engine, r)
-                    else:
-                        assert a == b, (engine, r)
-        if reference[5]:  # stabilized — nothing changes afterwards
-            break
-        if corrupt_at is not None and r == corrupt_at:
-            for proc in procs.values():
+    if cls is TwoStateMIS:
+        corrupt_states = corrupt_rng.random(graph.n) < 0.5
+    else:
+        corrupt_states = corrupt_rng.integers(0, 3, graph.n).astype(np.int8)
+
+    def before_step(r):
+        if r == corrupt_at:
+            for _, proc, _ in procs:
                 proc.corrupt(corrupt_states)
-        for proc in procs.values():
-            proc.step()
+            set_reference_state(ref, corrupt_states)
+
+    run_lockstep(procs, ref, ref_coins, rounds, before_step)
 
 
 @st.composite
@@ -162,64 +241,43 @@ class TestEngineEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_run_until_stable_check_every(self, seed, check_every):
         graph = gnp_random_graph(96, 0.05, rng=seed)
-        results = {}
-        for engine in ENGINES:
-            proc = TwoStateMIS(graph, coins=seed, engine=engine)
-            results[engine] = (
-                run_until_stable(
-                    proc, max_rounds=MAX_ROUNDS, check_every=check_every
-                ),
-                proc.state_vector(),
+        # The reference polls the predicate only where the runner does.
+        ref = ReferenceTwoState(graph, coins=seed)
+        while not ref.is_stabilized():
+            ref.step()
+            while ref.round % check_every:
+                ref.step()
+        for value, proc, _ in regime_processes(TwoStateMIS, graph, seed):
+            res = run_until_stable(
+                proc, max_rounds=MAX_ROUNDS, check_every=check_every
             )
-        ref, ref_state = results["full"]
-        for engine in ("frontier", "auto"):
-            res, state = results[engine]
-            assert res.stabilization_round == ref.stabilization_round
-            assert res.rounds_executed == ref.rounds_executed
-            assert np.array_equal(res.mis, ref.mis)
-            assert np.array_equal(state, ref_state)
+            assert res.stabilization_round == ref.round, value
+            assert res.rounds_executed == ref.round, value
+            assert np.array_equal(res.mis, np.flatnonzero(ref.black))
+            assert np.array_equal(proc.state_vector(), ref.black)
 
     def test_corrupt_vertices_dirties_counts(self):
         graph = gnp_random_graph(150, 0.04, rng=3)
-        procs = {
-            e: TwoStateMIS(graph, coins=11, engine=e) for e in ENGINES
-        }
-        for proc in procs.values():
+        procs = regime_processes(TwoStateMIS, graph, 11)
+        ref_coins = CountingCoins(11)
+        ref = ReferenceTwoState(graph, coins=ref_coins)
+        for _, proc, _ in procs:
             proc.step(3)
             proc.corrupt_vertices([0, 5, 9, 100], black=True)
             proc.corrupt_vertices([1, 6], black=False)
-        ref = None
-        for engine, proc in procs.items():
-            observed = (
-                proc.covered_mask(),
-                proc.stable_black_mask(),
-                proc.is_stabilized(),
-            )
-            if ref is None:
-                ref = observed
-            else:
-                assert np.array_equal(observed[0], ref[0]), engine
-                assert np.array_equal(observed[1], ref[1]), engine
-                assert observed[2] == ref[2]
-        # and the subsequent trajectories still agree
-        finals = {
-            e: run_until_stable(p, max_rounds=MAX_ROUNDS)
-            for e, p in procs.items()
-        }
-        for engine in ("frontier", "auto"):
-            assert (
-                finals[engine].stabilization_round
-                == finals["full"].stabilization_round
-            )
-            assert np.array_equal(finals[engine].mis, finals["full"].mis)
+        for _ in range(3):
+            ref.step()
+        ref.black[[0, 5, 9, 100]] = True
+        ref.black[[1, 6]] = False
+        # ... and the subsequent trajectories still agree
+        run_lockstep(procs, ref, ref_coins, MAX_ROUNDS)
+        assert ref.is_stabilized()
 
     def test_batched_writeback_invalidates_aggregates(self):
         from repro.core.batched import BatchedTwoStateMIS
 
         graph = gnp_random_graph(80, 0.06, rng=5)
-        procs = [
-            TwoStateMIS(graph, coins=s, engine="auto") for s in range(6)
-        ]
+        procs = [TwoStateMIS(graph, coins=s) for s in range(6)]
         # Touch the frontier state before the batched run (the
         # write-back below must invalidate it, not reuse it).
         for proc in procs:
@@ -230,28 +288,29 @@ class TestEngineEquivalence:
             # The write-back rebound process.black; the stale frontier
             # aggregates must be rebuilt, not reused.
             assert proc.is_stabilized()
-            fresh = TwoStateMIS(
-                graph, coins=0, engine="full", init=proc.black
-            )
-            assert np.array_equal(
-                proc.covered_mask(), fresh.covered_mask()
-            )
+            ref = ReferenceTwoState(graph, coins=0, init=proc.black)
+            assert np.array_equal(proc.covered_mask(), ref.covered_mask())
 
     def test_trace_recording_equivalent(self):
         graph = gnp_random_graph(200, 0.03, rng=9)
-        traces = {}
-        for engine in ENGINES:
-            proc = TwoStateMIS(graph, coins=4, engine=engine)
+        ref = ReferenceTwoState(graph, coins=4)
+        curves = {key: [] for key in ("black", "active", "stable_black")}
+        curves["unstable"] = []
+        while True:
+            curves["black"].append(int(ref.black.sum()))
+            curves["active"].append(int(ref.active_mask().sum()))
+            curves["stable_black"].append(int(ref.stable_black_mask().sum()))
+            covered = ref.covered_mask()
+            curves["unstable"].append(graph.n - int(covered.sum()))
+            if covered.all():
+                break
+            ref.step()
+        for value, proc, _ in regime_processes(TwoStateMIS, graph, 4):
             res = run_until_stable(
                 proc, max_rounds=MAX_ROUNDS, record_trace=True
             )
-            traces[engine] = res.trace.as_arrays()
-        for engine in ("frontier", "auto"):
-            for key, curve in traces["full"].items():
-                assert np.array_equal(traces[engine][key], curve), (
-                    engine,
-                    key,
-                )
+            for key, curve in res.trace.as_arrays().items():
+                assert np.array_equal(curve, curves[key]), (value, key)
 
 
 class AuditedThreeState(ThreeStateMIS):
@@ -278,41 +337,45 @@ class TestBlackOneAggregate:
         graph=sparse_graphs(),
         seed=st.integers(0, 2**20),
         corrupt_at=st.none() | st.integers(0, 12),
-        engine=st.sampled_from(("frontier", "auto")),
+        value=st.sampled_from(CROSSOVERS),
     )
     @settings(max_examples=30, deadline=None)
-    def test_counts_exact_every_round(self, graph, seed, corrupt_at, engine):
-        proc = AuditedThreeState(graph, coins=seed, engine=engine)
+    def test_counts_exact_every_round(self, graph, seed, corrupt_at, value):
         corrupt = np.random.default_rng(seed + 1).integers(0, 3, graph.n)
-        for r in range(80):
-            if corrupt_at is not None and r == corrupt_at:
-                proc.corrupt(corrupt.astype(np.int8))
-            if proc.is_stabilized():
-                break
-            proc.step()
+        with crossover(value):
+            proc = AuditedThreeState(graph, coins=seed)
+            for r in range(80):
+                if corrupt_at is not None and r == corrupt_at:
+                    proc.corrupt(corrupt.astype(np.int8))
+                if proc.is_stabilized():
+                    break
+                proc.step()
 
     @given(
         seed=st.integers(0, 2**20),
         check_every=st.integers(2, 7),
-        engine=st.sampled_from(("frontier", "auto")),
+        value=st.sampled_from(CROSSOVERS),
     )
     @settings(max_examples=15, deadline=None)
-    def test_counts_exact_with_check_every(self, seed, check_every, engine):
+    def test_counts_exact_with_check_every(self, seed, check_every, value):
         graph = gnp_random_graph(96, 0.05, rng=seed)
-        proc = AuditedThreeState(graph, coins=seed, engine=engine)
-        result = run_until_stable(
-            proc, max_rounds=MAX_ROUNDS, check_every=check_every
-        )
+        with crossover(value):
+            proc = AuditedThreeState(graph, coins=seed)
+            result = run_until_stable(
+                proc, max_rounds=MAX_ROUNDS, check_every=check_every
+            )
         assert result.stabilized
 
-    def test_black1_scatter_collapses_with_unstable_set(self):
+    def test_black1_scatter_collapses_with_unstable_set(self, monkeypatch):
         """Late black1 scatters shrink with ``V_t``, not ``I_t``.
 
         A stable black vertex re-draws black1/black0 every round; were
         those flips scattered, every round would cost about 0.17 of the
         directed edge volume ``2m``, and the second half of the run
-        alone several times ``2m``.
+        alone several times ``2m``.  A huge crossover makes every
+        round scatter, so every round is logged.
         """
+        monkeypatch.setattr(frontier_module, "DEFAULT_CROSSOVER", 1e18)
         n = 1 << 14
         graph = gnp_random_graph(n, 3.0 / n, rng=0)
 
@@ -329,7 +392,7 @@ class TestBlackOneAggregate:
                 return touched
 
         ops = ScatterLog(graph)
-        proc = ThreeStateMIS(graph, coins=1, engine="frontier", ops=ops)
+        proc = ThreeStateMIS(graph, coins=1, ops=ops)
         ops.proc = proc
         result = run_until_stable(proc, max_rounds=MAX_ROUNDS, verify=False)
         assert result.stabilized
@@ -341,61 +404,64 @@ class TestBlackOneAggregate:
 
 
 class TestEngineParameter:
-    def test_resolve_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("warp")
-        with pytest.raises(ValueError):
-            TwoStateMIS(Graph(4, [(0, 1)]), coins=0, engine="warp")
-        with pytest.raises(ValueError):
-            ThreeStateMIS(Graph(4, [(0, 1)]), coins=0, engine="warp")
+    def test_engine_kwarg_is_gone(self):
+        """Each process runs one self-selecting engine; nothing selects it."""
+        from repro.core.schedulers import ScheduledTwoStateMIS
+        from repro.dynamic.mutations import MutationStream
+        from repro.dynamic.service import MISService
 
-    def test_engines_accepted(self):
-        graph = Graph(5, [(0, 1), (1, 2), (3, 4)])
-        for engine in ENGINES:
-            proc = TwoStateMIS(graph, coins=0, engine=engine)
-            assert proc.engine == engine
-            run_until_stable(proc, max_rounds=MAX_ROUNDS)
+        graph = Graph(4, [(0, 1)])
+        for cls in (TwoStateMIS, ThreeStateMIS, ThreeColorMIS,
+                    ScheduledTwoStateMIS):
+            with pytest.raises(TypeError, match="engine"):
+                cls(graph, coins=0, engine="auto")
+        with pytest.raises(TypeError, match="adaptive"):
+            FrontierAggregates(graph, SparseNeighborOps(graph), adaptive=False)
+        with pytest.raises(TypeError, match="crossover"):
+            FrontierAggregates(graph, SparseNeighborOps(graph), crossover=0.5)
+        with pytest.raises(TypeError, match="engine"):
+            MISService(graph, MutationStream(graph.n, seed=0), engine="auto")
+        assert not hasattr(frontier_module, "ENGINES")
+        assert not hasattr(frontier_module, "resolve_engine")
 
     def test_empty_and_singleton_graphs(self):
         for n in (0, 1):
             graph = Graph(n)
-            for engine in ENGINES:
-                proc = TwoStateMIS(graph, coins=0, engine=engine)
+            for value, proc, _ in regime_processes(TwoStateMIS, graph, 0):
                 res = run_until_stable(proc, max_rounds=50)
-                assert res.stabilized
+                assert res.stabilized, value
 
     def test_auto_switches_to_scatter(self):
         graph = gnp_random_graph(4096, 3.0 / 4096, rng=0)
-        proc = TwoStateMIS(graph, coins=1, engine="auto")
+        proc = TwoStateMIS(graph, coins=1)
         run_until_stable(proc, max_rounds=MAX_ROUNDS, verify=False)
         frontier = proc._frontier
         assert frontier is not None
         assert frontier.scatter_rounds > 0
 
-    def test_frontier_mode_always_scatters(self):
+    def test_frontier_mode_always_scatters(self, monkeypatch):
+        # A huge crossover keeps the aggregates in scatter mode.
+        monkeypatch.setattr(frontier_module, "DEFAULT_CROSSOVER", 1e18)
         graph = gnp_random_graph(512, 0.02, rng=0)
-        proc = TwoStateMIS(graph, coins=1, engine="frontier")
+        proc = TwoStateMIS(graph, coins=1)
         run_until_stable(proc, max_rounds=MAX_ROUNDS, verify=False)
         assert proc._frontier.full_rounds == 0
+        assert proc._frontier.scatter_rounds > 0
 
 
 class TestFrontierAggregates:
     def test_rebuild_matches_reductions(self):
         graph = gnp_random_graph(300, 0.05, rng=1)
-        proc = TwoStateMIS(graph, coins=2, engine="full")
-        frontier = FrontierAggregates(graph, proc.ops)
-        frontier.rebuild(proc.black, token=proc.black)
-        assert np.array_equal(
-            frontier.counts, proc.ops.count(proc.black)
-        )
-        assert np.array_equal(
-            frontier.has_black, proc.ops.exists(proc.black)
-        )
-        assert np.array_equal(frontier.stable, proc.stable_black_mask())
-        assert np.array_equal(frontier.covered, proc.covered_mask())
-        assert frontier.unstable_total == int(
-            np.count_nonzero(proc.unstable_mask())
-        )
+        ref = ReferenceTwoState(graph, coins=2)
+        ops = SparseNeighborOps(graph)
+        frontier = FrontierAggregates(graph, ops)
+        frontier.rebuild(ref.black, token=ref.black)
+        assert np.array_equal(frontier.counts, ops.count(ref.black))
+        assert np.array_equal(frontier.has_black, ops.exists(ref.black))
+        assert np.array_equal(frontier.stable, ref.stable_black_mask())
+        covered = ref.covered_mask()
+        assert np.array_equal(frontier.covered, covered)
+        assert frontier.unstable_total == int(np.count_nonzero(~covered))
 
     def test_removal_fallback_recomputes(self):
         # Removals from I_t cannot arise from the dynamics, but the
@@ -435,9 +501,8 @@ class TestFrontierAggregates:
         n = 4 + isolated
         graph = Graph(n, [(0, 1), (2, 3)])
         ops = SparseNeighborOps(graph)
-        frontier = FrontierAggregates(
-            graph, ops, adaptive=False, track_aux=True
-        )
+        with crossover(1e18):
+            frontier = FrontierAggregates(graph, ops, track_aux=True)
         branches = []
         for name in ("_update_stability", "_update_stability_local"):
             method = getattr(frontier, name)
@@ -487,9 +552,8 @@ class TestFrontierAggregates:
     def test_black1_flips_inside_stable_set_not_counted(self):
         graph = Graph(5, [(0, 1), (2, 3), (3, 4)])
         ops = SparseNeighborOps(graph)
-        frontier = FrontierAggregates(
-            graph, ops, adaptive=False, track_aux=True
-        )
+        with crossover(1e18):
+            frontier = FrontierAggregates(graph, ops, track_aux=True)
         black = np.array([True, False, True, False, True])
         black1 = np.array([False, False, False, False, True])
         frontier.rebuild(black, token=black, aux=black1)
@@ -516,9 +580,8 @@ class TestFrontierAggregates:
         n = 64
         graph = Graph(n, [(0, 1), (0, 2)])
         ops = SparseNeighborOps(graph)
-        frontier = FrontierAggregates(
-            graph, ops, adaptive=False, track_aux=True
-        )
+        with crossover(1e18):
+            frontier = FrontierAggregates(graph, ops, track_aux=True)
         black = np.zeros(n, dtype=bool)
         black[[0, 1, 2]] = True
         frontier.rebuild(black, token=black, aux=np.zeros(n, dtype=bool))
@@ -572,6 +635,17 @@ class TestFrontierAggregates:
 
 
 class TestMemoizedFullPath:
+    """The 3-color process, the one family left on the memoized full path."""
+
+    @staticmethod
+    def _three_color(graph, seed, ops):
+        # The switch gets its own backend so ``ops`` counts only the
+        # process's own reductions (the switch's level probes are not
+        # memoized: they change every round).
+        coins = SeededCoins(seed)
+        switch = RandomizedLogSwitch(graph, coins=coins, zeta=4.0 / 16)
+        return ThreeColorMIS(graph, coins=coins, switch=switch, ops=ops)
+
     def test_run_until_stable_two_reductions_per_round(self):
         """The memo kills the redundant step/is_stabilized recompute.
 
@@ -582,27 +656,27 @@ class TestMemoizedFullPath:
         """
         graph = gnp_random_graph(220, 0.04, rng=7)
         ops = CountingOps(graph)
-        proc = TwoStateMIS(graph, coins=3, engine="full")
-        proc.ops = ops
+        proc = self._three_color(graph, 3, ops)
         result = run_until_stable(proc, max_rounds=MAX_ROUNDS)
         assert result.stabilized
+        assert result.rounds_executed > 0
         assert ops.reductions == 2 * result.rounds_executed + 2
 
     def test_aggregate_cache_invalidated_by_state_change(self):
         graph = gnp_random_graph(60, 0.1, rng=8)
-        proc = TwoStateMIS(graph, coins=2, engine="full")
+        proc = ThreeColorMIS(graph, coins=2)
         before = proc.active_mask()
-        proc.corrupt_vertices(range(30), black=True)
+        colors = proc.colors.copy()
+        colors[:30] = BLACK
+        proc.corrupt(colors)
         after = proc.active_mask()
-        fresh = TwoStateMIS(
-            graph, coins=0, engine="full", init=proc.black
-        )
+        fresh = ThreeColorMIS(graph, coins=0, init=colors)
         assert np.array_equal(after, fresh.active_mask())
         assert before.shape == after.shape
 
     def test_frontier_is_stabilized_constant_time(self):
         graph = gnp_random_graph(400, 0.02, rng=9)
-        proc = TwoStateMIS(graph, coins=1, engine="frontier")
+        proc = TwoStateMIS(graph, coins=1)
         run_until_stable(proc, max_rounds=MAX_ROUNDS, verify=False)
         ops = CountingOps(graph)
         proc.ops = ops

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.reference import (
+    ReferenceIndependentDaemon,
     ReferenceLogSwitch,
     ReferenceThreeColor,
     ReferenceThreeState,
     ReferenceTwoState,
 )
+from repro.core.schedulers import IndependentScheduler, ScheduledTwoStateMIS
 from repro.core.switch import RandomizedLogSwitch
 from repro.core.three_color import ThreeColorMIS
 from repro.core.three_state import ThreeStateMIS
@@ -64,6 +66,37 @@ class TestTwoStateEquivalence:
             assert fast.is_stabilized() == ref.is_stabilized()
             fast.step()
             ref.step()
+
+
+@pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
+def test_eager_two_state_equivalence(name, graph):
+    # Footnote 1's ablation: active white vertices promote outright.
+    seed = 606
+    fast = TwoStateMIS(graph, coins=seed, eager_white_promotion=True)
+    ref = ReferenceTwoState(graph, coins=seed, eager_white_promotion=True)
+    for t in range(ROUNDS):
+        fast.step()
+        ref.step()
+        assert np.array_equal(
+            fast.black_mask(), ref.black_mask()
+        ), f"{name}: divergence at round {t + 1}"
+    assert fast.is_stabilized() == ref.is_stabilized()
+
+
+@pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])
+def test_independent_daemon_equivalence(name, graph):
+    seed = 707
+    fast = ScheduledTwoStateMIS(
+        graph, scheduler=IndependentScheduler(0.3), coins=seed
+    )
+    ref = ReferenceIndependentDaemon(graph, 0.3, coins=seed)
+    for t in range(ROUNDS):
+        fast.step()
+        ref.step()
+        assert np.array_equal(
+            fast.black_mask(), ref.black_mask()
+        ), f"{name}: divergence at round {t + 1}"
+    assert np.array_equal(fast.covered_mask(), ref.covered_mask())
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=[n for n, _ in GRAPHS])

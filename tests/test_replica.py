@@ -50,7 +50,7 @@ def _make(family, graph, seed):
     if family == "2-state-eager":
         return TwoStateMIS(graph, coins=seed, eager_white_promotion=True)
     if family == "3-state":
-        return ThreeStateMIS(graph, coins=seed, engine="full")
+        return ThreeStateMIS(graph, coins=seed)
     if family == "3-color":
         return ThreeColorMIS(graph, coins=seed, a=64)
     if family == "scheduled":

@@ -260,7 +260,6 @@ def _make_jobs(fleet, ranges, max_rounds=400):
             max_rounds=max_rounds,
             verify=False,
             batch="auto",
-            engine="auto",
         )
         for lo, hi in ranges
     ]
