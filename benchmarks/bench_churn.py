@@ -24,6 +24,11 @@ Reported and asserted:
   included; asserted ≥ :data:`FLOOR_EVENTS_PER_S` (CI-safe).
 * **query latency** — mean ``is_member`` seconds over a cold sweep
   (reported; it is an O(1) mask read).
+* **drift** — events/s in the first and the last
+  :data:`DRIFT_BLOCK`-event block of one unjournaled service run that
+  is never restarted, for as many blocks as fit before the overlay's
+  delta could cross the compaction threshold (a quarter of the base
+  edges), with the delta fraction reached.  Report-only: no floor.
 
 Run standalone for the acceptance report::
 
@@ -65,6 +70,9 @@ MIN_SPEEDUP = 1.3 if FAST else 2.5
 #: CI-safe floor on mutation throughput through the repair arm
 #: (events/s, settles included).  Measured ~7000 fast / ~1500 full.
 FLOOR_EVENTS_PER_S = 500.0 if FAST else 300.0
+
+#: Drift line block length (events).
+DRIFT_BLOCK = 256 if FAST else 2048
 
 _GRAPH = gnp_random_graph(N, C / N, rng=0)
 _STREAM = make_stream("uniform", N, seed=1)
@@ -111,6 +119,20 @@ def measure():
     }
 
 
+def measure_drift():
+    """(first-block events/s, last-block events/s, delta fraction, compactions)."""
+    service = MISService(_GRAPH, _STREAM, seed=SEED)
+    overlay = service.overlay
+    rates = []
+    # An event moves the delta by at most one edge, so no block compacts.
+    limit = overlay.compact_fraction * overlay.base.m
+    while overlay.delta_size() + DRIFT_BLOCK <= limit:
+        start = time.perf_counter()
+        service.run(service.next_offset + DRIFT_BLOCK)
+        rates.append(DRIFT_BLOCK / (time.perf_counter() - start))
+    return rates[0], rates[-1], overlay.delta_fraction(), overlay.compactions
+
+
 # --------------------------------------------------------------------------
 # pytest-benchmark entry points
 # --------------------------------------------------------------------------
@@ -154,6 +176,12 @@ def main() -> None:
     assert r["events_per_s"] >= FLOOR_EVENTS_PER_S, (
         f"throughput {r['events_per_s']:.0f} events/s below floor "
         f"{FLOOR_EVENTS_PER_S:.0f}"
+    )
+    first, last, fraction, compactions = measure_drift()
+    print(
+        f"  drift:   {first:.0f} -> {last:.0f} events/s over "
+        f"{DRIFT_BLOCK}-event blocks, up to a {fraction:.1%} delta "
+        f"({compactions} compactions; report-only)"
     )
     print("PASS")
 

@@ -10,6 +10,9 @@ the contracts the test suite asserts at scale:
 * overlay/CSR equivalence — a mutated :class:`~repro.dynamic.overlay.
   DeltaOverlay` snapshots and compacts to the same graph a from-scratch
   rebuild produces;
+* lazy mirror merge — after a burst of flaps, a vertex kill and an
+  attach, the sorted delta mirrors merged key by key equal mirrors
+  rebuilt from the delta sets;
 * local coverage recovery — after every ``"repair+recover"`` event,
   ``N+[I_t]`` and the unstable counter equal a fresh rebuild on the
   snapshot graph (the number of events checked is reported);
@@ -70,6 +73,11 @@ def _coverage_exact(service) -> bool:
     )
 
 
+def _directed_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
+    """Sorted directed keys ``u * n + v`` of both directions of each edge."""
+    return np.sort(np.concatenate((us * n + vs, vs * n + us)))
+
+
 def doctor(n: int, events: int) -> int:
     """Run the dynamic-stack self-check; returns a process exit code."""
     from repro.dynamic import DeltaOverlay, MISService, make_stream, run_with_chaos
@@ -101,6 +109,33 @@ def doctor(n: int, events: int) -> int:
     healthy &= _check(
         "live degrees track the CSR",
         np.array_equal(overlay.degrees(), overlay.base.degrees()),
+    )
+
+    # Lazy mirror merge: after a burst of flaps (queried mid-burst, so
+    # several partial merges), a vertex kill and an attach, the mirrors
+    # merged key by key equal mirrors rebuilt from the delta sets.
+    overlay = DeltaOverlay(graph)
+    us, vs = graph.edge_arrays()
+    for i in range(events):
+        u, v = int(us[i % us.size]), int(vs[i % vs.size])
+        overlay.remove_edge(u, v)
+        if i % 3:
+            overlay.add_edge(u, v)
+        overlay.add_edge(u, (u + 1 + i % (n - 1)) % n)
+        if i % 7 == 0:
+            overlay.gather(np.array([u, v]))
+    overlay.remove_vertex(int(us[0]))
+    overlay.add_vertex(int(us[0]), [int(vs[-1]), (int(us[0]) + 2) % n])
+    overlay._sync()
+    add_us, add_vs, rem_us, rem_vs = overlay._delta_arrays()
+    healthy &= _check(
+        "merged delta mirrors == from-sets rebuild",
+        np.array_equal(overlay._add_keys, _directed_keys(add_us, add_vs, n))
+        and np.array_equal(
+            overlay._rem_keys, _directed_keys(rem_us, rem_vs, n)
+        ),
+        f"{overlay._add_keys.size} added + "
+        f"{overlay._rem_keys.size} removed directed keys",
     )
 
     # Local coverage recovery: after every "repair+recover" event,

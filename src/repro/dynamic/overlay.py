@@ -5,18 +5,25 @@ every engine, cache, and shared-memory path depends on that.  Topology
 churn therefore lives *beside* the base graph, not inside it:
 :class:`DeltaOverlay` records edge insertions/deletions (and vertex
 joins/leaves, which are bulk edge operations plus an ``alive`` mask) as
-two undirected-key sets over a frozen base CSR, and keeps directed
-mirrors of both synced lazily for vectorized queries.  When the delta
-fraction crosses :attr:`~DeltaOverlay.compact_fraction`, the log is
-folded into a fresh base CSR in a few numpy set operations
+two undirected-key sets over a frozen base CSR, and keeps a sorted
+array of directed keys ``u * n + v`` mirroring each set for vectorized
+queries.  The mutators are O(1): they update the sets and note the
+touched key.  The next query merges only the touched keys into the
+mirrors, at ``searchsorted`` positions, so keeping the mirrors costs
+O(t log |delta| + |delta|) per sync for t touched keys, with no
+length-n array.  When the delta fraction crosses
+:attr:`~DeltaOverlay.compact_fraction`, the log is folded into a fresh
+base CSR in a few numpy set operations
 (:meth:`repro.graphs.graph.Graph.with_edge_deltas`).
 
 :class:`DeltaNeighborOps` is the bridge to the engines: a
 :class:`~repro.core.neighbor_ops.NeighborOps` backend that answers
 ``count`` / ``gather`` / ``apply_count_delta`` / ``degrees`` /
 ``volume`` against the *current* (base ⊕ delta) adjacency — base CSR
-answer, plus a mini-CSR over the added edges, minus a sorted-key filter
-over the removed edges.  The 2-/3-state processes and the frontier
+answer, plus the added rows found by ``searchsorted`` in the add
+mirror, minus the removed edges.  A gather filters only when one of
+its rows lost an edge; otherwise it is the plain base CSR gather.
+The 2-/3-state processes and the frontier
 engine run on it unmodified; compaction calls :meth:`DeltaNeighborOps.rebase`
 and is invisible to them (the aggregates are exact integer counts
 either way, and the coin stream is untouched — trajectories are
@@ -42,6 +49,42 @@ from repro.core.neighbor_ops import (
 from repro.graphs.graph import Graph
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _directed(keys: list[int], n: int) -> np.ndarray:
+    """Sorted directed keys, both directions, of undirected keys ``u * n + v``."""
+    return np.array(
+        sorted(d for k in keys for d in (k, k % n * n + k // n)), dtype=np.int64
+    )
+
+
+def _merge(
+    mirror: np.ndarray, leaving: list[int], entering: list[int], n: int
+) -> np.ndarray:
+    """The sorted directed-key ``mirror`` after undirected keys leave/enter.
+
+    Each moved key is placed by ``searchsorted`` and the result is one
+    ``np.concatenate`` of the mirror's untouched slices: a copy of the
+    mirror plus O(t log |mirror|) for t moved keys (``np.insert`` and
+    ``np.delete`` cost several times more on the one-key merges that
+    dominate churn).
+    """
+    if leaving:
+        drop = np.searchsorted(mirror, _directed(leaving, n)).tolist()
+        starts = [0] + [p + 1 for p in drop]
+        mirror = np.concatenate(
+            [mirror[a:b] for a, b in zip(starts, drop + [mirror.size])]
+        )
+    if entering:
+        keys = _directed(entering, n)
+        cuts = [0] + np.searchsorted(mirror, keys).tolist()
+        parts = []
+        for i in range(keys.size):
+            parts += (mirror[cuts[i]:cuts[i + 1]], keys[i:i + 1])
+        parts.append(mirror[cuts[-1]:])
+        mirror = np.concatenate(parts)
+    return mirror
+
 
 #: Delta fraction ``(|added| + |removed|) / max(base m, 1)`` past which
 #: :meth:`DeltaOverlay.should_compact` recommends folding the log into
@@ -82,14 +125,12 @@ class DeltaOverlay:
         self._live_degrees = base.degrees().astype(np.int64, copy=True)
         #: Number of compactions performed (instrumentation).
         self.compactions = 0
-        # Lazily-synced directed mirrors of the delta sets (see _sync).
-        self._dirty = False
-        self._add_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        self._add_indices = _EMPTY
-        self._add_src = _EMPTY
-        self._rem_src = _EMPTY
-        self._rem_dst = _EMPTY
-        self._rem_dirkeys = _EMPTY
+        # Sorted directed keys mirroring the delta sets, and each key
+        # mutated since the last merge (_sync) mapped to the mirror
+        # ("add", "rem" or None) it was in then.
+        self._add_keys = _EMPTY
+        self._rem_keys = _EMPTY
+        self._touched: dict[int, str | None] = {}
 
     # -- key helpers ----------------------------------------------------
     def _key(self, u: int, v: int) -> int:
@@ -136,15 +177,7 @@ class DeltaOverlay:
     def neighbors_of(self, u: int) -> np.ndarray:
         """Sorted int64 array of ``u``'s current neighbours."""
         u = self._check_vertex(u)
-        self._sync()
-        row = self.base._row(u).astype(np.int64, copy=False)
-        if self._rem_dirkeys.size and row.size:
-            row = row[~self._hit(u * np.int64(self.n) + row)]
-        lo, hi = self._add_indptr[u], self._add_indptr[u + 1]
-        extra = self._add_indices[lo:hi]
-        if extra.size:
-            return np.union1d(row, extra)
-        return row.copy()
+        return np.sort(self.gather(np.array([u])))
 
     def degrees(self) -> np.ndarray:
         """Live degree sequence (int64; callers must not mutate)."""
@@ -160,14 +193,30 @@ class DeltaOverlay:
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return _EMPTY
-        src, dst = self.base._gather_rows(vertices)
-        if self._rem_dirkeys.size and dst.size:
-            dst = dst[~self._hit(src * np.int64(self.n) + dst)]
-        extra = gather_neighbors(
-            self._add_indptr, self._add_indices, vertices
+        n64, base, add, rem = (
+            np.int64(self.n), self.base, self._add_keys, self._rem_keys
         )
-        if extra.size == 0:
+        # Row u's directed keys are [u * n, (u + 1) * n): a sorted mirror
+        # holds each requested row as one run.
+        first = vertices * n64
+        last = first + n64
+        if rem.size and (
+            np.searchsorted(rem, first) != np.searchsorted(rem, last)
+        ).any():
+            src, dst = base._gather_rows(vertices)
+            dst = dst[~self._hit(src * n64 + dst)]
+        else:
+            dst = gather_neighbors(
+                base.indptr, base.indices, vertices
+            ).astype(np.int64, copy=False)
+        lo = np.searchsorted(add, first)
+        lens = np.searchsorted(add, last) - lo
+        total = int(lens.sum())
+        if total == 0:
             return dst
+        # The added runs back to back: entry j of run i is lo[i] + j.
+        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
+        extra = add[pos] % n64
         if dst.size == 0:
             return extra
         return np.concatenate((dst, extra))
@@ -181,14 +230,15 @@ class DeltaOverlay:
         key = self._key(u, v)
         if key in self._removed:
             self._removed.discard(key)
+            self._touched.setdefault(key, "rem")
         elif key in self._added or self.base.has_edge(u, v):
             return False
         else:
             self._added.add(key)
+            self._touched.setdefault(key, None)
         self._m += 1
         self._live_degrees[u] += 1
         self._live_degrees[v] += 1
-        self._dirty = True
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -199,14 +249,15 @@ class DeltaOverlay:
         key = self._key(u, v)
         if key in self._added:
             self._added.discard(key)
+            self._touched.setdefault(key, "add")
         elif key not in self._removed and self.base.has_edge(u, v):
             self._removed.add(key)
+            self._touched.setdefault(key, None)
         else:
             return False
         self._m -= 1
         self._live_degrees[u] -= 1
         self._live_degrees[v] -= 1
-        self._dirty = True
         return True
 
     def remove_vertex(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,44 +373,44 @@ class DeltaOverlay:
         # the incremental bookkeeping already equals the rebuilt
         # degrees; re-deriving keeps the two provably in sync.
         np.copyto(self._live_degrees, graph.degrees())
-        self._dirty = True
+        self._add_keys = self._rem_keys = _EMPTY
+        self._touched.clear()
         self.compactions += 1
         return graph
 
     # -- directed mirror sync -------------------------------------------
     def _sync(self) -> None:
-        """Rebuild the directed add-CSR / removed-key mirrors if dirty."""
-        if not self._dirty:
+        """Merge the keys touched since the last sync into the mirrors.
+
+        The mutators only note touched keys, so an event that never
+        queries pays nothing here.  The sets stay the source of truth;
+        only keys whose mirror changed move, so a key added and removed
+        again within one window costs nothing.
+        """
+        if not self._touched:
             return
-        n64 = np.int64(self.n)
-
-        def _directed(
-            keys: set[int],
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            if not keys:
-                return _EMPTY, _EMPTY, _EMPTY
-            arr = np.fromiter(keys, dtype=np.int64, count=len(keys))
-            lo, hi = np.divmod(arr, n64)
-            dirkeys = np.concatenate((lo * n64 + hi, hi * n64 + lo))
-            dirkeys.sort()
-            src, dst = np.divmod(dirkeys, n64)
-            return src, dst, dirkeys
-
-        add_src, add_dst, _ = _directed(self._added)
-        self._add_src = add_src
-        self._add_indices = add_dst
-        counts = np.bincount(add_src, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._add_indptr = indptr
-        self._rem_src, self._rem_dst, self._rem_dirkeys = _directed(
-            self._removed
-        )
-        self._dirty = False
+        moves: dict[str, tuple[list[int], list[int]]] = {
+            "add": ([], []),  # (leaving, entering)
+            "rem": ([], []),
+        }
+        for key, was in self._touched.items():
+            now = (
+                "add" if key in self._added
+                else "rem" if key in self._removed
+                else None
+            )
+            if now != was:
+                if was is not None:
+                    moves[was][0].append(key)
+                if now is not None:
+                    moves[now][1].append(key)
+        self._touched.clear()
+        self._add_keys = _merge(self._add_keys, *moves["add"], self.n)
+        self._rem_keys = _merge(self._rem_keys, *moves["rem"], self.n)
 
     def _hit(self, dirkeys: np.ndarray) -> np.ndarray:
         """Membership of directed keys in the (sorted) removed mirror."""
-        rem = self._rem_dirkeys
+        rem = self._rem_keys
         pos = np.searchsorted(rem, dirkeys)
         pos[pos == rem.size] = rem.size - 1
         return rem[pos] == dirkeys
@@ -380,7 +431,8 @@ class DeltaNeighborOps(NeighborOps):
     mirrors: ``count`` adds a histogram over the added directed edges
     whose destination is in the mask and subtracts one over the removed
     directed edges; ``gather`` filters the base CSR rows against the
-    removed keys and appends the add-mini-CSR rows.  Results are exact
+    removed keys (only when a requested row lost an edge) and appends
+    the added rows.  Results are exact
     integer counts, so the engines (and their bitwise-trajectory
     contract) are oblivious to the representation.
     """
@@ -416,18 +468,14 @@ class DeltaNeighborOps(NeighborOps):
         if mask.dtype != bool:
             mask = mask != 0
         out = self._base_ops.count(mask).astype(np.int64, copy=False)
-        if overlay._add_src.size:
-            sel = mask[overlay._add_indices]
+        n64 = np.int64(self.n)
+        for keys, sign in ((overlay._add_keys, 1), (overlay._rem_keys, -1)):
+            if keys.size == 0:
+                continue
+            src, dst = np.divmod(keys, n64)
+            sel = mask[dst]
             if sel.any():
-                out += np.bincount(
-                    overlay._add_src[sel], minlength=self.n
-                )
-        if overlay._rem_src.size:
-            sel = mask[overlay._rem_dst]
-            if sel.any():
-                out -= np.bincount(
-                    overlay._rem_src[sel], minlength=self.n
-                )
+                out += sign * np.bincount(src[sel], minlength=self.n)
         return out
 
     def apply_count_delta(

@@ -250,6 +250,156 @@ class TestDeltaNeighborOps:
 
 
 # ---------------------------------------------------------------------------
+# Hypothesis: windows of mutations between queries == the snapshot backend
+# ---------------------------------------------------------------------------
+
+#: One window of overlay mutations as (op, a, b) integers, reduced at
+#: application time; the queries run only between windows, so each sync
+#: merges a whole window of touched keys.
+WINDOWS = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=0, max_value=255),
+            st.integers(min_value=0, max_value=255),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutate(overlay, ops, base_edges, op, a, b):
+    n = overlay.n
+    u, v = a % n, b % n
+    if op <= 2:  # toggle
+        if u != v:
+            if overlay.has_edge(u, v):
+                overlay.remove_edge(u, v)
+            else:
+                overlay.add_edge(u, v)
+    elif op == 3 and base_edges:  # remove a base edge, then re-add it
+        x, y = base_edges[a % len(base_edges)]
+        overlay.remove_edge(x, y)
+        overlay.add_edge(x, y)
+    elif op == 4 and base_edges:  # remove a base edge (re-added later)
+        overlay.remove_edge(*base_edges[a % len(base_edges)])
+    elif op == 5 and u != v:  # add and remove the same key
+        overlay.add_edge(u, v)
+        overlay.remove_edge(u, v)
+    elif op == 6:
+        overlay.remove_vertex(u)
+    elif op == 7:
+        overlay.add_vertex(u, (v, (v + 1) % n))
+    elif op == 8 and overlay.delta_fraction() > b / 255:
+        overlay.compact()
+        ops.rebase()
+
+
+def _assert_matches_snapshot(overlay, ops, rng):
+    n = overlay.n
+    snap = overlay.snapshot()
+    ref = make_neighbor_ops(snap, "sparse")
+    np.testing.assert_array_equal(ops.degrees(), snap.degrees())
+    for u in range(n):
+        np.testing.assert_array_equal(
+            overlay.neighbors_of(u), np.sort(snap._row(u)).astype(np.int64)
+        )
+    for _ in range(3):
+        mask = rng.random(n) < rng.random()
+        np.testing.assert_array_equal(ops.count(mask), ref.count(mask))
+        verts = rng.integers(0, n, size=rng.integers(0, n + 1))
+        got = ops.gather(verts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(np.sort(got), np.sort(ref.gather(verts)))
+        counts = rng.integers(0, 4, size=n).astype(np.int64)
+        want = counts.copy()
+        up = np.unique(rng.integers(0, n, size=3))
+        down = np.setdiff1d(np.unique(rng.integers(0, n, size=3)), up)
+        ops.apply_count_delta(counts, up, down)
+        ref.apply_count_delta(want, up, down)
+        np.testing.assert_array_equal(counts, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    windows=WINDOWS,
+    n=st.integers(min_value=2, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_mutation_windows_match_snapshot_backend(windows, n, seed):
+    """Every query after a window of mutations == the snapshot CSR backend."""
+    graph = gnp_random_graph(n, 0.3, rng=seed)
+    overlay = DeltaOverlay(graph)
+    ops = DeltaNeighborOps(overlay)
+    us, vs = graph.edge_arrays()
+    base_edges = list(zip(us.tolist(), vs.tolist()))
+    rng = np.random.default_rng(seed)
+    for window in windows:
+        for op, a, b in window:
+            _mutate(overlay, ops, base_edges, op, a, b)
+        _assert_matches_snapshot(overlay, ops, rng)
+
+
+def test_correction_cost_tracks_the_touched_keys(monkeypatch):
+    """A sync merges only the keys touched since the previous one, and a
+    gather over rows that lost no edge never builds or probes src keys."""
+    import repro.dynamic.overlay as overlay_mod
+
+    n = 2**10
+    overlay = DeltaOverlay(gnp_random_graph(n, 3.0 / n, rng=3))
+    ops = DeltaNeighborOps(overlay)
+    us, vs = overlay.base.edge_arrays()
+    a, b = int(us[0]), int(vs[0])
+    overlay.remove_edge(a, b)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        overlay.add_edge(*rng.choice(n, size=2, replace=False))
+    ops.gather(np.arange(n))
+
+    calls = {"merged": [], "_gather_rows": 0, "_hit": 0}
+    merge = overlay_mod._merge
+
+    def spy_merge(mirror, leaving, entering, n):
+        calls["merged"].append(len(leaving) + len(entering))
+        return merge(mirror, leaving, entering, n)
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setattr(overlay_mod, "_merge", spy_merge)
+    spy(Graph, "_gather_rows")
+    spy(DeltaOverlay, "_hit")
+    x, y = next(
+        (int(x), int(y)) for x, y in rng.integers(0, n, size=(100, 2))
+        if x != y and not overlay.has_edge(x, y) and a not in (x, y)
+        and b not in (x, y)
+    )
+    overlay.add_edge(x, y)
+    overlay.add_edge(y, x)  # no-op: not touched again
+    overlay.add_edge(x, (x + 1) % n)  # a key added and removed again
+    overlay.remove_edge(x, (x + 1) % n)
+    clean = np.setdiff1d(np.arange(n), [a, b])
+    got = ops.gather(clean)
+    assert calls["merged"] == [1, 0]  # one key enters the add mirror
+    assert calls["_gather_rows"] == calls["_hit"] == 0
+    ref = make_neighbor_ops(overlay.snapshot(), "sparse")
+    np.testing.assert_array_equal(np.sort(got), np.sort(ref.gather(clean)))
+    ops.gather(clean)
+    assert calls["merged"] == [1, 0]  # nothing touched since
+    ops.gather(np.array([a]))
+    assert calls["_gather_rows"] == calls["_hit"] == 1
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis: incremental topology repair == from-scratch rebuild
 # ---------------------------------------------------------------------------
 
