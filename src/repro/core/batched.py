@@ -98,7 +98,9 @@ from repro.core.batched_frontier import (
     PAIR_ADVANCE_FRACTION,
     PAIR_INDEX_FRACTION,
     BatchedFrontierAggregates,
+    ResidentCounts,
     RoundDelta,
+    unique_flat,
 )
 from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
 from repro.core.schedulers import (
@@ -272,6 +274,10 @@ class _BatchedMISEngine:
         self._block_size = 0
         #: Live incremental aggregates while a frontier run is active.
         self._frontier_state: BatchedFrontierAggregates | None = None
+        #: The last frontier run's final aggregates, when every replica
+        #: retired stabilized: the next run repairs them instead of
+        #: rebuilding (:meth:`BatchedFrontierAggregates.repair`).
+        self._resident: ResidentCounts | None = None
         #: Live activity set, when maintained (2-state): as an
         #: ``(L, n)`` boolean mask, or — once small — as a sorted flat
         #: ``row * n + v`` index array.  At most one is non-None.
@@ -368,8 +374,18 @@ class _BatchedMISEngine:
             self._act_mask = None
         return True
 
-    def _seed_act_mask(self, black: np.ndarray, has: np.ndarray) -> None:
-        """Seed the activity set after a bulk round (pair engines)."""
+    def _seed_act_mask(
+        self,
+        black: np.ndarray,
+        has: np.ndarray,
+        candidates: np.ndarray | None = None,
+    ) -> None:
+        """Seed the activity set after a bulk round (pair engines).
+
+        ``candidates`` (flat pairs, repeats allowed), when given, holds
+        every pair that can be active: the run started from repaired
+        aggregates whose prior configuration had no active pair.
+        """
         self._act_mask = None
         self._act_pairs = None
 
@@ -581,7 +597,11 @@ class _BatchedMISEngine:
         fault-injection campaign can corrupt the processes between
         calls and re-run the same engine (the block-diagonal adjacency
         is kept across calls — the graphs are immutable — unless a
-        previous run compacted it).
+        previous run compacted it).  A frontier run whose replicas all
+        retired stabilized keeps their final counts, and the next call
+        repairs them at the pairs that changed in between instead of
+        rebuilding (:meth:`BatchedFrontierAggregates.repair`); the
+        results are the same either way.
 
         Parameters
         ----------
@@ -606,31 +626,30 @@ class _BatchedMISEngine:
         )
         self._gather()
         start_rounds = self._rounds.copy()
+        # A run that fails part-way leaves nothing resident.
+        resident, self._resident = self._resident, None
 
         retired: list[int] = []
 
-        def retire(rows: np.ndarray, black_rows: np.ndarray) -> None:
+        def retire(mask: np.ndarray) -> None:
+            """Retire the live rows in ``mask``, all stabilized."""
+            nonlocal kept_rows
+            rows = live[mask]
             if rows.size == 0:
                 return
-            # One nonzero pass + split serves every retiring replica.
-            mis_rows, mis_verts = np.nonzero(black_rows)
-            splits = np.split(
-                mis_verts,
-                np.cumsum(
-                    np.bincount(mis_rows, minlength=rows.size),
-                    dtype=np.int64,
-                )[:-1],
-            )
+            if frontier is not None:
+                frontier.keep(kept_counts, kept_aux, rows, mask)
+                kept_rows += rows.size
             retired.extend(rows.tolist())
-            for i, r in enumerate(rows):
-                r = int(r)
-                mis = splits[i]
+            # A flatnonzero per row: about 10x faster than one 2-D
+            # nonzero pass plus a split, which writes two index arrays.
+            for r, row in zip(rows.tolist(), black[mask]):
                 elapsed = int(self._rounds[r] - start_rounds[r])
                 results[r] = RunResult(
                     stabilized=True,
                     stabilization_round=elapsed,
                     rounds_executed=elapsed,
-                    mis=mis,
+                    mis=np.flatnonzero(row),
                 )
 
         live = np.arange(self.replicas, dtype=np.int64)
@@ -641,6 +660,9 @@ class _BatchedMISEngine:
             pos = np.arange(self.replicas, dtype=np.int64)
         black = self._black_rows(live)
         frontier: BatchedFrontierAggregates | None = None
+        kept_counts: np.ndarray | None = None
+        kept_aux: np.ndarray | None = None
+        kept_rows = 0
         self._reset_frontier_scratch()
         # The frontier only engages where scatter can win: the
         # block-diagonal path, or a shared graph on the CSR backend.
@@ -654,7 +676,17 @@ class _BatchedMISEngine:
             frontier = BatchedFrontierAggregates(
                 self, track_aux=self.track_aux_counts
             )
-            frontier.rebuild(black, pos, aux_mask=self._aux_rows(live))
+            aux_mask = self._aux_rows(live)
+            repaired = None
+            if resident is not None:
+                repaired = frontier.repair(black, pos, resident, aux_mask)
+            candidates = None
+            if repaired is None:
+                frontier.rebuild(black, pos, aux_mask=aux_mask)
+            else:
+                # The first round then picks its regime from the
+                # repaired delta, as every later round does from its own.
+                candidates, self._changed_count = repaired
             # In frontier mode the loop's `counts` variable carries the
             # materialized ``counts > 0`` boolean (what the update
             # rules consume); the integer matrix lives in the
@@ -664,8 +696,11 @@ class _BatchedMISEngine:
             # Seed the activity set from the initial aggregates: a
             # fleet that starts near-stable (the self-stabilization
             # recovery shape) then rides pair rounds from round 1.
-            self._seed_act_mask(black, counts)
+            self._seed_act_mask(black, counts, candidates)
             covered = frontier.unstable == 0
+            kept_counts, kept_aux = frontier.kept_buffers(
+                self.replicas, None if candidates is None else resident
+            )
         else:
             counts = self._count_nbrs(black, pos)
             covered = self._covered_rows(black, counts, pos)
@@ -697,7 +732,7 @@ class _BatchedMISEngine:
                 self._rebuild_block(live)
                 pos = np.arange(live.size, dtype=np.int64)
 
-        retire(live[covered], black[covered])
+        retire(covered)
         if covered.any():
             drop(~covered)
             maybe_compact()
@@ -769,13 +804,21 @@ class _BatchedMISEngine:
                 covered = self._covered_rows(black, counts, pos)
 
             if covered.any():
-                retire(live[covered], black[covered])
+                retire(covered)
                 drop(~covered)
                 maybe_compact()
 
         self._frontier_state = None
         self._reset_frontier_scratch()
         self._writeback()
+        if kept_counts is not None and kept_rows == self.replicas:
+            every = np.arange(self.replicas, dtype=np.int64)
+            self._resident = ResidentCounts(
+                black=self._black_rows(every),
+                counts=kept_counts,
+                aux=self._aux_rows(every),
+                aux_counts=kept_aux,
+            )
         if verify:
             self._verify_retired(sorted(retired), results)
         return results
@@ -917,12 +960,30 @@ class BatchedTwoStateMIS(_BlackStateEngine):
         #: (footnote-1 ablation) replica in the batch vetoes them.
         self._pair_capable = not bool(self._eager.any())
 
-    def _seed_act_mask(self, black: np.ndarray, has: np.ndarray) -> None:
+    def _seed_act_mask(
+        self,
+        black: np.ndarray,
+        has: np.ndarray,
+        candidates: np.ndarray | None = None,
+    ) -> None:
         self._act_pairs = None
-        if self._pair_capable:
+        self._act_mask = None
+        if not self._pair_capable:
+            return
+        if candidates is None:
             self._act_mask = black == has  # elementwise XNOR
+            return
+        # The representation _pair_round_ready would pick for the mask.
+        candidates = unique_flat(candidates, black.size)
+        act = candidates[
+            black.reshape(-1)[candidates] == has.reshape(-1)[candidates]
+        ]
+        if act.size * PAIR_INDEX_FRACTION < black.size:
+            self._act_pairs = act
         else:
-            self._act_mask = None
+            mask = np.zeros(black.size, dtype=bool)
+            mask[act] = True
+            self._act_mask = mask.reshape(black.shape)
 
     def _advance_rows(
         self,
@@ -1019,10 +1080,12 @@ class BatchedTwoStateMIS(_BlackStateEngine):
             idx = self._act_pairs
             deactivated = candidates[~act_at]
             activated = candidates[act_at]
+            # (np.setdiff1d / np.union1d dedup by hashing, which costs
+            # far more than a sort or a mask pass at these sizes.)
             if deactivated.size:
-                idx = np.setdiff1d(idx, deactivated)
+                idx = idx[~np.isin(idx, deactivated)]
             if activated.size:
-                idx = np.union1d(idx, activated)
+                idx = unique_flat(np.concatenate((idx, activated)), black.size)
             if idx.size * PAIR_INDEX_FRACTION >= black.size:
                 # Index regime left: widen back to the boolean mask.
                 mask = np.zeros(black.size, dtype=bool)

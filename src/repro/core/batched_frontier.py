@@ -40,7 +40,12 @@ stabilized replicas retire without ever issuing a final full pass.
 All state is aligned with the engine's *live* rows and is compacted in
 lockstep with replica retirement (:meth:`BatchedFrontierAggregates.filter`),
 so the count matrix, the stability masks and the flat indices shrink
-alongside the block CSR.  Everything is exact integer arithmetic on the
+alongside the block CSR.  Between runs an engine keeps its retired
+replicas' final counts (:class:`ResidentCounts`), and its next run
+repairs them from the pairs that changed in between
+(:meth:`BatchedFrontierAggregates.repair`) instead of rebuilding — the
+fault-wave shape, where a few vertices per stabilized replica flip.
+Everything is exact integer arithmetic on the
 same coin stream, so replicas stay bitwise-identical to their serial
 counterparts, whichever path a round takes —
 ``tests/test_batched_frontier.py`` pins batched runs against serial
@@ -82,7 +87,46 @@ PAIR_INDEX_FRACTION = 64
 #: changed fractions than the serial ``DEFAULT_CROSSOVER``.
 BULK_ADVANCE_FRACTION = 24
 
+#: Changed-pair bound (as a fraction of R * n) above which a re-run
+#: engine rebuilds its aggregates instead of repairing the resident
+#: ones (:meth:`BatchedFrontierAggregates.repair`).  Measured on
+#: G(2^14, 3/n) with 128 stabilized replicas (2 vCPU): repair 7 ms
+#: against rebuild 76 ms at 1/1024 of the pairs changed (a 16-vertex
+#: wave), 96 against 112 ms at 1/64, and 107 against 96 ms at 1/51.
+REPAIR_FRACTION = 64
+
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def unique_flat(idx: np.ndarray, size: int) -> np.ndarray:
+    """The distinct flat indices of ``idx`` (all below ``size``), sorted.
+
+    ``np.unique`` hashes, which costs about 20× a sort here; large sets
+    go through one boolean pass over ``size`` instead.
+    """
+    if idx.size * 64 >= size:
+        mask = np.zeros(size, dtype=bool)
+        mask[idx] = True
+        return np.flatnonzero(mask)
+    idx = np.sort(idx)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))[: idx.size]]
+
+
+@dataclass
+class ResidentCounts:
+    """What a batched engine keeps of its aggregates between runs.
+
+    Every row retired stabilized, and a stabilized replica has
+    ``I = B`` and ``N+[I] = V``: its ``has`` is ``~black``, its
+    ``stable`` is ``black``, it is covered everywhere and ``unstable``
+    is 0.  So the final masks and counts are all a re-run needs to
+    repair from (:meth:`BatchedFrontierAggregates.repair`).
+    """
+
+    black: np.ndarray
+    counts: np.ndarray
+    aux: np.ndarray | None = None
+    aux_counts: np.ndarray | None = None
 
 
 @dataclass
@@ -283,10 +327,13 @@ class BatchedFrontierAggregates:
         if c_rows.size * PAIR_ADVANCE_FRACTION < black.size:
             # Near-stable fleet (the recovery workload: I_0 ≈ B_0):
             # the stable-black counts are the black counts minus the
-            # few conflicted pairs' edges — no second reduction.
-            stable_counts = np.ascontiguousarray(self.counts)
-            if stable_counts is self.counts:
-                stable_counts = stable_counts.copy()
+            # few conflicted pairs' edges — no second reduction.  Its
+            # next rounds scatter, so the counts go C-contiguous here,
+            # once, and ``has`` is re-derived from them in that layout.
+            if not self.counts.flags.c_contiguous:
+                self.counts = np.ascontiguousarray(self.counts)
+                self.has = self.counts != 0
+            stable_counts = self.counts.copy()
             apply_flat_delta(
                 stable_counts.reshape(-1),
                 None,
@@ -304,6 +351,147 @@ class BatchedFrontierAggregates:
             self.covered, axis=1
         ).astype(np.int64)
 
+    def repair(
+        self,
+        black: np.ndarray,
+        pos: np.ndarray | None,
+        resident: ResidentCounts,
+        aux_mask: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, int] | None:
+        """Adopt ``resident``'s aggregates, repaired to the given mask(s).
+
+        The changed pairs ``F`` are the XOR of ``black`` (and
+        ``aux_mask``) against the resident masks.  The counts move by
+        ±1 at ``F``'s neighbours; ``has`` and ``stable`` can differ from
+        the stabilized prior's only at ``N+[F]``, and ``covered`` only
+        around the stable vertices lost there, in ``N+[N+[F]]``.  So the
+        cost is O(vol(N+[N+[F]])) plus a few O(R·n) mask passes, with no
+        reduction.  The result equals :meth:`rebuild`'s exactly.
+
+        Returns the flat candidate pairs (``F`` and its scatter
+        targets, with repeats), the only pairs whose activity can
+        differ from the prior's, which had none, and the number of
+        changed indicator pairs (the bulk-round signal, as if one round
+        had moved them).  Returns ``None``, and
+        adopts nothing, when more than ``1/REPAIR_FRACTION`` of the
+        pairs changed: the caller then rebuilds.  ``resident.counts``
+        (and ``aux_counts``) are updated in place.
+        """
+        changed = np.flatnonzero((black != resident.black).reshape(-1))
+        aux_changed = _EMPTY
+        if self.track_aux:
+            if aux_mask is None:
+                raise ValueError("track_aux aggregates need an aux mask")
+            aux_changed = np.flatnonzero(
+                (aux_mask != resident.aux).reshape(-1)
+            )
+        if (changed.size + aux_changed.size) * REPAIR_FRACTION > black.size:
+            return None
+        engine = self.engine
+        n = np.int64(self.n)
+        self.row_vols = engine._row_volumes(pos)
+        self._thresholds = frontier.DEFAULT_CROSSOVER * self.row_vols
+        black_flat = black.reshape(-1)
+        self.counts = resident.counts
+        touched = self._scatter_changed(
+            self.counts, black_flat, changed, pos
+        )
+        self.has = ~resident.black
+        has_flat = self.has.reshape(-1)
+        has_flat[touched] = self.counts.reshape(-1)[touched] != 0
+        if self.track_aux:
+            self.aux_counts = resident.aux_counts
+            self._scatter_changed(
+                self.aux_counts, aux_mask.reshape(-1), aux_changed, pos
+            )
+            self.aux_has = self.aux_counts != 0
+        # I = B \ has moves only at F and its targets; N+[I] loses
+        # coverage only around the stable vertices that left I.
+        candidates = np.concatenate((changed, touched))
+        self.stable = resident.black.copy()
+        stable_flat = self.stable.reshape(-1)
+        stable_flat[candidates] = (
+            black_flat[candidates] & ~has_flat[candidates]
+        )
+        self.covered = np.ones(black.shape, dtype=bool)
+        self.unstable = np.zeros(black.shape[0], dtype=np.int64)
+        was_stable = resident.black.reshape(-1)[candidates]
+        removed = unique_flat(
+            candidates[was_stable & ~stable_flat[candidates]], black.size
+        )
+        if removed.size:
+            rows = removed // n
+            around = unique_flat(
+                np.concatenate(
+                    (removed, engine._flat_targets(rows, removed - rows * n, pos))
+                ),
+                black.size,
+            )
+            rows = around // n
+            verts = around - rows * n
+            owner = np.repeat(
+                np.arange(around.size, dtype=np.int64),
+                engine._pair_degrees(rows, verts, pos),
+            )
+            nbr_stable = stable_flat[engine._flat_targets(rows, verts, pos)]
+            cover = stable_flat[around] | (
+                np.bincount(owner[nbr_stable], minlength=around.size) > 0
+            )
+            self.covered.reshape(-1)[around] = cover
+            self.unstable += np.bincount(
+                rows[~cover], minlength=black.shape[0]
+            )
+        return candidates, int(changed.size + aux_changed.size)
+
+    def kept_buffers(
+        self, replicas: int, repaired: ResidentCounts | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Where :meth:`keep` puts retiring rows' final (aux) counts.
+
+        The repaired matrices themselves when this run repaired them (a
+        row is written only as it retires, so a live row is never
+        overwritten), else new C-contiguous ``(replicas, n)`` ones.
+        """
+        if repaired is not None:
+            return repaired.counts, repaired.aux_counts
+        shape = (replicas, self.n)
+        aux = None
+        if self.aux_counts is not None:
+            aux = np.empty(shape, dtype=self.aux_counts.dtype)
+        return np.empty(shape, dtype=self.counts.dtype), aux
+
+    def keep(
+        self,
+        counts: np.ndarray,
+        aux_counts: np.ndarray | None,
+        replicas: np.ndarray,
+        rows: np.ndarray,
+    ) -> None:
+        """Copy the live ``rows`` (a mask) to ``replicas`` of the buffers."""
+        counts[replicas] = self.counts[rows]
+        if aux_counts is not None:
+            aux_counts[replicas] = self.aux_counts[rows]
+
+    def _scatter_changed(
+        self,
+        counts: np.ndarray,
+        mask_flat: np.ndarray,
+        changed: np.ndarray,
+        pos: np.ndarray | None,
+    ) -> np.ndarray:
+        """Count the flat ``changed`` pairs in or out; their targets.
+
+        A changed pair now in ``mask_flat`` adds one at each of its
+        neighbours, one now out of it subtracts one.
+        """
+        n = np.int64(self.n)
+        rows = changed // n
+        verts = changed - rows * n
+        up = mask_flat[changed]
+        up_t = self.engine._flat_targets(rows[up], verts[up], pos)
+        down_t = self.engine._flat_targets(rows[~up], verts[~up], pos)
+        apply_flat_delta(counts.reshape(-1), up_t, down_t)
+        return np.concatenate((up_t, down_t))
 
     def full_round(
         self,

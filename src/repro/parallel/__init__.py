@@ -16,16 +16,17 @@ in PR 9:
 * :mod:`~repro.parallel.pool` — ``n_jobs`` resolution and the worker
   teardown machinery: the join → terminate → kill escalation, zombie
   reporting, and :func:`install_signal_backstop`.
-* :mod:`~repro.parallel.worker` — the dumb module-level worker loop,
-  with the chaos-policy fault hook.
+* :mod:`~repro.parallel.worker` — the module-level worker loop, with
+  the chaos-policy fault hook; it keeps its recent shards' engines
+  resident, so a fault wave repairs them instead of rebuilding.
 * :mod:`~repro.parallel.supervisor` — the self-healing
   :class:`SupervisedPool`, the one worker pool: worker respawn,
   bounded shard retry with exponential backoff
   (:mod:`~repro.parallel.retry`), per-shard deadlines with in-process
   degradation, poisoned-result quarantine.
-* :mod:`~repro.parallel.chaos` — the deterministic fault injector
-  (:class:`ChaosPolicy`) that makes every recovery path reproducibly
-  testable.
+* :mod:`~repro.parallel.chaos` — the deterministic fault injectors
+  (:class:`ChaosPolicy`, and :class:`WaveChaosPolicy` for campaigns on
+  one pool) that make every recovery path reproducibly testable.
 * :mod:`~repro.parallel.fleet` — the one dispatch path
   (:func:`run_fleet_sharded`): replica-range sharding, checkpoint
   journaling, and restoring the returned records into the caller's
@@ -49,6 +50,7 @@ from repro.parallel.chaos import (
     FAULT_KINDS,
     POISON_PAYLOAD,
     ChaosPolicy,
+    WaveChaosPolicy,
 )
 from repro.parallel.config import (
     SupervisionDefaults,
@@ -113,6 +115,7 @@ __all__ = [
     "SupervisionDefaults",
     "SupervisionEvent",
     "WORKER_NAME_PREFIX",
+    "WaveChaosPolicy",
     "WorkerCrashError",
     "cpu_count",
     "decode_results",

@@ -8,9 +8,11 @@ Usage::
 ``--doctor`` verifies the machinery on *this* machine: shared-memory
 hygiene (no leaked ``repro-graphs-*`` segments before or after), worker
 spawn, crash detection, respawn, retry, bitwise equality of a
-supervised chaos run against the serial path, and one shard's wire
-round trip, whose records must stay within their packed state plus a
-fixed header (it prints the bytes per replica).  Exit 0 = healthy.
+supervised chaos run against the serial path, fault waves on one pool
+(one published segment, workers repairing their resident engines)
+against the serial path, and one shard's wire round trip, whose
+records must stay within their packed state plus a fixed header (it
+prints the bytes per replica).  Exit 0 = healthy.
 
 ``--chaos-smoke`` is the CI resilience gate: for each worker count it
 runs one fleet under a deterministic fault plan that exercises every
@@ -18,7 +20,10 @@ recovery path — a chaos-killed worker (respawn + retry), a hang past
 the per-shard deadline (straggler kill + in-process degradation), and
 a poisoned result (quarantine + retry) — and requires the results to
 be bitwise-identical to the fault-free serial reference, with no
-leaked segments and no zombie workers.  It finishes with the service
+leaked segments and no zombie workers.  A fault-wave campaign on one
+pool then loses a worker in its first wave, the first call whose
+shards could hit that worker's resident engines, and must still match
+the serial waves bitwise.  It finishes with the service
 drill: a checkpointed :class:`~repro.dynamic.service.MISService` is
 chaos-killed (and journal-torn) mid-stream and must resume to the
 bitwise-identical trajectory of an uninterrupted run.
@@ -41,6 +46,42 @@ def _fleet(replicas: int, n: int = 48, p: float = 0.1) -> list:
 
     graph = gnp_random_graph(n, p, rng=11)
     return [TwoStateMIS(graph, coins=1000 + i) for i in range(replicas)]
+
+
+def _waves(run: Callable[[list], list], replicas: int = 16) -> list:
+    """A clean start plus three 4-flip fault waves; each call's results.
+
+    The fleet is on the CSR backend, so workers run the batched
+    frontier engines and keep them resident between calls.
+    """
+    from repro.core.two_state import TwoStateMIS
+    from repro.graphs.random_graphs import gnp_random_graph
+
+    n = 600
+    graph = gnp_random_graph(n, 3.0 / n, rng=11)
+    fleet = [
+        TwoStateMIS(graph, coins=3000 + i, backend="sparse")
+        for i in range(replicas)
+    ]
+    rng = np.random.default_rng(7)
+    calls = []
+    for wave in range(4):
+        if wave:
+            for process in fleet:
+                state = process.black.copy()
+                idx = rng.choice(n, size=4, replace=False)
+                state[idx] = ~state[idx]
+                process.corrupt(state)
+        calls.append(run(fleet))
+    return calls
+
+
+def _serial_waves() -> list:
+    from repro.sim.runner import run_many_until_stable
+
+    return _waves(
+        lambda fleet: run_many_until_stable(fleet, max_rounds=4000, n_jobs=1)
+    )
 
 
 def _reference(replicas: int, max_rounds: int) -> list:
@@ -122,6 +163,26 @@ def doctor() -> int:
         )
         zombies = pool.close()
         healthy &= _check("shutdown leaves no zombies", zombies == [])
+
+    serial_waves = _serial_waves()
+    segments: set[str] = set()
+    with SupervisedPool(2) as pool:
+
+        def wave(fleet: list) -> list:
+            results = run_many_until_stable(
+                fleet, max_rounds=4000, pool=pool
+            )
+            segments.update(leaked_segments())
+            return results
+
+        waves = _waves(wave)
+    healthy &= _check(
+        "fault waves on resident engines match serial",
+        len(waves) == len(serial_waves)
+        and all(map(_identical, serial_waves, waves))
+        and len(segments) == 1,
+        f"{len(waves)} calls, {len(segments)} segment(s) published",
+    )
 
     healthy &= _wire_check()
     healthy &= _check(
@@ -245,6 +306,43 @@ def _service_chaos_smoke() -> bool:
     return ok
 
 
+def _wave_chaos_smoke() -> bool:
+    """Kill a worker in wave 1 of a campaign; the waves must stay bitwise.
+
+    Wave 1 is the first call whose shard could hit the worker's
+    resident engines; the retry runs on a worker without them.
+    """
+    from repro.parallel.chaos import WaveChaosPolicy
+    from repro.parallel.fleet import shard_ranges
+    from repro.parallel.retry import RetryPolicy
+    from repro.parallel.supervisor import SupervisedPool
+    from repro.sim.runner import run_many_until_stable
+
+    ref = _serial_waves()
+    chaos = WaveChaosPolicy.scripted({(shard_ranges(16, 2)[0], 1): "kill"})
+    with SupervisedPool(
+        2, chaos=chaos, retry=RetryPolicy(backoff_base=0.01)
+    ) as pool:
+        waves = _waves(
+            lambda fleet: run_many_until_stable(
+                fleet, max_rounds=4000, n_jobs=2, pool=pool
+            )
+        )
+        kinds = {event.kind for event in pool.events}
+        zombies = pool.close()
+    ok = (
+        all(map(_identical, ref, waves))
+        and {"respawn", "retry"} <= kinds
+        and not zombies
+    )
+    print(
+        f"  fault waves: {'bitwise-equal' if ok else 'MISMATCH'} with a "
+        f"worker killed in wave 1; events {sorted(kinds)}; "
+        f"zombies {zombies}"
+    )
+    return ok
+
+
 def chaos_smoke(
     worker_counts: list[int], replicas: int, deadline: float
 ) -> int:
@@ -314,6 +412,7 @@ def chaos_smoke(
             if kind not in kinds:
                 print(f"  MISSING recovery path: {kind}")
                 failed = True
+    failed |= not _wave_chaos_smoke()
     failed |= not _service_chaos_smoke()
     leaked = leaked_segments()
     if leaked:

@@ -160,6 +160,30 @@ class ChaosPolicy:
 
 
 @dataclass(frozen=True)
+class WaveChaosPolicy(ChaosPolicy):
+    """Scripted faults keyed by how often a worker has run a shard.
+
+    ``plan`` maps ``(shard, wave)`` to a fault, where ``wave`` counts
+    the jobs of that shard this worker incarnation was handed, from 0.
+    On a persistent pool whose shards stay with their workers, wave
+    ``w`` is the ``w``-th call of a campaign, so ``{(shard, 2):
+    "kill"}`` kills the worker that holds the shard resident in the
+    third call.  A respawned worker starts counting afresh from the
+    policy the pool spawned it with (the master never consults it).
+    """
+
+    seen: dict[ShardKey, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def fault_for(self, key: ShardKey, attempt: int) -> str | None:
+        key = tuple(key)
+        wave = self.seen.get(key, 0)
+        self.seen[key] = wave + 1
+        return (self.plan or {}).get((key, wave))
+
+
+@dataclass(frozen=True)
 class ServiceChaosPolicy:
     """Churn-aware fault injection for :class:`repro.dynamic.service.MISService`.
 

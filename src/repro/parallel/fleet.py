@@ -37,7 +37,6 @@ from repro.core.replica import ReplicaState
 from repro.graphs.graph import Graph
 from repro.parallel.jobs import GraphRegistry, ShardJob, ShardResult
 from repro.parallel.pool import resolve_n_jobs
-from repro.parallel.shared_graph import SharedGraphStore
 from repro.parallel.supervisor import SupervisedPool, supervised_pool_for
 from repro.parallel.worker import run_shard
 from repro.sim.runner import RunResult
@@ -168,10 +167,12 @@ def run_fleet_sharded(
     ``pool=None`` spins up a private :class:`SupervisedPool` sized by
     :func:`~repro.parallel.supervisor.supervised_pool_for` (one worker
     per pending shard, clamped to the usable CPUs) and closes it before
-    returning; passing a persistent pool amortizes worker startup
-    across calls (the sweep path does).  The published graph store is
-    unlinked on every exit path, including worker crashes and retry
-    exhaustion.
+    returning, with the graph store it published, on every exit path.
+    A persistent pool amortizes worker startup across calls (the sweep
+    path does) and keeps the store while the same graph objects come
+    back (:meth:`SupervisedPool.graph_store`), so a campaign of fault
+    waves publishes once and its workers repair their resident engines
+    (:mod:`repro.parallel.worker`); closing the pool unlinks it.
 
     With a ``journal``, each completed shard is persisted under
     ``shard:{lo}:{hi}`` the moment it lands — before any later shard
@@ -206,29 +207,29 @@ def run_fleet_sharded(
         else:
             pending.append((lo, hi))
 
-    own_pool = pool is None
     if pending:
-        with SharedGraphStore(graphs) as store:
-            try:
-                if pool is None:
-                    pool = supervised_pool_for(len(pending), shards)
-                jobs = [
-                    ShardJob(
-                        indices=(lo, hi),
-                        payload=registry.encode_shard(processes[lo:hi]),
-                        handle=store.handle,
-                        max_rounds=max_rounds,
-                        verify=verify,
-                        batch=batch,
-                    )
-                    for lo, hi in pending
-                ]
-                records.update(
-                    _run_supervised(pool, jobs, registry, processes, journal)
+        own_pool = pool is None
+        if pool is None:
+            pool = supervised_pool_for(len(pending), shards)
+        try:
+            store = pool.graph_store(graphs)
+            jobs = [
+                ShardJob(
+                    indices=(lo, hi),
+                    payload=registry.encode_shard(processes[lo:hi]),
+                    handle=store.handle,
+                    max_rounds=max_rounds,
+                    verify=verify,
+                    batch=batch,
                 )
-            finally:
-                if own_pool and pool is not None:
-                    pool.close()
+                for lo, hi in pending
+            ]
+            records.update(
+                _run_supervised(pool, jobs, registry, processes, journal)
+            )
+        finally:
+            if own_pool:
+                pool.close()
 
     results: list[RunResult | None] = [None] * len(processes)
     for (lo, hi), shard in records.items():

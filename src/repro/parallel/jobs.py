@@ -8,8 +8,10 @@ stream's ``(key, draw)`` and the bit-packed state planes, about
 ``n / 8`` bytes for a 2-state replica.  The receiving side rebuilds
 processes from those records against its own :class:`GraphRegistry`
 (a worker's is built over the shared-memory view graphs, the master's
-over the original objects), runs them, and ships back one record per
-replica with its run outcome filled in.  The master restores its own
+over the original objects) — or restores them into the processes it
+kept from running the same shard before (:mod:`repro.parallel.worker`)
+— runs them, and ships back one record per replica with its run
+outcome filled in.  The master restores its own
 process objects from the records in place
 (:meth:`~repro.core.process.MISProcess.restore`).  Adjacency structure
 never crosses a queue, and neither do process objects.
@@ -129,13 +131,6 @@ class GraphRegistry:
                 (index, type(process.ops).__name__, process.replica_state())
             )
         return self.dumps(items)
-
-    def decode_shard(self, payload: bytes) -> list[MISProcess]:
-        """Fresh processes rebuilt from a :class:`ShardJob` payload."""
-        return [
-            record.build(self.graphs[index], self.ops(index, clsname))
-            for index, clsname, record in self.loads(payload)
-        ]
 
 
 @dataclass

@@ -17,6 +17,14 @@ Lifecycle contract (the shared-memory hygiene rules):
   make unlink safe while workers are still attached: their mappings
   survive until they close, but the name disappears from ``/dev/shm``
   immediately, so nothing can leak past the master.
+* A store lives as long as its owner needs it: one call for a private
+  pool, and for a persistent
+  :class:`~repro.parallel.supervisor.SupervisedPool` as long as its
+  calls bring the same graph objects back
+  (:meth:`~repro.parallel.supervisor.SupervisedPool.graph_store`) —
+  a call with other graphs unlinks it, and so does the pool's
+  ``close()``.  Workers keep their resident engines exactly as long as
+  they stay attached to it.
 * :class:`AttachedGraphStore` (the worker side) attaches *untracked*:
   CPython registers attach-side segments with the per-process resource
   tracker (cpython#82300), which would double-unlink and warn at worker

@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 from types import TracebackType
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.graphs.graph import Graph
 from repro.parallel.chaos import ChaosPolicy, ShardKey
 from repro.parallel.jobs import ShardJob, ShardResult
 from repro.parallel.pool import (
@@ -56,6 +57,7 @@ from repro.parallel.pool import (
     shutdown_processes,
 )
 from repro.parallel.retry import RetryPolicy, ShardFailedError
+from repro.parallel.shared_graph import SharedGraphStore
 from repro.parallel.worker import worker_main
 
 #: Floor on poll timeouts so deadline/backoff wakeups never busy-spin.
@@ -124,6 +126,11 @@ class SupervisedPool:
     Use as a context manager or call :meth:`close` in a ``finally``;
     the atexit/SIGTERM backstop of :mod:`repro.parallel.pool` catches
     owners that never get there.
+
+    The pool also owns the graph store its fleets last published
+    (:meth:`graph_store`): it lives until a call brings other graphs
+    or the pool closes, so workers keep their resident shards across
+    the calls of a campaign.
     """
 
     def __init__(
@@ -157,8 +164,32 @@ class SupervisedPool:
         self.respawns = 0
         #: Supervision decisions, in order — the doctor CLI's evidence.
         self.events: list[SupervisionEvent] = []
+        self._store: SharedGraphStore | None = None
         self._slots = [self._spawn(i, 0) for i in range(workers)]
         _LIVE_POOLS.add(self)
+
+    def graph_store(self, graphs: Sequence[Graph]) -> SharedGraphStore:
+        """The published store of ``graphs``, kept while they come back.
+
+        Reused when ``graphs`` are the very objects of the last call, in
+        order (the store holds them, so their ids stay theirs); else the
+        old segment is unlinked and a new one published.  :meth:`close`
+        unlinks the last one.
+        """
+        if self._closed:
+            raise RuntimeError("cannot publish on a closed SupervisedPool")
+        store = self._store
+        if (
+            store is not None
+            and len(store.graphs) == len(graphs)
+            and all(a is b for a, b in zip(store.graphs, graphs))
+        ):
+            return store
+        self._store = None
+        if store is not None:
+            store.close()
+        self._store = SharedGraphStore(graphs)
+        return self._store
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -435,6 +466,9 @@ class SupervisedPool:
             return []
         self._closed = True
         _LIVE_POOLS.discard(self)
+        if self._store is not None:
+            self._store.close()
+            self._store = None
         for slot in self._slots:
             try:
                 slot.tasks.put(None)

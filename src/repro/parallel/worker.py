@@ -1,19 +1,30 @@
 """Worker-process entry point.
 
-Deliberately dumb, in the Ganeti-jqueue mold: a worker loops on the
-task queue, runs each shard with the ordinary in-process engines, and
-ships results back.  All policy — sharding, shared-memory lifecycle,
-result writeback, retry/deadline supervision — lives with the master.
+In the Ganeti-jqueue mold, a worker holds no policy: it loops on the
+task queue, runs each shard with the in-process engines, and ships
+results back.  Sharding, shared-memory lifecycle, result writeback and
+retry/deadline supervision all live with the master.
+
+What a worker does keep is *state*: the shard processes and batched
+engines of its recent jobs, one per shard key, over disjoint replica
+ranges (see :func:`run_shard`).  A fault wave over a fleet it has
+already run then restores the new records into the resident processes,
+and each engine repairs its aggregates from the pairs that changed
+instead of rebuilding them.  The cache belongs to the attached graph
+segment and is dropped with it.  Hits and misses give the same
+results, because a repair equals a rebuild exactly; a respawned worker,
+a retry on another worker or a shard degraded to the master only runs
+slower.
 
 :func:`worker_main` is a module-level function taking only its queues
 and spawn-time configuration (no closure captures, no module-global
-mutation), as the repro-lint ``parallel-safety`` rule requires of pool
-entry points.  The optional :class:`~repro.parallel.chaos.ChaosPolicy`
-is that configuration's fault-injection hook: consulted once per job,
-it can kill the worker before it reports, make it hang or start slow,
-or poison its result — each a deterministic function of
-``(shard, attempt)`` so the supervisor's recovery paths are
-reproducibly testable.
+mutation; the cache is one of its locals), as the repro-lint
+``parallel-safety`` rule requires of pool entry points.  The optional
+:class:`~repro.parallel.chaos.ChaosPolicy` is that configuration's
+fault-injection hook: consulted once per job, it can kill the worker
+before it reports, make it hang or start slow, or poison its result —
+each a deterministic function of ``(shard, attempt)`` so the
+supervisor's recovery paths are reproducibly testable.
 """
 
 from __future__ import annotations
@@ -27,31 +38,70 @@ if TYPE_CHECKING:
     from repro.parallel.chaos import ChaosPolicy
 
 
-def run_shard(registry: Any, job: Any) -> Any:
+def _resident_key(job: Any, items: list) -> tuple:
+    """The cache key of a shard job's decoded payload ``items``.
+
+    A resident shard fits a job when the range, the batching, and each
+    replica's graph index, ops class, family and config all match;
+    the records' states, coins and rounds are then restored into it.
+    """
+    return (
+        tuple(job.indices),
+        job.batch,
+        tuple(
+            (index, clsname, record.family, tuple(sorted(record.config.items())))
+            for index, clsname, record in items
+        ),
+    )
+
+
+def run_shard(
+    registry: Any, job: Any, resident: dict[tuple, Any] | None = None
+) -> Any:
     """Run one shard job against an attached (or master) registry.
 
     Rebuilds the shard's processes from their replica records, runs
-    them, and returns one record per replica with its outcome set.  A
-    separate function so every reference to the shard's processes —
-    whose arrays view the shared mapping — dies on return; the worker
-    can then unmap its cached store cleanly when the master publishes a
-    new segment.  The supervisor's deadline-degradation path calls this
-    too, against the *master's* registry: the records round-trip the
-    same way either way, so a degraded shard is bitwise-identical to a
-    worker-run one.
+    them, and returns one record per replica with its outcome set.
+    The supervisor's deadline-degradation path calls this too, against
+    the *master's* registry: the records round-trip the same way either
+    way, so a degraded shard is bitwise-identical to a worker-run one.
+
+    ``resident`` is a worker's cache (see the module docs).  On a hit
+    the records are restored into the cached processes and their
+    engines run again; on a miss the shard is built fresh and cached.
+    Every other entry whose replica range overlaps the job's is dropped
+    first, so the cached ranges stay disjoint: a worker keeps at most
+    one replica per index of the fleets on its segment.  The job's own
+    entry is taken out while its shard runs, so a job that raises
+    leaves nothing half-run behind.  Without a cache every job builds
+    fresh, and every reference to the shard's processes — whose arrays
+    view the shared mapping — dies on return.
     """
     from dataclasses import replace
 
     from repro.parallel.jobs import ShardResult
-    from repro.sim.runner import run_many_until_stable
+    from repro.sim.runner import plan_batches, run_planned
 
-    processes = registry.decode_shard(job.payload)
-    shard_results = run_many_until_stable(
-        processes,
-        max_rounds=job.max_rounds,
-        verify=job.verify,
-        batch=job.batch,
-        n_jobs=1,  # a worker never recurses into its own pool
+    items = registry.loads(job.payload)
+    key = _resident_key(job, items)
+    entry = None
+    if resident is not None:
+        entry = resident.pop(key, None)
+        lo, hi = job.indices  # free overlapping entries before running
+        for other in [k for k in resident if k[0][0] < hi and lo < k[0][1]]:
+            del resident[other]
+    if entry is None:
+        processes = [
+            record.build(registry.graphs[index], registry.ops(index, clsname))
+            for index, clsname, record in items
+        ]
+        plan = plan_batches(processes, job.batch)
+    else:
+        processes, plan = entry
+        for process, (_, _, record) in zip(processes, items):
+            process.restore(record)
+    shard_results = run_planned(
+        processes, plan, max_rounds=job.max_rounds, verify=job.verify
     )
     records = [
         replace(
@@ -64,6 +114,8 @@ def run_shard(registry: Any, job: Any) -> Any:
         )
         for process, result in zip(processes, shard_results)
     ]
+    if resident is not None:
+        resident[key] = (processes, plan)
     return ShardResult(job.indices, registry.dumps(records))
 
 
@@ -74,7 +126,9 @@ def worker_main(
 
     The worker caches one attached graph store: consecutive jobs
     against the same published segment — every shard of a fleet, every
-    point of a sweep — share a single mmap.  Exceptions are caught and
+    wave of a campaign on one pool — share a single mmap, and the
+    resident shards of :func:`run_shard` live exactly as long as it.
+    Exceptions are caught and
     shipped back as ``(job_id, "error", traceback)`` so the worker
     survives bad jobs; only a hard death (signal, ``os._exit``) kills
     it, which the master's liveness polling detects.
@@ -92,6 +146,7 @@ def worker_main(
 
     store = None
     registry = None
+    resident: dict[tuple, Any] = {}
     while True:
         task = tasks.get()
         if task is None:
@@ -121,14 +176,16 @@ def worker_main(
                 continue
         try:
             if store is None or store.handle.segment != job.handle.segment:
-                registry = None  # release view refs before unmapping
+                resident.clear()  # release view refs before unmapping
+                registry = None
                 if store is not None:
                     store.close()
                 store = job.handle.attach()
                 registry = GraphRegistry(store.graphs)
-            results.put((job_id, "ok", run_shard(registry, job)))
+            results.put((job_id, "ok", run_shard(registry, job, resident)))
         except Exception:
             results.put((job_id, "error", traceback.format_exc()))
+    resident.clear()
     registry = None
     if store is not None:
         store.close()

@@ -35,6 +35,7 @@ from repro.core.verify import assert_valid_mis
 from repro.sim.trace import Trace, TraceRecorder
 
 if TYPE_CHECKING:
+    from repro.core.batched import _BatchedMISEngine
     from repro.core.process import MISProcess
     from repro.parallel.supervisor import SupervisedPool
     from repro.sim.checkpoint import CheckpointView
@@ -226,8 +227,6 @@ def run_many_until_stable(
     list[RunResult] in input order (no traces; use
     :func:`run_until_stable` directly to record trajectories).
     """
-    from repro.core.batched import engine_for
-
     processes = list(processes)
     validate_batch(batch)
 
@@ -253,7 +252,31 @@ def run_many_until_stable(
             stacklevel=2,
         )
 
-    results: list[RunResult | None] = [None] * len(processes)
+    return run_planned(
+        processes,
+        plan_batches(processes, batch),
+        max_rounds=max_rounds,
+        verify=verify,
+    )
+
+
+#: A batch plan: each batched engine with the indices of its processes.
+BatchPlan = list[tuple[list[int], "_BatchedMISEngine"]]
+
+
+def plan_batches(
+    processes: Sequence[MISProcess], batch: str | int | None
+) -> BatchPlan:
+    """The batched engines the in-process path runs ``processes`` on.
+
+    Batchable processes are grouped by engine family and ``n`` and cut
+    into chunks of at most ``batch`` (:data:`AUTO_BATCH_CHUNK` for
+    ``"auto"``); a chunk of one is left out and runs serially.  The
+    plan can be run again and again (:func:`run_planned`): engines
+    re-adopt their processes' states on every run, which is how a
+    fleet worker keeps a shard's engines resident across fault waves.
+    """
+    from repro.core.batched import engine_for
 
     groups: dict[tuple[type, int], list[int]] = {}
     if batch is not None:
@@ -261,23 +284,31 @@ def run_many_until_stable(
             engine_cls = engine_for(process)
             if engine_cls is not None:
                 groups.setdefault((engine_cls, process.n), []).append(idx)
-    batched_indices = set()
+    plan: BatchPlan = []
     for (engine_cls, _n), indices in groups.items():
-        if len(indices) < 2:
-            continue  # a singleton gains nothing from the batch machinery
         cap = AUTO_BATCH_CHUNK if batch == "auto" else int(batch)
         for lo in range(0, len(indices), cap):
             chunk = indices[lo:lo + cap]
-            if len(chunk) == 1:
-                continue
-            runner = engine_cls([processes[i] for i in chunk])
-            for i, result in zip(chunk, runner.run(max_rounds, verify=verify)):
-                results[i] = result
-            batched_indices.update(chunk)
+            if len(chunk) > 1:  # a singleton gains nothing from batching
+                plan.append((chunk, engine_cls([processes[i] for i in chunk])))
+    return plan
 
+
+def run_planned(
+    processes: Sequence[MISProcess],
+    plan: BatchPlan,
+    *,
+    max_rounds: int,
+    verify: bool,
+) -> list[RunResult]:
+    """Run ``processes`` in-process: ``plan``'s engines, then the rest serially."""
+    results: list[RunResult | None] = [None] * len(processes)
+    for chunk, engine in plan:
+        for i, result in zip(chunk, engine.run(max_rounds, verify=verify)):
+            results[i] = result
     for idx, process in enumerate(processes):
-        if idx not in batched_indices:
+        if results[idx] is None:
             results[idx] = run_until_stable(
                 process, max_rounds=max_rounds, verify=verify
             )
-    return results
+    return results  # type: ignore[return-value]

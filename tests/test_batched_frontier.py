@@ -32,6 +32,7 @@ from repro.core.batched import (
     BatchedThreeStateMIS,
     BatchedTwoStateMIS,
 )
+from repro.core import batched_frontier as bf
 from repro.core.batched_frontier import (
     BatchedFrontierAggregates,
     RoundDelta,
@@ -509,7 +510,8 @@ class TestStabilityBookkeeping:
         # on the scatter path with exactly one count reduction (the
         # rebuild) — no per-round reductions, no final coverage pass.
         # (The CSR backend: a shared graph on the matmul backend stays
-        # on full reductions.)
+        # on full reductions.)  A fresh engine takes the cold path; a
+        # re-run engine needs none at all (TestResidentRepair).
         graph = gnp_random_graph(300, 0.02, rng=4)
         seeds = spawn_seeds(9, 8)
 
@@ -523,15 +525,13 @@ class TestStabilityBookkeeping:
         procs = [
             TwoStateMIS(graph, coins=s, backend="sparse") for s in seeds
         ]
-        engine = CountingEngine(procs)
-        engine.run(MAX_ROUNDS, verify=False)
+        BatchedTwoStateMIS(procs).run(MAX_ROUNDS, verify=False)
         for i, p in enumerate(procs):
             rng = np.random.default_rng(100 + i)
             p.corrupt_vertices(
                 rng.choice(p.n, size=3, replace=False), black=True
             )
-        CountingEngine.reductions = 0
-        results = engine.run(MAX_ROUNDS, verify=False)
+        results = CountingEngine(procs).run(MAX_ROUNDS, verify=False)
         assert all(r.stabilized for r in results)
         assert CountingEngine.reductions == 1  # the rebuild, nothing else
 
@@ -572,3 +572,227 @@ class TestStabilityBookkeeping:
         assert all(r.stabilized for r in results)
         assert calls["full"] == 0
         assert calls["scatter"] > 0
+
+
+#: Aggregate fields a run starts from, repaired or rebuilt.
+START_FIELDS = (
+    "counts", "aux_counts", "has", "aux_has", "stable", "covered", "unstable",
+)
+
+
+def record_starts(engine):
+    """Snapshot the aggregates and activity set every run starts from.
+
+    Wraps the engine's activity seeding, which each run calls right
+    after its rebuild or repair (and again after every bulk round; a
+    run's start is the first snapshot after it begins).
+    """
+    starts = []
+    seed = engine._seed_act_mask
+
+    def seeded(black, has, candidates=None):
+        seed(black, has, candidates)
+        agg = engine._frontier_state
+        snap = {
+            field: None if getattr(agg, field) is None
+            else np.array(getattr(agg, field))
+            for field in START_FIELDS
+        }
+        if engine._act_pairs is not None:
+            snap["active"] = engine._act_pairs.copy()
+        elif engine._act_mask is not None:
+            snap["active"] = np.flatnonzero(engine._act_mask)
+        else:
+            snap["active"] = None
+        snap["repaired"] = candidates is not None
+        starts.append(snap)
+
+    engine._seed_act_mask = seeded
+    return starts
+
+
+def corrupt_pairs(rng, family, state, k):
+    """``state`` with ``k`` random vertices set to another value."""
+    state = np.array(state)
+    idx = rng.choice(state.size, size=min(k, state.size), replace=False)
+    if family == "three_state":
+        state[idx] = (state[idx] + rng.integers(1, 3, size=idx.size)) % 3
+    else:
+        state[idx] = ~state[idx]
+    return state
+
+
+def _as_result(outcome):
+    """A ``run_reference`` tuple as a RunResult."""
+    from repro.sim.runner import RunResult
+
+    stabilized, stab_round, executed, mis = outcome
+    return RunResult(stabilized, stab_round, executed, mis)
+
+
+@st.composite
+def repair_graphs(draw):
+    """Small graphs, n in {0, 1} included, isolated vertices and
+    disconnected pieces common."""
+    n = draw(st.sampled_from([0, 1, 2, 5, 17, 40, 90, 300]))
+    pieces = draw(st.integers(min_value=1, max_value=3))
+    degree = draw(st.floats(min_value=0.0, max_value=6.0))
+    seed = draw(st.integers(min_value=0, max_value=2**20))
+    rng = np.random.default_rng(seed)
+    density = degree / max(n, 1)
+    piece = rng.integers(0, pieces, size=n)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if piece[u] == piece[v] and rng.random() < density
+    ]
+    return Graph(n, edges)
+
+
+class TestResidentRepair:
+    """A re-run engine repairs its resident aggregates; repair == rebuild."""
+
+    @given(
+        graph=repair_graphs(),
+        family=st.sampled_from(["two_state", "three_state", "scheduled"]),
+        shared=st.booleans(),
+        stabilized_prior=st.booleans(),
+        flips=st.sampled_from([0, 1, 3, "fallback"]),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repair_equals_rebuild(
+        self, graph, family, shared, stabilized_prior, flips, seed
+    ):
+        engine_cls, build, build_ref = FAMILIES[family]
+        replicas = 4
+        seeds = spawn_seeds(seed, replicas)
+        if shared:
+            graphs = [graph] * replicas
+        else:  # equal copies: the block-diagonal path
+            edges = list(zip(*graph.edge_arrays())) if graph.n else []
+            graphs = [Graph(graph.n, edges) for _ in seeds]
+        budget = MAX_ROUNDS if stabilized_prior else 1
+        procs = [build(g, s, "sparse") for g, s in zip(graphs, seeds)]
+        refs = [build_ref(g, s) for g, s in zip(graphs, seeds)]
+        engine = engine_cls(procs)
+        first = engine.run(budget)
+        assert_same_results(
+            [_as_result(run_reference(r, budget)) for r in refs], first
+        )
+        if stabilized_prior or all(r.stabilized for r in first):
+            assert engine._resident is not None
+        else:
+            assert engine._resident is None  # budget-dropped rows keep nothing
+
+        rng = np.random.default_rng(seed)
+        k = max(1, graph.n // 3) if flips == "fallback" else flips
+        for p, r in zip(procs, refs):
+            state = corrupt_pairs(rng, family, p.state_vector(), k)
+            p.corrupt(state)
+            set_reference_state(r, state)
+        # A fresh engine over twins of the corrupted processes.
+        twins = [
+            type(p).from_replica_state(p.replica_state(), p.graph, p.ops)
+            for p in procs
+        ]
+        fresh = engine_cls(twins)
+        had_resident = engine._resident is not None
+        resident_starts = record_starts(engine)
+        fresh_starts = record_starts(fresh)
+        got = engine.run(MAX_ROUNDS)
+        want = fresh.run(MAX_ROUNDS)
+        assert_same_results(want, got)
+        assert_same_results(
+            [_as_result(run_reference(r, MAX_ROUNDS)) for r in refs], got
+        )
+        for p, t, r in zip(procs, twins, refs):
+            assert p.round == t.round
+            assert np.array_equal(p.state_vector(), t.state_vector())
+            assert np.array_equal(p.state_vector(), reference_state(r))
+            assert p.coins.state == t.coins.state
+        start, cold = resident_starts[0], fresh_starts[0]
+        assert not cold["repaired"]
+        if not had_resident:
+            assert not start["repaired"]
+        elif 2 * min(k, graph.n) * bf.REPAIR_FRACTION <= graph.n:
+            # (at most two changed indicator pairs per flipped vertex)
+            assert start["repaired"]
+        for field in START_FIELDS + ("active",):
+            if cold[field] is None:
+                assert start[field] is None, field
+            else:
+                assert np.array_equal(start[field], cold[field]), field
+
+    @pytest.mark.parametrize("family", ["two_state", "three_state", "scheduled"])
+    def test_rerun_after_three_flips_skips_rebuild_and_reductions(
+        self, monkeypatch, family
+    ):
+        # Cost shape, no timing: the re-run repairs, and its first round
+        # takes its regime from the repaired delta, so it calls neither
+        # the rebuild nor a count reduction (a bulk round).  Later
+        # rounds pick their own regime: a 2-state recovery never goes
+        # bulk, while a 3-state one may, when many black vertices
+        # redraw their black0/black1 bit at once.
+        from repro.core.neighbor_ops import SparseNeighborOps
+
+        engine_cls, build, _ = FAMILIES[family]
+        graph = gnp_random_graph(800, 0.005, rng=6)
+        procs = [build(graph, s, "sparse") for s in spawn_seeds(4, 8)]
+        engine = engine_cls(procs)
+        engine.run(MAX_ROUNDS)
+        for i, p in enumerate(procs):
+            rng = np.random.default_rng(300 + i)
+            p.corrupt(corrupt_pairs(rng, family, p.state_vector(), 3))
+        start = engine._rounds.copy()
+        calls = []
+
+        def recorded(name, method):
+            def call(*args, **kwargs):
+                calls.append((name, int((engine._rounds - start).max())))
+                return method(*args, **kwargs)
+            return call
+
+        aggregates = bf.BatchedFrontierAggregates
+        monkeypatch.setattr(
+            aggregates, "rebuild", recorded("rebuild", aggregates.rebuild)
+        )
+        monkeypatch.setattr(
+            SparseNeighborOps,
+            "count_batch",
+            recorded("count_batch", SparseNeighborOps.count_batch),
+        )
+        results = engine.run(MAX_ROUNDS)
+        assert all(r.stabilized for r in results)
+        assert [c for c in calls if c[1] <= 1] == []
+        if family != "three_state":
+            assert calls == []
+
+    def test_large_delta_falls_back_to_rebuild(self, monkeypatch):
+        graph = gnp_random_graph(200, 0.02, rng=8)
+        procs = [
+            TwoStateMIS(graph, coins=s, backend="sparse")
+            for s in spawn_seeds(2, 4)
+        ]
+        engine = BatchedTwoStateMIS(procs)
+        engine.run(MAX_ROUNDS)
+        rebuilds = []
+        rebuild = bf.BatchedFrontierAggregates.rebuild
+
+        def counted(self, *args, **kwargs):
+            rebuilds.append(1)
+            return rebuild(self, *args, **kwargs)
+
+        monkeypatch.setattr(bf.BatchedFrontierAggregates, "rebuild", counted)
+        rng = np.random.default_rng(1)
+        k = graph.n // bf.REPAIR_FRACTION + 1  # just above the bound
+        for p in procs:
+            p.corrupt(corrupt_pairs(rng, "two_state", p.black, k))
+        engine.run(MAX_ROUNDS)
+        assert rebuilds == [1]
+        for p in procs:
+            p.corrupt(corrupt_pairs(rng, "two_state", p.black, 1))
+        engine.run(MAX_ROUNDS)
+        assert rebuilds == [1]  # back under the bound: repaired
+

@@ -340,6 +340,182 @@ def test_pool_reuse_across_different_graph_stores():
 
 
 # ---------------------------------------------------------------------------
+# Resident engines: fault waves on one persistent pool
+# ---------------------------------------------------------------------------
+
+
+def _wave_campaign(run, waves=3, replicas=12, n=300, flips=4):
+    """A clean start plus ``waves`` fault waves; per call, the results
+    and the processes' final states, rounds and coin positions."""
+    graph = gnp_random_graph(n, 3.0 / n, rng=21)
+    fleet = [
+        TwoStateMIS(graph, coins=500 + i, backend="sparse")
+        for i in range(replicas)
+    ]
+    rng = np.random.default_rng(9)
+    calls = []
+    for wave in range(1 + waves):
+        if wave:
+            for process in fleet:
+                state = process.black.copy()
+                idx = rng.choice(n, size=flips, replace=False)
+                state[idx] = ~state[idx]
+                process.corrupt(state)
+        results = run(fleet)
+        calls.append(
+            (
+                [
+                    (r.stabilized, r.stabilization_round, r.rounds_executed,
+                     None if r.mis is None else r.mis.tolist())
+                    for r in results
+                ],
+                [
+                    (p.round, p.black.tobytes(), dict(p.coins.state))
+                    for p in fleet
+                ],
+            )
+        )
+    return calls
+
+
+def _serial_waves():
+    return _wave_campaign(
+        lambda fleet: run_many_until_stable(fleet, max_rounds=10_000, n_jobs=1)
+    )
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_fault_waves_on_resident_engines_match_serial(shards):
+    # Two shards stay with their workers (hits every wave); three on
+    # two workers rotate, so workers miss and hit stale entries.
+    with SupervisedPool(2) as pool:
+        got = _wave_campaign(
+            lambda fleet: run_many_until_stable(
+                fleet, max_rounds=10_000, n_jobs=shards, pool=pool
+            )
+        )
+        assert pool.respawns == 0
+    assert got == _serial_waves()
+    _assert_no_leaks()
+
+
+def test_fault_waves_survive_a_worker_killed_in_wave_two():
+    # Wave 2's attempt 0 of the first shard dies with its resident
+    # engines; the retry runs on a worker whose cache lacks the shard.
+    from repro.parallel import WaveChaosPolicy
+
+    chaos = WaveChaosPolicy.scripted({((0, 6), 2): "kill"})
+    with SupervisedPool(2, chaos=chaos) as pool:
+        got = _wave_campaign(
+            lambda fleet: run_many_until_stable(
+                fleet, max_rounds=10_000, n_jobs=2, pool=pool
+            )
+        )
+        kinds = [event.kind for event in pool.events]
+        assert pool.respawns == 1
+        assert kinds == ["respawn", "retry"]
+    assert got == _serial_waves()
+    _assert_no_leaks()
+
+
+def test_run_shard_repairs_its_resident_entry_on_the_next_wave(monkeypatch):
+    # In-process, no pool: the second wave over a shard finds the
+    # entry the first one cached and repairs it, never rebuilding.
+    from dataclasses import replace
+
+    from repro.core.batched_frontier import BatchedFrontierAggregates
+    from repro.parallel.jobs import GraphRegistry, ShardJob
+    from repro.parallel.worker import run_shard
+
+    graph = gnp_random_graph(300, 3.0 / 300, rng=21)
+    fleet = [
+        TwoStateMIS(graph, coins=700 + i, backend="sparse") for i in range(6)
+    ]
+    twins = [
+        TwoStateMIS(graph, coins=700 + i, backend="sparse") for i in range(6)
+    ]
+    registry = GraphRegistry([graph])
+
+    def wave(resident, lo=0, hi=len(fleet)):
+        job = ShardJob(
+            indices=(lo, hi),
+            payload=registry.encode_shard(fleet[lo:hi]),
+            handle=None,
+            max_rounds=10_000,
+            verify=True,
+            batch="auto",
+        )
+        records = registry.loads(run_shard(registry, job, resident).payload)
+        for process, record in zip(fleet[lo:hi], records):
+            process.restore(record)
+        return records
+
+    resident = {}
+    wave(resident)
+    run_many_until_stable(twins, max_rounds=10_000, batch=None)
+    (key, (processes, plan)), = resident.items()
+    rng = np.random.default_rng(3)
+    for process, twin in zip(fleet, twins):
+        state = process.black.copy()
+        idx = rng.choice(graph.n, size=3, replace=False)
+        state[idx] = ~state[idx]
+        process.corrupt(state)
+        twin.corrupt(state)
+    want = run_many_until_stable(twins, max_rounds=10_000, batch=None)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rebuild called on a resident hit")
+
+    monkeypatch.setattr(BatchedFrontierAggregates, "rebuild", forbidden)
+    records = wave(resident)
+    assert list(resident) == [key]
+    assert resident[key][0] is processes  # the same resident processes
+    for record, result, twin in zip(records, want, twins):
+        assert record.outcome == (
+            result.stabilized,
+            result.stabilization_round,
+            result.rounds_executed,
+        )
+        assert replace(record, outcome=None) == twin.replica_state()
+
+    # A job over an overlapping range replaces the entry (a miss).
+    monkeypatch.undo()
+    wave(resident, 2, 5)
+    assert [k[0] for k in resident] == [(2, 5)]
+
+
+def test_wave_chaos_counts_dispatches_per_shard():
+    from repro.parallel import WaveChaosPolicy
+
+    policy = WaveChaosPolicy.scripted({((0, 4), 1): "kill"})
+    assert policy.fault_for((0, 4), 0) is None
+    assert policy.fault_for((4, 8), 0) is None
+    assert policy.fault_for((0, 4), 0) == "kill"  # its second dispatch
+    assert policy.fault_for((0, 4), 1) is None
+
+
+def test_persistent_pool_keeps_its_store_while_the_graphs_come_back():
+    graph = gnp_random_graph(40, 0.1, rng=4)
+    other = gnp_random_graph(40, 0.1, rng=5)
+    with SupervisedPool(2) as pool:
+        run_many_until_stable(
+            [TwoStateMIS(graph, coins=i) for i in range(4)], pool=pool
+        )
+        first = leaked_segments()
+        assert len(first) == 1  # the pool's store, alive between calls
+        run_many_until_stable(
+            [TwoStateMIS(graph, coins=i) for i in range(4, 8)], pool=pool
+        )
+        assert leaked_segments() == first  # same graph: one publication
+        run_many_until_stable(
+            [TwoStateMIS(other, coins=i) for i in range(4)], pool=pool
+        )
+        second = leaked_segments()
+        assert len(second) == 1 and second != first  # old one unlinked
+    _assert_no_leaks()
+
+
+# ---------------------------------------------------------------------------
 # Plumbing: n_jobs resolution, sharding, config default
 # ---------------------------------------------------------------------------
 
