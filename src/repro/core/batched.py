@@ -666,8 +666,8 @@ class _BatchedMISEngine:
         self._reset_frontier_scratch()
         # The frontier only engages where scatter can win: the
         # block-diagonal path, or a shared graph on the CSR backend.
-        # Against the dense/bitset matmul backends (small or dense
-        # graphs) a full reduction is a near-free BLAS call and the
+        # Against the dense matmul backend (small or dense graphs) a
+        # full reduction is a near-free BLAS call and the
         # incremental bookkeeping only adds overhead.
         engage = not self.shared_graph or isinstance(
             self._ops, SparseNeighborOps

@@ -12,41 +12,30 @@ down)``, which scatter-updates a persistent count array along only the
 edges incident to a changed vertex set (the frontier engine of
 :mod:`repro.core.frontier`).
 
-Four backends implement the interface:
+Two backends implement the interface:
 
-* :class:`DenseNeighborOps`   — int8 adjacency matrix + matmul; fastest
+* :class:`DenseNeighborOps`  — int8 adjacency matrix + matmul; fastest
   for small or dense graphs.
-* :class:`BitsetNeighborOps`  — uint64 bit-packed adjacency rows +
-  popcount; 8× less memory traffic than int8 matrices, fastest in the
-  mid-size dense regime where those blow the cache.
-* :class:`SparseNeighborOps`  — scipy CSR matvec; fastest for large
+* :class:`SparseNeighborOps` — scipy CSR matvec; fastest for large
   sparse graphs.
-* :class:`AdjListNeighborOps` — pure-python loops; the readable reference
-  used for cross-checking.
 
-:func:`make_neighbor_ops` picks a backend from the graph's size/density;
+:func:`make_neighbor_ops` picks one from the graph's size and density;
 the ablation benchmark ``bench_ablation_backends.py`` quantifies the
-choice.
+choice.  A caller that needs a particular backend constructs it and
+passes it as ``ops=`` (e.g. ``ops=SparseNeighborOps(graph)``).
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
 from repro.graphs.graph import Graph
 
-#: Densest n for which the dense backend is considered by "auto".
+#: Largest n for which the dense backend is considered at all.
 _DENSE_MAX_N = 4096
 #: Minimum density for which dense wins over sparse at large n.
 _DENSE_MIN_DENSITY = 0.02
-#: Largest n for which the bitset backend is considered by "auto" (above
-#: this even the packed rows outgrow the cache and CSR wins).
-_BITSET_MAX_N = 32768
-#: Minimum density for which bitset beats sparse in its size window
-#: (below this CSR touches fewer bytes than the n²/8-bit rows).
-_BITSET_MIN_DENSITY = 0.10
+
 
 def gather_neighbors(
     indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
@@ -83,22 +72,6 @@ def gather_neighbors(
     if starts.size > 1:
         steps[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
     return indices[np.cumsum(steps, dtype=np.int64)]
-
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array."""
-        return np.bitwise_count(a)
-else:  # pragma: no cover - exercised only on old numpy
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(a).view(np.uint8)
-        return (
-            _POP8[b]
-            .reshape(a.shape + (8,))
-            .sum(axis=-1, dtype=np.uint8)
-        )
 
 
 class NeighborOps:
@@ -312,116 +285,14 @@ class SparseNeighborOps(NeighborOps):
         return self._a.dot(masks.astype(np.int32).T).T
 
 
-class BitsetNeighborOps(NeighborOps):
-    """Bit-packed adjacency backend (uint64 rows + popcount).
+def make_neighbor_ops(graph: Graph) -> NeighborOps:
+    """The neighbourhood-ops backend for ``graph``.
 
-    Each adjacency row is packed into ``⌈n/64⌉`` uint64 words
-    (:meth:`repro.graphs.graph.Graph.adjacency_bitset`), so a
-    neighbourhood count is ``popcount(row & packed_mask)`` — one bit of
-    memory traffic per potential neighbour instead of one byte for the
-    int8 dense matrix.  That 8× density is what makes this backend win
-    in the mid-size dense regime (n in the thousands-to-tens-of-
-    thousands, density above a few percent) where the int8 matrix
-    no longer fits in cache but CSR's indirection overhead still hurts.
+    Dense for small graphs (n <= 512) and for graphs with n <= 4096 and
+    density >= 2%; CSR otherwise.
     """
-
-    def __init__(self, graph: Graph) -> None:
-        super().__init__(graph)
-        self._bits = graph.adjacency_bitset()
-        self._words = self._bits.shape[1]
-
-    def _pack(self, masks: np.ndarray) -> np.ndarray:
-        """Pack boolean masks ``(..., n)`` into uint64 words ``(..., W)``."""
-        masks = np.ascontiguousarray(masks, dtype=bool)
-        packed8 = np.packbits(masks, axis=-1, bitorder="little")
-        pad = self._words * 8 - packed8.shape[-1]
-        if pad:
-            width = [(0, 0)] * (packed8.ndim - 1) + [(0, pad)]
-            packed8 = np.pad(packed8, width)
-        if sys.byteorder == "little":
-            return packed8.view(np.uint64)
-        # Big-endian fallback: assemble words explicitly.
-        shifts = (8 * np.arange(8, dtype=np.uint64)).reshape(
-            (1,) * (packed8.ndim - 1) + (1, 8)
-        )
-        words = packed8.astype(np.uint64).reshape(
-            packed8.shape[:-1] + (self._words, 8)
-        )
-        return np.bitwise_or.reduce(words << shifts, axis=-1)
-
-    def count(self, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask)
-        if mask.dtype != bool:
-            mask = mask != 0
-        packed = self._pack(mask)  # (W,)
-        return _popcount(self._bits & packed).sum(axis=-1, dtype=np.int64)
-
-    def count_batch(self, masks: np.ndarray) -> np.ndarray:
-        masks = self._validate_masks(masks)
-        if masks.dtype != bool:
-            masks = masks != 0
-        if masks.shape[0] == 0:
-            return np.zeros(masks.shape, dtype=np.int64)
-        packed = self._pack(masks)  # (R, W)
-        out = np.zeros((masks.shape[0], self.n), dtype=np.int64)
-        # Word-at-a-time outer AND keeps the temporaries at (R, n)
-        # instead of materializing an (R, n, W) cube.
-        for w in range(self._words):
-            out += _popcount(
-                packed[:, w, None] & self._bits[None, :, w]
-            )
-        return out
-
-
-class AdjListNeighborOps(NeighborOps):
-    """Pure-python adjacency-list backend (reference semantics)."""
-
-    def count(self, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask, dtype=bool)
-        out = np.zeros(self.n, dtype=np.int64)
-        for u in range(self.n):
-            out[u] = sum(1 for v in self.graph.neighbors(u) if mask[v])
-        return out
-
-    def max_closed(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values)
-        out = np.empty(self.n, dtype=np.int64)
-        for u in range(self.n):
-            best = int(values[u])
-            for v in self.graph.neighbors(u):
-                if values[v] > best:
-                    best = int(values[v])
-            out[u] = best
-        return out
-
-
-def make_neighbor_ops(graph: Graph, backend: str = "auto") -> NeighborOps:
-    """Construct a neighbourhood-ops backend.
-
-    Parameters
-    ----------
-    graph:
-        The graph to aggregate over.
-    backend:
-        ``"dense"``, ``"bitset"``, ``"sparse"``, ``"adjlist"``, or
-        ``"auto"`` (dense for small/dense graphs, bitset for mid-size
-        dense graphs where the int8 matrix outgrows the cache, sparse
-        otherwise).
-    """
-    if backend == "dense":
-        return DenseNeighborOps(graph)
-    if backend == "bitset":
-        return BitsetNeighborOps(graph)
-    if backend == "sparse":
-        return SparseNeighborOps(graph)
-    if backend == "adjlist":
-        return AdjListNeighborOps(graph)
-    if backend != "auto":
-        raise ValueError(f"unknown backend {backend!r}")
     if graph.n <= 512:
         return DenseNeighborOps(graph)
     if graph.n <= _DENSE_MAX_N and graph.density() >= _DENSE_MIN_DENSITY:
         return DenseNeighborOps(graph)
-    if graph.n <= _BITSET_MAX_N and graph.density() >= _BITSET_MIN_DENSITY:
-        return BitsetNeighborOps(graph)
     return SparseNeighborOps(graph)

@@ -64,14 +64,12 @@ class MISProcess:
     coins:
         A :class:`~repro.sim.rng.CoinSource`, an integer seed, a numpy
         ``Generator``, or ``None`` (fresh OS entropy).
-    backend:
-        Neighbourhood-aggregation backend (``"auto"``, ``"dense"``,
-        ``"sparse"``, ``"adjlist"``).
     ops:
         A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
-        adopt instead of constructing one from ``backend`` — the
+        adopt instead of the one :func:`~repro.core.neighbor_ops.make_neighbor_ops`
+        picks for ``graph`` — the way to pin a backend, and the way the
         dynamic layer (:mod:`repro.dynamic`) injects its delta-aware
-        overlay backend this way.  When given, ``backend`` is ignored.
+        overlay backend.
     """
 
     #: Human-readable name of the process (subclasses override).
@@ -83,14 +81,13 @@ class MISProcess:
         self,
         graph: Graph,
         coins: CoinSource | int | np.random.Generator | None = None,
-        backend: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
         self.graph = graph
         self.n = graph.n
         self.coins = as_coin_source(coins)
         self.ops: NeighborOps = (
-            ops if ops is not None else make_neighbor_ops(graph, backend)
+            ops if ops is not None else make_neighbor_ops(graph)
         )
         self.round: int = 0
         self._agg_cache: dict[str, np.ndarray] = {}

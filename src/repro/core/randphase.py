@@ -61,7 +61,6 @@ class RandPhaseClock:
         coins: CoinSource | int | np.random.Generator | None = None,
         zeta: float = 0.125,
         init: np.ndarray | str | None = None,
-        backend: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
         if d < 1:
@@ -74,7 +73,7 @@ class RandPhaseClock:
         self.top = self.d + 2
         self.zeta = float(zeta)
         self.coins = as_coin_source(coins)
-        self.ops = ops if ops is not None else make_neighbor_ops(graph, backend)
+        self.ops = ops if ops is not None else make_neighbor_ops(graph)
         self.levels = self._resolve_init(init)
         self.round = 0
 

@@ -122,8 +122,8 @@ class ScheduledTwoStateMIS(_BlackStateProcess):
     daemon's activation rate as well as with the frontier.
 
     ``ops`` adopts a pre-built
-    :class:`~repro.core.neighbor_ops.NeighborOps` instead of
-    constructing one from ``backend``.
+    :class:`~repro.core.neighbor_ops.NeighborOps` instead of the one
+    the graph picks.
     """
 
     name = "2-state (scheduled)"
@@ -135,10 +135,9 @@ class ScheduledTwoStateMIS(_BlackStateProcess):
         scheduler: Scheduler | None = None,
         coins: CoinSource | int | np.random.Generator | None = None,
         init: np.ndarray | str | None = None,
-        backend: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
-        super().__init__(graph, coins, backend, ops=ops)
+        super().__init__(graph, coins, ops=ops)
         self.scheduler = (
             scheduler if scheduler is not None else SynchronousScheduler()
         )

@@ -85,7 +85,6 @@ class RandomizedLogSwitch(SwitchProcess):
         coins: CoinSource | int | np.random.Generator | None = None,
         zeta: float = 4.0 / DEFAULT_A,
         init: np.ndarray | str | None = None,
-        backend: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
         if not 0.0 < zeta <= 0.5:
@@ -94,7 +93,7 @@ class RandomizedLogSwitch(SwitchProcess):
         self.n = graph.n
         self.zeta = float(zeta)
         self.coins = as_coin_source(coins)
-        self.ops = ops if ops is not None else make_neighbor_ops(graph, backend)
+        self.ops = ops if ops is not None else make_neighbor_ops(graph)
         self.levels = self._resolve_init(init)
         self.round = 0
 

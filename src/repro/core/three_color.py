@@ -94,7 +94,7 @@ class ThreeColorMIS(MISProcess):
 
     Parameters
     ----------
-    graph, coins, backend:
+    graph, coins:
         See :class:`~repro.core.process.MISProcess`.
     init:
         Initial colors: int8 array over {WHITE, GRAY, BLACK}, or
@@ -107,8 +107,8 @@ class ThreeColorMIS(MISProcess):
         a = 512, giving ζ = 4/a = 2^-7 and 18 states total).
     ops:
         A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
-        adopt instead of constructing one from ``backend`` (shared with
-        the default switch).
+        adopt instead of the one the graph picks (shared with the
+        default switch).
 
     Notes
     -----
@@ -129,10 +129,9 @@ class ThreeColorMIS(MISProcess):
         init: np.ndarray | str | None = None,
         switch: SwitchProcess | None = None,
         a: float = DEFAULT_A,
-        backend: str = "auto",
         ops: NeighborOps | None = None,
     ) -> None:
-        super().__init__(graph, coins, backend, ops=ops)
+        super().__init__(graph, coins, ops=ops)
         self.colors = resolve_three_color_init(init, self.n, self.coins)
         if switch is None:
             switch = RandomizedLogSwitch(

@@ -99,10 +99,9 @@ class ThreeStateMIS(MISProcess):
         graph: Graph,
         coins: CoinSource | int | np.random.Generator | None = None,
         init: np.ndarray | str | None = None,
-        backend: str = "auto",
         ops: "NeighborOps | None" = None,
     ) -> None:
-        super().__init__(graph, coins, backend, ops=ops)
+        super().__init__(graph, coins, ops=ops)
         self.states = resolve_three_state_init(init, self.n, self.coins)
 
     # ------------------------------------------------------------------

@@ -111,7 +111,7 @@ class TwoStateMIS(_BlackStateProcess):
 
     Parameters
     ----------
-    graph, coins, backend:
+    graph, coins, ops:
         See :class:`~repro.core.process.MISProcess`.
     init:
         Initial configuration: boolean array, ``"random"``,
@@ -139,11 +139,10 @@ class TwoStateMIS(_BlackStateProcess):
         graph: Graph,
         coins: CoinSource | int | np.random.Generator | None = None,
         init: np.ndarray | str | None = None,
-        backend: str = "auto",
         eager_white_promotion: bool = False,
         ops: "NeighborOps | None" = None,
     ) -> None:
-        super().__init__(graph, coins, backend, ops=ops)
+        super().__init__(graph, coins, ops=ops)
         self.black = resolve_two_state_init(init, self.n, self.coins)
         self.eager_white_promotion = bool(eager_white_promotion)
         # Frontier-localized active set: sorted indices of A_t, kept

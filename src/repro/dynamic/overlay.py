@@ -437,18 +437,15 @@ class DeltaNeighborOps(NeighborOps):
     contract) are oblivious to the representation.
     """
 
-    def __init__(self, overlay: DeltaOverlay, backend: str = "auto") -> None:
+    def __init__(self, overlay: DeltaOverlay) -> None:
         super().__init__(overlay.base)
         self.overlay = overlay
-        self.backend = backend
-        self._base_ops: NeighborOps = make_neighbor_ops(
-            overlay.base, backend
-        )
+        self._base_ops: NeighborOps = make_neighbor_ops(overlay.base)
 
     def rebase(self) -> None:
         """Re-anchor on the overlay's new base after a compaction."""
         self.graph = self.overlay.base
-        self._base_ops = make_neighbor_ops(self.overlay.base, self.backend)
+        self._base_ops = make_neighbor_ops(self.overlay.base)
 
     # -- dynamic topology hooks -----------------------------------------
     def degrees(self) -> np.ndarray:

@@ -132,8 +132,6 @@ class MISService:
         Coin seed; the service always runs a
         :class:`~repro.sim.rng.SeededCoins` so its ``(key, draw)`` state
         is checkpointable.
-    backend:
-        Forwarded to the process.
     compact_fraction:
         Overlay compaction threshold (see
         :data:`~repro.dynamic.overlay.DEFAULT_COMPACT_FRACTION`).
@@ -168,7 +166,6 @@ class MISService:
         *,
         process: str = "2-state",
         seed: int = 0,
-        backend: str = "auto",
         compact_fraction: float = DEFAULT_COMPACT_FRACTION,
         settle_every: int = 1,
         max_recovery_rounds: int | None = None,
@@ -190,12 +187,11 @@ class MISService:
         self.stream = stream
         self.process_name = process
         self.seed = int(seed)
-        self.backend = backend
         self.settle_every = int(settle_every)
         self.checkpoint_every = int(checkpoint_every)
         self.repair = bool(repair)
         self.overlay = DeltaOverlay(graph, compact_fraction)
-        self.ops = DeltaNeighborOps(self.overlay, backend)
+        self.ops = DeltaNeighborOps(self.overlay)
         n = graph.n
         self.max_recovery_rounds = (
             int(max_recovery_rounds)
@@ -236,7 +232,6 @@ class MISService:
             "coins": COIN_STREAM,
             "process": self.process_name,
             "seed": self.seed,
-            "backend": self.backend,
             "settle_every": self.settle_every,
             "repair": self.repair,
             "compact_fraction": self.overlay.compact_fraction,
@@ -250,13 +245,7 @@ class MISService:
         init: np.ndarray | None = None,
     ) -> "TwoStateMIS | ThreeStateMIS":
         cls = TwoStateMIS if self.process_name == "2-state" else ThreeStateMIS
-        return cls(
-            graph,
-            coins=coins,
-            init=init,
-            backend=self.backend,
-            ops=self.ops,
-        )
+        return cls(graph, coins=coins, init=init, ops=self.ops)
 
     def _state_arrays(
         self,

@@ -4,7 +4,7 @@ Run from the command line::
 
     python -m repro.experiments list
     python -m repro.experiments run E1
-    python -m repro.experiments run all --fast
+    python -m repro.experiments run all    # fast mode; --full for full size
 
 Each experiment module exposes ``run(fast: bool, seed: int) ->
 ExperimentResult`` and registers itself with the registry.  The

@@ -12,9 +12,9 @@ Three ablations on the 2-state process:
    deterministically, while the coin breaks that symmetry.  The
    analysis choice is not just convenient; it is mildly helpful.
 
-2. **Neighbourhood backend.**  Steps/second under the dense (matmul),
-   bitset (popcount), sparse (CSR) and pure-python backends on a dense and a sparse
-   workload, justifying the ``make_neighbor_ops`` auto heuristic.
+2. **Neighbourhood backend.**  Steps/second under the dense (matmul)
+   and CSR backends on a dense and a sparse workload, justifying the
+   ``make_neighbor_ops`` heuristic.
 
 3. **Execution path.**  A small Monte-Carlo fleet on a sparse
    G(n, 3/n) run serially (:mod:`repro.core.frontier`) and batched
@@ -36,6 +36,7 @@ import time
 
 import numpy as np
 
+from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
 from repro.core.two_state import TwoStateMIS
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
@@ -126,9 +127,9 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         ("sparse (gnp)", sparse_graph),
     ):
         row = [f"{graph_name} n={graph.n}"]
-        for backend in ("dense", "bitset", "sparse"):
+        for ops_cls in (DenseNeighborOps, SparseNeighborOps):
             proc = TwoStateMIS(
-                graph, coins=1, backend=backend, init="all_black"
+                graph, coins=1, init="all_black", ops=ops_cls(graph)
             )
             start = time.perf_counter()
             proc.step(bench_rounds)
@@ -137,14 +138,14 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         rows2.append(row)
     table2 = format_table(
         ["workload", "dense backend (rounds/s)",
-         "bitset backend (rounds/s)", "sparse backend (rounds/s)"],
+         "CSR backend (rounds/s)"],
         rows2,
         title="Backend throughput",
     )
-    # The auto heuristic is justified if each backend wins on its home
+    # The heuristic is justified if each backend wins on its home
     # turf (or at least never catastrophically loses on it).
     verdicts["sparse backend >= 0.5x dense on the sparse workload"] = (
-        rows2[1][3] >= 0.5 * rows2[1][1]
+        rows2[1][2] >= 0.5 * rows2[1][1]
     )
 
     # --- Ablation 3: execution path (serial / batched vs reference) ---

@@ -10,7 +10,8 @@ The paper's translation claims (§1):
 
 The experiment (a) proves operational equivalence: under shared coins,
 the beeping-network execution of the 2-state protocol is
-*trajectory-identical* to the abstract process; (b) runs both model
+*trajectory-identical* to the abstract process (the literal per-vertex
+:class:`~repro.core.reference.ReferenceTwoState`); (b) runs both model
 implementations to stabilization on a workload suite, verifying the
 resulting MISes; and (c) reports the communication cost per round
 (bits observed per node — exactly 1 for beeping, 2 for the two-channel
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from repro.core.two_state import TwoStateMIS
+from repro.core.reference import ReferenceTwoState
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
 from repro.graphs.generators import complete_graph, cycle_graph
@@ -57,7 +58,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     equiv_ok = True
     for graph in suite.values():
         shared_seed = seed + 11
-        abstract = TwoStateMIS(graph, coins=shared_seed, backend="adjlist")
+        abstract = ReferenceTwoState(graph, coins=shared_seed)
         beeping = BeepingTwoStateMIS(graph, coins=shared_seed)
         for _ in range(equiv_rounds):
             abstract.step()

@@ -12,8 +12,7 @@ computed lazily and cached:
 * the Python views (:meth:`neighbors` tuples, the ``_adj_sets`` set
   list) materialize only when legacy per-vertex code asks for them;
 * :meth:`adjacency_csr` wraps the native arrays into scipy without
-  copying; :meth:`adjacency_dense` and :meth:`adjacency_bitset` build
-  the int8 matrix and the uint64 bit-packed rows on demand;
+  copying; :meth:`adjacency_dense` builds the int8 matrix on demand;
 * the hot derived-graph/property paths (:meth:`degrees`,
   :meth:`subgraph`, :meth:`complement`, :meth:`relabeled`,
   :meth:`edges_between`, :meth:`induced_edge_count`,
@@ -73,7 +72,6 @@ class Graph:
         "_csr",
         "_csr32",
         "_dense",
-        "_bits",
         "_edges",
     )
 
@@ -119,7 +117,6 @@ class Graph:
         self._csr = None
         self._csr32 = None
         self._dense = None
-        self._bits = None
         self._edges = None
         if us.size == 0 or n == 0:
             self._m = 0
@@ -572,32 +569,6 @@ class Graph:
             self._dense = a
         return self._dense
 
-    def adjacency_bitset(self) -> np.ndarray:
-        """Adjacency rows bit-packed into a cached ``(n, ⌈n/64⌉)`` uint64 array.
-
-        Bit ``i`` of word ``w`` in row ``u`` is set iff ``{u, 64w + i}``
-        is an edge — the backing store of
-        :class:`repro.core.neighbor_ops.BitsetNeighborOps`.
-        """
-        if self._bits is None:
-            n = self._n
-            words = (n + 63) // 64
-            bits = np.zeros((n, words), dtype=np.uint64)
-            if self._indices.size:
-                src = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(self._indptr)
-                )
-                dst = self._indices.astype(np.int64)
-                np.bitwise_or.at(
-                    bits,
-                    (src, dst >> 6),
-                    np.left_shift(
-                        np.uint64(1), (dst & 63).astype(np.uint64)
-                    ),
-                )
-            self._bits = bits
-        return self._bits
-
     def density(self) -> float:
         """Edge density ``m / C(n, 2)`` (0.0 when n < 2)."""
         if self._n < 2:
@@ -746,7 +717,6 @@ class Graph:
         self._csr = None
         self._csr32 = None
         self._dense = None
-        self._bits = None
         self._edges = None
 
     def __reduce__(self) -> tuple[Any, tuple[_GraphState]]:

@@ -51,7 +51,7 @@ def _fleet(replicas: int, n: int = 48, p: float = 0.1) -> list:
 def _waves(run: Callable[[list], list], replicas: int = 16) -> list:
     """A clean start plus three 4-flip fault waves; each call's results.
 
-    The fleet is on the CSR backend, so workers run the batched
+    The graph picks the CSR backend, so workers run the batched
     frontier engines and keep them resident between calls.
     """
     from repro.core.two_state import TwoStateMIS
@@ -60,8 +60,7 @@ def _waves(run: Callable[[list], list], replicas: int = 16) -> list:
     n = 600
     graph = gnp_random_graph(n, 3.0 / n, rng=11)
     fleet = [
-        TwoStateMIS(graph, coins=3000 + i, backend="sparse")
-        for i in range(replicas)
+        TwoStateMIS(graph, coins=3000 + i) for i in range(replicas)
     ]
     rng = np.random.default_rng(7)
     calls = []

@@ -39,12 +39,7 @@ if TYPE_CHECKING:
 #: replica's backend ships as its class name.
 _OPS_CLASSES: dict[str, type[_nops.NeighborOps]] = {
     cls.__name__: cls
-    for cls in (
-        _nops.SparseNeighborOps,
-        _nops.DenseNeighborOps,
-        _nops.BitsetNeighborOps,
-        _nops.AdjListNeighborOps,
-    )
+    for cls in (_nops.SparseNeighborOps, _nops.DenseNeighborOps)
 }
 
 

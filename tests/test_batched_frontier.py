@@ -38,6 +38,7 @@ from repro.core.batched_frontier import (
     RoundDelta,
     apply_flat_delta,
 )
+from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
 from repro.core.reference import (
     ReferenceIndependentDaemon,
     ReferenceThreeState,
@@ -54,30 +55,26 @@ from repro.sim.runner import run_many_until_stable, run_until_stable
 
 MAX_ROUNDS = 50_000
 
-#: Per family: (engine class, build(graph, coins, backend),
-#: reference(graph, coins)).
+#: Per family: (engine class, build(graph, coins, ops),
+#: reference(graph, coins)); ``ops=None`` lets the graph pick.
 FAMILIES = {
     "two_state": (
         BatchedTwoStateMIS,
-        lambda graph, coins, backend: TwoStateMIS(
-            graph, coins=coins, backend=backend
-        ),
+        lambda graph, coins, ops: TwoStateMIS(graph, coins=coins, ops=ops),
         lambda graph, coins: ReferenceTwoState(graph, coins=coins),
     ),
     "three_state": (
         BatchedThreeStateMIS,
-        lambda graph, coins, backend: ThreeStateMIS(
-            graph, coins=coins, backend=backend
-        ),
+        lambda graph, coins, ops: ThreeStateMIS(graph, coins=coins, ops=ops),
         lambda graph, coins: ReferenceThreeState(graph, coins=coins),
     ),
     "scheduled": (
         BatchedScheduledTwoStateMIS,
-        lambda graph, coins, backend: ScheduledTwoStateMIS(
+        lambda graph, coins, ops: ScheduledTwoStateMIS(
             graph,
             scheduler=IndependentScheduler(0.5),
             coins=coins,
-            backend=backend,
+            ops=ops,
         ),
         lambda graph, coins: ReferenceIndependentDaemon(
             graph, 0.5, coins=coins
@@ -85,8 +82,8 @@ FAMILIES = {
     ),
     "eager": (
         BatchedTwoStateMIS,
-        lambda graph, coins, backend: TwoStateMIS(
-            graph, coins=coins, backend=backend, eager_white_promotion=True
+        lambda graph, coins, ops: TwoStateMIS(
+            graph, coins=coins, ops=ops, eager_white_promotion=True
         ),
         lambda graph, coins: ReferenceTwoState(
             graph, coins=coins, eager_white_promotion=True
@@ -94,15 +91,15 @@ FAMILIES = {
     ),
 }
 
-#: Batched regimes: (backend, crossover, bulk-round fraction).  The
+#: Batched regimes: (backend class, crossover, bulk-round fraction).  The
 #: matmul backend keeps a shared graph off the aggregates; on the CSR
 #: backend a zero crossover makes every moving replica recompute its
 #: row, and a huge one (1e18) with no bulk threshold makes every round
 #: after the first scatter.
 REGIMES = {
-    "matmul": ("auto", frontier_module.DEFAULT_CROSSOVER, None),
-    "recompute": ("sparse", 0.0, None),
-    "scatter": ("sparse", 1e18, 0),
+    "matmul": (DenseNeighborOps, frontier_module.DEFAULT_CROSSOVER, None),
+    "recompute": (SparseNeighborOps, 0.0, None),
+    "scatter": (SparseNeighborOps, 1e18, 0),
 }
 
 
@@ -191,9 +188,14 @@ def assert_engines_match_serial(
         refs.append(ref)
         ref_coins.append(rc)
     for mode in ("serial",) + tuple(REGIMES):
-        backend, crossover, bulk = REGIMES.get(mode, REGIMES["matmul"])
+        ops_cls, crossover, bulk = REGIMES.get(
+            mode, (None, frontier_module.DEFAULT_CROSSOVER, None)
+        )
         coins = [CountingCoins(s) for s in seeds]
-        procs = [build(g, c, backend) for g, c in zip(graphs, coins)]
+        procs = [
+            build(g, c, ops_cls(g) if ops_cls else None)
+            for g, c in zip(graphs, coins)
+        ]
         if corrupt is not None:
             for i, p in enumerate(procs):
                 p.corrupt(corrupt(i, p.n))
@@ -523,7 +525,8 @@ class TestStabilityBookkeeping:
                 return super()._count_nbrs(masks, pos)
 
         procs = [
-            TwoStateMIS(graph, coins=s, backend="sparse") for s in seeds
+            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
+            for s in seeds
         ]
         BatchedTwoStateMIS(procs).run(MAX_ROUNDS, verify=False)
         for i, p in enumerate(procs):
@@ -555,7 +558,8 @@ class TestStabilityBookkeeping:
 
         graph = gnp_random_graph(120, 0.04, rng=2)
         procs = [
-            TwoStateMIS(graph, coins=s, backend="sparse") for s in range(6)
+            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
+            for s in range(6)
         ]
         engine = BatchedTwoStateMIS(procs)
         engine.run(MAX_ROUNDS)
@@ -674,7 +678,9 @@ class TestResidentRepair:
             edges = list(zip(*graph.edge_arrays())) if graph.n else []
             graphs = [Graph(graph.n, edges) for _ in seeds]
         budget = MAX_ROUNDS if stabilized_prior else 1
-        procs = [build(g, s, "sparse") for g, s in zip(graphs, seeds)]
+        procs = [
+            build(g, s, SparseNeighborOps(g)) for g, s in zip(graphs, seeds)
+        ]
         refs = [build_ref(g, s) for g, s in zip(graphs, seeds)]
         engine = engine_cls(procs)
         first = engine.run(budget)
@@ -735,11 +741,12 @@ class TestResidentRepair:
         # rounds pick their own regime: a 2-state recovery never goes
         # bulk, while a 3-state one may, when many black vertices
         # redraw their black0/black1 bit at once.
-        from repro.core.neighbor_ops import SparseNeighborOps
-
         engine_cls, build, _ = FAMILIES[family]
         graph = gnp_random_graph(800, 0.005, rng=6)
-        procs = [build(graph, s, "sparse") for s in spawn_seeds(4, 8)]
+        procs = [
+            build(graph, s, SparseNeighborOps(graph))
+            for s in spawn_seeds(4, 8)
+        ]
         engine = engine_cls(procs)
         engine.run(MAX_ROUNDS)
         for i, p in enumerate(procs):
@@ -772,7 +779,7 @@ class TestResidentRepair:
     def test_large_delta_falls_back_to_rebuild(self, monkeypatch):
         graph = gnp_random_graph(200, 0.02, rng=8)
         procs = [
-            TwoStateMIS(graph, coins=s, backend="sparse")
+            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
             for s in spawn_seeds(2, 4)
         ]
         engine = BatchedTwoStateMIS(procs)

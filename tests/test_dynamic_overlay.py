@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.frontier import FrontierAggregates
-from repro.core.neighbor_ops import make_neighbor_ops
+from repro.core.neighbor_ops import SparseNeighborOps, make_neighbor_ops
 from repro.core.states import BLACK1, WHITE
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
@@ -301,7 +301,7 @@ def _mutate(overlay, ops, base_edges, op, a, b):
 def _assert_matches_snapshot(overlay, ops, rng):
     n = overlay.n
     snap = overlay.snapshot()
-    ref = make_neighbor_ops(snap, "sparse")
+    ref = SparseNeighborOps(snap)
     np.testing.assert_array_equal(ops.degrees(), snap.degrees())
     for u in range(n):
         np.testing.assert_array_equal(
@@ -391,7 +391,7 @@ def test_correction_cost_tracks_the_touched_keys(monkeypatch):
     got = ops.gather(clean)
     assert calls["merged"] == [1, 0]  # one key enters the add mirror
     assert calls["_gather_rows"] == calls["_hit"] == 0
-    ref = make_neighbor_ops(overlay.snapshot(), "sparse")
+    ref = SparseNeighborOps(overlay.snapshot())
     np.testing.assert_array_equal(np.sort(got), np.sort(ref.gather(clean)))
     ops.gather(clean)
     assert calls["merged"] == [1, 0]  # nothing touched since

@@ -252,23 +252,37 @@ class TestCheckpointResume:
         )
         store.put_bytes("blob:-1", state.tobytes())
 
-    def test_pre_counter_stream_journal_is_refused(
-        self, graph, stream, tmp_path
-    ):
+    def _assert_old_spec_refused(self, graph, stream, tmp_path, edit):
+        """A journal fingerprinted with ``edit(spec)`` is never adopted."""
         live = MISService(graph, stream, seed=1)
         old_spec = live._spec()
-        del old_spec["coins"]  # the fingerprint before the stream change
+        edit(old_spec)
         path = tmp_path / "svc.ckpt"
         with CheckpointJournal(path, old_spec, resume=False) as journal:
             self._write_pcg64_era_snapshot(journal, live)
         with pytest.raises(CheckpointMismatchError):
             MISService(graph, stream, seed=1, checkpoint=path)
-        # resume=False starts over on the current stream.
+        # resume=False starts over under the current spec.
         fresh = MISService(
             graph, stream, seed=1, checkpoint=path, resume=False
         )
         assert fresh.next_offset == 0
         fresh.close()
+
+    def test_pre_counter_stream_journal_is_refused(
+        self, graph, stream, tmp_path
+    ):
+        # The fingerprint before the stream change had no "coins" key.
+        self._assert_old_spec_refused(
+            graph, stream, tmp_path, lambda spec: spec.pop("coins")
+        )
+
+    def test_backend_knob_journal_is_refused(self, graph, stream, tmp_path):
+        # Journals written while the service took backend= carry it.
+        self._assert_old_spec_refused(
+            graph, stream, tmp_path,
+            lambda spec: spec.update(backend="auto"),
+        )
 
     def test_pre_counter_snapshot_in_open_view_is_refused(
         self, graph, stream, tmp_path

@@ -1,8 +1,8 @@
 """Representation-cache consistency of the CSR-native Graph.
 
 The CSR arrays are the single source of truth; every derived
-representation — the scipy CSR wrapper, the dense int8 matrix, the
-bit-packed uint64 rows, and the lazy Python tuple/set views — must
+representation — the scipy CSR wrapper, the dense int8 matrix and the
+lazy Python tuple/set views — must
 describe the same adjacency, on every construction path (edge-list
 constructor, ``from_numpy_edges``, derived graphs) including the
 empty- and singleton-graph corners.
@@ -16,16 +16,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 
 
-def unpack_bitset(bits: np.ndarray, n: int) -> np.ndarray:
-    """Expand ``(n, ⌈n/64⌉)`` uint64 rows back into a boolean matrix."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
-    expanded = np.unpackbits(
-        bits.view(np.uint8).reshape(n, -1), axis=1, bitorder="little"
-    )
-    return expanded[:, :n].astype(bool)
-
-
 def assert_representations_agree(g: Graph) -> None:
     n = g.n
     dense = g.adjacency_dense()
@@ -37,8 +27,6 @@ def assert_representations_agree(g: Graph) -> None:
         assert np.all(np.diag(dense) == 0)
     # scipy CSR wrapper agrees with dense.
     assert np.array_equal(g.adjacency_csr().toarray(), dense)
-    # bit-packed rows agree with dense.
-    assert np.array_equal(unpack_bitset(g.adjacency_bitset(), n), dense != 0)
     # lazy tuple/set views agree with dense rows, sorted.
     for u in range(n):
         row = np.flatnonzero(dense[u]).tolist()
@@ -88,14 +76,14 @@ class TestCorners:
     def test_empty_graph(self):
         g = Graph(0)
         assert_representations_agree(g)
-        assert g.adjacency_bitset().shape == (0, 0)
+        assert g.adjacency_dense().shape == (0, 0)
         us, vs = g.edge_arrays()
         assert us.size == 0
 
     def test_singleton_graph(self):
         g = Graph(1)
         assert_representations_agree(g)
-        assert g.adjacency_bitset().shape == (1, 1)
+        assert g.adjacency_dense().shape == (1, 1)
         assert g.neighbors(0) == ()
 
     def test_from_numpy_edges_empty(self):
@@ -103,11 +91,10 @@ class TestCorners:
         assert_representations_agree(g)
 
     def test_word_boundary_sizes(self):
-        # n = 63, 64, 65 straddle the uint64 word boundary.
+        # n = 63, 64, 65 straddle a 64-bit word boundary.
         for n in (63, 64, 65):
             g = gnp_random_graph(n, 0.1, rng=n)
             assert_representations_agree(g)
-            assert g.adjacency_bitset().shape == (n, (n + 63) // 64)
 
     def test_derived_graphs_stay_consistent(self):
         g = gnp_random_graph(25, 0.25, rng=3)
@@ -121,7 +108,7 @@ class TestCorners:
         g = gnp_random_graph(20, 0.3, rng=1)
         assert g.adjacency_dense() is g.adjacency_dense()
         assert g.adjacency_csr() is g.adjacency_csr()
-        assert g.adjacency_bitset() is g.adjacency_bitset()
+        assert g.adjacency_csr_int32() is g.adjacency_csr_int32()
         assert g.neighbors(3) is g.neighbors(3)
 
     def test_pickle_roundtrip_drops_caches(self):
@@ -129,10 +116,10 @@ class TestCorners:
 
         g = gnp_random_graph(20, 0.3, rng=2)
         g.adjacency_dense()
-        g.adjacency_bitset()
+        g.adjacency_csr_int32()
         back = pickle.loads(pickle.dumps(g))
         assert back == g
-        assert back._dense is None and back._bits is None
+        assert back._dense is None and back._csr32 is None
         assert_representations_agree(back)
 
     def test_edge_arrays_cached_read_only(self):

@@ -1,29 +1,49 @@
-"""Tests for repro.core.neighbor_ops: the three backends must agree."""
+"""Tests for repro.core.neighbor_ops.
+
+Both backends must agree with :class:`AdjListReference`, a short
+per-vertex loop over each neighbour list written here.  The reference
+overrides only ``count`` and ``max_closed``, so running the shared
+tests on it also exercises the base class's generic batched fallbacks.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.neighbor_ops import (
-    AdjListNeighborOps,
-    BitsetNeighborOps,
     DenseNeighborOps,
+    NeighborOps,
     SparseNeighborOps,
     make_neighbor_ops,
 )
+from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import complete_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 
-BACKENDS = [
-    DenseNeighborOps,
-    SparseNeighborOps,
-    BitsetNeighborOps,
-    AdjListNeighborOps,
-]
+
+class AdjListReference(NeighborOps):
+    """Pure-python neighbour loops: the reference semantics."""
+
+    def count(self, mask):
+        return np.array(
+            [sum(bool(mask[v]) for v in self.graph.neighbors(u))
+             for u in range(self.n)],
+            dtype=np.int64,
+        )
+
+    def max_closed(self, values):
+        return np.array(
+            [max([values[u], *(values[v] for v in self.graph.neighbors(u))])
+             for u in range(self.n)],
+            dtype=np.int64,
+        )
+
+
+BACKENDS = [DenseNeighborOps, SparseNeighborOps]
 
 
 @pytest.fixture(
-    params=BACKENDS, ids=["dense", "sparse", "bitset", "adjlist"]
+    params=[*BACKENDS, AdjListReference], ids=["dense", "sparse", "adjlist"]
 )
 def backend_cls(request):
     return request.param
@@ -85,7 +105,7 @@ class TestMaxClosed:
         ops = backend_cls(g)
         rng = np.random.default_rng(11)
         values = rng.integers(2, 8, size=30)
-        ref = AdjListNeighborOps(g)
+        ref = AdjListReference(g)
         assert np.array_equal(ops.max_closed(values), ref.max_closed(values))
 
     def test_max_closed_constant_levels(self, backend_cls):
@@ -103,52 +123,72 @@ class TestCrossBackendAgreement:
         rng = np.random.default_rng(4)
         mask = rng.random(60) < 0.4
         values = rng.integers(0, 6, size=60)
-        results_count = []
-        results_max = []
+        ref = AdjListReference(g)
         for cls in BACKENDS:
             ops = cls(g)
-            results_count.append(np.asarray(ops.count(mask)))
-            results_max.append(np.asarray(ops.max_closed(values)))
-        for other in results_count[1:]:
-            assert np.array_equal(results_count[0], other)
-        for other in results_max[1:]:
-            assert np.array_equal(results_max[0], other)
+            assert np.array_equal(ops.count(mask), ref.count(mask))
+            assert np.array_equal(
+                ops.max_closed(values), ref.max_closed(values)
+            )
+
+
+def _graph_with_edges(n, m):
+    """An n-vertex graph with exactly ``m`` edges (the first m pairs)."""
+    us, vs = np.triu_indices(n, k=1)
+    return Graph.from_numpy_edges(n, us[:m], vs[:m])
 
 
 class TestFactory:
     def test_explicit_backends(self):
+        # A backend is pinned by constructing it and passing it as ops=.
         g = complete_graph(4)
-        assert isinstance(make_neighbor_ops(g, "dense"), DenseNeighborOps)
-        assert isinstance(make_neighbor_ops(g, "sparse"), SparseNeighborOps)
-        assert isinstance(
-            make_neighbor_ops(g, "bitset"), BitsetNeighborOps
-        )
-        assert isinstance(
-            make_neighbor_ops(g, "adjlist"), AdjListNeighborOps
-        )
+        for cls in BACKENDS:
+            ops = cls(g)
+            assert TwoStateMIS(g, coins=1, ops=ops).ops is ops
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_neighbor_ops(complete_graph(3), "gpu")
+        # No string selects a backend: neither the selector nor a
+        # process takes one.
+        g = complete_graph(3)
+        with pytest.raises(TypeError):
+            make_neighbor_ops(g, "sparse")
+        with pytest.raises(TypeError):
+            TwoStateMIS(g, coins=1, backend="sparse")
 
     def test_auto_small_graph_dense(self):
         assert isinstance(
-            make_neighbor_ops(complete_graph(50), "auto"), DenseNeighborOps
+            make_neighbor_ops(complete_graph(50)), DenseNeighborOps
         )
+
+    def test_auto_n_512_dense_n_513_sparse_at_low_density(self):
+        assert isinstance(
+            make_neighbor_ops(Graph(512, [(0, 1)])), DenseNeighborOps
+        )
+        assert isinstance(
+            make_neighbor_ops(Graph(513, [(0, 1)])), SparseNeighborOps
+        )
+
+    def test_auto_n_4096_density_threshold(self):
+        # 2% of C(4096, 2) = 167,690.4 edges: one edge either side.
+        threshold = 0.02 * 4096 * 4095 / 2
+        above = _graph_with_edges(4096, int(threshold) + 1)
+        below = _graph_with_edges(4096, int(threshold))
+        assert above.density() > 0.02 > below.density()
+        assert isinstance(make_neighbor_ops(above), DenseNeighborOps)
+        assert isinstance(make_neighbor_ops(below), SparseNeighborOps)
+
+    def test_auto_midsize_dense_graph_sparse(self):
+        # Past the dense backend's n cap, however dense: CSR.
+        g = gnp_random_graph(6000, 0.15, rng=6)
+        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
 
     def test_auto_large_sparse_graph_sparse(self):
         g = gnp_random_graph(5000, 0.0005, rng=5)
-        assert isinstance(make_neighbor_ops(g, "auto"), SparseNeighborOps)
-
-    def test_auto_midsize_dense_graph_bitset(self):
-        # Past the dense backend's n cap but dense enough that the
-        # bit-packed rows beat CSR: the mid-size dense regime.
-        g = gnp_random_graph(6000, 0.15, rng=6)
-        assert isinstance(make_neighbor_ops(g, "auto"), BitsetNeighborOps)
+        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
 
     def test_auto_huge_graph_stays_sparse(self):
         g = gnp_random_graph(40_000, 0.0001, rng=7)
-        assert isinstance(make_neighbor_ops(g, "auto"), SparseNeighborOps)
+        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
 
 
 class TestCountBatch:

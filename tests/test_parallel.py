@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.replica import ReplicaState
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
@@ -349,7 +350,7 @@ def _wave_campaign(run, waves=3, replicas=12, n=300, flips=4):
     and the processes' final states, rounds and coin positions."""
     graph = gnp_random_graph(n, 3.0 / n, rng=21)
     fleet = [
-        TwoStateMIS(graph, coins=500 + i, backend="sparse")
+        TwoStateMIS(graph, coins=500 + i, ops=SparseNeighborOps(graph))
         for i in range(replicas)
     ]
     rng = np.random.default_rng(9)
@@ -429,10 +430,12 @@ def test_run_shard_repairs_its_resident_entry_on_the_next_wave(monkeypatch):
 
     graph = gnp_random_graph(300, 3.0 / 300, rng=21)
     fleet = [
-        TwoStateMIS(graph, coins=700 + i, backend="sparse") for i in range(6)
+        TwoStateMIS(graph, coins=700 + i, ops=SparseNeighborOps(graph))
+        for i in range(6)
     ]
     twins = [
-        TwoStateMIS(graph, coins=700 + i, backend="sparse") for i in range(6)
+        TwoStateMIS(graph, coins=700 + i, ops=SparseNeighborOps(graph))
+        for i in range(6)
     ]
     registry = GraphRegistry([graph])
 

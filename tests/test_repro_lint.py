@@ -707,14 +707,14 @@ def test_alias_escape_tracks_row_views_and_augassign(tmp_path):
         tmp_path,
         """
         def corrupt(graph, v):
-            bits = graph.adjacency_bitset()
-            row = bits[v]
+            a = graph.adjacency_dense()
+            row = a[v]
             row |= 1
         """,
         "alias-escape",
     )
     assert len(findings) == 1
-    assert "adjacency_bitset()" in findings[0].message
+    assert "adjacency_dense()" in findings[0].message
 
 
 def test_alias_escape_copy_breaks_the_alias(tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
+from repro.core.reference import ReferenceTwoState
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import (
     complete_graph,
@@ -251,11 +253,14 @@ class TestEagerAblation:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["dense", "sparse", "adjlist"])
-    def test_backends_equivalent_trajectories(self, backend):
+    @pytest.mark.parametrize(
+        "ops_cls", [DenseNeighborOps, SparseNeighborOps],
+        ids=["dense", "sparse"],
+    )
+    def test_backends_equivalent_trajectories(self, ops_cls):
         g = cycle_graph(15)
-        reference = TwoStateMIS(g, coins=9, backend="dense")
-        other = TwoStateMIS(g, coins=9, backend=backend)
+        reference = ReferenceTwoState(g, coins=9)
+        other = TwoStateMIS(g, coins=9, ops=ops_cls(g))
         for _ in range(40):
             reference.step()
             other.step()

@@ -4,7 +4,7 @@
 access* site (``graph._degrees[...] = ...``).  But the frozen views
 also escape through the public accessors — ``degrees()``,
 ``adjacency_csr()`` / ``adjacency_csr_int32()``, ``adjacency_dense()``,
-``adjacency_bitset()``, ``edge_arrays()`` — which hand out the
+``edge_arrays()`` — which hand out the
 identity-cached arrays themselves (copying would defeat the CSR
 substrate's memory story).
 Once such an array is bound to a local name, a later in-place write
@@ -15,8 +15,8 @@ This rule tracks those aliases through local dataflow, per scope and
 in statement order:
 
 * ``d = g.degrees()`` starts an alias; ``indptr, indices =
-  g.adjacency_csr()`` starts two; ``row = bits[v]`` propagates to a
-  bitset row view; ``e = d`` propagates.
+  g.adjacency_csr()`` starts two; ``row = a[v]`` propagates to a
+  dense row view; ``e = d`` propagates.
 * ``d = d.copy()`` / ``.astype(...)`` / ``np.array(d)`` rebind to a
   fresh array and end the alias; any other rebinding ends it too.
 * In-place mutation of a live alias is flagged: subscript stores,
@@ -47,7 +47,6 @@ FROZEN_ACCESSORS = {
     "adjacency_csr",
     "adjacency_csr_int32",
     "adjacency_dense",
-    "adjacency_bitset",
     "edge_arrays",
 }
 #: ndarray methods that mutate in place.

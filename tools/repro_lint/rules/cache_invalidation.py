@@ -46,13 +46,11 @@ DEFAULT_FROZEN = (
     "_indices",
     "_degrees",
     "_dense",
-    "_bits",
 )
 #: Zero-arg methods returning cached arrays callers must not mutate.
 DEFAULT_FROZEN_METHODS = (
     "degrees",
     "adjacency_dense",
-    "adjacency_bitset",
 )
 #: Identity-cache keys: state vectors and frontier aggregate arrays.
 DEFAULT_GUARDED = (
