@@ -60,7 +60,10 @@ Each replica keeps its *own* :class:`~repro.sim.rng.CoinSource` and
 draws exactly the arrays its serial counterpart would, in the same
 per-replica order (§2.1's φ_t discipline; for the 3-color process the
 main φ_t draw precedes the switch's Bernoulli draw, and for scheduled
-processes the daemon's draw precedes φ_t).  Neighbour aggregates are
+processes the daemon's draw precedes φ_t).  Each such step is one row
+draw over the live replicas (:meth:`~repro.sim.rng.CoinSource.bits_rows`,
+``bits_rows_at``, ``bernoulli_rows``), which advances every live stream
+by exactly one draw.  Neighbour aggregates are
 exact integer reductions, so the trajectory of replica ``r`` is
 bitwise-identical to running ``processes[r]`` through
 :func:`repro.sim.runner.run_until_stable` with the same seed — the
@@ -100,9 +103,13 @@ from repro.core.batched_frontier import (
     BatchedFrontierAggregates,
     ResidentCounts,
     RoundDelta,
+)
+from repro.core.neighbor_ops import (
+    SparseNeighborOps,
+    gather_neighbors,
+    setdiff_sorted,
     unique_flat,
 )
-from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
 from repro.core.schedulers import (
     IndependentScheduler,
     ScheduledTwoStateMIS,
@@ -121,6 +128,7 @@ from repro.core.three_color import ThreeColorMIS
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.core.verify import assert_valid_mis
+from repro.sim.rng import CoinSource
 
 #: Dispatch table: serial process type → batched engine class.  Filled
 #: by :func:`register_engine`; keyed by the *exact* type (subclasses do
@@ -292,8 +300,6 @@ class _BatchedMISEngine:
         self._changed_count: int | None = None
         #: Set by the run loop when ``_advance_rows`` must report deltas.
         self._collect_delta = False
-        #: Reused φ_t buffer (see :meth:`_phi_rows`).
-        self._phi_buf: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -762,7 +768,7 @@ class _BatchedMISEngine:
                 if self._pair_round_ready(black.size):
                     # Tail regime: advance on the flat active pairs
                     # (`black` is updated in place, no re-gather).
-                    delta = self._advance_rows_pairs(live, black, counts)  # repro-lint: disable=coin-flow (pair regime draws the identical per-replica φ_t)
+                    delta = self._advance_rows_pairs(live, black, counts)  # repro-lint: disable=coin-flow (bits_rows_at: each live stream takes the same one φ_t draw as in every regime)
                     self._rounds[live] += 1
                     touched = frontier.advance(black, delta, pos)
                     counts = frontier.has
@@ -776,7 +782,7 @@ class _BatchedMISEngine:
                     # last round — recompute the counts with one
                     # reduction per indicator instead of extracting
                     # and scattering the changed pairs.
-                    self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime draws the identical per-replica φ_t)
+                    self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per live stream)
                     self._rounds[live] += 1
                     black = self._last_new_black
                     frontier.full_round(
@@ -787,7 +793,7 @@ class _BatchedMISEngine:
                 else:
                     self._collect_delta = True
                     try:
-                        delta = self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime draws the identical per-replica φ_t)
+                        delta = self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per live stream)
                     finally:
                         self._collect_delta = False
                     black = self._last_new_black
@@ -797,7 +803,7 @@ class _BatchedMISEngine:
                     self._sync_act_pairs(black, counts, delta, touched)
                 covered = frontier.unstable == 0
             else:
-                self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime draws the identical per-replica φ_t)
+                self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per live stream)
                 self._rounds[live] += 1
                 black = self._black_rows(live)
                 counts = self._count_nbrs(black, pos)
@@ -847,20 +853,17 @@ class _BatchedMISEngine:
                     mask[i, results[r].mis] = True
                 assert_valid_mis(graph, mask, rows=chunk)
 
-    def _phi_rows(self, live: np.ndarray) -> np.ndarray:
-        """One ``bits(n)`` draw per live replica, in replica order.
-
-        The returned matrix is a view into a per-engine buffer reused
-        across rounds (φ_t is consumed within its round everywhere);
-        each draw lands in its row via :meth:`CoinSource.bits_into`.
-        """
-        if self._phi_buf is None or self._phi_buf.shape[0] < live.size:
-            self._phi_buf = np.empty((live.size, self.n), dtype=bool)
-        phi = self._phi_buf[: live.size]
+    def _live_coins(self, live: np.ndarray) -> list[CoinSource]:
+        """The live replicas' coin sources, in row order."""
         processes = self.processes
-        for i, r in enumerate(live):
-            processes[r].coins.bits_into(phi[i])
-        return phi
+        return [processes[r].coins for r in live.tolist()]
+
+    def _phi_rows(self, live: np.ndarray) -> np.ndarray:
+        """φ_t of the live replicas: row ``i`` is replica ``live[i]``'s
+        next ``bits(n)`` draw, all rows in one
+        :meth:`CoinSource.bits_rows` call (each stream advances one
+        draw)."""
+        return CoinSource.bits_rows(self._live_coins(live), self.n)
 
     def _writeback(self) -> None:
         """Sync final states and round counters into the wrapped processes."""
@@ -1024,10 +1027,11 @@ class BatchedTwoStateMIS(_BlackStateEngine):
     ) -> RoundDelta:
         """One round touching only A_t and the changed pairs.
 
-        Trajectory-identical to the mask path: φ_t is still one full
-        ``bits(n)`` draw per replica (§2.1's coin discipline), but it
-        is only read at the active pairs, and every update is
-        index-based — the batched analogue of the serial
+        Trajectory-identical to the mask path: every live replica's
+        stream still advances one φ_t draw (§2.1's coin discipline),
+        but :meth:`CoinSource.bits_rows_at` computes the coins at the
+        active pairs only, and every update is index-based — the
+        batched analogue of the serial
         ``TwoStateMIS._advance_on_active_idx``.
         """
         n = np.int64(self.n)
@@ -1035,12 +1039,16 @@ class BatchedTwoStateMIS(_BlackStateEngine):
             act = self._act_pairs
         else:
             act = np.flatnonzero(self._act_mask.reshape(-1))
-        phi = self._phi_rows(live)
+        rows = act // n
+        verts = act - rows * n
+        phi = CoinSource.bits_rows_at(
+            self._live_coins(live), self.n, rows, verts
+        )
         black_flat = black.reshape(-1)
-        flips = phi.reshape(-1)[act] ^ black_flat[act]
+        flips = phi ^ black_flat[act]
         changed = act[flips]
-        rows = changed // n
-        verts = changed - rows * n
+        rows = rows[flips]
+        verts = verts[flips]
         new_vals = ~black_flat[changed]
         black_flat[changed] = new_vals
         if self._act_pairs is not None:
@@ -1080,10 +1088,11 @@ class BatchedTwoStateMIS(_BlackStateEngine):
             idx = self._act_pairs
             deactivated = candidates[~act_at]
             activated = candidates[act_at]
-            # (np.setdiff1d / np.union1d dedup by hashing, which costs
-            # far more than a sort or a mask pass at these sizes.)
+            # (np.setdiff1d / np.union1d / np.isin dedup by hashing,
+            # which costs far more than a binary search, a sort or a
+            # mask pass at these sizes.)
             if deactivated.size:
-                idx = idx[~np.isin(idx, deactivated)]
+                idx = setdiff_sorted(idx, deactivated)
             if activated.size:
                 idx = unique_flat(np.concatenate((idx, activated)), black.size)
             if idx.size * PAIR_INDEX_FRACTION >= black.size:
@@ -1104,7 +1113,7 @@ class BatchedThreeStateMIS(_BatchedMISEngine):
     The state matrix is int8 over {WHITE, BLACK0, BLACK1}; each round
     costs two batched ``exists`` reductions (black neighbours — reused
     from the stabilization check — and black1 neighbours) plus one
-    ``bits(n)`` draw per replica, exactly mirroring
+    φ_t row draw (each replica's next ``bits(n)``), exactly mirroring
     :meth:`repro.core.three_state.ThreeStateMIS._advance`.
     """
 
@@ -1245,6 +1254,9 @@ class BatchedThreeColorMIS(_BatchedMISEngine):
         self._switch_rounds = np.array(
             [p.switch.round for p in self.processes], dtype=np.int64
         )
+        self._zeta = np.array(
+            [p.switch.zeta for p in self.processes], dtype=np.float64
+        )
 
     def _black_rows(self, rows: np.ndarray) -> np.ndarray:
         return self._colors[rows] == BLACK
@@ -1280,10 +1292,11 @@ class BatchedThreeColorMIS(_BatchedMISEngine):
         # Switch step (Definition 26), after the main φ_t draws.
         at_five = levels == 5
         at_zero = levels == 0
-        b_zero = np.empty((live.size, self.n), dtype=bool)
-        for i, r in enumerate(live):
-            switch = self.processes[r].switch
-            b_zero[i] = switch.coins.bernoulli(self.n, switch.zeta)
+        b_zero = CoinSource.bernoulli_rows(
+            [self.processes[r].switch.coins for r in live.tolist()],
+            self.n,
+            self._zeta[live],
+        )
         stay_five = at_five & ~b_zero  # b = 1 → remain at level 5
         reset_to_five = stay_five | at_zero
         nbr_max = self._max_closed_rows(levels, pos)
@@ -1340,11 +1353,14 @@ class BatchedScheduledTwoStateMIS(_BlackStateEngine):
         black: np.ndarray,
         counts: np.ndarray,
     ) -> RoundDelta | None:
+        # The independent daemons' rows draw their activation masks;
+        # synchronous rows (q = NaN) draw nothing and select everyone.
+        drawing = ~np.isnan(self._q[live])
+        daemons = live[drawing]
         selected = np.ones((live.size, self.n), dtype=bool)
-        for i, r in enumerate(live):
-            q = self._q[r]
-            if not np.isnan(q):
-                selected[i] = self.processes[r].coins.bernoulli(self.n, q)
+        selected[drawing] = CoinSource.bernoulli_rows(
+            self._live_coins(daemons), self.n, self._q[daemons]
+        )
         has = counts if counts.dtype == np.bool_ else counts > 0
         rule_enabled = black == has  # elementwise XNOR
         active = rule_enabled & selected

@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import frontier
+from repro.core.neighbor_ops import unique_flat
 
 if TYPE_CHECKING:  # import cycle: batched.py imports this module
     from repro.core.batched import _BatchedMISEngine
@@ -96,20 +97,6 @@ BULK_ADVANCE_FRACTION = 24
 REPAIR_FRACTION = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def unique_flat(idx: np.ndarray, size: int) -> np.ndarray:
-    """The distinct flat indices of ``idx`` (all below ``size``), sorted.
-
-    ``np.unique`` hashes, which costs about 20× a sort here; large sets
-    go through one boolean pass over ``size`` instead.
-    """
-    if idx.size * 64 >= size:
-        mask = np.zeros(size, dtype=bool)
-        mask[idx] = True
-        return np.flatnonzero(mask)
-    idx = np.sort(idx)
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))[: idx.size]]
 
 
 @dataclass
@@ -733,10 +720,12 @@ class BatchedFrontierAggregates:
         else:
             all_t = added
         if all_t.size * 64 < covered_flat.size:
-            # Small round: count the fresh coverage exactly (dedup via
-            # np.unique on the small candidate set) — no length-L*n
-            # pass at all.
-            fresh = np.unique(all_t[~covered_flat[all_t]])
+            # Small round: count the fresh coverage exactly (a sort
+            # dedups the small candidate set) — no length-L*n pass at
+            # all.
+            fresh = unique_flat(
+                all_t[~covered_flat[all_t]], covered_flat.size
+            )
             if fresh.size == 0:
                 return
             covered_flat[fresh] = True

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.neighbor_ops import NeighborOps
+from repro.core.neighbor_ops import NeighborOps, unique_flat
 from repro.graphs.graph import Graph
 
 #: Scatter/full crossover as a fraction of the directed edge volume 2m
@@ -333,7 +333,7 @@ class FrontierAggregates:
             if added.size:
                 # Newly stable black1 vertices leave the counted set.
                 aux_down = np.concatenate(
-                    (aux_down, np.unique(added[aux_mask[added]]))
+                    (aux_down, unique_flat(added[aux_mask[added]], self.n))
                 )
             if self.changed_volume(aux_up, aux_down) <= self._threshold:
                 aux_touched = self.ops.apply_count_delta(

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.frontier import FrontierAggregates
-from repro.core.neighbor_ops import NeighborOps
+from repro.core.neighbor_ops import NeighborOps, setdiff_sorted, unique_flat
 from repro.core.process import MISProcess
 from repro.core.replica import ReplicaState
 from repro.core.states import pack_state, unpack_state, validate_two_state
@@ -253,10 +253,12 @@ class TwoStateMIS(_BlackStateProcess):
         activated = candidates[act_now]
         deactivated = candidates[~act_now]
         idx = self._active_idx
+        # (np.setdiff1d / np.union1d dedup by hashing, which costs far
+        # more than a binary search and a sort at these sizes.)
         if deactivated.size:
-            idx = np.setdiff1d(idx, deactivated)
+            idx = setdiff_sorted(idx, deactivated)
         if activated.size:
-            idx = np.union1d(idx, activated)
+            idx = unique_flat(np.concatenate((idx, activated)), self.n)
         if idx.size * self._ACTIVE_IDX_FRACTION >= self.n:
             self._active_idx = None  # regime left; masks are cheaper
         else:

@@ -13,7 +13,8 @@ al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11): every coin is
 a pure function of ``(key, draw, vertex)``.  With ``mix64`` the splitmix64
 finaliser and ``γ = 0x9e3779b97f4a7c15`` (all arithmetic mod 2⁶⁴), draw
 number ``d`` (0-based, one per ``bits`` / ``bits_into`` / ``bernoulli``
-call) uses ``base = mix64(key ^ mix64((d + 1) · γ))``, and
+call, and one per source of a row draw) uses
+``base = mix64(key ^ mix64((d + 1) · γ))``, and
 
 * ``bits(n)``: vertex ``v`` gets bit ``v & 63`` of
   ``mix64(base + ((v >> 6) + 1) · γ)`` — one hash per 64 vertices, and
@@ -23,6 +24,21 @@ call) uses ``base = mix64(key ^ mix64((d + 1) · γ))``, and
 
 The whole stream state is ``(key, draw)`` (:attr:`SeededCoins.state`),
 which is what checkpoints journal.
+
+Because a coin depends only on ``(key, draw, vertex)``, many streams can
+be drawn at once and only where they are read.  The row draws
+:meth:`CoinSource.bits_rows`, :meth:`CoinSource.bits_rows_at` and
+:meth:`CoinSource.bernoulli_rows` take one draw from each of a list of
+sources (the batched engines' live replicas) and return exactly what the
+per-source ``bits`` / ``bernoulli`` calls would, each source advancing
+its ``draw`` by one.  For a list of distinct, plain :class:`SeededCoins`
+the two ``bits`` row draws compute every row's ``base`` in one
+vectorised ``mix64`` and then hash either the whole ``(L, ⌈n/64⌉)`` word
+matrix or, for ``bits_rows_at``, one word per requested ``(row, vertex)``
+pair; any other list (scripted sources, subclasses, a repeated source)
+draws source by source.  ``bernoulli_rows`` always draws source by
+source: it hashes one word per vertex either way, and a vectorised
+version measured no faster on the batched 3-color and scheduled engines.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping, Sequence
+from typing import TypeGuard
 
 import numpy as np
 
@@ -70,14 +87,8 @@ def _offsets(count: int) -> np.ndarray:
     return offsets
 
 
-def _hashes(base: int, count: int) -> np.ndarray:
-    """``mix64(base + i · γ)`` for ``i = 1..count``, as a fresh uint64 array."""
-    if count <= _SCALAR_HASHES:
-        return np.array(
-            [mix64(base + i * GAMMA) for i in range(1, count + 1)],
-            dtype=np.uint64,
-        )
-    z = _offsets(count) + np.uint64(base)
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` applied in place to a uint64 array; returns ``z``."""
     t = np.empty_like(z)
     np.right_shift(z, _U_30, out=t)
     z ^= t
@@ -88,6 +99,40 @@ def _hashes(base: int, count: int) -> np.ndarray:
     np.right_shift(z, _U_31, out=t)
     z ^= t
     return z
+
+
+def _hashes(base: int, count: int) -> np.ndarray:
+    """``mix64(base + i · γ)`` for ``i = 1..count``, as a fresh uint64 array."""
+    if count <= _SCALAR_HASHES:
+        return np.array(
+            [mix64(base + i * GAMMA) for i in range(1, count + 1)],
+            dtype=np.uint64,
+        )
+    return _mix64_inplace(_offsets(count) + np.uint64(base))
+
+
+def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each row of uint64 ``words``, little-endian."""
+    return np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8),
+        axis=-1,
+        bitorder="little",
+        count=n,
+    ).view(np.bool_)
+
+
+def _counter_rows(
+    sources: Sequence["CoinSource"],
+) -> TypeGuard[Sequence["SeededCoins"]]:
+    """Whether a row draw may take :class:`SeededCoins`' vectorised path.
+
+    Every source must be exactly a :class:`SeededCoins` (a subclass may
+    override the per-source draws, e.g. to count them) and appear only
+    once (a repeated source draws its rows one after another).
+    """
+    return all(type(s) is SeededCoins for s in sources) and len(
+        {id(s) for s in sources}
+    ) == len(sources)
 
 
 class CoinSource:
@@ -107,9 +152,9 @@ class CoinSource:
     def bits_into(self, out: np.ndarray) -> np.ndarray:
         """:meth:`bits` written into a caller-provided boolean row.
 
-        Consumes exactly the same draw as ``bits(len(out))`` — for hot
-        loops that drain many sources per round into one matrix (the
-        batched engines' φ_t assembly).
+        Consumes exactly the same draw as ``bits(len(out))`` — for
+        loops that drain many sources into one matrix (the generic path
+        of :meth:`bits_rows`).
         """
         out[...] = self.bits(out.shape[0])
         return out
@@ -117,6 +162,56 @@ class CoinSource:
     def bernoulli(self, n: int, prob: float) -> np.ndarray:
         """``n`` independent Bernoulli(prob) draws as a boolean array."""
         raise NotImplementedError
+
+    # Row draws: one draw from each of many sources (the batched
+    # engines' live replicas).  Each source takes exactly one draw, in
+    # list order, so the rows equal the per-source calls bit for bit;
+    # for lists of distinct plain SeededCoins the bits row draws take
+    # one vectorised pass.
+
+    @classmethod
+    def bits_rows(cls, sources: Sequence["CoinSource"], n: int) -> np.ndarray:
+        """``(L, n)`` matrix whose row ``i`` is ``sources[i].bits(n)``."""
+        if _counter_rows(sources):
+            return SeededCoins._counter_bits_rows(sources, n)
+        out = np.empty((len(sources), n), dtype=bool)
+        for row, source in zip(out, sources):
+            source.bits_into(row)
+        return out
+
+    @classmethod
+    def bits_rows_at(
+        cls,
+        sources: Sequence["CoinSource"],
+        n: int,
+        rows: np.ndarray,
+        verts: np.ndarray,
+    ) -> np.ndarray:
+        """``bits_rows(sources, n)[rows, verts]``: the coins at the
+        requested ``(row, vertex)`` pairs only.
+
+        Every source still takes its one draw, also a source that owns
+        no requested pair; the vectorised path hashes one word per pair
+        instead of ``⌈n/64⌉`` per row.
+        """
+        if _counter_rows(sources):
+            return SeededCoins._counter_bits_rows_at(sources, rows, verts)
+        return cls.bits_rows(sources, n)[rows, verts]
+
+    @classmethod
+    def bernoulli_rows(
+        cls,
+        sources: Sequence["CoinSource"],
+        n: int,
+        probs: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        """``(L, n)`` matrix whose row ``i`` is
+        ``sources[i].bernoulli(n, probs[i])``."""
+        probs = np.asarray(probs, dtype=np.float64).reshape(len(sources))
+        out = np.empty((len(sources), n), dtype=bool)
+        for row, source, prob in zip(out, sources, probs.tolist()):
+            row[...] = source.bernoulli(n, prob)
+        return out
 
 
 class SeededCoins(CoinSource):
@@ -161,12 +256,7 @@ class SeededCoins(CoinSource):
         return base
 
     def bits(self, n: int) -> np.ndarray:
-        words = _hashes(self._next_base(), -(-n // 64))
-        return np.unpackbits(
-            words.astype("<u8", copy=False).view(np.uint8),
-            bitorder="little",
-            count=n,
-        ).view(np.bool_)
+        return _unpack_words(_hashes(self._next_base(), -(-n // 64)), n)
 
     def bits_into(self, out: np.ndarray) -> np.ndarray:
         # Same as the inherited one, but defined on this class so
@@ -182,6 +272,45 @@ class SeededCoins(CoinSource):
         words >>= _U_11
         # x < p·2⁵³ ⟺ x < ⌈p·2⁵³⌉ for integer x; p·2⁵³ is exact in float.
         return words < np.uint64(math.ceil(prob * 2.0**53))
+
+    # The vectorised row draws behind CoinSource.bits_rows{,_at}, for
+    # lists of distinct plain SeededCoins (see _counter_rows).
+
+    @staticmethod
+    def _next_bases(sources: Sequence["SeededCoins"]) -> np.ndarray:
+        """Every source's next ``base`` as one uint64 array; advances
+        each source's draw by one."""
+        count = len(sources)
+        keys = np.fromiter((s._key for s in sources), np.uint64, count)
+        draws = np.fromiter((s._draw for s in sources), np.uint64, count)
+        for s in sources:
+            s._draw += 1
+        z = _mix64_inplace((draws + np.uint64(1)) * np.uint64(GAMMA))
+        z ^= keys
+        return _mix64_inplace(z)
+
+    @staticmethod
+    def _counter_bits_rows(
+        sources: Sequence["SeededCoins"], n: int
+    ) -> np.ndarray:
+        bases = SeededCoins._next_bases(sources)
+        words = _mix64_inplace(bases[:, None] + _offsets(-(-n // 64)))
+        return _unpack_words(words, n)
+
+    @staticmethod
+    def _counter_bits_rows_at(
+        sources: Sequence["SeededCoins"], rows: np.ndarray, verts: np.ndarray
+    ) -> np.ndarray:
+        bases = SeededCoins._next_bases(sources)
+        verts = np.asarray(verts, dtype=np.int64)
+        lanes = (verts & 63).astype(np.uint64)
+        words = (verts >> 6).astype(np.uint64)
+        words += np.uint64(1)
+        words *= np.uint64(GAMMA)
+        words += bases[np.asarray(rows, dtype=np.int64)]
+        _mix64_inplace(words)
+        words >>= lanes
+        return (words & np.uint64(1)).astype(np.bool_)
 
 
 class ScriptedCoins(CoinSource):

@@ -34,8 +34,10 @@ from repro.graphs.generators import complete_graph, cycle_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.montecarlo import estimate_stabilization_time
-from repro.sim.rng import spawn_seeds
+from repro.sim.rng import SeededCoins, spawn_seeds
 from repro.sim.runner import run_many_until_stable, run_until_stable
+
+from coin_probes import CountingCoins
 
 
 def serial_results(build, seeds, max_rounds=50_000):
@@ -388,3 +390,49 @@ class TestMonteCarloFastPath:
         st_auto = estimate_stabilization_time(make, batch="auto", **kw)
         st_serial = estimate_stabilization_time(make, batch=None, **kw)
         assert np.array_equal(st_auto.times, st_serial.times)
+
+
+def _counting_builders(g):
+    """Per family: ``build(seed, r)``, with counting coins on even ``r``."""
+
+    def coins(seed, r):
+        return CountingCoins(seed) if r % 2 == 0 else SeededCoins(seed)
+
+    def scheduler(r):
+        # Independent daemons draw; the synchronous one in between does not.
+        return IndependentScheduler(0.4) if r % 3 else SynchronousScheduler()
+
+    return {
+        "two_state": lambda s, r: TwoStateMIS(g, coins=coins(s, r)),
+        "three_state": lambda s, r: ThreeStateMIS(g, coins=coins(s, r)),
+        "three_color": lambda s, r: ThreeColorMIS(g, coins=coins(s, r)),
+        "scheduled": lambda s, r: ScheduledTwoStateMIS(
+            g, scheduler=scheduler(r), coins=coins(s, r)
+        ),
+    }
+
+
+class TestRowDrawsInEngines:
+    """A batch holding a counting ``SeededCoins`` subclass draws its
+    rows source by source, and still matches serial runs bitwise —
+    final coin state and the subclass's draw count included."""
+
+    @pytest.mark.parametrize(
+        "family", ["two_state", "three_state", "three_color", "scheduled"]
+    )
+    def test_counting_subclass_batch_matches_serial(self, family):
+        g = gnp_random_graph(150, 0.04, rng=12)
+        build = _counting_builders(g)[family]
+        seeds = spawn_seeds(77, 8)
+        serial = [build(s, r) for r, s in enumerate(seeds)]
+        results = [run_until_stable(p, max_rounds=50_000) for p in serial]
+        procs = [build(s, r) for r, s in enumerate(seeds)]
+        batched = engine_for(procs[0])(procs).run(50_000)
+        assert_same_results(results, batched)
+        for a, b in zip(serial, procs):
+            assert a.coins.state == b.coins.state
+            assert getattr(a.coins, "draws", None) == getattr(
+                b.coins, "draws", None
+            )
+            assert a.round == b.round
+        assert any(isinstance(p.coins, CountingCoins) for p in procs)

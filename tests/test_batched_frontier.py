@@ -53,6 +53,8 @@ from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.rng import SeededCoins, spawn_seeds
 from repro.sim.runner import run_many_until_stable, run_until_stable
 
+from coin_probes import CountingCoins
+
 MAX_ROUNDS = 50_000
 
 #: Per family: (engine class, build(graph, coins, ops),
@@ -113,22 +115,6 @@ def regime(crossover, bulk=None):
         yield
 
 
-class CountingCoins(SeededCoins):
-    """Seeded coins that count draw calls (stream-position probe)."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def bits(self, n):
-        self.draws += 1
-        return super().bits(n)
-
-    def bernoulli(self, n, prob):
-        self.draws += 1
-        return super().bernoulli(n, prob)
-
-
 def assert_same_results(reference, observed):
     assert len(reference) == len(observed)
     for a, b in zip(reference, observed):
@@ -175,7 +161,9 @@ def assert_engines_match_serial(
     ``corrupt(i, n)`` (if given) returns replica ``i``'s corrupted
     start, applied to every replica and reference before running.
     Checks results, final state vectors and per-replica coin-stream
-    positions.
+    positions.  Each batched regime runs twice: on counting coins,
+    whose subclass makes the engine draw source by source, and on plain
+    ``SeededCoins``, which take the vectorised row draws.
     """
     engine_cls, build, build_ref = FAMILIES[family]
     refs, ref_coins, expected = [], [], []
@@ -187,11 +175,14 @@ def assert_engines_match_serial(
         expected.append(run_reference(ref, max_rounds))
         refs.append(ref)
         ref_coins.append(rc)
-    for mode in ("serial",) + tuple(REGIMES):
+    runs = [("serial", CountingCoins)] + [
+        (mode, kind) for mode in REGIMES for kind in (CountingCoins, SeededCoins)
+    ]
+    for mode, kind in runs:
         ops_cls, crossover, bulk = REGIMES.get(
             mode, (None, frontier_module.DEFAULT_CROSSOVER, None)
         )
-        coins = [CountingCoins(s) for s in seeds]
+        coins = [kind(s) for s in seeds]
         procs = [
             build(g, c, ops_cls(g) if ops_cls else None)
             for g, c in zip(graphs, coins)
@@ -218,7 +209,9 @@ def assert_engines_match_serial(
                 assert np.array_equal(result.mis, mis), mode
         for p, c, ref, rc in zip(procs, coins, refs, ref_coins):
             assert np.array_equal(p.state_vector(), reference_state(ref)), mode
-            assert c.draws == rc.draws, mode
+            assert c.state == rc.state, mode
+            if kind is CountingCoins:
+                assert c.draws == rc.draws, mode
 
 
 @st.composite

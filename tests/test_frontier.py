@@ -35,6 +35,8 @@ from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.rng import SeededCoins
 from repro.sim.runner import run_until_stable
 
+from coin_probes import CountingCoins
+
 MAX_ROUNDS = 4000
 
 #: Crossover values that force each regime: recompute on every round
@@ -48,22 +50,6 @@ def crossover(value):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontier_module, "DEFAULT_CROSSOVER", value)
         yield
-
-
-class CountingCoins(SeededCoins):
-    """Seeded coins that count draw calls (stream-position probe)."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def bits(self, n):
-        self.draws += 1
-        return super().bits(n)
-
-    def bernoulli(self, n, prob):
-        self.draws += 1
-        return super().bernoulli(n, prob)
 
 
 class CountingOps(SparseNeighborOps):

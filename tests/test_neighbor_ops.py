@@ -8,12 +8,15 @@ tests on it also exercises the base class's generic batched fallbacks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.neighbor_ops import (
     DenseNeighborOps,
     NeighborOps,
     SparseNeighborOps,
     make_neighbor_ops,
+    setdiff_sorted,
+    unique_flat,
 )
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import complete_graph, star_graph
@@ -253,3 +256,37 @@ class TestMaxClosedBatch:
         ops = backend_cls(g)
         with pytest.raises(ValueError):
             ops.max_closed_batch(np.zeros(6, dtype=np.int8))
+
+
+class TestIndexSetHelpers:
+    """The hash-free set helpers return what numpy's set routines do."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5000).flatmap(
+            lambda size: st.tuples(
+                st.just(size),
+                st.lists(st.integers(0, size - 1), max_size=300),
+            )
+        ),
+        st.sampled_from([np.int64, np.int32]),
+    )
+    def test_unique_flat_equals_np_unique(self, case, dtype):
+        # Small sizes take the boolean pass, large ones the sort.
+        size, values = case
+        idx = np.array(values, dtype=dtype)
+        out = unique_flat(idx, size)
+        assert out.dtype == idx.dtype
+        assert np.array_equal(out, np.unique(idx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sets(st.integers(0, 500), max_size=80),
+        st.lists(st.integers(0, 520), max_size=80),
+    )
+    def test_setdiff_sorted_equals_np_setdiff1d(self, keep, remove):
+        idx = np.array(sorted(keep), dtype=np.int64)
+        drop = np.array(remove, dtype=np.int64)
+        assert np.array_equal(
+            setdiff_sorted(idx, drop), np.setdiff1d(idx, drop)
+        )

@@ -65,6 +65,29 @@ def test_coin_purity_flags_conditional_draw(tmp_path):
     assert "conditional coin draw" in findings[0].message
 
 
+def test_coin_purity_flags_conditional_row_draws(tmp_path):
+    # Row draws take their sources as an argument: the receiver is the
+    # class, whose name spells "Coin" with a capital C.
+    findings = lint_source(
+        tmp_path,
+        """
+        from repro.sim.rng import CoinSource, SeededCoins
+
+        class Engine:
+            def _advance_rows(self, sources, flag):
+                if flag:
+                    phi = CoinSource.bits_rows(sources, 8)
+                else:
+                    phi = SeededCoins.bernoulli_rows(sources, 8, [0.5])
+                return phi
+        """,
+        "coin-purity",
+    )
+    assert [f.line for f in findings] == [7, 9]
+    assert "`.bits_rows`" in findings[0].message
+    assert "`.bernoulli_rows`" in findings[1].message
+
+
 def test_coin_purity_flags_direct_numpy_random(tmp_path):
     findings = lint_source(
         tmp_path,
@@ -378,6 +401,26 @@ def test_coin_flow_flags_conditional_transitive_draw(tmp_path):
     assert len(findings) == 1
     assert "transitively draws" in findings[0].message
     assert "_maybe" in findings[0].message  # witness chain
+
+
+def test_coin_flow_flags_conditional_row_draw(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        from repro.sim.rng import CoinSource
+
+        class Engine:
+            def _phi_at(self, sources, rows, verts):
+                return CoinSource.bits_rows_at(sources, 8, rows, verts)
+
+            def _advance_rows(self, sources, rows, verts, flag):
+                if flag:
+                    return self._phi_at(sources, rows, verts)
+        """,
+        "coin-flow",
+    )
+    assert len(findings) == 1
+    assert "_phi_at" in findings[0].message
 
 
 def test_coin_flow_clean_unconditional_and_loops(tmp_path):
@@ -1022,6 +1065,11 @@ def test_dataflow_hot_set_and_coin_closure_on_repo():
     assert "repro.core.process.MISProcess.step" in hot
     assert "repro.core.two_state.TwoStateMIS._advance" in hot
     assert "repro.core.two_state.TwoStateMIS._advance" in draws
+    # The batched engines draw through the row draws' class receivers.
+    assert "repro.core.batched._BatchedMISEngine._phi_rows" in draws
+    assert (
+        "repro.core.batched.BatchedTwoStateMIS._advance_rows_pairs" in draws
+    )
     chain = index.draw_chain("repro.core.process.MISProcess.run")
     assert chain, "run() must transitively reach a draw"
 

@@ -5,15 +5,19 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import (
     GAMMA,
+    CoinSource,
     ScriptedCoins,
     SeededCoins,
     as_coin_source,
     mix64,
     spawn_seeds,
 )
+
+from coin_probes import CountingCoins
 
 
 class TestSeededCoins:
@@ -190,6 +194,158 @@ class TestCounterStream:
         else:
             se = np.sqrt(p * (1 - p) / n)
             assert abs(draws.mean() - p) < 5 * se
+
+
+#: Sizes around the 64-vertex word boundaries and the scalar cut-over.
+_SIZES = st.sampled_from([0, 1, 2, 63, 64, 65, 127, 128, 129, 511, 512, 513, 1000])
+
+#: One source per entry: (kind, seed, draws already taken).
+_SOURCES = st.lists(
+    st.tuples(
+        st.sampled_from(["seeded", "counting", "scripted"]),
+        st.integers(0, 2**32),
+        st.integers(0, 4),
+    ),
+    max_size=6,
+)
+
+
+def _twin_sources(specs, n, kinds=None):
+    """Two identical, independently advancing lists of sources.
+
+    ``kinds`` overrides every spec's kind.  Scripted sources replay
+    random arrays of length ``n``, enough for the pre-draws plus two.
+    """
+
+    def build():
+        out = []
+        for kind, seed, pre in specs:
+            kind = kinds or kind
+            if kind == "scripted":
+                rng = np.random.default_rng(seed)
+                source = ScriptedCoins(rng.random((pre + 2, n)) < 0.5)
+            elif kind == "counting":
+                source = CountingCoins(seed)
+            else:
+                source = SeededCoins(seed)
+            for _ in range(pre):
+                source.bits(n)
+            out.append(source)
+        return out
+
+    return build(), build()
+
+
+def _positions(sources):
+    return [
+        s.draws_consumed if isinstance(s, ScriptedCoins) else s.state
+        for s in sources
+    ]
+
+
+def _stacked(rows, n):
+    return np.array(rows, dtype=bool).reshape(len(rows), n)
+
+
+class TestRowDraws:
+    """The row draws equal the per-source draws, bit for bit, and move
+    every source exactly one draw, on the vectorised path (distinct
+    plain SeededCoins) and the generic one (anything else)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SOURCES, _SIZES, st.sampled_from([None, "seeded"]))
+    def test_bits_rows_equals_stacked_bits(self, specs, n, kinds):
+        rows, serial = _twin_sources(specs, n, kinds)
+        drawn = CoinSource.bits_rows(rows, n)
+        assert drawn.dtype == np.bool_ and drawn.shape == (len(rows), n)
+        assert np.array_equal(drawn, _stacked([s.bits(n) for s in serial], n))
+        assert _positions(rows) == _positions(serial)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SOURCES, _SIZES, st.sampled_from([None, "seeded"]), st.data())
+    def test_bits_rows_at_equals_indexed_bits(self, specs, n, kinds, data):
+        rows, serial = _twin_sources(specs, n, kinds)
+        pairs = []
+        if rows and n:
+            # Often leaves some rows without a pair: they still draw.
+            pairs = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(rows) - 1), st.integers(0, n - 1)
+                    ),
+                    max_size=40,
+                )
+            )
+        at_rows = np.array([r for r, _ in pairs], dtype=np.int64)
+        at_verts = np.array([v for _, v in pairs], dtype=np.int64)
+        drawn = CoinSource.bits_rows_at(rows, n, at_rows, at_verts)
+        full = _stacked([s.bits(n) for s in serial], n)
+        assert drawn.dtype == np.bool_ and drawn.shape == (len(pairs),)
+        assert np.array_equal(drawn, full[at_rows, at_verts])
+        assert _positions(rows) == _positions(serial)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SOURCES, _SIZES, st.sampled_from([None, "seeded"]), st.data())
+    def test_bernoulli_rows_equals_per_source(self, specs, n, kinds, data):
+        rows, serial = _twin_sources(specs, n, kinds)
+        probs = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 0.5]),
+                    st.floats(0.0, 1.0),
+                ),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        drawn = CoinSource.bernoulli_rows(rows, n, probs)
+        expected = [s.bernoulli(n, p) for s, p in zip(serial, probs)]
+        assert drawn.dtype == np.bool_ and drawn.shape == (len(rows), n)
+        assert np.array_equal(drawn, _stacked(expected, n))
+        assert _positions(rows) == _positions(serial)
+
+    def test_row_without_pairs_still_advances(self):
+        rows = [SeededCoins(1), SeededCoins(2), SeededCoins(3)]
+        CoinSource.bits_rows_at(rows, 100, np.array([0]), np.array([7]))
+        assert [s.state["draw"] for s in rows] == [1, 1, 1]
+        CoinSource.bits_rows_at(rows, 100, np.array([], dtype=np.int64),
+                                np.array([], dtype=np.int64))
+        assert [s.state["draw"] for s in rows] == [2, 2, 2]
+
+    def test_plain_seeded_rows_take_the_vectorised_path(self, monkeypatch):
+        rows = [SeededCoins(s) for s in range(4)]
+        expected = _stacked([SeededCoins(s).bits(130) for s in range(4)], 130)
+
+        def refuse(self, n):
+            raise AssertionError("per-source draw on the vectorised path")
+
+        monkeypatch.setattr(SeededCoins, "bits", refuse)
+        assert np.array_equal(CoinSource.bits_rows(rows, 130), expected)
+
+    def test_subclass_rows_call_the_overrides(self):
+        rows = [CountingCoins(5), SeededCoins(6), CountingCoins(7)]
+        CoinSource.bits_rows(rows, 70)
+        CoinSource.bits_rows_at(rows, 70, np.array([1]), np.array([3]))
+        CoinSource.bernoulli_rows(rows, 70, [0.1, 0.2, 0.3])
+        assert [rows[0].draws, rows[2].draws] == [3, 3]
+        assert [s.state["draw"] for s in rows] == [3, 3, 3]
+
+    def test_repeated_source_draws_its_rows_in_sequence(self):
+        coins, twin = SeededCoins(8), SeededCoins(8)
+        drawn = CoinSource.bits_rows([coins, coins], 90)
+        assert np.array_equal(drawn[0], twin.bits(90))
+        assert np.array_equal(drawn[1], twin.bits(90))
+        probs = [0.25, 0.75]
+        drawn = CoinSource.bernoulli_rows([coins, coins], 90, probs)
+        assert np.array_equal(drawn[0], twin.bernoulli(90, 0.25))
+        assert np.array_equal(drawn[1], twin.bernoulli(90, 0.75))
+        assert coins.state == twin.state
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_bernoulli_rows_validates(self, bad):
+        rows = [SeededCoins(0), SeededCoins(1)]
+        with pytest.raises(ValueError):
+            CoinSource.bernoulli_rows(rows, 10, [0.5, bad])
 
 
 class TestScriptedCoins:

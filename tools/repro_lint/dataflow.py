@@ -47,7 +47,14 @@ import pathlib
 from dataclasses import dataclass, field
 
 #: Methods that consume entries from a coin stream (mirrors coin-purity).
-DRAW_METHODS = ("bits", "bits_into", "bernoulli")
+DRAW_METHODS = (
+    "bits",
+    "bits_into",
+    "bernoulli",
+    "bits_rows",
+    "bits_rows_at",
+    "bernoulli_rows",
+)
 
 #: Hot entry-point name prefixes (mirrors hot-loop-alloc).
 ENTRY_POINTS = ("run", "_run", "step", "_advance")
@@ -594,9 +601,10 @@ class ProjectIndex:
             ):
                 # Any "coin"-ish component in the receiver chain marks
                 # a literal draw — including subscripted receivers like
-                # ``processes[r].coins.bits_into(...)``.
+                # ``processes[r].coins.bits_into(...)`` and the row
+                # draws' class receivers (``CoinSource.bits_rows(...)``).
                 if any(
-                    "coin" in comp
+                    "coin" in comp.lower()
                     for comp in _receiver_components(node.func.value)
                 ):
                     finfo.draws_directly = True
@@ -680,8 +688,8 @@ class ProjectIndex:
         seeds = {
             f.qname for f in self.functions.values() if f.draws_directly
         }
-        # The draw entry points themselves: bits/bits_into/bernoulli
-        # methods on classes whose lineage mentions Coin.
+        # The draw entry points themselves: the DRAW_METHODS on
+        # classes whose lineage mentions Coin.
         for cinfo in self.classes.values():
             if any(
                 "Coin" in q.rsplit(".", 1)[-1] for q in self.mro(cinfo.qname)

@@ -10,7 +10,9 @@ Two sub-checks over ``src/repro/core/**``:
    documented coin stream.
 
 2. **No conditional coin draws.**  A ``bits``/``bits_into``/
-   ``bernoulli`` call on a coin source must not sit inside an ``if``
+   ``bernoulli`` call on a coin source, or a row draw
+   (``CoinSource.bits_rows``/``bits_rows_at``/``bernoulli_rows``),
+   must not sit inside an ``if``
    branch (or conditional expression): the paper's analysis draws
    φ_t for *all* n vertices every round in a fixed order, and a draw
    that executes on only some paths desynchronizes every draw after
@@ -36,21 +38,29 @@ from tools.repro_lint.core import (
 #: ``np.random`` members that are types, not draw entry points.
 _ALLOWED_NP_RANDOM = {"Generator", "BitGenerator", "SeedSequence"}
 #: Methods that consume entries from a coin stream.
-_DRAW_METHODS = {"bits", "bits_into", "bernoulli"}
+_DRAW_METHODS = {
+    "bits",
+    "bits_into",
+    "bernoulli",
+    "bits_rows",
+    "bits_rows_at",
+    "bernoulli_rows",
+}
 
 
 def _receiver_is_coin_source(func: ast.Attribute) -> bool:
     """Whether the call receiver looks like a coin source.
 
     Matches ``coins.bits(...)``, ``self.coins.bits(...)``,
-    ``process.coins.bits(...)`` — any chain whose last component is
-    ``coins`` or whose bare name mentions coins (``coin_source``).
+    ``process.coins.bits(...)`` and the row draws' class receivers
+    (``CoinSource.bits_rows(...)``, ``SeededCoins.bernoulli_rows(...)``)
+    — any chain whose last component mentions coins, in any case.
     """
     name = dotted_name(func.value)
     if name is None:
         return False
     last = name.rsplit(".", 1)[-1]
-    return "coin" in last
+    return "coin" in last.lower()
 
 
 @register

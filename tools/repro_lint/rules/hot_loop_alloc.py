@@ -3,8 +3,7 @@
 The engine run paths loop once per synchronous round; an array
 constructor inside that loop allocates (and page-faults) every round,
 where the established idiom is a preallocated reuse buffer written
-through ``out=`` / ``CoinSource.bits_into`` / ``.fill``
-(see ``BatchedMISBase._phi_rows``).  This rule flags
+through ``out=`` / ``CoinSource.bits_into`` / ``.fill``.  This rule flags
 ``np.zeros/ones/empty/full`` calls lexically inside a ``for``/``while``
 loop of a run-path function (``run*`` / ``step`` / ``_advance*`` by
 default, configurable).
