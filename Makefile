@@ -25,7 +25,7 @@ lint: repro-lint ## repro-lint + ruff + mypy (absent tools are skipped)
 	@$(MAKE) --no-print-directory typecheck
 
 test-fast:       ## test suite without the slower integration modules
-	$(PYTHON) -m pytest -x -q -m "not slow" --ignore=tests/test_integration.py
+	$(PYTHON) -m pytest -x -q --ignore=tests/test_integration.py
 
 docs:            ## regenerate docs/API.md from docstrings
 	$(PYTHON) tools/gen_api_docs.py

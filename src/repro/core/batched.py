@@ -67,8 +67,8 @@ by exactly one draw.  Neighbour aggregates are
 exact integer reductions, so the trajectory of replica ``r`` is
 bitwise-identical to running ``processes[r]`` through
 :func:`repro.sim.runner.run_until_stable` with the same seed — the
-equivalence tests in ``tests/test_batched.py`` and
-``tests/test_batched_families.py`` pin this.
+differential oracle ``tests/test_oracle.py`` pins this, and every
+replica, against the literal references of :mod:`repro.core.reference`.
 
 Replicas *retire* from the batch as they stabilize (or exhaust the
 round budget): a stabilized replica stops consuming coins and stops

@@ -47,9 +47,9 @@ repairs them from the pairs that changed in between
 fault-wave shape, where a few vertices per stabilized replica flip.
 Everything is exact integer arithmetic on the
 same coin stream, so replicas stay bitwise-identical to their serial
-counterparts, whichever path a round takes —
-``tests/test_batched_frontier.py`` pins batched runs against serial
-runs and the literal references of :mod:`repro.core.reference`.
+counterparts, whichever path a round takes — the differential oracle
+``tests/test_oracle.py`` pins batched runs against the literal
+references of :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations

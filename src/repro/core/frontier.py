@@ -27,9 +27,10 @@ updates.  The choice is the code's, not the caller's.
 Both paths produce bitwise-identical trajectories: the aggregates are
 exact integer counts however they are computed, and the coin
 discipline is untouched (``bits(n)`` is drawn every round even when few
-vertices consume it).  ``tests/test_frontier.py`` pins the processes
-against the literal per-vertex references of :mod:`repro.core.reference`
-with the crossover forced to either extreme as well as at its default.
+vertices consume it).  The differential oracle ``tests/test_oracle.py``
+pins the processes against the literal per-vertex references of
+:mod:`repro.core.reference`, round by round, with the crossover forced
+to either extreme as well as at its default.
 
 Stabilization bookkeeping
 -------------------------

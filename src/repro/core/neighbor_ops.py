@@ -314,8 +314,10 @@ class SparseNeighborOps(NeighborOps):
 
     def count_batch(self, masks: np.ndarray) -> np.ndarray:
         # One CSR × dense (n, R) product serves all replicas (A = Aᵀ).
+        # The operand is cast straight into C order: scipy would copy an
+        # F-ordered transpose again.  The result stays a transposed view.
         masks = self._validate_masks(masks)
-        return self._a.dot(masks.astype(np.int32).T).T
+        return self._a.dot(masks.T.astype(np.int32, order="C")).T
 
 
 def make_neighbor_ops(graph: Graph) -> NeighborOps:

@@ -5,11 +5,11 @@ as possible — per-vertex loops over neighbour state multisets — and
 consume coins from the shared :class:`~repro.sim.rng.CoinSource` in
 exactly the same order as the vectorized engines.  The footnote-1
 ablation (eager white promotion) and the independent daemon of
-:mod:`repro.core.schedulers` have literal transcriptions too.  The test
-suite verifies *trajectory equality* between the references and every
-execution path — serial and batched, in every aggregate regime — under
-a shared seed, which pins the vectorized engines to the paper's
-pseudocode.
+:mod:`repro.core.schedulers` have literal transcriptions too.  The
+differential oracle ``tests/test_oracle.py`` verifies *trajectory
+equality* between the references and every execution path — serial,
+batched and sharded, in every aggregate regime — under a shared seed,
+which pins the vectorized engines to the paper's pseudocode.
 """
 
 from __future__ import annotations

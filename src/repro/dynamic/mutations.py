@@ -52,11 +52,6 @@ class MutationEvent:
     def to_tuple(self) -> tuple:
         return (self.kind, self.u, self.v, tuple(self.neighbors))
 
-    @classmethod
-    def from_tuple(cls, t: "tuple | list") -> "MutationEvent":
-        kind, u, v, neighbors = t
-        return cls(str(kind), int(u), int(v), tuple(neighbors))
-
 
 class MutationStream:
     """Base class: a seeded, seekable event sequence (see module docs)."""

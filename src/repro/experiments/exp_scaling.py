@@ -15,7 +15,7 @@ stay within a small constant number of bytes per edge (the property
 that makes the frontier reachable at all).  The incremental
 aggregates' own speedup is measured by ``benchmarks/bench_frontier.py``;
 their per-round identity with the literal reference processes is
-pinned by ``tests/test_frontier.py`` and E18.
+pinned by the differential oracle ``tests/test_oracle.py`` and E18.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 """Tests for the batched trial engine (repro.core.batched).
 
-The contract under test is *bitwise* serial/batched equivalence: every
-replica of :class:`BatchedTwoStateMIS` must reproduce exactly the
-trajectory the wrapped :class:`TwoStateMIS` would have produced under
-:func:`run_until_stable` with the same coin stream.
+Every replica of :class:`BatchedTwoStateMIS` must reproduce exactly the
+trajectory its wrapped :class:`TwoStateMIS` would have produced under
+:func:`run_until_stable` with the same coin stream: the trajectory of
+the literal reference.  ``tests/test_oracle.py`` draws the runs that
+pin this; the fixed cases here check named ones through the same
+oracle.  The rest pins the plumbing around the engines: ``batch=``
+modes, batchability and input validation, and the Monte-Carlo and
+sweep entry points.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.batched import BatchedTwoStateMIS, batchable
+from repro.core.neighbor_ops import SparseNeighborOps
+from repro.core.reference import ReferenceTwoState
 from repro.core.schedulers import IndependentScheduler, ScheduledTwoStateMIS
 from repro.core.three_color import ThreeColorMIS
 from repro.core.two_state import TwoStateMIS
@@ -20,72 +26,37 @@ from repro.sim.montecarlo import (
     estimate_stabilization_time,
     sweep_stabilization_times,
 )
-from repro.sim.rng import ScriptedCoins, spawn_coin_sources, spawn_seeds
-from repro.sim.runner import run_many_until_stable, run_until_stable
+from repro.sim.rng import ScriptedCoins, spawn_seeds
+from repro.sim.runner import run_many_until_stable
 
-
-def serial_results(build, seeds, max_rounds=10_000):
-    return [
-        run_until_stable(build(s), max_rounds=max_rounds) for s in seeds
-    ]
-
-
-def assert_same_results(serial, batched):
-    assert len(serial) == len(batched)
-    for a, b in zip(serial, batched):
-        assert a.stabilized == b.stabilized
-        assert a.stabilization_round == b.stabilization_round
-        assert a.rounds_executed == b.rounds_executed
-        if a.mis is None:
-            assert b.mis is None
-        else:
-            assert np.array_equal(a.mis, b.mis)
+from oracle import (
+    Fleet,
+    assert_same_results,
+    check_batched,
+    check_fleet,
+    fleet,
+    reference_waves,
+    run_reference,
+)
 
 
 class TestEquivalenceSharedGraph:
     def test_gnp_shared_graph(self):
-        g = gnp_random_graph(120, 0.08, rng=5)
-        seeds = spawn_seeds(11, 24)
-        serial = serial_results(lambda s: TwoStateMIS(g, coins=s), seeds)
-        # spawn_coin_sources(seed, k)[r] draws exactly what a process
-        # seeded with spawn_seeds(seed, k)[r] would.
-        procs = [
-            TwoStateMIS(g, coins=c) for c in spawn_coin_sources(11, 24)
-        ]
-        batched = BatchedTwoStateMIS(procs).run(10_000)
-        assert_same_results(serial, batched)
+        graph = gnp_random_graph(120, 0.08, rng=5)
+        check_batched(fleet("2-state", [graph] * 24, seed=11))
 
     def test_writeback_matches_serial_processes(self):
-        g = cycle_graph(40)
-        seeds = spawn_seeds(3, 10)
-        serial_procs = [TwoStateMIS(g, coins=s) for s in seeds]
-        for p in serial_procs:
-            run_until_stable(p, max_rounds=10_000)
-        batch_procs = [TwoStateMIS(g, coins=s) for s in seeds]
-        BatchedTwoStateMIS(batch_procs).run(10_000)
-        for sp, bp in zip(serial_procs, batch_procs):
-            assert np.array_equal(sp.black, bp.black)
-            assert sp.round == bp.round
+        check_batched(fleet("2-state", [cycle_graph(40)] * 10, seed=3))
 
     def test_sparse_backend_graph(self):
-        # n > 512 with low density routes to the sparse backend.
-        g = gnp_random_graph(700, 0.01, rng=2)
-        seeds = spawn_seeds(17, 8)
-        serial = serial_results(lambda s: TwoStateMIS(g, coins=s), seeds)
-        procs = [TwoStateMIS(g, coins=s) for s in seeds]
-        batched = BatchedTwoStateMIS(procs).run(10_000)
-        assert_same_results(serial, batched)
+        graph = gnp_random_graph(200, 0.02, rng=2)
+        check_batched(
+            fleet("2-state", [graph] * 8, backend=SparseNeighborOps, seed=17)
+        )
 
     def test_eager_white_promotion_replicas(self):
-        g = gnp_random_graph(60, 0.1, rng=9)
-        seeds = spawn_seeds(23, 12)
-
-        def build(s):
-            return TwoStateMIS(g, coins=s, eager_white_promotion=True)
-
-        serial = serial_results(build, seeds)
-        batched = BatchedTwoStateMIS([build(s) for s in seeds]).run(10_000)
-        assert_same_results(serial, batched)
+        graph = gnp_random_graph(60, 0.1, rng=9)
+        check_batched(fleet("eager", [graph] * 12, seed=23))
 
     def test_initially_stable_replicas_report_round_zero(self):
         g = Graph(5)  # edgeless: all-black is already an MIS
@@ -98,86 +69,50 @@ class TestEquivalenceSharedGraph:
 
     def test_budget_exhaustion_mixed_with_successes(self):
         # On K_n some seeds stabilize fast; a tiny budget forces a mix.
-        g = complete_graph(24)
-        seeds = spawn_seeds(31, 30)
-        serial = serial_results(
-            lambda s: TwoStateMIS(g, coins=s), seeds, max_rounds=2
-        )
-        procs = [TwoStateMIS(g, coins=s) for s in seeds]
-        batched = BatchedTwoStateMIS(procs).run(2)
-        assert_same_results(serial, batched)
-        assert any(not r.stabilized for r in batched)
-        assert any(r.stabilized for r in batched)
+        spec = fleet("2-state", [complete_graph(24)] * 30, budget=2, seed=31)
+        check_batched(spec)
+        outcomes = {r.stabilized for r in reference_waves(spec)[0].results}
+        assert outcomes == {False, True}
 
     def test_scripted_coins_replicas(self):
         # Path 0-1-2, all white: both endpoints and the middle are
         # active; scripted coins force an exact trajectory.
         g = path_graph(3)
-        script_a = [[0, 0, 0], [1, 0, 1]]  # init draw consumed by init=...
-        script_b = [[0, 1, 0]]
-
-        def build(script):
-            return TwoStateMIS(
-                g, coins=ScriptedCoins(script), init="all_white"
-            )
-
-        serial = [
-            run_until_stable(build(script_a), max_rounds=10),
-            run_until_stable(build(script_b), max_rounds=10),
+        scripts = ([[0, 0, 0], [1, 0, 1]], [[0, 1, 0]])
+        refs = [
+            ReferenceTwoState(g, coins=ScriptedCoins(s), init="all_white")
+            for s in scripts
         ]
         batched = BatchedTwoStateMIS(
-            [build(script_a), build(script_b)]
+            [
+                TwoStateMIS(g, coins=ScriptedCoins(s), init="all_white")
+                for s in scripts
+            ]
         ).run(10)
-        assert_same_results(serial, batched)
+        assert_same_results([run_reference(r, 10) for r in refs], batched)
         assert np.array_equal(batched[1].mis, np.array([1]))
 
 
 class TestEquivalenceHeterogeneousGraphs:
     def test_resampled_graphs_per_replica(self):
-        def build(s):
-            rng = np.random.default_rng(s)
-            graph = gnp_random_graph(90, 0.05, rng=rng)
-            return TwoStateMIS(graph, coins=rng)
-
-        seeds = spawn_seeds(7, 20)
-        serial = serial_results(build, seeds)
-        batched = BatchedTwoStateMIS([build(s) for s in seeds]).run(10_000)
-        assert_same_results(serial, batched)
+        graphs = [gnp_random_graph(90, 0.05, rng=s) for s in range(20)]
+        check_batched(fleet("2-state", graphs, seed=7))
 
     def test_block_compaction_with_long_straggler(self):
-        # Mix near-instant replicas (edgeless graphs) with slow ones so
-        # retirements trigger block compaction mid-run.
-        def build(s):
-            rng = np.random.default_rng(s)
-            if s % 3 == 0:
-                graph = Graph(50)
-            else:
-                graph = gnp_random_graph(50, 0.3, rng=rng)
-            return TwoStateMIS(graph, coins=rng)
-
-        seeds = list(range(30))
-        serial = serial_results(build, seeds)
-        batched = BatchedTwoStateMIS([build(s) for s in seeds]).run(10_000)
-        assert_same_results(serial, batched)
+        # Near-instant replicas (edgeless graphs) beside slow ones: the
+        # 3-color engine, which keeps no aggregates, compacts its block
+        # as they retire.
+        graphs = [
+            Graph(30) if s % 3 == 0 else gnp_random_graph(30, 0.2, rng=s)
+            for s in range(12)
+        ]
+        check_batched(fleet("3-color", graphs, seed=1))
 
 
 class TestRunManyUntilStable:
     def test_mixed_process_types_preserve_order(self):
-        g = gnp_random_graph(40, 0.1, rng=1)
-        seeds = spawn_seeds(19, 6)
-
-        def build(i, s):
-            if i % 2 == 0:
-                return TwoStateMIS(g, coins=s)
-            return ThreeColorMIS(g, coins=s)
-
-        serial = [
-            run_until_stable(build(i, s), max_rounds=50_000)
-            for i, s in enumerate(seeds)
-        ]
-        mixed = [build(i, s) for i, s in enumerate(seeds)]
-        batched = run_many_until_stable(mixed, max_rounds=50_000)
-        assert_same_results(serial, batched)
+        graph = gnp_random_graph(40, 0.1, rng=1)
+        check_fleet(Fleet(["2-state", "3-color"] * 3, [graph] * 6, seed=19))
 
     def test_batch_none_forces_serial(self):
         g = complete_graph(16)
@@ -213,10 +148,9 @@ class TestBatchableAndValidation:
     def test_batchable_predicate(self):
         g = complete_graph(6)
         assert batchable(TwoStateMIS(g, coins=0))
-        # Since the engine-family generalization the 3-state, 3-color
-        # (randomized switch) and independently-scheduled processes are
-        # batchable too — see tests/test_batched_families.py for their
-        # dispatch and equivalence suites.
+        # The 3-state, 3-color (randomized switch) and independently
+        # scheduled processes are batchable too — see
+        # tests/test_batched_families.py for their dispatch suite.
         assert batchable(ThreeColorMIS(g, coins=0))
         assert batchable(
             ScheduledTwoStateMIS(

@@ -1,37 +1,23 @@
-"""Batched-frontier equivalence and bookkeeping guarantees.
+"""Batched-frontier exactness, primitives and cost shapes.
 
 The batched engines (:mod:`repro.core.batched`) keep per-replica
 aggregates incrementally (:mod:`repro.core.batched_frontier`) wherever
 scatter can win, and choose per round between bulk, delta and pair
 rounds, with a per-replica fallback to a full row reduction at
-``DEFAULT_CROSSOVER``.  Whatever path a round takes, every replica must
-follow the paper's rules exactly: for every seed, batched results,
-final states and coin-stream positions are *bitwise-identical* to
-running each replica serially through
-:func:`repro.sim.runner.run_until_stable` and to the literal per-vertex
-references of :mod:`repro.core.reference` — across shared and
-per-trial resampled (block-diagonal) graphs, mid-run retirement, budget
-exhaustion, corrupted starts, and engine reuse over fault waves, in
-three regimes (the matmul backend, where the aggregates do not engage;
-the CSR backend with every moving replica recomputing its row; and the
-CSR backend with every round scattering).  This suite pins that, plus
-the flat-scatter primitives and the O(1)-retirement reduction-count
-contract.
+``DEFAULT_CROSSOVER``; a re-run engine repairs its resident aggregates
+instead of rebuilding them.  Whatever path a round takes, every replica
+must follow the literal references of :mod:`repro.core.reference`
+bitwise: ``tests/test_oracle.py`` draws the runs that pin this, and
+the fixed cases here check named ones through the same oracle, on
+every path.  The rest pins the flat-scatter primitives, the stability
+bookkeeping driven by hand, and the cost shapes: O(1) retirement,
+scatter-only recovery, and repair instead of rebuild.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import batched as batched_module
-from repro.core import frontier as frontier_module
-from repro.core.batched import (
-    BatchedScheduledTwoStateMIS,
-    BatchedThreeStateMIS,
-    BatchedTwoStateMIS,
-)
+from repro.core.batched import BatchedTwoStateMIS
 from repro.core import batched_frontier as bf
 from repro.core.batched_frontier import (
     BatchedFrontierAggregates,
@@ -39,346 +25,98 @@ from repro.core.batched_frontier import (
     apply_flat_delta,
 )
 from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
-from repro.core.reference import (
-    ReferenceIndependentDaemon,
-    ReferenceThreeState,
-    ReferenceTwoState,
-)
-from repro.core.schedulers import IndependentScheduler, ScheduledTwoStateMIS
-from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
+from repro.graphs.generators import complete_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.rng import SeededCoins, spawn_seeds
-from repro.sim.runner import run_many_until_stable, run_until_stable
+from repro.sim.runner import run_many_until_stable
 
 from coin_probes import CountingCoins
+from oracle import (
+    CROSSOVERS,
+    FAMILIES,
+    Fleet,
+    check_batched,
+    check_serial,
+    fleet,
+    flip,
+    regime,
+)
 
 MAX_ROUNDS = 50_000
 
-#: Per family: (engine class, build(graph, coins, ops),
-#: reference(graph, coins)); ``ops=None`` lets the graph pick.
-FAMILIES = {
-    "two_state": (
-        BatchedTwoStateMIS,
-        lambda graph, coins, ops: TwoStateMIS(graph, coins=coins, ops=ops),
-        lambda graph, coins: ReferenceTwoState(graph, coins=coins),
-    ),
-    "three_state": (
-        BatchedThreeStateMIS,
-        lambda graph, coins, ops: ThreeStateMIS(graph, coins=coins, ops=ops),
-        lambda graph, coins: ReferenceThreeState(graph, coins=coins),
-    ),
-    "scheduled": (
-        BatchedScheduledTwoStateMIS,
-        lambda graph, coins, ops: ScheduledTwoStateMIS(
-            graph,
-            scheduler=IndependentScheduler(0.5),
-            coins=coins,
-            ops=ops,
-        ),
-        lambda graph, coins: ReferenceIndependentDaemon(
-            graph, 0.5, coins=coins
-        ),
-    ),
-    "eager": (
-        BatchedTwoStateMIS,
-        lambda graph, coins, ops: TwoStateMIS(
-            graph, coins=coins, ops=ops, eager_white_promotion=True
-        ),
-        lambda graph, coins: ReferenceTwoState(
-            graph, coins=coins, eager_white_promotion=True
-        ),
-    ),
-}
 
-#: Batched regimes: (backend class, crossover, bulk-round fraction).  The
-#: matmul backend keeps a shared graph off the aggregates; on the CSR
-#: backend a zero crossover makes every moving replica recompute its
-#: row, and a huge one (1e18) with no bulk threshold makes every round
-#: after the first scatter.
-REGIMES = {
-    "matmul": (DenseNeighborOps, frontier_module.DEFAULT_CROSSOVER, None),
-    "recompute": (SparseNeighborOps, 0.0, None),
-    "scatter": (SparseNeighborOps, 1e18, 0),
-}
+def check_every_path(spec):
+    """``spec`` serially, then batched: on the dense backend (where a
+    shared graph keeps the aggregates off), on CSR with every moving
+    row recomputed, and on CSR scattering every round; each batched
+    path on counting coins (per-source row draws) and on plain ones."""
+    check_serial(spec, (CROSSOVERS[1],))
+    coins = (CountingCoins, SeededCoins)
+    check_batched(spec._replace(backend=DenseNeighborOps), coins=coins)
+    check_batched(
+        spec._replace(backend=SparseNeighborOps),
+        ((0.0, None), (1e18, 0)),
+        coins,
+    )
 
 
-@contextmanager
-def regime(crossover, bulk=None):
-    """Batched runs inside the block use the given crossover and bulk rule."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frontier_module, "DEFAULT_CROSSOVER", crossover)
-        if bulk is not None:
-            mp.setattr(batched_module, "BULK_ADVANCE_FRACTION", bulk)
-        yield
-
-
-def assert_same_results(reference, observed):
-    assert len(reference) == len(observed)
-    for a, b in zip(reference, observed):
-        assert a.stabilized == b.stabilized
-        assert a.stabilization_round == b.stabilization_round
-        assert a.rounds_executed == b.rounds_executed
-        if a.mis is None:
-            assert b.mis is None
-        else:
-            assert np.array_equal(a.mis, b.mis)
-
-
-def reference_state(ref):
-    return ref.states if isinstance(ref, ReferenceThreeState) else ref.black
-
-
-def set_reference_state(ref, states):
-    if isinstance(ref, ReferenceThreeState):
-        ref.states = np.asarray(states, dtype=np.int8).copy()
-    else:
-        ref.black = np.asarray(states, dtype=bool).copy()
-
-
-def run_reference(ref, max_rounds):
-    """Run ``ref`` to stabilization; ``run_until_stable``'s outcome."""
-    start = ref.round
-    while not ref.is_stabilized():
-        if ref.round - start == max_rounds:
-            return (False, None, max_rounds, None)
-        ref.step()
-    elapsed = ref.round - start
-    return (True, elapsed, elapsed, np.flatnonzero(ref.black_mask()))
-
-
-def assert_engines_match_serial(
-    family,
-    graphs,
-    seeds,
-    max_rounds=MAX_ROUNDS,
-    corrupt=None,
-):
-    """Serial runs and batched runs in every regime vs the references.
-
-    ``corrupt(i, n)`` (if given) returns replica ``i``'s corrupted
-    start, applied to every replica and reference before running.
-    Checks results, final state vectors and per-replica coin-stream
-    positions.  Each batched regime runs twice: on counting coins,
-    whose subclass makes the engine draw source by source, and on plain
-    ``SeededCoins``, which take the vectorised row draws.
-    """
-    engine_cls, build, build_ref = FAMILIES[family]
-    refs, ref_coins, expected = [], [], []
-    for i, (g, s) in enumerate(zip(graphs, seeds)):
-        rc = CountingCoins(s)
-        ref = build_ref(g, rc)
-        if corrupt is not None:
-            set_reference_state(ref, corrupt(i, g.n))
-        expected.append(run_reference(ref, max_rounds))
-        refs.append(ref)
-        ref_coins.append(rc)
-    runs = [("serial", CountingCoins)] + [
-        (mode, kind) for mode in REGIMES for kind in (CountingCoins, SeededCoins)
-    ]
-    for mode, kind in runs:
-        ops_cls, crossover, bulk = REGIMES.get(
-            mode, (None, frontier_module.DEFAULT_CROSSOVER, None)
-        )
-        coins = [kind(s) for s in seeds]
-        procs = [
-            build(g, c, ops_cls(g) if ops_cls else None)
-            for g, c in zip(graphs, coins)
-        ]
-        if corrupt is not None:
-            for i, p in enumerate(procs):
-                p.corrupt(corrupt(i, p.n))
-        if mode == "serial":
-            results = [
-                run_until_stable(p, max_rounds=max_rounds) for p in procs
-            ]
-        else:
-            with regime(crossover, bulk):
-                results = engine_cls(procs).run(max_rounds)
-        assert len(results) == len(expected)
-        for result, want in zip(results, expected):
-            stabilized, stab_round, executed, mis = want
-            assert result.stabilized == stabilized, mode
-            assert result.stabilization_round == stab_round, mode
-            assert result.rounds_executed == executed, mode
-            if mis is None:
-                assert result.mis is None, mode
-            else:
-                assert np.array_equal(result.mis, mis), mode
-        for p, c, ref, rc in zip(procs, coins, refs, ref_coins):
-            assert np.array_equal(p.state_vector(), reference_state(ref)), mode
-            assert c.state == rc.state, mode
-            if kind is CountingCoins:
-                assert c.draws == rc.draws, mode
-
-
-@st.composite
-def sparse_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=110))
-    density = draw(st.floats(min_value=0.0, max_value=0.3))
-    seed = draw(st.integers(min_value=0, max_value=2**20))
-    return gnp_random_graph(n, density, rng=seed)
+def graph(seed, n=60, p=0.08):
+    return gnp_random_graph(n, p, rng=seed)
 
 
 class TestEngineEquivalence:
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=25, deadline=None)
-    def test_two_state_shared_graph(self, graph, seed):
-        seeds = spawn_seeds(seed, 7)
-        assert_engines_match_serial("two_state", [graph] * 7, seeds)
+    def test_two_state_shared_graph(self):
+        check_every_path(fleet("2-state", [graph(1)] * 7, seed=1))
 
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=15, deadline=None)
-    def test_three_state_shared_graph(self, graph, seed):
-        seeds = spawn_seeds(seed, 6)
-        assert_engines_match_serial("three_state", [graph] * 6, seeds)
+    def test_three_state_shared_graph(self):
+        check_every_path(fleet("3-state", [graph(2)] * 6, seed=2))
 
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=15, deadline=None)
-    def test_scheduled_shared_graph(self, graph, seed):
-        seeds = spawn_seeds(seed, 6)
-        assert_engines_match_serial(
-            "scheduled", [graph] * 6, seeds, max_rounds=200_000
-        )
+    def test_scheduled_shared_graph(self):
+        check_every_path(fleet("independent", [graph(3)] * 6, seed=3))
 
-    @given(seed=st.integers(0, 2**20))
-    @settings(max_examples=20, deadline=None)
-    def test_two_state_resampled_graphs(self, seed):
+    def test_two_state_resampled_graphs(self):
         # Per-trial resampled graphs ride the block-diagonal CSR path.
-        seeds = spawn_seeds(seed, 8)
-        graphs = [
-            gnp_random_graph(60, 0.05, rng=s + 1) for s in seeds
-        ]
-        assert_engines_match_serial("two_state", graphs, seeds)
+        graphs = [graph(s, p=0.05) for s in range(8)]
+        check_every_path(fleet("2-state", graphs, seed=4))
 
-    @given(seed=st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_three_state_resampled_graphs(self, seed):
-        seeds = spawn_seeds(seed, 6)
-        graphs = [
-            gnp_random_graph(50, 0.06, rng=s + 1) for s in seeds
-        ]
-        assert_engines_match_serial("three_state", graphs, seeds)
+    def test_three_state_resampled_graphs(self):
+        graphs = [graph(s, 50, 0.06) for s in range(6)]
+        check_every_path(fleet("3-state", graphs, seed=5))
 
-    @given(
-        graph=sparse_graphs(),
-        seed=st.integers(0, 2**20),
-        frac=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_corrupted_starts(self, graph, seed, frac):
+    def test_corrupted_starts(self):
         # Arbitrary (adversarial) initial configurations: the frontier
         # bookkeeping must recover them exactly.
-        seeds = spawn_seeds(seed, 6)
+        check_every_path(fleet("2-state", [graph(6)] * 6, corrupt=True, seed=6))
 
-        def corrupt(i, n):
-            return np.random.default_rng(seed + 31 * i).random(n) < frac
-
-        assert_engines_match_serial(
-            "two_state", [graph] * 6, seeds, corrupt=corrupt
-        )
-
-    @given(seed=st.integers(0, 2**20), budget=st.integers(0, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_budget_exhaustion_mixed_with_retirement(self, seed, budget):
+    def test_budget_exhaustion_mixed_with_retirement(self):
         # Replicas retire mid-run as they stabilize; the rest exhaust
         # the budget — the frontier state must compact consistently
         # through both kinds of drop.
-        from repro.graphs.generators import complete_graph
+        for budget in (0, 2, 5):
+            spec = fleet("2-state", [complete_graph(16)] * 12, budget=budget)
+            check_every_path(spec._replace(seed=budget))
 
-        graph = complete_graph(16)
-        seeds = spawn_seeds(seed, 12)
-        assert_engines_match_serial(
-            "two_state", [graph] * 12, seeds, max_rounds=budget
-        )
-
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=10, deadline=None)
-    def test_eager_ablation_replicas_veto_pair_rounds(self, graph, seed):
-        # eager_white_promotion replicas change the activity rule; the
-        # engine must still be exact (pair rounds are vetoed).
-        seeds = spawn_seeds(seed, 5)
-        assert_engines_match_serial("eager", [graph] * 5, seeds)
+    def test_eager_ablation_replicas_veto_pair_rounds(self):
+        # Eager replicas change the activity rule; the engine must stay
+        # exact, pair rounds vetoed, with plain replicas in the batch.
+        check_every_path(Fleet(["eager", "2-state"] * 3, [graph(8)] * 6, seed=8))
 
 
 class TestEngineReuse:
     def test_fault_waves_reuse_one_engine(self):
-        # run() re-adopts process state, so one engine can serve a
-        # whole fault-injection campaign (and, on the block path, keep
-        # its block CSR across waves).
-        seeds = spawn_seeds(3, 10)
-        graphs = [gnp_random_graph(70, 0.05, rng=s + 9) for s in seeds]
-
-        def faults(wave, i, n):
-            rng = np.random.default_rng(1000 * wave + i)
-            return rng.choice(n, size=4, replace=False)
-
-        # The literal reference, wave by wave.
-        refs = [ReferenceTwoState(g, coins=s) for g, s in zip(graphs, seeds)]
-        ref_outs = [[run_reference(r, MAX_ROUNDS) for r in refs]]
-        for wave in range(2):
-            for i, r in enumerate(refs):
-                r.black[faults(wave, i, r.n)] = True
-            ref_outs.append([run_reference(r, MAX_ROUNDS) for r in refs])
-
-        def wave_runs(mode):
-            procs = [
-                TwoStateMIS(g, coins=s) for g, s in zip(graphs, seeds)
-            ]
-            if mode == "serial":
-                def run():
-                    return [
-                        run_until_stable(p, max_rounds=MAX_ROUNDS)
-                        for p in procs
-                    ]
-            else:
-                _, crossover, bulk = REGIMES[mode]
-                engine = BatchedTwoStateMIS(procs)
-
-                def run():
-                    with regime(crossover, bulk):
-                        return engine.run(MAX_ROUNDS)
-            outs = [run()]
-            for wave in range(2):
-                for i, p in enumerate(procs):
-                    p.corrupt_vertices(faults(wave, i, p.n), black=True)
-                outs.append(run())
-            return outs, [p.black.copy() for p in procs]
-
-        for mode in ("serial",) + tuple(REGIMES):
-            outs, state = wave_runs(mode)
-            for wave_out, wave_ref in zip(outs, ref_outs):
-                for result, want in zip(wave_out, wave_ref):
-                    stabilized, stab_round, executed, mis = want
-                    assert result.stabilized == stabilized, mode
-                    assert result.stabilization_round == stab_round, mode
-                    assert result.rounds_executed == executed, mode
-                    assert np.array_equal(result.mis, mis), mode
-            for a, ref in zip(state, refs):
-                assert np.array_equal(a, ref.black), mode
+        # One engine serves a whole fault-injection campaign (and, on
+        # the block path, keeps its block CSR across waves).
+        graphs = [graph(s + 9, 70, 0.05) for s in range(6)]
+        check_every_path(fleet("2-state", graphs, waves=2, flips=4, seed=9))
 
     def test_mutations_between_construction_and_run_are_adopted(self):
-        # run() adopts the processes' *current* state: corruption (or
-        # any mutation) after the engine is constructed must not be
-        # lost.
-        graph = gnp_random_graph(80, 0.06, rng=2)
-        seeds = spawn_seeds(7, 6)
-        batch_procs = [TwoStateMIS(graph, coins=s) for s in seeds]
-        engine = BatchedTwoStateMIS(batch_procs)
-        serial_procs = [TwoStateMIS(graph, coins=s) for s in seeds]
-        for procs in (batch_procs, serial_procs):
-            for i, p in enumerate(procs):
-                rng = np.random.default_rng(50 + i)
-                p.corrupt(rng.random(graph.n) < 0.5)
-        serial = [
-            run_until_stable(p, max_rounds=MAX_ROUNDS)
-            for p in serial_procs
-        ]
-        assert_same_results(serial, engine.run(MAX_ROUNDS))
-        for sp, bp in zip(serial_procs, batch_procs):
-            assert np.array_equal(sp.black, bp.black)
+        # The oracle builds each engine before the corrupted start: a
+        # run adopts the processes' current state.
+        spec = fleet("2-state", [graph(2, 80, 0.06)] * 6, corrupt=True)
+        check_batched(spec._replace(seed=7))
 
     def test_block_kept_across_waves(self):
         seeds = spawn_seeds(5, 6)
@@ -392,6 +130,7 @@ class TestEngineReuse:
             p.corrupt_vertices([0, 1], black=True)
         engine.run(MAX_ROUNDS)
         assert engine._block is block  # reused, graphs are immutable
+
 
 
 class TestMonteCarloEntryPoints:
@@ -571,158 +310,17 @@ class TestStabilityBookkeeping:
         assert calls["scatter"] > 0
 
 
-#: Aggregate fields a run starts from, repaired or rebuilt.
-START_FIELDS = (
-    "counts", "aux_counts", "has", "aux_has", "stable", "covered", "unstable",
-)
-
-
-def record_starts(engine):
-    """Snapshot the aggregates and activity set every run starts from.
-
-    Wraps the engine's activity seeding, which each run calls right
-    after its rebuild or repair (and again after every bulk round; a
-    run's start is the first snapshot after it begins).
-    """
-    starts = []
-    seed = engine._seed_act_mask
-
-    def seeded(black, has, candidates=None):
-        seed(black, has, candidates)
-        agg = engine._frontier_state
-        snap = {
-            field: None if getattr(agg, field) is None
-            else np.array(getattr(agg, field))
-            for field in START_FIELDS
-        }
-        if engine._act_pairs is not None:
-            snap["active"] = engine._act_pairs.copy()
-        elif engine._act_mask is not None:
-            snap["active"] = np.flatnonzero(engine._act_mask)
-        else:
-            snap["active"] = None
-        snap["repaired"] = candidates is not None
-        starts.append(snap)
-
-    engine._seed_act_mask = seeded
-    return starts
-
-
-def corrupt_pairs(rng, family, state, k):
-    """``state`` with ``k`` random vertices set to another value."""
-    state = np.array(state)
-    idx = rng.choice(state.size, size=min(k, state.size), replace=False)
-    if family == "three_state":
-        state[idx] = (state[idx] + rng.integers(1, 3, size=idx.size)) % 3
-    else:
-        state[idx] = ~state[idx]
-    return state
-
-
-def _as_result(outcome):
-    """A ``run_reference`` tuple as a RunResult."""
-    from repro.sim.runner import RunResult
-
-    stabilized, stab_round, executed, mis = outcome
-    return RunResult(stabilized, stab_round, executed, mis)
-
-
-@st.composite
-def repair_graphs(draw):
-    """Small graphs, n in {0, 1} included, isolated vertices and
-    disconnected pieces common."""
-    n = draw(st.sampled_from([0, 1, 2, 5, 17, 40, 90, 300]))
-    pieces = draw(st.integers(min_value=1, max_value=3))
-    degree = draw(st.floats(min_value=0.0, max_value=6.0))
-    seed = draw(st.integers(min_value=0, max_value=2**20))
-    rng = np.random.default_rng(seed)
-    density = degree / max(n, 1)
-    piece = rng.integers(0, pieces, size=n)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if piece[u] == piece[v] and rng.random() < density
-    ]
-    return Graph(n, edges)
-
-
 class TestResidentRepair:
     """A re-run engine repairs its resident aggregates; repair == rebuild."""
 
-    @given(
-        graph=repair_graphs(),
-        family=st.sampled_from(["two_state", "three_state", "scheduled"]),
-        shared=st.booleans(),
-        stabilized_prior=st.booleans(),
-        flips=st.sampled_from([0, 1, 3, "fallback"]),
-        seed=st.integers(0, 2**20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_repair_equals_rebuild(
-        self, graph, family, shared, stabilized_prior, flips, seed
-    ):
-        engine_cls, build, build_ref = FAMILIES[family]
-        replicas = 4
-        seeds = spawn_seeds(seed, replicas)
-        if shared:
-            graphs = [graph] * replicas
-        else:  # equal copies: the block-diagonal path
-            edges = list(zip(*graph.edge_arrays())) if graph.n else []
-            graphs = [Graph(graph.n, edges) for _ in seeds]
-        budget = MAX_ROUNDS if stabilized_prior else 1
-        procs = [
-            build(g, s, SparseNeighborOps(g)) for g, s in zip(graphs, seeds)
-        ]
-        refs = [build_ref(g, s) for g, s in zip(graphs, seeds)]
-        engine = engine_cls(procs)
-        first = engine.run(budget)
-        assert_same_results(
-            [_as_result(run_reference(r, budget)) for r in refs], first
-        )
-        if stabilized_prior or all(r.stabilized for r in first):
-            assert engine._resident is not None
-        else:
-            assert engine._resident is None  # budget-dropped rows keep nothing
-
-        rng = np.random.default_rng(seed)
-        k = max(1, graph.n // 3) if flips == "fallback" else flips
-        for p, r in zip(procs, refs):
-            state = corrupt_pairs(rng, family, p.state_vector(), k)
-            p.corrupt(state)
-            set_reference_state(r, state)
-        # A fresh engine over twins of the corrupted processes.
-        twins = [
-            type(p).from_replica_state(p.replica_state(), p.graph, p.ops)
-            for p in procs
-        ]
-        fresh = engine_cls(twins)
-        had_resident = engine._resident is not None
-        resident_starts = record_starts(engine)
-        fresh_starts = record_starts(fresh)
-        got = engine.run(MAX_ROUNDS)
-        want = fresh.run(MAX_ROUNDS)
-        assert_same_results(want, got)
-        assert_same_results(
-            [_as_result(run_reference(r, MAX_ROUNDS)) for r in refs], got
-        )
-        for p, t, r in zip(procs, twins, refs):
-            assert p.round == t.round
-            assert np.array_equal(p.state_vector(), t.state_vector())
-            assert np.array_equal(p.state_vector(), reference_state(r))
-            assert p.coins.state == t.coins.state
-        start, cold = resident_starts[0], fresh_starts[0]
-        assert not cold["repaired"]
-        if not had_resident:
-            assert not start["repaired"]
-        elif 2 * min(k, graph.n) * bf.REPAIR_FRACTION <= graph.n:
-            # (at most two changed indicator pairs per flipped vertex)
-            assert start["repaired"]
-        for field in START_FIELDS + ("active",):
-            if cold[field] is None:
-                assert start[field] is None, field
-            else:
-                assert np.array_equal(start[field], cold[field]), field
+    def test_repair_equals_rebuild(self):
+        # The oracle audits each repaired start against a recomputation.
+        for name in ("2-state", "3-state", "independent"):
+            for graphs in ([graph(10, 70, 0.05)] * 4,
+                           [graph(s, 70, 0.05) for s in range(4)]):
+                spec = fleet(name, graphs, backend=SparseNeighborOps,
+                             waves=2, flips=3, seed=10)
+                check_batched(spec)
 
     @pytest.mark.parametrize("family", ["two_state", "three_state", "scheduled"])
     def test_rerun_after_three_flips_skips_rebuild_and_reductions(
@@ -734,17 +332,21 @@ class TestResidentRepair:
         # rounds pick their own regime: a 2-state recovery never goes
         # bulk, while a 3-state one may, when many black vertices
         # redraw their black0/black1 bit at once.
-        engine_cls, build, _ = FAMILIES[family]
+        name = {
+            "two_state": "2-state",
+            "three_state": "3-state",
+            "scheduled": "independent",
+        }[family]
         graph = gnp_random_graph(800, 0.005, rng=6)
         procs = [
-            build(graph, s, SparseNeighborOps(graph))
+            FAMILIES[name].build(graph, s, SparseNeighborOps(graph), 0)
             for s in spawn_seeds(4, 8)
         ]
-        engine = engine_cls(procs)
+        engine = FAMILIES[name].engine(procs)
         engine.run(MAX_ROUNDS)
         for i, p in enumerate(procs):
             rng = np.random.default_rng(300 + i)
-            p.corrupt(corrupt_pairs(rng, family, p.state_vector(), 3))
+            p.corrupt(flip(rng, p.state_vector(), 3))
         start = engine._rounds.copy()
         calls = []
 
@@ -788,11 +390,11 @@ class TestResidentRepair:
         rng = np.random.default_rng(1)
         k = graph.n // bf.REPAIR_FRACTION + 1  # just above the bound
         for p in procs:
-            p.corrupt(corrupt_pairs(rng, "two_state", p.black, k))
+            p.corrupt(flip(rng, p.black, k))
         engine.run(MAX_ROUNDS)
         assert rebuilds == [1]
         for p in procs:
-            p.corrupt(corrupt_pairs(rng, "two_state", p.black, 1))
+            p.corrupt(flip(rng, p.black, 1))
         engine.run(MAX_ROUNDS)
         assert rebuilds == [1]  # back under the bound: repaired
 

@@ -1,31 +1,26 @@
-"""Frontier-aggregate exactness and aggregate-memoization guarantees.
+"""Frontier-aggregate exactness, cost shapes and memoization.
 
 The 2-state and 3-state processes keep their neighbourhood aggregates
 incrementally (:mod:`repro.core.frontier`) and choose per round between
 a scatter update and a full recomputation at ``DEFAULT_CROSSOVER``.
-Whichever they take, they must follow the paper's rules exactly: for
-every seed, every round and every observable — state vectors,
-active/stable/covered masks, stabilization round, coin-stream position
-— a process equals the literal per-vertex reference of
-:mod:`repro.core.reference`.  This suite pins that in three regimes
-(the crossover patched to 0, so every moving round recomputes; left at
-its default; or huge (1e18), so every round scatters), plus the
-cache-invalidation paths (``corrupt`` / ``corrupt_vertices`` /
-batched-engine write-back) and the reduction-count contract of the
-memoized 3-color path.
+Whichever they take, every round must equal the literal references of
+:mod:`repro.core.reference`; ``tests/test_oracle.py`` draws the runs
+that pin this, and the fixed cases here check named ones through the
+same oracle (in all three crossover regimes, every round, aggregates
+audited).  The rest pins the aggregates' own contracts: the
+hand-driven removal fallbacks, the black1 count that leaves ``I_t``
+out, the cost of late black1 scatters, the regime switch, and the
+reduction-count contract of the memoized 3-color path.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import frontier as frontier_module
 from repro.core.frontier import FrontierAggregates
 from repro.core.neighbor_ops import SparseNeighborOps, gather_neighbors
-from repro.core.reference import ReferenceThreeState, ReferenceTwoState
-from repro.core.states import BLACK, BLACK1
+from repro.core.reference import ReferenceTwoState
+from repro.core.states import BLACK
 from repro.core.switch import RandomizedLogSwitch
 from repro.core.three_color import ThreeColorMIS
 from repro.core.three_state import ThreeStateMIS
@@ -35,21 +30,18 @@ from repro.graphs.random_graphs import gnp_random_graph
 from repro.sim.rng import SeededCoins
 from repro.sim.runner import run_until_stable
 
-from coin_probes import CountingCoins
+from oracle import (
+    assert_observes,
+    assert_same_results,
+    audit_frontier,
+    build_processes,
+    check_serial,
+    fleet,
+    reference_waves,
+    regime,
+)
 
 MAX_ROUNDS = 4000
-
-#: Crossover values that force each regime: recompute on every round
-#: that moves an edge, the shipped blend, scatter on every round.
-CROSSOVERS = (0.0, frontier_module.DEFAULT_CROSSOVER, 1e18)
-
-
-@contextmanager
-def crossover(value):
-    """Aggregates built inside the block use ``value`` as the crossover."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frontier_module, "DEFAULT_CROSSOVER", value)
-        yield
 
 
 class CountingOps(SparseNeighborOps):
@@ -64,293 +56,74 @@ class CountingOps(SparseNeighborOps):
         return super().count(mask)
 
 
-def make_reference(cls, graph, coins, eager_white_promotion=False):
-    """The literal reference of ``cls`` on ``coins``."""
-    if cls is TwoStateMIS:
-        return ReferenceTwoState(
-            graph, coins=coins, eager_white_promotion=eager_white_promotion
-        )
-    return ReferenceThreeState(graph, coins=coins)
-
-
-def reference_state(ref):
-    return ref.black if isinstance(ref, ReferenceTwoState) else ref.states
-
-
-def set_reference_state(ref, states):
-    if isinstance(ref, ReferenceTwoState):
-        ref.black = np.asarray(states, dtype=bool).copy()
-    else:
-        ref.states = np.asarray(states, dtype=np.int8).copy()
-
-
-def regime_processes(cls, graph, seed, **kwargs):
-    """One process per crossover regime, each on its own counting coins.
-
-    The aggregates read the crossover when they measure the edge
-    volume, so each process builds them inside its regime's block.
-    """
-    procs = []
-    for value in CROSSOVERS:
-        coins = CountingCoins(seed)
-        with crossover(value):
-            proc = cls(graph, coins=coins, **kwargs)
-            proc.is_stabilized()
-        procs.append((value, proc, coins))
-    return procs
-
-
-def assert_matches_reference(procs, ref, ref_coins, label):
-    """Every observable of every process equals the reference's."""
-    black = ref.black_mask()
-    active = ref.active_mask()
-    stable = ref.stable_black_mask()
-    covered = ref.covered_mask()
-    stabilized = bool(covered.all())
-    expected = (
-        reference_state(ref),
-        active,
-        stable,
-        covered,
-        ~covered,
-        stabilized,
-        (
-            int(black.sum()),
-            int(active.sum()),
-            int(stable.sum()),
-            ref.n - int(covered.sum()),
-        ),
-        ref_coins.draws,
-    )
-    for value, proc, coins in procs:
-        observed = (
-            proc.state_vector(),
-            proc.active_mask(),
-            proc.stable_black_mask(),
-            proc.covered_mask(),
-            proc.unstable_mask(),
-            proc.is_stabilized(),
-            proc.trajectory_counts(),
-            coins.draws,
-        )
-        for a, b in zip(observed, expected):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), (value, label)
-            else:
-                assert a == b, (value, label)
-    return stabilized
-
-
-def run_lockstep(procs, ref, ref_coins, rounds, before_step=None):
-    """Step the processes and the reference together, comparing each round."""
-    for r in range(rounds):
-        if assert_matches_reference(procs, ref, ref_coins, r):
-            return  # stabilized — nothing changes afterwards
-        if before_step is not None:
-            before_step(r)
-        for _, proc, _ in procs:
-            proc.step()
-        ref.step()
-
-
-def assert_lockstep_equal(cls, graph, seed, rounds=80, corrupt_at=None, **kw):
-    """Every regime's process vs the literal reference, round by round."""
-    procs = regime_processes(cls, graph, seed, **kw)
-    ref_coins = CountingCoins(seed)
-    ref = make_reference(cls, graph, ref_coins, **kw)
-    corrupt_rng = np.random.default_rng(seed + 1)
-    if cls is TwoStateMIS:
-        corrupt_states = corrupt_rng.random(graph.n) < 0.5
-    else:
-        corrupt_states = corrupt_rng.integers(0, 3, graph.n).astype(np.int8)
-
-    def before_step(r):
-        if r == corrupt_at:
-            for _, proc, _ in procs:
-                proc.corrupt(corrupt_states)
-            set_reference_state(ref, corrupt_states)
-
-    run_lockstep(procs, ref, ref_coins, rounds, before_step)
-
-
-@st.composite
-def sparse_graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=120))
-    density = draw(st.floats(min_value=0.0, max_value=0.35))
-    seed = draw(st.integers(min_value=0, max_value=2**20))
-    return gnp_random_graph(n, density, rng=seed)
+def sparse_graph(seed, n=96):
+    return gnp_random_graph(n, 0.05, rng=seed)
 
 
 class TestEngineEquivalence:
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=40, deadline=None)
-    def test_two_state_lockstep(self, graph, seed):
-        assert_lockstep_equal(TwoStateMIS, graph, seed)
+    """Fixed oracle cases: each process, every round, every regime."""
 
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=30, deadline=None)
-    def test_three_state_lockstep(self, graph, seed):
-        assert_lockstep_equal(ThreeStateMIS, graph, seed)
+    def test_two_state_lockstep(self):
+        check_serial(fleet("2-state", [sparse_graph(1)], seed=11))
 
-    @given(graph=sparse_graphs(), seed=st.integers(0, 2**20))
-    @settings(max_examples=20, deadline=None)
-    def test_two_state_eager_lockstep(self, graph, seed):
-        assert_lockstep_equal(
-            TwoStateMIS, graph, seed, eager_white_promotion=True
+    def test_three_state_lockstep(self):
+        check_serial(fleet("3-state", [sparse_graph(2)], seed=12))
+
+    def test_two_state_eager_lockstep(self):
+        check_serial(fleet("eager", [sparse_graph(3)], seed=13))
+
+    def test_corrupt_redirties_incremental_state(self):
+        # Faults land mid-run: the budget cuts every wave short.
+        check_serial(
+            fleet("2-state", [sparse_graph(4)], corrupt=True, waves=3,
+                  flips=40, budget=3, seed=14)
         )
 
-    @given(
-        graph=sparse_graphs(),
-        seed=st.integers(0, 2**20),
-        corrupt_at=st.integers(0, 12),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_corrupt_redirties_incremental_state(
-        self, graph, seed, corrupt_at
-    ):
-        assert_lockstep_equal(
-            TwoStateMIS, graph, seed, corrupt_at=corrupt_at
+    def test_corrupt_three_state(self):
+        check_serial(
+            fleet("3-state", [sparse_graph(5)], corrupt=True, waves=3,
+                  flips=40, budget=3, seed=15)
         )
 
-    @given(
-        graph=sparse_graphs(),
-        seed=st.integers(0, 2**20),
-        corrupt_at=st.integers(0, 12),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_corrupt_three_state(self, graph, seed, corrupt_at):
-        assert_lockstep_equal(
-            ThreeStateMIS, graph, seed, corrupt_at=corrupt_at
-        )
-
-    @given(seed=st.integers(0, 2**20), check_every=st.integers(1, 7))
-    @settings(max_examples=25, deadline=None)
-    def test_run_until_stable_check_every(self, seed, check_every):
-        graph = gnp_random_graph(96, 0.05, rng=seed)
-        # The reference polls the predicate only where the runner does.
-        ref = ReferenceTwoState(graph, coins=seed)
-        while not ref.is_stabilized():
-            ref.step()
-            while ref.round % check_every:
-                ref.step()
-        for value, proc, _ in regime_processes(TwoStateMIS, graph, seed):
-            res = run_until_stable(
-                proc, max_rounds=MAX_ROUNDS, check_every=check_every
-            )
-            assert res.stabilization_round == ref.round, value
-            assert res.rounds_executed == ref.round, value
-            assert np.array_equal(res.mis, np.flatnonzero(ref.black))
-            assert np.array_equal(proc.state_vector(), ref.black)
+    def test_run_until_stable_check_every(self):
+        for check_every in (2, 3, 7):
+            spec = fleet("2-state", [sparse_graph(check_every)], seed=16)
+            check_serial(spec, check_every=check_every)
 
     def test_corrupt_vertices_dirties_counts(self):
-        graph = gnp_random_graph(150, 0.04, rng=3)
-        procs = regime_processes(TwoStateMIS, graph, 11)
-        ref_coins = CountingCoins(11)
-        ref = ReferenceTwoState(graph, coins=ref_coins)
-        for _, proc, _ in procs:
-            proc.step(3)
-            proc.corrupt_vertices([0, 5, 9, 100], black=True)
-            proc.corrupt_vertices([1, 6], black=False)
-        for _ in range(3):
-            ref.step()
-        ref.black[[0, 5, 9, 100]] = True
-        ref.black[[1, 6]] = False
-        # ... and the subsequent trajectories still agree
-        run_lockstep(procs, ref, ref_coins, MAX_ROUNDS)
-        assert ref.is_stabilized()
+        # Fault waves write a 2-state process's array in place.
+        check_serial(
+            fleet("2-state", [sparse_graph(6, n=150)], waves=2, flips=6,
+                  budget=3, seed=17)
+        )
 
     def test_batched_writeback_invalidates_aggregates(self):
         from repro.core.batched import BatchedTwoStateMIS
 
-        graph = gnp_random_graph(80, 0.06, rng=5)
-        procs = [TwoStateMIS(graph, coins=s) for s in range(6)]
-        # Touch the frontier state before the batched run (the
-        # write-back below must invalidate it, not reuse it).
+        spec = fleet("2-state", [gnp_random_graph(80, 0.06, rng=5)] * 6)
+        procs = build_processes(spec)
         for proc in procs:
-            proc.is_stabilized()
-        results = BatchedTwoStateMIS(procs).run(max_rounds=MAX_ROUNDS)
-        for proc, result in zip(procs, results):
-            assert result.stabilized
-            # The write-back rebound process.black; the stale frontier
-            # aggregates must be rebuilt, not reused.
-            assert proc.is_stabilized()
-            ref = ReferenceTwoState(graph, coins=0, init=proc.black)
-            assert np.array_equal(proc.covered_mask(), ref.covered_mask())
+            proc.is_stabilized()  # aggregates the write-back must drop
+        (wave,) = reference_waves(spec)
+        assert_same_results(wave.results, BatchedTwoStateMIS(procs).run())
+        for proc, final in zip(procs, wave.finals):
+            assert_observes(proc, final, "written back")
 
     def test_trace_recording_equivalent(self):
-        graph = gnp_random_graph(200, 0.03, rng=9)
-        ref = ReferenceTwoState(graph, coins=4)
-        curves = {key: [] for key in ("black", "active", "stable_black")}
-        curves["unstable"] = []
-        while True:
-            curves["black"].append(int(ref.black.sum()))
-            curves["active"].append(int(ref.active_mask().sum()))
-            curves["stable_black"].append(int(ref.stable_black_mask().sum()))
-            covered = ref.covered_mask()
-            curves["unstable"].append(graph.n - int(covered.sum()))
-            if covered.all():
-                break
-            ref.step()
-        for value, proc, _ in regime_processes(TwoStateMIS, graph, 4):
-            res = run_until_stable(
-                proc, max_rounds=MAX_ROUNDS, record_trace=True
-            )
-            for key, curve in res.trace.as_arrays().items():
-                assert np.array_equal(curve, curves[key]), (value, key)
-
-
-class AuditedThreeState(ThreeStateMIS):
-    """3-state process that audits its black1 aggregate after each round."""
-
-    def _advance(self):
-        super()._advance()
-        frontier = self._frontier
-        if frontier is not None and frontier.token is self.states:
-            assert_black1_counts_exact(frontier, self.states == BLACK1)
-
-
-def assert_black1_counts_exact(frontier, black1):
-    """``aux_counts`` counts the black1 neighbours outside ``I_t``."""
-    expected = frontier.ops.count(black1 & ~frontier.stable)
-    np.testing.assert_array_equal(frontier.aux_counts, expected)
-    np.testing.assert_array_equal(frontier.aux_has, expected > 0)
+        check_serial(fleet("2-state", [sparse_graph(9, n=200)], seed=4))
 
 
 class TestBlackOneAggregate:
     """The 3-state black1 count covers ``B1_t \\ I_t`` only."""
 
-    @given(
-        graph=sparse_graphs(),
-        seed=st.integers(0, 2**20),
-        corrupt_at=st.none() | st.integers(0, 12),
-        value=st.sampled_from(CROSSOVERS),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_counts_exact_every_round(self, graph, seed, corrupt_at, value):
-        corrupt = np.random.default_rng(seed + 1).integers(0, 3, graph.n)
-        with crossover(value):
-            proc = AuditedThreeState(graph, coins=seed)
-            for r in range(80):
-                if corrupt_at is not None and r == corrupt_at:
-                    proc.corrupt(corrupt.astype(np.int8))
-                if proc.is_stabilized():
-                    break
-                proc.step()
+    def test_counts_exact_every_round(self):
+        check_serial(
+            fleet("3-state", [sparse_graph(7)], corrupt=True, waves=3,
+                  flips=3, seed=18)
+        )
 
-    @given(
-        seed=st.integers(0, 2**20),
-        check_every=st.integers(2, 7),
-        value=st.sampled_from(CROSSOVERS),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_counts_exact_with_check_every(self, seed, check_every, value):
-        graph = gnp_random_graph(96, 0.05, rng=seed)
-        with crossover(value):
-            proc = AuditedThreeState(graph, coins=seed)
-            result = run_until_stable(
-                proc, max_rounds=MAX_ROUNDS, check_every=check_every
-            )
-        assert result.stabilized
+    def test_counts_exact_with_check_every(self):
+        check_serial(fleet("3-state", [sparse_graph(8)], seed=19), check_every=4)
 
     def test_black1_scatter_collapses_with_unstable_set(self, monkeypatch):
         """Late black1 scatters shrink with ``V_t``, not ``I_t``.
@@ -388,7 +161,6 @@ class TestBlackOneAggregate:
         late = sum(e for r, e in ops.black1_edges if r >= rounds // 2)
         assert late < graph.indices.size
 
-
 class TestEngineParameter:
     def test_engine_kwarg_is_gone(self):
         """Each process runs one self-selecting engine; nothing selects it."""
@@ -411,11 +183,7 @@ class TestEngineParameter:
         assert not hasattr(frontier_module, "resolve_engine")
 
     def test_empty_and_singleton_graphs(self):
-        for n in (0, 1):
-            graph = Graph(n)
-            for value, proc, _ in regime_processes(TwoStateMIS, graph, 0):
-                res = run_until_stable(proc, max_rounds=50)
-                assert res.stabilized, value
+        check_serial(fleet("2-state", [Graph(0), Graph(1)]))
 
     def test_auto_switches_to_scatter(self):
         graph = gnp_random_graph(4096, 3.0 / 4096, rng=0)
@@ -487,7 +255,7 @@ class TestFrontierAggregates:
         n = 4 + isolated
         graph = Graph(n, [(0, 1), (2, 3)])
         ops = SparseNeighborOps(graph)
-        with crossover(1e18):
+        with regime(1e18):
             frontier = FrontierAggregates(graph, ops, track_aux=True)
         branches = []
         for name in ("_update_stability", "_update_stability_local"):
@@ -522,23 +290,13 @@ class TestFrontierAggregates:
             "_update_stability_local" if isolated else "_update_stability"
         )
         assert branches == [(expected, True)]
-        ref = FrontierAggregates(graph, ops, track_aux=True)
-        ref.rebuild(new_black, token=new_black, aux=new_aux)
         assert not frontier.stable[0]
-        for name in (
-            "counts", "has_black", "aux_counts", "aux_has", "stable",
-            "covered",
-        ):
-            np.testing.assert_array_equal(
-                getattr(frontier, name), getattr(ref, name), err_msg=name
-            )
-        assert frontier.unstable_total == ref.unstable_total
-        assert_black1_counts_exact(frontier, new_aux)
+        audit_frontier(frontier, new_black, new_aux)
 
     def test_black1_flips_inside_stable_set_not_counted(self):
         graph = Graph(5, [(0, 1), (2, 3), (3, 4)])
         ops = SparseNeighborOps(graph)
-        with crossover(1e18):
+        with regime(1e18):
             frontier = FrontierAggregates(graph, ops, track_aux=True)
         black = np.array([True, False, True, False, True])
         black1 = np.array([False, False, False, False, True])
@@ -566,7 +324,7 @@ class TestFrontierAggregates:
         n = 64
         graph = Graph(n, [(0, 1), (0, 2)])
         ops = SparseNeighborOps(graph)
-        with crossover(1e18):
+        with regime(1e18):
             frontier = FrontierAggregates(graph, ops, track_aux=True)
         black = np.zeros(n, dtype=bool)
         black[[0, 1, 2]] = True
@@ -583,7 +341,7 @@ class TestFrontierAggregates:
             aux_down=np.array([], dtype=np.int64),
         )
         assert frontier.stable[0]
-        assert_black1_counts_exact(frontier, new_black)
+        audit_frontier(frontier, new_black, new_black)
 
     def test_gather_neighbors_matches_slices(self):
         graph = gnp_random_graph(60, 0.2, rng=2)

@@ -2,10 +2,13 @@
 
 The load-bearing guarantees under test:
 
-* **Bitwise identity** — sharded fleets produce exactly the serial
-  results and final process states for any worker count and shard
-  boundaries (shared graphs, per-trial resampled graphs, corrupted
-  starts, resumed runs, mixed stabilization times).
+* **Bitwise identity** — sharded fleets produce exactly the results
+  and final process states of the literal references for any worker
+  count and shard boundaries (shared graphs, per-trial resampled
+  graphs, corrupted starts, resumed runs, mixed stabilization times,
+  fault waves on resident engines).  ``tests/test_oracle.py`` draws
+  the fleets that pin this; the fixed cases here check named ones
+  through the same oracle.
 * **Shared-memory hygiene** — no ``/dev/shm`` segment survives a pool
   shutdown, an exception, a dropped owner, or a worker crash mid-job.
 * **Dispatch plumbing** — ``n_jobs`` resolution/clamping, the
@@ -22,9 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.replica import ReplicaState
-from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
-from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel import (
     SharedGraphStore,
@@ -46,62 +47,41 @@ from repro.sim.montecarlo import (
 )
 from repro.sim.runner import run_many_until_stable
 
+from oracle import (
+    assert_observes,
+    assert_same_results,
+    check_fleet,
+    fleet,
+    random_graph,
+    reference_waves,
+)
+
 
 def _assert_no_leaks():
     assert leaked_segments() == []
 
 
-def _two_state_fleet(size, shared, *, n=60, p=0.08, graph_seed=7, coin_base=100):
-    graph = gnp_random_graph(n, p, rng=graph_seed)
-    fleet = []
-    for i in range(size):
-        g = graph if shared else gnp_random_graph(n, p, rng=graph_seed + 1 + i)
-        fleet.append(TwoStateMIS(g, coins=coin_base + i))
-    return fleet
-
-
-def _assert_fleets_identical(serial, parallel, serial_results, parallel_results):
-    assert len(serial_results) == len(parallel_results)
-    for a, b in zip(serial_results, parallel_results):
-        assert a.stabilized == b.stabilized
-        assert a.stabilization_round == b.stabilization_round
-        assert a.rounds_executed == b.rounds_executed
-        assert (a.mis is None) == (b.mis is None)
-        if a.mis is not None:
-            assert np.array_equal(a.mis, b.mis)
-    for a, b in zip(serial, parallel):
-        assert a.round == b.round
-        assert np.array_equal(a.state_vector(), b.state_vector())
-        # The coin streams advanced in lockstep: the next draws agree.
-        assert np.array_equal(a.coins.bits(8), b.coins.bits(8))
+def _graphs(size, shared, n=60, p=0.08, seed=7):
+    if shared:
+        return [gnp_random_graph(n, p, rng=seed)] * size
+    return [gnp_random_graph(n, p, rng=seed + 1 + i) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
-# Bitwise identity: serial vs sharded
+# Bitwise identity: fixed oracle cases
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("n_jobs", [2, 3, 4])
 def test_fleet_identical_to_serial(shared, n_jobs):
-    serial = _two_state_fleet(9, shared)
-    parallel = _two_state_fleet(9, shared)
-    rs = run_many_until_stable(serial, max_rounds=400)
-    rp = run_many_until_stable(parallel, max_rounds=400, n_jobs=n_jobs)
-    _assert_fleets_identical(serial, parallel, rs, rp)
-    for a, b in zip(serial, parallel):
-        # Writeback preserved object and graph identity.
-        assert b.graph is a.graph or b.graph.n == a.graph.n
+    check_fleet(fleet("2-state", _graphs(9, shared), seed=100), n_jobs=n_jobs)
     _assert_no_leaks()
 
 
 def test_fleet_identical_with_explicit_pool():
-    serial = _two_state_fleet(8, True)
-    parallel = _two_state_fleet(8, True)
-    rs = run_many_until_stable(serial, max_rounds=400)
     with SupervisedPool(2) as pool:
-        rp = run_many_until_stable(parallel, max_rounds=400, pool=pool)
-    _assert_fleets_identical(serial, parallel, rs, rp)
+        check_fleet(fleet("2-state", _graphs(8, True), seed=100), pool)
     _assert_no_leaks()
 
 
@@ -115,77 +95,32 @@ def test_fleet_preserves_graph_identity():
 
 
 def test_fleet_three_state_identical():
-    graph = gnp_random_graph(50, 0.08, rng=11)
-    serial = [ThreeStateMIS(graph, coins=200 + i) for i in range(6)]
-    parallel = [ThreeStateMIS(graph, coins=200 + i) for i in range(6)]
-    rs = run_many_until_stable(serial, max_rounds=600)
-    rp = run_many_until_stable(parallel, max_rounds=600, n_jobs=3)
-    _assert_fleets_identical(serial, parallel, rs, rp)
+    graphs = _graphs(6, True, n=50, seed=11)
+    check_fleet(fleet("3-state", graphs, seed=200), n_jobs=3)
     _assert_no_leaks()
 
 
 def test_fleet_mixed_graph_sizes_and_retirement():
     # Replicas on different graphs stabilize at very different rounds;
     # early finishers retire from their shard's batch mid-run.
-    def fleet():
-        out = []
-        for i in range(6):
-            g = gnp_random_graph(20 + 15 * i, 0.1, rng=50 + i)
-            out.append(TwoStateMIS(g, coins=300 + i))
-        return out
-
-    serial, parallel = fleet(), fleet()
-    rs = run_many_until_stable(serial, max_rounds=500)
-    rp = run_many_until_stable(parallel, max_rounds=500, n_jobs=4)
-    _assert_fleets_identical(serial, parallel, rs, rp)
+    graphs = [gnp_random_graph(20 + 15 * i, 0.1, rng=50 + i) for i in range(6)]
+    check_fleet(fleet("2-state", graphs, seed=300), n_jobs=4)
     _assert_no_leaks()
 
 
 def test_fleet_resume_after_corruption():
-    # Partial run, targeted corruption, then a resumed run — state and
-    # round counters must cross the process boundary bitwise-intact.
-    serial = _two_state_fleet(6, True)
-    parallel = _two_state_fleet(6, True)
-    rs = run_many_until_stable(serial, max_rounds=2)
-    rp = run_many_until_stable(parallel, max_rounds=2, n_jobs=3)
-    _assert_fleets_identical(serial, parallel, rs, rp)
-    for fleet in (serial, parallel):
-        for process in fleet:
-            process.corrupt_vertices([0, 1, 2], black=True)
-    rs = run_many_until_stable(serial, max_rounds=400)
-    rp = run_many_until_stable(parallel, max_rounds=400, n_jobs=2)
-    _assert_fleets_identical(serial, parallel, rs, rp)
+    # Partial runs, then targeted corruption — state and round counters
+    # must cross the process boundary bitwise-intact.
+    spec = fleet("2-state", _graphs(6, True), budget=2, waves=2, flips=3)
+    check_fleet(spec._replace(seed=100), n_jobs=3)
     _assert_no_leaks()
 
 
-@st.composite
-def small_fleets(draw):
-    n = draw(st.integers(min_value=2, max_value=16))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=30))
-    size = draw(st.integers(min_value=2, max_value=5))
-    coin_base = draw(st.integers(min_value=0, max_value=2**16))
-    shared = draw(st.booleans())
-    return n, tuple(edges), size, coin_base, shared
-
-
-@settings(max_examples=15, deadline=None)
-@given(small_fleets(), st.integers(min_value=2, max_value=4))
-def test_fleet_identity_property(spec, n_jobs):
-    n, edges, size, coin_base, shared = spec
-
-    def fleet():
-        base = Graph(n, list(edges))
-        out = []
-        for i in range(size):
-            g = base if shared else Graph(n, list(edges))
-            out.append(TwoStateMIS(g, coins=coin_base + i))
-        return out
-
-    serial, parallel = fleet(), fleet()
-    rs = run_many_until_stable(serial, max_rounds=300)
-    rp = run_many_until_stable(parallel, max_rounds=300, n_jobs=n_jobs)
-    _assert_fleets_identical(serial, parallel, rs, rp)
+def test_fleet_identity_property():
+    # Small graphs with isolated vertices, on uneven shard boundaries.
+    for n_jobs in (2, 3, 4):
+        graphs = [random_graph(12, 2, 3.0, 0.2, n_jobs)] * 5
+        check_fleet(fleet("2-state", graphs, seed=n_jobs), n_jobs=n_jobs)
 
 
 def test_estimate_stabilization_time_parallel_identical():
@@ -295,6 +230,7 @@ def test_unshippable_fleet_runs_in_process():
         pass
 
     graph = gnp_random_graph(30, 0.1, rng=1)
+    (wave,) = reference_waves(fleet("2-state", [graph] * 4))
     serial = [Custom(graph, coins=i) for i in range(4)]
     parallel = [Custom(graph, coins=i) for i in range(4)]
     assert "record family" in unshippable(parallel[0])
@@ -304,7 +240,10 @@ def test_unshippable_fleet_runs_in_process():
     with pytest.warns(RuntimeWarning, match="record family") as caught:
         pr = run_many_until_stable(parallel, max_rounds=400, n_jobs=2)
     assert len(caught) == 1  # one warning per call, not per process
-    _assert_fleets_identical(serial, parallel, sr, pr)
+    for results, procs in ((sr, serial), (pr, parallel)):
+        assert_same_results(wave.results, results)
+        for proc, final in zip(procs, wave.finals):
+            assert_observes(proc, final, "in-process")
 
 
 def test_pool_survives_python_level_job_errors():
@@ -315,11 +254,7 @@ def test_pool_survives_python_level_job_errors():
             run_many_until_stable(bad, max_rounds=-1, n_jobs=2, pool=pool)
         # The workers caught the exception and keep serving the next
         # fleet; the other shard's late error result is dropped as stale.
-        serial = [TwoStateMIS(graph, coins=i) for i in range(4)]
-        good = [TwoStateMIS(graph, coins=i) for i in range(4)]
-        rs = run_many_until_stable(serial, max_rounds=400)
-        rp = run_many_until_stable(good, max_rounds=400, pool=pool)
-        _assert_fleets_identical(serial, good, rs, rp)
+        check_fleet(fleet("2-state", [graph] * 4), pool)
         assert pool.respawns == 0
     _assert_no_leaks()
 
@@ -329,14 +264,8 @@ def test_pool_reuse_across_different_graph_stores():
     # cached attachment and re-attach (what a sweep relies on).
     with SupervisedPool(2) as pool:
         for seed in (1, 2, 3):
-            graph = gnp_random_graph(30, 0.1, rng=seed)
-            serial = [TwoStateMIS(graph, coins=10 * seed + i) for i in range(4)]
-            parallel = [
-                TwoStateMIS(graph, coins=10 * seed + i) for i in range(4)
-            ]
-            rs = run_many_until_stable(serial, max_rounds=400)
-            rp = run_many_until_stable(parallel, max_rounds=400, pool=pool)
-            _assert_fleets_identical(serial, parallel, rs, rp)
+            graphs = [gnp_random_graph(30, 0.1, rng=seed)] * 4
+            check_fleet(fleet("2-state", graphs, seed=10 * seed), pool)
     _assert_no_leaks()
 
 
@@ -345,44 +274,11 @@ def test_pool_reuse_across_different_graph_stores():
 # ---------------------------------------------------------------------------
 
 
-def _wave_campaign(run, waves=3, replicas=12, n=300, flips=4):
-    """A clean start plus ``waves`` fault waves; per call, the results
-    and the processes' final states, rounds and coin positions."""
-    graph = gnp_random_graph(n, 3.0 / n, rng=21)
-    fleet = [
-        TwoStateMIS(graph, coins=500 + i, ops=SparseNeighborOps(graph))
-        for i in range(replicas)
-    ]
-    rng = np.random.default_rng(9)
-    calls = []
-    for wave in range(1 + waves):
-        if wave:
-            for process in fleet:
-                state = process.black.copy()
-                idx = rng.choice(n, size=flips, replace=False)
-                state[idx] = ~state[idx]
-                process.corrupt(state)
-        results = run(fleet)
-        calls.append(
-            (
-                [
-                    (r.stabilized, r.stabilization_round, r.rounds_executed,
-                     None if r.mis is None else r.mis.tolist())
-                    for r in results
-                ],
-                [
-                    (p.round, p.black.tobytes(), dict(p.coins.state))
-                    for p in fleet
-                ],
-            )
-        )
-    return calls
-
-
-def _serial_waves():
-    return _wave_campaign(
-        lambda fleet: run_many_until_stable(fleet, max_rounds=10_000, n_jobs=1)
-    )
+def _resident_waves():
+    """A clean start plus three 4-vertex fault waves on 10 replicas."""
+    graph = gnp_random_graph(150, 3.0 / 150, rng=21)
+    return fleet("2-state", [graph] * 10, backend=SparseNeighborOps,
+                 waves=3, flips=4, seed=500)
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -390,13 +286,8 @@ def test_fault_waves_on_resident_engines_match_serial(shards):
     # Two shards stay with their workers (hits every wave); three on
     # two workers rotate, so workers miss and hit stale entries.
     with SupervisedPool(2) as pool:
-        got = _wave_campaign(
-            lambda fleet: run_many_until_stable(
-                fleet, max_rounds=10_000, n_jobs=shards, pool=pool
-            )
-        )
+        check_fleet(_resident_waves(), pool, n_jobs=shards)
         assert pool.respawns == 0
-    assert got == _serial_waves()
     _assert_no_leaks()
 
 
@@ -405,17 +296,12 @@ def test_fault_waves_survive_a_worker_killed_in_wave_two():
     # engines; the retry runs on a worker whose cache lacks the shard.
     from repro.parallel import WaveChaosPolicy
 
-    chaos = WaveChaosPolicy.scripted({((0, 6), 2): "kill"})
+    chaos = WaveChaosPolicy.scripted({((0, 5), 2): "kill"})
     with SupervisedPool(2, chaos=chaos) as pool:
-        got = _wave_campaign(
-            lambda fleet: run_many_until_stable(
-                fleet, max_rounds=10_000, n_jobs=2, pool=pool
-            )
-        )
+        check_fleet(_resident_waves(), pool, n_jobs=2)
         kinds = [event.kind for event in pool.events]
         assert pool.respawns == 1
         assert kinds == ["respawn", "retry"]
-    assert got == _serial_waves()
     _assert_no_leaks()
 
 
@@ -573,11 +459,7 @@ def test_default_n_jobs_config():
     assert get_default_n_jobs() is None
     with default_n_jobs(2):
         assert get_default_n_jobs() == 2
-        serial = _two_state_fleet(4, True)
-        parallel = _two_state_fleet(4, True)
-        rp = run_many_until_stable(parallel, max_rounds=400)  # fleet path
-        rs = run_many_until_stable(serial, max_rounds=400, n_jobs=1)
-        _assert_fleets_identical(serial, parallel, rs, rp)
+        check_fleet(fleet("2-state", _graphs(4, True), seed=100))  # fleet path
     assert get_default_n_jobs() is None
     with pytest.raises(ValueError):
         set_default_n_jobs(0)

@@ -5,8 +5,9 @@ The resilience contract under test:
 * **Chaos equivalence** — under any deterministic fault schedule
   (worker kills, hangs past the deadline, poisoned results, seeded
   mixes) a supervised campaign's results are bitwise-identical to the
-  fault-free serial run, including final process state and coin
-  streams.
+  fault-free run, including final process state and coin streams: each
+  chaos case is a fixed oracle case (``tests/oracle.py``), checked
+  against the literal references.
 * **Bounded retries** — a shard that keeps failing exhausts its
   budget and raises :class:`ShardFailedError` carrying the witness
   shard range, the attempt count, and the chaos seed; shards that
@@ -40,6 +41,8 @@ from repro.parallel.shared_graph import SharedGraphStore
 from repro.sim.montecarlo import sweep_stabilization_times
 from repro.sim.runner import run_many_until_stable
 
+from oracle import check_fleet, fleet
+
 
 def _assert_no_leaks():
     assert leaked_segments() == []
@@ -50,18 +53,9 @@ def _fleet(size, *, n=48, p=0.1, graph_seed=11, coin_base=1000):
     return [TwoStateMIS(graph, coins=coin_base + i) for i in range(size)]
 
 
-def _assert_identical(serial, supervised, rs, rp):
-    assert len(rs) == len(rp)
-    for a, b in zip(rs, rp):
-        assert a.stabilized == b.stabilized
-        assert a.stabilization_round == b.stabilization_round
-        assert a.rounds_executed == b.rounds_executed
-        assert (a.mis is None) == (b.mis is None)
-        if a.mis is not None:
-            assert np.array_equal(a.mis, b.mis)
-    for a, b in zip(serial, supervised):
-        assert np.array_equal(a.state_vector(), b.state_vector())
-        assert np.array_equal(a.coins.bits(8), b.coins.bits(8))
+def _spec(size, *, n=48, p=0.1):
+    """The oracle's view of ``_fleet(size, n=n, p=p)``."""
+    return fleet("2-state", [gnp_random_graph(n, p, rng=11)] * size, seed=1000)
 
 
 def _event_kinds(pool):
@@ -75,8 +69,6 @@ def _event_kinds(pool):
 
 def test_kill_every_shard_respawns_and_matches_serial():
     size, workers = 12, 2
-    serial, supervised = _fleet(size), _fleet(size)
-    rs = run_many_until_stable(serial, max_rounds=400)
     plan = iter_chaos_fault_plan(
         shard_ranges(size, workers), ["kill"] * workers
     )
@@ -85,20 +77,15 @@ def test_kill_every_shard_respawns_and_matches_serial():
         chaos=ChaosPolicy.scripted(plan),
         retry=RetryPolicy(backoff_base=0.01),
     ) as pool:
-        rp = run_many_until_stable(
-            supervised, max_rounds=400, pool=pool
-        )
+        check_fleet(_spec(size), pool)
         assert pool.respawns >= workers
         kinds = _event_kinds(pool)
         assert "respawn" in kinds and "retry" in kinds
-    _assert_identical(serial, supervised, rs, rp)
     _assert_no_leaks()
 
 
 def test_poisoned_results_quarantined_and_matches_serial():
     size, workers = 12, 3
-    serial, supervised = _fleet(size), _fleet(size)
-    rs = run_many_until_stable(serial, max_rounds=400)
     plan = iter_chaos_fault_plan(
         shard_ranges(size, workers), ["poison"] * workers
     )
@@ -107,20 +94,15 @@ def test_poisoned_results_quarantined_and_matches_serial():
         chaos=ChaosPolicy.scripted(plan),
         retry=RetryPolicy(backoff_base=0.0),
     ) as pool:
-        rp = run_many_until_stable(
-            supervised, max_rounds=400, pool=pool
-        )
+        check_fleet(_spec(size), pool)
         kinds = _event_kinds(pool)
         assert kinds.count("quarantine") == workers
         assert "retry" in kinds
-    _assert_identical(serial, supervised, rs, rp)
     _assert_no_leaks()
 
 
 def test_hang_past_deadline_degrades_in_process():
     size, workers = 8, 2
-    serial, supervised = _fleet(size), _fleet(size)
-    rs = run_many_until_stable(serial, max_rounds=400)
     ranges = shard_ranges(size, workers)
     plan = iter_chaos_fault_plan(ranges, ["hang"])
     with SupervisedPool(
@@ -128,14 +110,11 @@ def test_hang_past_deadline_degrades_in_process():
         chaos=ChaosPolicy.scripted(plan, hang_seconds=30.0),
         deadline=0.4,
     ) as pool:
-        rp = run_many_until_stable(
-            supervised, max_rounds=400, pool=pool
-        )
+        check_fleet(_spec(size), pool)
         kinds = _event_kinds(pool)
         assert "deadline-kill" in kinds and "degrade" in kinds
         hung = next(e for e in pool.events if e.kind == "deadline-kill")
         assert hung.shard == tuple(ranges[0])
-    _assert_identical(serial, supervised, rs, rp)
     _assert_no_leaks()
 
 
@@ -143,38 +122,22 @@ def test_seeded_chaos_mix_matches_serial():
     # Seeded mode: rates draw faults pseudo-randomly, but only on
     # first attempts (max_faulty_attempts=1), so convergence is
     # guaranteed and the whole schedule replays from the seed.
-    size = 24
-    serial, supervised = _fleet(size), _fleet(size)
-    rs = run_many_until_stable(serial, max_rounds=400)
     chaos = ChaosPolicy(seed=42, kill=0.4, poison=0.3, slow=0.2)
     with SupervisedPool(
         3, chaos=chaos, retry=RetryPolicy(backoff_base=0.01)
     ) as pool:
-        rp = run_many_until_stable(
-            supervised, max_rounds=400, n_jobs=6, pool=pool
-        )
-    _assert_identical(serial, supervised, rs, rp)
+        check_fleet(_spec(24), pool, n_jobs=6)
     _assert_no_leaks()
 
 
 def test_acceptance_256_replica_fleet_under_seeded_chaos():
-    # ISSUE 9 acceptance: a 256-replica fleet under a seeded
-    # ChaosPolicy completes bitwise-identical to the fault-free
-    # serial path.
-    size = 256
-    serial, supervised = (
-        _fleet(size, n=32, p=0.12),
-        _fleet(size, n=32, p=0.12),
-    )
-    rs = run_many_until_stable(serial, max_rounds=500)
+    # A 256-replica fleet under a seeded ChaosPolicy completes
+    # bitwise-identical to the fault-free references.
     chaos = ChaosPolicy(seed=9, kill=0.3, poison=0.2)
     with SupervisedPool(
         4, chaos=chaos, retry=RetryPolicy(backoff_base=0.01)
     ) as pool:
-        rp = run_many_until_stable(
-            supervised, max_rounds=500, n_jobs=8, pool=pool
-        )
-    _assert_identical(serial, supervised, rs, rp)
+        check_fleet(_spec(256, n=32, p=0.12), pool, n_jobs=8)
     _assert_no_leaks()
 
 
