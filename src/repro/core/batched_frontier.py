@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import frontier
-from repro.core.neighbor_ops import unique_flat
+from repro.core.neighbor_ops import _scatter_unit, unique_flat
 
 if TYPE_CHECKING:  # import cycle: batched.py imports this module
     from repro.core.batched import _BatchedMISEngine
@@ -148,38 +148,12 @@ def apply_flat_delta(
 
     The flat-index analogue of
     :meth:`repro.core.neighbor_ops.NeighborOps.apply_count_delta`, for
-    callers that already hold the gathered COO targets: tiny deltas
-    scatter with ``np.add.at`` (O(vol)); larger ones histogram with
-    ``np.bincount`` + one vector add (O(size + vol)), with the same
-    measured ``vol ≈ size/64`` break-even.
+    callers that already hold the gathered COO targets: one
+    dtype-matched ``np.add.at`` per sign, O(vol) at every delta size
+    (the counts are the backend's native int32 here, which a bare
+    Python ``1`` would push off numpy's ``ufunc.at`` fast path).
     """
-    size = counts_flat.size
-    up_size = 0 if up is None else up.size
-    down_size = 0 if down is None else down.size
-    if up_size and down_size and up_size * 64 >= size and down_size * 64 >= size:
-        both = np.concatenate((up, down + np.int64(size)))
-        hist = np.bincount(both, minlength=2 * size)
-        np.add(counts_flat, hist[:size], out=counts_flat, casting="unsafe")
-        np.subtract(
-            counts_flat, hist[size:], out=counts_flat, casting="unsafe"
-        )
-        return
-    for targets, sign in ((up, 1), (down, -1)):
-        if targets is None or targets.size == 0:
-            continue
-        if targets.size * 64 < size:
-            if sign > 0:
-                np.add.at(counts_flat, targets, 1)
-            else:
-                np.subtract.at(counts_flat, targets, 1)
-        else:
-            hist = np.bincount(targets, minlength=size)
-            if sign > 0:
-                np.add(counts_flat, hist, out=counts_flat, casting="unsafe")
-            else:
-                np.subtract(
-                    counts_flat, hist, out=counts_flat, casting="unsafe"
-                )
+    _scatter_unit(counts_flat, up, down)
 
 
 class BatchedFrontierAggregates:
@@ -425,9 +399,7 @@ class BatchedFrontierAggregates:
                 np.bincount(owner[nbr_stable], minlength=around.size) > 0
             )
             self.covered.reshape(-1)[around] = cover
-            self.unstable += np.bincount(
-                rows[~cover], minlength=black.shape[0]
-            )
+            _scatter_unit(self.unstable, rows[~cover], None)
         return candidates, int(changed.size + aux_changed.size)
 
     def kept_buffers(
@@ -729,7 +701,7 @@ class BatchedFrontierAggregates:
             if fresh.size == 0:
                 return
             covered_flat[fresh] = True
-            np.subtract.at(self.unstable, fresh // n, 1)
+            _scatter_unit(self.unstable, None, fresh // n)
             return
         covered_flat[all_t] = True
         row_mask = np.zeros(self.unstable.shape[0], dtype=bool)

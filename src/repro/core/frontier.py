@@ -65,13 +65,15 @@ Crossover
 
 ``DEFAULT_CROSSOVER`` is the scatter/full switch point as a fraction of
 the graph's directed edge volume ``2m``, picked empirically on sparse
-G(n, 3/n) workloads (see ``benchmarks/bench_frontier.py``): a bincount
-scatter touches ``vol(changed)`` edges but pays an ``O(n)`` histogram
-pass per delta sign, while the CSR matvec touches all ``2m`` edges with
-a tighter inner loop.  The measured break-even sits near a quarter of
-the total volume and is flat around the optimum, matching the
-``vol(changed) > m/4``-ish heuristic from frontier-based BFS and
-label-propagation systems.
+G(n, 3/n) workloads (see ``benchmarks/bench_frontier.py``): a scatter
+round gathers ``vol(changed)`` neighbour indices and adds ±1 at them
+with one dtype-matched ``np.add.at`` per sign (a few ns per target, no
+``O(n)`` pass), while the CSR matvec touches all ``2m`` edges with a
+tighter inner loop.  On G(2^18, 3/n) and G(2^20, 3/n) the optimum is
+shallow: from 0.1 to 0.5 of the total volume the solve times differ by
+about their run-to-run spread, and a quarter is at or near the best on
+both sizes, matching the ``vol(changed) > m/4``-ish heuristic from
+frontier-based BFS and label-propagation systems.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ from repro.graphs.graph import Graph
 
 #: Scatter/full crossover as a fraction of the directed edge volume 2m
 #: (see the module docstring; picked empirically, flat optimum — the
-#: bincount scatter stays competitive with the CSR matvec up to about
-#: half the total volume on the sparse frontier workloads).
+#: scatter stays within noise of the CSR matvec up to about half the
+#: total volume on the sparse frontier workloads).
 DEFAULT_CROSSOVER = 0.25
 
 #: Token meaning "aggregates out of sync with the process state".
@@ -190,9 +192,8 @@ class FrontierAggregates:
         self.token = STALE
 
     def _full_counts(self, mask: np.ndarray) -> np.ndarray:
-        # int64 counts: np.bincount emits int64, so the scatter adds are
-        # cast-free (an int32 store costs an extra conversion pass per
-        # histogram; the wider array is noise next to that).
+        # int64 counts; the scatters add an int64 unit (see
+        # neighbor_ops._scatter_unit), so the width costs them nothing.
         return self.ops.count(mask).astype(np.int64, copy=False)
 
     def _counts_for(self, mask: np.ndarray) -> np.ndarray:

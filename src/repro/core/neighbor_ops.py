@@ -90,6 +90,27 @@ def unique_flat(idx: np.ndarray, size: int) -> np.ndarray:
     return idx[np.concatenate(([True], idx[1:] != idx[:-1]))[: idx.size]]
 
 
+def _scatter_unit(
+    counts: np.ndarray, up: np.ndarray | None, down: np.ndarray | None
+) -> None:
+    """``counts[up] += 1`` and ``counts[down] -= 1`` in place, with multiplicity.
+
+    The one count-delta scatter behind every ``apply_count_delta`` /
+    ``apply_flat_delta``.  ``np.add.at`` costs a few ns per target at
+    any size on numpy 2.x *when the value has the array's dtype*; a
+    bare Python ``1`` into int32 counts misses that fast path and costs
+    ~10-30x more, so the unit is ``counts.dtype.type(1)``.  No
+    histogram: ``bincount(minlength=size)`` + add pays an O(size) pass
+    and only draws level at ~8 targets per entry, far above the
+    ``DEFAULT_CROSSOVER`` volume that caps every scatter.
+    """
+    one = counts.dtype.type(1)
+    if up is not None and up.size:
+        np.add.at(counts, up, one)
+    if down is not None and down.size:
+        np.subtract.at(counts, down, one)
+
+
 def setdiff_sorted(idx: np.ndarray, remove: np.ndarray) -> np.ndarray:
     """``idx`` without the entries of ``remove``; ``idx`` sorted, distinct.
 
@@ -186,51 +207,22 @@ class NeighborOps:
         instead of all ``2m``.  This is the count-delta primitive behind
         the incremental frontier engine (:mod:`repro.core.frontier`).
 
-        Tiny deltas scatter with ``np.add.at`` (O(vol), ~70ns/edge);
-        larger ones histogram with ``np.bincount`` + one vector add
-        (O(n + vol), ~1.3ns/entry) — measured break-even near
-        ``vol ≈ n/50``, split at ``n/64``.
+        The scatter is one dtype-matched ``np.add.at`` per sign (see
+        :func:`_scatter_unit`), O(vol) at every delta size.
 
         Returns the concatenated gathered neighbour array (the scatter
         targets, with multiplicity) so callers can cheaply locate every
         entry of ``counts`` that may have changed.
         """
         graph = self.graph
-        n = self.n
         nbrs_up = nbrs_down = None
         if up is not None and len(up):
             nbrs_up = gather_neighbors(graph.indptr, graph.indices, up)
         if down is not None and len(down):
             nbrs_down = gather_neighbors(graph.indptr, graph.indices, down)
+        _scatter_unit(counts, nbrs_up, nbrs_down)
         up_size = 0 if nbrs_up is None else nbrs_up.size
         down_size = 0 if nbrs_down is None else nbrs_down.size
-        if up_size and down_size and up_size * 64 >= n and down_size * 64 >= n:
-            # Both signs are bincount-sized: one histogram over a
-            # doubled index range replaces two length-n histograms
-            # (+ side at [0, n), − side offset to [n, 2n)).
-            both = np.concatenate(
-                (nbrs_up, nbrs_down + np.int64(n))
-            )
-            hist = np.bincount(both, minlength=2 * n)
-            np.add(counts, hist[:n], out=counts, casting="unsafe")
-            np.subtract(counts, hist[n:], out=counts, casting="unsafe")
-        else:
-            for nbrs, sign in ((nbrs_up, 1), (nbrs_down, -1)):
-                if nbrs is None or nbrs.size == 0:
-                    continue
-                if nbrs.size * 64 < n:
-                    if sign > 0:
-                        np.add.at(counts, nbrs, 1)
-                    else:
-                        np.subtract.at(counts, nbrs, 1)
-                else:
-                    delta = np.bincount(nbrs, minlength=n)
-                    if sign > 0:
-                        np.add(counts, delta, out=counts, casting="unsafe")
-                    else:
-                        np.subtract(
-                            counts, delta, out=counts, casting="unsafe"
-                        )
         if up_size and down_size:
             return np.concatenate((nbrs_up, nbrs_down))
         if up_size:

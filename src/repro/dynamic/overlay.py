@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.core.neighbor_ops import (
     NeighborOps,
+    _scatter_unit,
     gather_neighbors,
     make_neighbor_ops,
 )
@@ -215,7 +216,9 @@ class DeltaOverlay:
         if total == 0:
             return dst
         # The added runs back to back: entry j of run i is lo[i] + j.
-        pos = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)
+        pos = np.repeat(
+            lo - np.cumsum(lens, dtype=np.int64) + lens, lens
+        ) + np.arange(total, dtype=np.int64)
         extra = add[pos] % n64
         if dst.size == 0:
             return extra
@@ -481,27 +484,14 @@ class DeltaNeighborOps(NeighborOps):
         up: np.ndarray | None,
         down: np.ndarray | None,
     ) -> np.ndarray:
-        n = self.n
-        parts: list[np.ndarray] = []
-        for verts, sign in ((up, 1), (down, -1)):
-            if verts is None or len(verts) == 0:
-                continue
-            nbrs = self.gather(np.asarray(verts, dtype=np.int64))
-            if nbrs.size == 0:
-                continue
-            # Same add.at/bincount crossover as the static backends.
-            if nbrs.size * 64 < n:
-                if sign > 0:
-                    np.add.at(counts, nbrs, 1)
-                else:
-                    np.subtract.at(counts, nbrs, 1)
-            else:
-                delta = np.bincount(nbrs, minlength=n)
-                if sign > 0:
-                    np.add(counts, delta, out=counts, casting="unsafe")
-                else:
-                    np.subtract(counts, delta, out=counts, casting="unsafe")
-            parts.append(nbrs)
+        nbrs = [
+            self.gather(np.asarray(verts, dtype=np.int64))
+            if verts is not None and len(verts)
+            else _EMPTY
+            for verts in (up, down)
+        ]
+        _scatter_unit(counts, nbrs[0], nbrs[1])
+        parts = [part for part in nbrs if part.size]
         if not parts:
             return _EMPTY
         if len(parts) == 1:

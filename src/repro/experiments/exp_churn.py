@@ -32,7 +32,6 @@ throughput numbers into regression floors.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np

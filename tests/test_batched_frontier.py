@@ -156,25 +156,34 @@ class TestMonteCarloEntryPoints:
 
 
 class TestFlatScatterPrimitives:
+    #: int32 is what the batched engines scatter into (the backends'
+    #: native count dtype); int64 is the serial engines' dtype.
+    DTYPES = (np.int64, np.int32)
+
     def test_apply_flat_delta_matches_dense_update(self):
-        rng = np.random.default_rng(7)
-        counts = rng.integers(0, 5, size=400).astype(np.int64)
-        expected = counts.copy()
-        up = rng.integers(0, 400, size=90).astype(np.int64)
-        down = rng.integers(0, 400, size=350).astype(np.int64)
-        np.add.at(expected, up, 1)
-        np.subtract.at(expected, down, 1)
-        apply_flat_delta(counts, up, down)
-        assert np.array_equal(counts, expected)
+        for dtype in self.DTYPES:
+            rng = np.random.default_rng(7)
+            counts = rng.integers(0, 5, size=400).astype(dtype)
+            expected = counts.astype(np.int64)
+            up = rng.integers(0, 400, size=90).astype(np.int64)
+            down = rng.integers(0, 400, size=350).astype(np.int64)
+            np.add.at(expected, up, 1)
+            np.subtract.at(expected, down, 1)
+            apply_flat_delta(counts, up, down)
+            assert counts.dtype == dtype
+            assert np.array_equal(counts, expected)
 
     def test_apply_flat_delta_one_sided_and_empty(self):
-        counts = np.zeros(64, dtype=np.int64)
-        apply_flat_delta(counts, np.array([3, 3, 5], dtype=np.int64), None)
-        assert counts[3] == 2 and counts[5] == 1
-        apply_flat_delta(counts, None, np.array([3], dtype=np.int64))
-        assert counts[3] == 1
-        apply_flat_delta(counts, None, None)
-        assert counts.sum() == 2
+        for dtype in self.DTYPES:
+            counts = np.zeros(64, dtype=dtype)
+            apply_flat_delta(counts, np.array([3, 3, 5], dtype=np.int64), None)
+            assert counts[3] == 2 and counts[5] == 1
+            apply_flat_delta(counts, None, np.array([3], dtype=np.int64))
+            assert counts[3] == 1
+            apply_flat_delta(counts, None, None)
+            apply_flat_delta(counts, np.zeros(0, dtype=np.int64), None)
+            assert counts.sum() == 2
+            assert counts.dtype == dtype
 
     def test_flat_targets_shared_and_block_agree(self):
         # The shared-graph and block-diagonal gathers must produce the

@@ -18,7 +18,6 @@ The daemon's contracts, in increasing order of adversity:
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest

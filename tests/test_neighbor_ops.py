@@ -10,15 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.batched_frontier import apply_flat_delta
 from repro.core.neighbor_ops import (
     DenseNeighborOps,
     NeighborOps,
     SparseNeighborOps,
+    _scatter_unit,
     make_neighbor_ops,
     setdiff_sorted,
     unique_flat,
 )
 from repro.core.two_state import TwoStateMIS
+from repro.dynamic import DeltaNeighborOps, DeltaOverlay
 from repro.graphs.generators import complete_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
@@ -289,4 +292,160 @@ class TestIndexSetHelpers:
         drop = np.array(remove, dtype=np.int64)
         assert np.array_equal(
             setdiff_sorted(idx, drop), np.setdiff1d(idx, drop)
+        )
+
+
+# ----------------------------------------------------------------------
+# Count-delta scatters: the one helper and its three callers
+# ----------------------------------------------------------------------
+#: How many targets one side of a delta holds, relative to the array
+#: size: absent, empty, one, around size/64 (where the scatters once
+#: switched to a histogram), around size/2, and more than size (so
+#: targets must repeat).
+SIDE_KINDS = ("none", "empty", "one", "size/64", "size/2", "above")
+
+
+@st.composite
+def count_deltas(draw, size, index_dtype=np.int64):
+    """``(up, down)`` target arrays in ``[0, size)``, each possibly ``None``.
+
+    Targets repeat freely, and when both sides are non-empty ``down``
+    may share targets with ``up``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def side():
+        kind = draw(st.sampled_from(SIDE_KINDS))
+        if kind == "none":
+            return None
+        jitter = draw(st.integers(-2, 2))
+        k = {
+            "empty": 0,
+            "one": 1,
+            "size/64": max(1, size // 64 + jitter),
+            "size/2": max(1, size // 2 + jitter),
+            "above": size + draw(st.integers(1, size)),
+        }[kind]
+        return rng.integers(0, size, k).astype(index_dtype)
+
+    up, down = side(), side()
+    if (
+        up is not None
+        and down is not None
+        and up.size
+        and down.size
+        and draw(st.booleans())
+    ):
+        half = (down.size + 1) // 2
+        down[:half] = rng.choice(up, half)
+    return up, down
+
+
+def _hist(targets, size):
+    if targets is None:
+        return np.zeros(size, dtype=np.int64)
+    return np.bincount(targets, minlength=size)
+
+
+def _start_counts(size, dtype, seed):
+    return np.random.default_rng(seed).integers(-3, 10, size).astype(dtype)
+
+
+def _assert_scattered(counts, before, want, dtype):
+    assert counts.dtype == dtype
+    np.testing.assert_array_equal(counts, before.astype(np.int64) + want)
+
+
+@st.composite
+def flat_cases(draw):
+    size = draw(st.integers(1, 3000))
+    index_dtype = draw(st.sampled_from([np.int64, np.int32]))
+    up, down = draw(count_deltas(size, index_dtype))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return size, dtype, up, down, draw(st.integers(0, 2**16))
+
+
+@st.composite
+def vertex_cases(draw, max_n=160):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.0, 3.0 / n if n > 3 else 0.5, 0.3]))
+    graph = gnp_random_graph(n, p, rng=draw(st.integers(0, 2**16)))
+    up, down = draw(count_deltas(n))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return graph, dtype, up, down, draw(st.integers(0, 2**16))
+
+
+class TestCountDeltaScatter:
+    """Every count delta equals ``counts + hist(up) - hist(down)``.
+
+    ``_scatter_unit`` applies it at flat targets; ``apply_flat_delta``
+    is its batched caller, and ``apply_count_delta`` (static backends
+    and the dynamic overlay) scatters at the neighbours of vertex
+    multisets, where the histogram goes through the adjacency matrix.
+    Counts are updated in place and keep their dtype.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(flat_cases())
+    def test_scatter_unit_matches_histograms(self, case):
+        size, dtype, up, down, seed = case
+        counts = _start_counts(size, dtype, seed)
+        before = counts.copy()
+        _scatter_unit(counts, up, down)
+        _assert_scattered(
+            counts, before, _hist(up, size) - _hist(down, size), dtype
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat_cases())
+    def test_apply_flat_delta_matches_histograms(self, case):
+        size, dtype, up, down, seed = case
+        counts = _start_counts(size, dtype, seed)
+        before = counts.copy()
+        assert apply_flat_delta(counts, up, down) is None
+        _assert_scattered(
+            counts, before, _hist(up, size) - _hist(down, size), dtype
+        )
+
+    @staticmethod
+    def _check_vertex_delta(ops, adjacency, dtype, up, down, seed):
+        n = adjacency.shape[0]
+        counts = _start_counts(n, dtype, seed)
+        before = counts.copy()
+        touched = ops.apply_count_delta(counts, up, down)
+        up_hist, down_hist = _hist(up, n), _hist(down, n)
+        _assert_scattered(
+            counts, before, adjacency @ up_hist - adjacency @ down_hist, dtype
+        )
+        # The returned targets are the gathered neighbours, with
+        # multiplicity, of both sides.
+        np.testing.assert_array_equal(
+            np.bincount(touched, minlength=n), adjacency @ (up_hist + down_hist)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(vertex_cases(), st.sampled_from(BACKENDS))
+    def test_apply_count_delta_matches_adjacency(self, case, backend):
+        graph, dtype, up, down, seed = case
+        adjacency = graph.adjacency_dense().astype(np.int64)
+        self._check_vertex_delta(
+            backend(graph), adjacency, dtype, up, down, seed
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertex_cases(max_n=60), st.integers(0, 2**16))
+    def test_overlay_apply_count_delta_matches_adjacency(self, case, churn):
+        graph, dtype, up, down, seed = case
+        overlay = DeltaOverlay(graph)
+        rng = np.random.default_rng(churn)
+        for _ in range(rng.integers(0, 3 * graph.n + 1)):
+            u, v = rng.integers(0, graph.n, size=2)
+            if u != v:
+                if rng.random() < 0.5:
+                    overlay.add_edge(u, v)
+                else:
+                    overlay.remove_edge(u, v)
+        adjacency = overlay.snapshot().adjacency_dense().astype(np.int64)
+        self._check_vertex_delta(
+            DeltaNeighborOps(overlay), adjacency, dtype, up, down, seed
         )

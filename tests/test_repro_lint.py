@@ -313,6 +313,71 @@ def test_dtype_pragma_suppresses(tmp_path):
     assert findings == []
 
 
+def test_dtype_flags_bare_literal_ufunc_at(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        import numpy as np
+
+        def scatter(counts, up, down, rows):
+            np.add.at(counts, up, 1)
+            np.subtract.at(counts, down, 1)
+            np.add.at(counts, rows, -1)
+            numpy.maximum.at(counts, rows, 2.5)
+        """,
+        "dtype-discipline",
+    )
+    assert len(findings) == 4
+    assert all("ufunc.at" in f.message for f in findings)
+
+
+def test_dtype_ufunc_at_in_dynamic_modules(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        import numpy as np
+
+        def scatter(counts, nbrs):
+            np.add.at(counts, nbrs, 1)
+        """,
+        "dtype-discipline",
+        rel="src/repro/dynamic/fixture.py",
+    )
+    assert len(findings) == 1
+
+
+def test_dtype_clean_typed_ufunc_at(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        import numpy as np
+
+        def scatter(counts, up, down, vol, degs, sign):
+            one = counts.dtype.type(1)
+            np.add.at(counts, up, one)
+            np.subtract.at(counts, down, np.int32(1))
+            np.add.at(vol, up, degs)
+            np.add.at(counts, down, sign)
+        """,
+        "dtype-discipline",
+    )
+    assert findings == []
+
+
+def test_dtype_ufunc_at_pragma_suppresses(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        import numpy as np
+
+        def scatter(counts64, up):
+            np.add.at(counts64, up, 1)  # repro-lint: disable=dtype-discipline
+        """,
+        "dtype-discipline",
+    )
+    assert findings == []
+
+
 # ----------------------------------------------------------------------
 # hot-loop-alloc
 # ----------------------------------------------------------------------

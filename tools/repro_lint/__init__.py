@@ -11,7 +11,8 @@ lint time.  One visitor per codebase invariant:
   (``Graph`` lazy views, process state vectors, frontier aggregates)
   must sit next to an invalidation or a rebinding.
 * ``dtype-discipline``   — hot-path array allocations carry an explicit
-  ``dtype=``; array-valued reductions do not silently widen to 64-bit.
+  ``dtype=``; array-valued reductions do not silently widen to 64-bit;
+  ``ufunc.at`` values are not bare numeric literals.
 * ``hot-loop-alloc``     — no fresh-array constructors inside the
   per-round loops of engine run paths where a reuse-buffer idiom exists.
 * ``bench-floors``       — every committed ``BENCH_*.json`` entry is

@@ -8,7 +8,7 @@ doubles the memory traffic of a path tuned for int32/float32 — or, in
 the worst case, changes a downstream cast and breaks the bitwise
 trajectory-identity contract between backends.
 
-Two sub-checks:
+Three sub-checks:
 
 1. ``np.zeros`` / ``np.ones`` / ``np.empty`` / ``np.full`` /
    ``np.arange`` calls without a ``dtype=`` keyword.
@@ -16,6 +16,11 @@ Two sub-checks:
    ``np.sum(..., axis=...)`` / ``np.cumsum(...)`` with neither a
    ``dtype=`` nor an ``out=`` keyword accumulate int32/float32 inputs
    into 64-bit outputs on every 64-bit platform.
+3. ``np.<ufunc>.at(arr, idx, <numeric literal>)``: numpy's ``ufunc.at``
+   fast path needs the value in ``arr``'s dtype, and a bare Python
+   literal is that only for int64 / float64 arrays — into the int32
+   counts of the batched engines it costs ~10-30x per target.  Pass
+   ``arr.dtype.type(1)`` (or a typed scalar) instead.
 
 Intentional widenings (int64 by design) carry a per-line pragma.
 """
@@ -42,15 +47,24 @@ WIDENING_FREE = ("sum", "cumsum", "prod", "cumprod")
 WIDENING_METHODS = ("sum", "prod")
 
 
+def _numeric_literal(node: ast.AST) -> bool:
+    """``1``, ``-1``, ``2.5``: a bare Python number."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+
 @register
 class DtypeDisciplineRule(Rule):
     name = "dtype-discipline"
     description = (
         "hot-path array constructors need an explicit dtype; "
-        "array-valued reductions must not silently widen to 64-bit"
+        "array-valued reductions must not silently widen to 64-bit; "
+        "`ufunc.at` values must not be bare literals"
     )
     default_paths = (
         "src/repro/core",
+        "src/repro/dynamic",
         "src/repro/graphs/graph.py",
         "src/repro/graphs/generators.py",
     )
@@ -76,7 +90,20 @@ class DtypeDisciplineRule(Rule):
             if name is None:
                 continue
             head, _, member = name.rpartition(".")
-            if head in ("np", "numpy"):
+            ufunc_head, _, ufunc = head.rpartition(".")
+            if (
+                member == "at"
+                and ufunc_head in ("np", "numpy")
+                and len(node.args) >= 3
+                and _numeric_literal(node.args[2])
+            ):
+                flag(
+                    node,
+                    f"`np.{ufunc}.at` with a bare numeric literal misses "
+                    "the ufunc.at fast path unless the array is 64-bit; "
+                    "pass a scalar of the array's dtype",
+                )
+            elif head in ("np", "numpy"):
                 if member in CONSTRUCTORS and not has_keyword(node, "dtype"):
                     flag(
                         node,
