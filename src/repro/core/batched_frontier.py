@@ -148,10 +148,11 @@ def apply_flat_delta(
 
     The flat-index analogue of
     :meth:`repro.core.neighbor_ops.NeighborOps.apply_count_delta`, for
-    callers that already hold the gathered COO targets: one
-    dtype-matched ``np.add.at`` per sign, O(vol) at every delta size
-    (the counts are the backend's native int32 here, which a bare
-    Python ``1`` would push off numpy's ``ufunc.at`` fast path).
+    callers that already hold the gathered COO targets, through the
+    same :func:`~repro.core.neighbor_ops._scatter_unit`: a
+    dtype-matched ``np.add.at`` per sign, a histogram above 2 targets
+    per entry (the counts are the backend's native int32 here, which a
+    bare Python ``1`` would push off numpy's ``ufunc.at`` fast path).
     """
     _scatter_unit(counts_flat, up, down)
 

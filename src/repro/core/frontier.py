@@ -68,7 +68,8 @@ the graph's directed edge volume ``2m``, picked empirically on sparse
 G(n, 3/n) workloads (see ``benchmarks/bench_frontier.py``): a scatter
 round gathers ``vol(changed)`` neighbour indices and adds ±1 at them
 with one dtype-matched ``np.add.at`` per sign (a few ns per target, no
-``O(n)`` pass), while the CSR matvec touches all ``2m`` edges with a
+``O(n)`` pass; only a sign with more than 2 targets per vertex, which
+sparse rounds never reach, takes a histogram), while the CSR matvec touches all ``2m`` edges with a
 tighter inner loop.  On G(2^18, 3/n) and G(2^20, 3/n) the optimum is
 shallow: from 0.1 to 0.5 of the total volume the solve times differ by
 about their run-to-run spread, and a quarter is at or near the best on

@@ -96,19 +96,29 @@ def _scatter_unit(
     """``counts[up] += 1`` and ``counts[down] -= 1`` in place, with multiplicity.
 
     The one count-delta scatter behind every ``apply_count_delta`` /
-    ``apply_flat_delta``.  ``np.add.at`` costs a few ns per target at
-    any size on numpy 2.x *when the value has the array's dtype*; a
-    bare Python ``1`` into int32 counts misses that fast path and costs
-    ~10-30x more, so the unit is ``counts.dtype.type(1)``.  No
-    histogram: ``bincount(minlength=size)`` + add pays an O(size) pass
-    and only draws level at ~8 targets per entry, far above the
-    ``DEFAULT_CROSSOVER`` volume that caps every scatter.
+    ``apply_flat_delta``.  ``np.add.at`` costs a few ns per target on
+    numpy 2.x *when the value has the array's dtype*; a bare Python
+    ``1`` into int32 counts misses that fast path and costs ~10-30x
+    more, so the unit is ``counts.dtype.type(1)``.  A side with more
+    than 2 targets per entry of ``counts`` goes through one
+    ``bincount(minlength=size)`` + add instead: the two break even
+    near 2 per entry and the histogram is 1.2-1.7x faster from 4 up.
+    The crossover caps a serial round's scatter at ``0.25 * 2m``
+    targets, a quarter of the average degree per entry: below 1 on
+    G(n, 3/n), so sparse rounds always take ``np.add.at``, but up to
+    n/4 on ``K_n``, where a round that flips k vertices puts k targets
+    on every entry.  The batched engines' per-row unstable counters
+    also take many targets per row.
     """
     one = counts.dtype.type(1)
-    if up is not None and up.size:
-        np.add.at(counts, up, one)
-    if down is not None and down.size:
-        np.subtract.at(counts, down, one)
+    for targets, op in ((up, np.add), (down, np.subtract)):
+        if targets is None or targets.size == 0:
+            continue
+        if targets.size > 2 * counts.size:
+            hist = np.bincount(targets, minlength=counts.size)
+            op(counts, hist, out=counts, casting="unsafe")
+        else:
+            op.at(counts, targets, one)
 
 
 def setdiff_sorted(idx: np.ndarray, remove: np.ndarray) -> np.ndarray:
@@ -207,8 +217,9 @@ class NeighborOps:
         instead of all ``2m``.  This is the count-delta primitive behind
         the incremental frontier engine (:mod:`repro.core.frontier`).
 
-        The scatter is one dtype-matched ``np.add.at`` per sign (see
-        :func:`_scatter_unit`), O(vol) at every delta size.
+        The scatter is one dtype-matched ``np.add.at`` per sign, or a
+        histogram for a sign with more than 2 targets per entry (see
+        :func:`_scatter_unit`).
 
         Returns the concatenated gathered neighbour array (the scatter
         targets, with multiplicity) so callers can cheaply locate every

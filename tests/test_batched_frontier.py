@@ -14,6 +14,8 @@ bookkeeping driven by hand, and the cost shapes: O(1) retirement,
 scatter-only recovery, and repair instead of rebuild.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,12 +163,13 @@ class TestFlatScatterPrimitives:
     DTYPES = (np.int64, np.int32)
 
     def test_apply_flat_delta_matches_dense_update(self):
-        for dtype in self.DTYPES:
+        # 1000 down targets on 400 entries pass the histogram switch.
+        for dtype, down_size in itertools.product(self.DTYPES, (350, 1000)):
             rng = np.random.default_rng(7)
             counts = rng.integers(0, 5, size=400).astype(dtype)
             expected = counts.astype(np.int64)
             up = rng.integers(0, 400, size=90).astype(np.int64)
-            down = rng.integers(0, 400, size=350).astype(np.int64)
+            down = rng.integers(0, 400, size=down_size).astype(np.int64)
             np.add.at(expected, up, 1)
             np.subtract.at(expected, down, 1)
             apply_flat_delta(counts, up, down)

@@ -299,10 +299,10 @@ class TestIndexSetHelpers:
 # Count-delta scatters: the one helper and its three callers
 # ----------------------------------------------------------------------
 #: How many targets one side of a delta holds, relative to the array
-#: size: absent, empty, one, around size/64 (where the scatters once
-#: switched to a histogram), around size/2, and more than size (so
-#: targets must repeat).
-SIDE_KINDS = ("none", "empty", "one", "size/64", "size/2", "above")
+#: size: absent, empty, one, around size/64, around size/2, between
+#: size and 2*size (targets must repeat), and above 2*size (past the
+#: histogram switch, as on dense graphs).
+SIDE_KINDS = ("none", "empty", "one", "size/64", "size/2", "above", "dense")
 
 
 @st.composite
@@ -325,6 +325,7 @@ def count_deltas(draw, size, index_dtype=np.int64):
             "size/64": max(1, size // 64 + jitter),
             "size/2": max(1, size // 2 + jitter),
             "above": size + draw(st.integers(1, size)),
+            "dense": 2 * size + draw(st.integers(1, 2 * size)),
         }[kind]
         return rng.integers(0, size, k).astype(index_dtype)
 
@@ -368,7 +369,7 @@ def flat_cases(draw):
 @st.composite
 def vertex_cases(draw, max_n=160):
     n = draw(st.integers(1, max_n))
-    p = draw(st.sampled_from([0.0, 3.0 / n if n > 3 else 0.5, 0.3]))
+    p = draw(st.sampled_from([0.0, 3.0 / n if n > 3 else 0.5, 0.3, 1.0]))
     graph = gnp_random_graph(n, p, rng=draw(st.integers(0, 2**16)))
     up, down = draw(count_deltas(n))
     dtype = draw(st.sampled_from([np.int32, np.int64]))
@@ -385,24 +386,14 @@ class TestCountDeltaScatter:
     Counts are updated in place and keep their dtype.
     """
 
+    @pytest.mark.parametrize("scatter", [_scatter_unit, apply_flat_delta])
     @settings(max_examples=150, deadline=None)
     @given(flat_cases())
-    def test_scatter_unit_matches_histograms(self, case):
+    def test_flat_scatter_matches_histograms(self, scatter, case):
         size, dtype, up, down, seed = case
         counts = _start_counts(size, dtype, seed)
         before = counts.copy()
-        _scatter_unit(counts, up, down)
-        _assert_scattered(
-            counts, before, _hist(up, size) - _hist(down, size), dtype
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(flat_cases())
-    def test_apply_flat_delta_matches_histograms(self, case):
-        size, dtype, up, down, seed = case
-        counts = _start_counts(size, dtype, seed)
-        before = counts.copy()
-        assert apply_flat_delta(counts, up, down) is None
+        assert scatter(counts, up, down) is None
         _assert_scattered(
             counts, before, _hist(up, size) - _hist(down, size), dtype
         )

@@ -352,12 +352,13 @@ def test_dtype_clean_typed_ufunc_at(tmp_path):
         """
         import numpy as np
 
-        def scatter(counts, up, down, vol, degs, sign):
+        def scatter(counts, up, down, vol, degs, sign, mask):
             one = counts.dtype.type(1)
             np.add.at(counts, up, one)
             np.subtract.at(counts, down, np.int32(1))
             np.add.at(vol, up, degs)
             np.add.at(counts, down, sign)
+            np.logical_or.at(mask, up, True)
         """,
         "dtype-discipline",
     )

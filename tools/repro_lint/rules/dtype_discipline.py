@@ -48,10 +48,14 @@ WIDENING_METHODS = ("sum", "prod")
 
 
 def _numeric_literal(node: ast.AST) -> bool:
-    """``1``, ``-1``, ``2.5``: a bare Python number."""
+    """``1``, ``-1``, ``2.5``: a bare Python number (not a bool)."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
-    return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    )
 
 
 @register
