@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke ci
+.PHONY: test test-fast oracle-dev exp-smoke bench-trajectory lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke ci
 
 test:            ## full test suite (tier-1 gate)
 	$(PYTHON) -m pytest -x -q
@@ -26,6 +26,9 @@ lint: repro-lint ## repro-lint + ruff + mypy (absent tools are skipped)
 
 test-fast:       ## test suite without the slower integration modules
 	$(PYTHON) -m pytest -x -q --ignore=tests/test_integration.py
+
+oracle-dev:      ## differential oracle in dev mode (pools, shared memory, journals; leaked resources fail)
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q tests/test_oracle.py
 
 docs:            ## regenerate docs/API.md from docstrings
 	$(PYTHON) tools/gen_api_docs.py
@@ -63,6 +66,14 @@ bench-fast:      ## fast-mode speedups -> BENCH_*.json at repo root
 check-bench:     ## fail if any BENCH_*.json entry regresses its speedup floor
 	$(PYTHON) tools/check_bench.py
 
+bench-trajectory: ## rewrite every BENCH_*.json, then check their floors
+	$(PYTHON) benchmarks/emit_bench_json.py
+	$(PYTHON) tools/check_bench.py
+
+exp-smoke:       ## fast-mode E12 (beeping/stone-age vs the reference) and E18 (execution paths)
+	$(PYTHON) -m repro.experiments run E12
+	$(PYTHON) -m repro.experiments run E18
+
 doctor:          ## parallel-substrate self-check (spawn/crash/respawn, shm hygiene)
 	$(PYTHON) -m repro.parallel --doctor
 
@@ -73,7 +84,7 @@ churn-smoke:     ## dynamic-service self-check (overlay/repair/resume doctor) + 
 	$(PYTHON) -m repro.dynamic --doctor
 	$(PYTHON) -m repro.experiments run E20
 
-ci: lint test check-docs bench-smoke doctor chaos-smoke churn-smoke   ## what the CI workflow runs
+ci: lint test oracle-dev check-docs bench-smoke bench-trajectory exp-smoke doctor chaos-smoke churn-smoke   ## what the CI workflow runs
 
 bench-smoke:     ## CI-scale regression smoke (batched engines, substrate, frontier, fleet sharding, churn, E19)
 	BENCH_FAST=1 $(PYTHON) benchmarks/bench_batched_families.py

@@ -72,8 +72,9 @@ replica, against the literal references of :mod:`repro.core.reference`.
 
 Replicas *retire* from the batch as they stabilize (or exhaust the
 round budget): a stabilized replica stops consuming coins and stops
-occupying rows of the live state matrix, exactly as a serial trial
-would stop running.
+advancing, exactly as a serial trial would stop running.  A frontier
+run leaves its row idle in its slot until at most half the slots still
+run or a bulk round comes, so compaction copies ``O(R·n)`` cells per run.
 
 Graph sharing
 -------------
@@ -300,6 +301,9 @@ class _BatchedMISEngine:
         self._changed_count: int | None = None
         #: Set by the run loop when ``_advance_rows`` must report deltas.
         self._collect_delta = False
+        #: Running slots of the live matrices while some hold retired
+        #: rows (``None`` when every slot runs); see :meth:`run`.
+        self._run_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -357,6 +361,7 @@ class _BatchedMISEngine:
         self._act_pairs = None
         self._changed_count = None
         self._last_new_black = None
+        self._run_mask = None
 
     def _pair_round_ready(self, size: int) -> bool:
         """Whether the next round can run on the active-pair set.
@@ -637,27 +642,6 @@ class _BatchedMISEngine:
 
         retired: list[int] = []
 
-        def retire(mask: np.ndarray) -> None:
-            """Retire the live rows in ``mask``, all stabilized."""
-            nonlocal kept_rows
-            rows = live[mask]
-            if rows.size == 0:
-                return
-            if frontier is not None:
-                frontier.keep(kept_counts, kept_aux, rows, mask)
-                kept_rows += rows.size
-            retired.extend(rows.tolist())
-            # A flatnonzero per row: about 10x faster than one 2-D
-            # nonzero pass plus a split, which writes two index arrays.
-            for r, row in zip(rows.tolist(), black[mask]):
-                elapsed = int(self._rounds[r] - start_rounds[r])
-                results[r] = RunResult(
-                    stabilized=True,
-                    stabilization_round=elapsed,
-                    rounds_executed=elapsed,
-                    mis=np.flatnonzero(row),
-                )
-
         live = np.arange(self.replicas, dtype=np.int64)
         pos: np.ndarray | None = None
         if not self.shared_graph:
@@ -711,25 +695,27 @@ class _BatchedMISEngine:
             counts = self._count_nbrs(black, pos)
             covered = self._covered_rows(black, counts, pos)
 
-        def drop(keep: np.ndarray) -> None:
-            nonlocal live, black, counts, pos
-            self._on_drop(live, keep, black)
-            live, black = live[keep], black[keep]
+        running = np.ones(live.size, dtype=bool)
+
+        def compact() -> None:
+            """Drop the idle slots from every row-aligned array."""
+            nonlocal live, black, counts, pos, running
+            self._on_drop(live, running, black)
+            live, black = live[running], black[running]
             if frontier is not None:
-                frontier.filter(keep)
+                frontier.filter(running)
                 counts = frontier.has
             else:
-                counts = counts[keep]
+                counts = counts[running]
             if pos is not None:
-                pos = pos[keep]
-
-        def maybe_compact() -> None:
+                pos = pos[running]
+            running = np.ones(live.size, dtype=bool)
+            self._run_mask = None
             # The frontier path leaves the block uncompacted: its
             # scatter gathers index only live rows' CSR runs, so stale
             # rows cost nothing per round, while a rebuild costs a full
             # re-stack (bulk rounds, which do pay for stale rows in
             # their block matvec, happen before anything retires).
-            nonlocal pos
             if (
                 pos is not None
                 and frontier is None
@@ -738,51 +724,86 @@ class _BatchedMISEngine:
                 self._rebuild_block(live)
                 pos = np.arange(live.size, dtype=np.int64)
 
+        def retire(covered: np.ndarray) -> None:
+            """Retire the running rows in ``covered``, all stabilized;
+            a frontier run compacts only once at most half still run."""
+            nonlocal kept_rows
+            covered &= running
+            if not covered.any():
+                return
+            rows = live[covered]
+            if frontier is not None:
+                frontier.keep(kept_counts, kept_aux, rows, covered)
+                kept_rows += rows.size
+            retired.extend(rows.tolist())
+            # A flatnonzero per row: about 10x faster than one 2-D
+            # nonzero pass plus a split, which writes two index arrays.
+            for r, row in zip(rows.tolist(), black[covered]):
+                elapsed = int(self._rounds[r] - start_rounds[r])
+                results[r] = RunResult(
+                    stabilized=True,
+                    stabilization_round=elapsed,
+                    rounds_executed=elapsed,
+                    mis=np.flatnonzero(row),
+                )
+            running[covered] = False
+            if (
+                frontier is None
+                or np.count_nonzero(running)
+                <= self._COMPACT_THRESHOLD * running.size
+            ):
+                compact()
+            else:
+                self._run_mask = running
+
         retire(covered)
-        if covered.any():
-            drop(~covered)
-            maybe_compact()
 
         # Per round: one count + one coverage reduction on the
         # non-frontier path; the frontier path replaces both with
         # scatter updates (its reductions live in the engine).
         # reduction-budget: 2
         while live.size:
-            executed = self._rounds[live] - start_rounds[live]
+            moving = live if self._run_mask is None else live[running]
+            executed = self._rounds[moving] - start_rounds[moving]
             in_budget = executed < max_rounds
             if not in_budget.all():
-                for r in live[~in_budget]:
+                for r in moving[~in_budget]:
                     results[int(r)] = RunResult(
                         stabilized=False,
                         stabilization_round=None,
                         rounds_executed=int(max_rounds),
                         mis=None,
                     )
-                drop(in_budget)
+                running[running] = in_budget
+                compact()
                 if not live.size:
                     break
+                moving = live
 
             # One synchronous round; the cached `black`/`counts` are the
             # mask and black-neighbour counts of the current configuration.
             if frontier is not None:
-                if self._pair_round_ready(black.size):
+                cells = self._cells(live.size)
+                if self._pair_round_ready(cells):
                     # Tail regime: advance on the flat active pairs
                     # (`black` is updated in place, no re-gather).
-                    delta = self._advance_rows_pairs(live, black, counts)  # repro-lint: disable=coin-flow (bits_rows_at: each live stream takes the same one φ_t draw as in every regime)
-                    self._rounds[live] += 1
+                    delta = self._advance_rows_pairs(live, black, counts)  # repro-lint: disable=coin-flow (bits_rows_at: each running stream takes the same one φ_t draw as in every regime)
+                    self._rounds[moving] += 1
                     touched = frontier.advance(black, delta, pos)
                     counts = frontier.has
                     self._sync_act_pairs(black, counts, delta, touched)
                 elif (
                     self._changed_count is None
-                    or self._changed_count * BULK_ADVANCE_FRACTION
-                    > black.size
+                    or self._changed_count * BULK_ADVANCE_FRACTION > cells
                 ):
                     # Bulk regime: a large fraction of all pairs moved
                     # last round — recompute the counts with one
                     # reduction per indicator instead of extracting
-                    # and scattering the changed pairs.
-                    self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per live stream)
+                    # and scattering the changed pairs.  No reduction
+                    # reads an idle row: compact first.
+                    if self._run_mask is not None:
+                        compact()
+                    self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per running stream)
                     self._rounds[live] += 1
                     black = self._last_new_black
                     frontier.full_round(
@@ -793,11 +814,11 @@ class _BatchedMISEngine:
                 else:
                     self._collect_delta = True
                     try:
-                        delta = self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per live stream)
+                        delta = self._advance_rows(live, pos, black, counts)  # repro-lint: disable=coin-flow (every regime takes one φ_t row draw per running stream)
                     finally:
                         self._collect_delta = False
                     black = self._last_new_black
-                    self._rounds[live] += 1
+                    self._rounds[moving] += 1
                     touched = frontier.advance(black, delta, pos)
                     counts = frontier.has
                     self._sync_act_pairs(black, counts, delta, touched)
@@ -809,10 +830,7 @@ class _BatchedMISEngine:
                 counts = self._count_nbrs(black, pos)
                 covered = self._covered_rows(black, counts, pos)
 
-            if covered.any():
-                retire(covered)
-                drop(~covered)
-                maybe_compact()
+            retire(covered)
 
         self._frontier_state = None
         self._reset_frontier_scratch()
@@ -848,6 +866,8 @@ class _BatchedMISEngine:
             step = max(1, self._VERIFY_CELLS // max(graph.n, graph.m, 1))
             for lo in range(0, len(group), step):
                 chunk = group[lo:lo + step]
+                # A row at a time: one flat scatter of all rows measured
+                # slower (4.7 against 2.7 ms for 128 rows of 2^14).
                 mask = np.zeros((len(chunk), self.n), dtype=bool)
                 for i, r in enumerate(chunk):
                     mask[i, results[r].mis] = True
@@ -858,12 +878,26 @@ class _BatchedMISEngine:
         processes = self.processes
         return [processes[r].coins for r in live.tolist()]
 
+    def _cells(self, slots: int) -> int:
+        """Running rows × ``n`` of the ``slots`` live rows: the size
+        every regime threshold measures (idle slots are left out)."""
+        mask = self._run_mask
+        rows = slots if mask is None else int(np.count_nonzero(mask))
+        return rows * self.n
+
     def _phi_rows(self, live: np.ndarray) -> np.ndarray:
         """φ_t of the live replicas: row ``i`` is replica ``live[i]``'s
         next ``bits(n)`` draw, all rows in one
-        :meth:`CoinSource.bits_rows` call (each stream advances one
-        draw)."""
-        return CoinSource.bits_rows(self._live_coins(live), self.n)
+        :meth:`CoinSource.bits_rows` call (each running stream advances
+        one draw; an idle slot's row is all zeros and draws nothing)."""
+        mask = self._run_mask
+        drawing = live if mask is None else live[mask]
+        drawn = CoinSource.bits_rows(self._live_coins(drawing), self.n)
+        if mask is None:
+            return drawn
+        phi = np.zeros((live.size, self.n), dtype=bool)
+        phi[mask] = drawn
+        return phi
 
     def _writeback(self) -> None:
         """Sync final states and round counters into the wrapped processes."""
@@ -1041,8 +1075,13 @@ class BatchedTwoStateMIS(_BlackStateEngine):
             act = np.flatnonzero(self._act_mask.reshape(-1))
         rows = act // n
         verts = act - rows * n
+        drawing, at = live, rows
+        if self._run_mask is not None:
+            # Idle slots own no active pair: rank the running ones.
+            drawing = live[self._run_mask]
+            at = (np.cumsum(self._run_mask, dtype=np.int64) - 1)[rows]
         phi = CoinSource.bits_rows_at(
-            self._live_coins(live), self.n, rows, verts
+            self._live_coins(drawing), self.n, at, verts
         )
         black_flat = black.reshape(-1)
         flips = phi ^ black_flat[act]
@@ -1095,7 +1134,7 @@ class BatchedTwoStateMIS(_BlackStateEngine):
                 idx = setdiff_sorted(idx, deactivated)
             if activated.size:
                 idx = unique_flat(np.concatenate((idx, activated)), black.size)
-            if idx.size * PAIR_INDEX_FRACTION >= black.size:
+            if idx.size * PAIR_INDEX_FRACTION >= self._cells(black.shape[0]):
                 # Index regime left: widen back to the boolean mask.
                 mask = np.zeros(black.size, dtype=bool)
                 mask[idx] = True
@@ -1175,6 +1214,9 @@ class BatchedThreeStateMIS(_BatchedMISEngine):
             | (is_white & ~has_black_nbr)
         )
         demote = is_black0 & ~randomize  # black0 hearing a black1 beep
+        if self._run_mask is not None:
+            # Idle (stabilized) rows would only redraw black vertices.
+            randomize &= self._run_mask[:, None]
         phi = self._phi_rows(live)
         new_states = states.copy()
         new_states[randomize & phi] = BLACK1
@@ -1356,6 +1398,8 @@ class BatchedScheduledTwoStateMIS(_BlackStateEngine):
         # The independent daemons' rows draw their activation masks;
         # synchronous rows (q = NaN) draw nothing and select everyone.
         drawing = ~np.isnan(self._q[live])
+        if self._run_mask is not None:
+            drawing &= self._run_mask
         daemons = live[drawing]
         selected = np.ones((live.size, self.n), dtype=bool)
         selected[drawing] = CoinSource.bernoulli_rows(

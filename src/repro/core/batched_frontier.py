@@ -37,12 +37,13 @@ replica-wise), and a per-replica unstable-vertex counter makes the
 retirement test an O(R_live) compare instead of a second reduction:
 stabilized replicas retire without ever issuing a final full pass.
 
-All state is aligned with the engine's *live* rows and is compacted in
-lockstep with replica retirement (:meth:`BatchedFrontierAggregates.filter`),
-so the count matrix, the stability masks and the flat indices shrink
-alongside the block CSR.  Between runs an engine keeps its retired
-replicas' final counts (:class:`ResidentCounts`), and its next run
-repairs them from the pairs that changed in between
+All state is aligned with the engine's *live* rows.  A retired row keeps
+its slot, idle (no coin draw, no delta), until at most half the slots
+still run or a bulk round comes; only then does
+:meth:`BatchedFrontierAggregates.filter` compact, so a run copies
+``O(R·n)`` cells in all, not per retiring round.  Between runs an
+engine keeps its retired replicas' final counts (:class:`ResidentCounts`),
+and its next run repairs them from the pairs that changed in between
 (:meth:`BatchedFrontierAggregates.repair`) instead of rebuilding — the
 fault-wave shape, where a few vertices per stabilized replica flip.
 Everything is exact integer arithmetic on the
@@ -162,8 +163,9 @@ class BatchedFrontierAggregates:
 
     Owned by a :class:`repro.core.batched._BatchedMISEngine` for the
     duration of one :meth:`run`; all arrays are aligned with the
-    engine's current *live* rows (row ``i`` ↔ replica ``live[i]``) and
-    compacted through :meth:`filter` whenever replicas retire.
+    engine's current *live* rows (row ``i`` ↔ replica ``live[i]``);
+    retired rows sit idle until :meth:`filter`, and the regime
+    thresholds measure the running rows only (``engine._cells``).
 
     State:
 
@@ -427,9 +429,12 @@ class BatchedFrontierAggregates:
         replicas: np.ndarray,
         rows: np.ndarray,
     ) -> None:
-        """Copy the live ``rows`` (a mask) to ``replicas`` of the buffers."""
-        counts[replicas] = self.counts[rows]
-        if aux_counts is not None:
+        """Copy the live ``rows`` (a mask) to ``replicas`` of the buffers
+        (no copy while the counts are the buffers: slot ``i`` then holds
+        replica ``i``)."""
+        if counts is not self.counts:
+            counts[replicas] = self.counts[rows]
+        if aux_counts is not None and aux_counts is not self.aux_counts:
             aux_counts[replicas] = self.aux_counts[rows]
 
     def _scatter_changed(
@@ -581,7 +586,7 @@ class BatchedFrontierAggregates:
                 touched = np.concatenate((up_t, down_t))
             else:
                 touched = up_t if up_t.size else down_t
-            if touched.size * 16 < has_flat.size:
+            if touched.size * 16 < engine._cells(L):
                 has_flat[touched] = counts_flat[touched] > 0
             else:
                 np.not_equal(counts, 0, out=has)
@@ -662,7 +667,8 @@ class BatchedFrontierAggregates:
             )
             if (
                 touched is not None
-                and (changed.size + touched.size) * 8 < new_black.size
+                and (changed.size + touched.size) * 8
+                < self.engine._cells(new_black.shape[0])
             ):
                 self._update_stability_local(
                     new_black, np.concatenate((changed, touched)), pos
@@ -692,7 +698,7 @@ class BatchedFrontierAggregates:
             all_t = np.concatenate((added, targets))
         else:
             all_t = added
-        if all_t.size * 64 < covered_flat.size:
+        if all_t.size * 64 < self.engine._cells(self.unstable.shape[0]):
             # Small round: count the fresh coverage exactly (a sort
             # dedups the small candidate set) — no length-L*n pass at
             # all.
@@ -771,7 +777,8 @@ class BatchedFrontierAggregates:
 
     # ------------------------------------------------------------------
     def filter(self, keep: np.ndarray) -> None:
-        """Compact every aggregate to the kept live rows."""
+        """Compact every aggregate to the kept live rows: ``O(L·n)``,
+        at most about ``log2(R)`` times per run."""
         self.counts = self.counts[keep]
         self.has = self.has[keep]
         if self.track_aux:

@@ -36,16 +36,25 @@ def _as_mask(graph: Graph, vertices: Iterable[int] | np.ndarray) -> np.ndarray:
 
 
 def _vertex_words(mask: np.ndarray) -> np.ndarray:
-    """``(n, ⌈k/64⌉)`` words: bit ``j`` of vertex ``v``'s is ``mask[j, v]``.
+    """``(n, ⌈k/64⌉)`` words: ``np.packbits(mask.T, axis=1)``, zero-padded
+    to whole ``uint64`` words.
 
     The row form's working representation: a whole row matrix costs
     one bit per (row, vertex), and one gather per edge or CSR slot
-    checks 64 rows at once.
+    checks 64 rows at once.  Packing ORs rows ``i, i+8, …`` into bit
+    ``7 - i`` of one byte per vertex (8 passes over ``k·n`` bytes, in
+    any memory order), then transposes only the ``(⌈k/8⌉, n)`` bytes.
     """
     k, n = mask.shape
-    packed = np.zeros((n, 8 * -(-k // 64)), dtype=np.uint8)
-    packed[:, : -(-k // 8)] = np.packbits(np.ascontiguousarray(mask.T), axis=1)
-    return packed.view(np.uint64)
+    packed = np.zeros((8 * -(-k // 64), n), dtype=np.uint8)
+    bits = mask.view(np.uint8)
+    shifted = np.empty((-(-k // 8), n), dtype=np.uint8)
+    for i in range(min(k, 8)):
+        rows = bits[i::8]
+        out = shifted[: rows.shape[0]]
+        np.left_shift(rows, 7 - i, out=out)
+        packed[: rows.shape[0]] |= out
+    return np.ascontiguousarray(packed.T).view(np.uint64)
 
 
 def _by_row(hits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -58,19 +67,25 @@ def _by_row(hits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def independence_violations(
-    graph: Graph, vertices: Iterable[int] | np.ndarray
+    graph: Graph,
+    vertices: Iterable[int] | np.ndarray,
+    *,
+    words: np.ndarray | None = None,
 ) -> list[tuple[int, ...]]:
     """Edges with both endpoints in the set (empty iff independent).
 
     Row form: a ``(k, n)`` boolean matrix checks ``k`` sets in one pass
-    and reports ``(row, u, v)`` triples, ordered by row.
+    and reports ``(row, u, v)`` triples, ordered by row.  It costs one
+    packing of the matrix (``O(k·n)`` byte operations, skipped when the
+    caller passes the packed ``words``, as :func:`assert_valid_mis`
+    does) plus one AND of two ``⌈k/64⌉``-word gathers per edge.
     """
     mask = _as_mask(graph, vertices)
     us, vs = graph.edge_arrays()
     if mask.ndim == 1:
         bad = mask[us] & mask[vs]
         return list(zip(us[bad].tolist(), vs[bad].tolist()))
-    words = _vertex_words(mask)
+    words = _vertex_words(mask) if words is None else words
     both = words[us] & words[vs]
     edges = np.flatnonzero(both.any(axis=1))
     rows, hit = _by_row(both[edges], mask.shape[0])
@@ -79,13 +94,18 @@ def independence_violations(
 
 
 def maximality_violations(
-    graph: Graph, vertices: Iterable[int] | np.ndarray
+    graph: Graph,
+    vertices: Iterable[int] | np.ndarray,
+    *,
+    words: np.ndarray | None = None,
 ) -> list[int] | list[tuple[int, int]]:
     """Vertices outside the set with no neighbour inside (empty iff maximal).
 
     Only meaningful when the set is independent.  Row form: a
     ``(k, n)`` boolean matrix checks ``k`` sets in one pass and reports
-    ``(row, v)`` pairs, ordered by row.
+    ``(row, v)`` pairs, ordered by row.  It costs one packing of the
+    matrix (skipped given the packed ``words``) plus one
+    ``⌈k/64⌉``-word OR per CSR slot.
     """
     mask = _as_mask(graph, vertices)
     if graph.n == 0:
@@ -95,7 +115,7 @@ def maximality_violations(
         return np.flatnonzero(~mask & (counts == 0)).tolist()
     # Covered words: own word OR-ed with every neighbour's (reduceat
     # over the non-empty CSR rows only — it mishandles empty slices).
-    words = _vertex_words(mask)
+    words = _vertex_words(mask) if words is None else words
     covered = words.copy()
     indptr = graph.indptr.astype(np.intp)
     busy = np.flatnonzero(np.diff(indptr))
@@ -133,14 +153,16 @@ def assert_valid_mis(
 ) -> None:
     """Raise ``AssertionError`` with diagnostics if the set is not an MIS.
 
-    A ``(k, n)`` boolean matrix checks ``k`` sets in one pass (two
-    reductions in all); the error then names the first failing row, as
-    ``rows[i]`` when row labels are given (the batched engines pass
-    replica indices).
+    A ``(k, n)`` boolean matrix checks ``k`` sets in one pass: the
+    matrix is packed once and both checks share the words, so the cost
+    is one ``O(k·n)`` packing plus ``O(⌈k/64⌉·m)`` word operations.  The
+    error then names the first failing row, as ``rows[i]`` when row
+    labels are given (the batched engines pass replica indices).
     """
     mask = _as_mask(graph, vertices)
+    words = _vertex_words(mask) if mask.ndim == 2 else None
     where = ""
-    ind: list[Any] = independence_violations(graph, mask)
+    ind: list[Any] = independence_violations(graph, mask, words=words)
     if ind and mask.ndim == 2:
         row = ind[0][0]
         where = f"row {row if rows is None else rows[row]}: "
@@ -150,7 +172,7 @@ def assert_valid_mis(
             f"{where}independence violated on {len(ind)} edge(s), "
             f"e.g. {ind[:5]}"
         )
-    maxi: list[Any] = maximality_violations(graph, mask)
+    maxi: list[Any] = maximality_violations(graph, mask, words=words)
     if maxi and mask.ndim == 2:
         row = maxi[0][0]
         where = f"row {row if rows is None else rows[row]}: "

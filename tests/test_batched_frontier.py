@@ -135,6 +135,84 @@ class TestEngineReuse:
 
 
 
+def count_filters(monkeypatch) -> list:
+    """Record every :meth:`BatchedFrontierAggregates.filter` call by its
+    aggregates (one per run), as the oracle's hooks wrap methods."""
+    calls = []
+    filter_ = bf.BatchedFrontierAggregates.filter
+
+    def counted(self, keep):
+        calls.append(self)  # the reference keeps each run's id unique
+        return filter_(self, keep)
+
+    monkeypatch.setattr(bf.BatchedFrontierAggregates, "filter", counted)
+    return calls
+
+
+def per_run(calls) -> list[int]:
+    counts = {}
+    for aggregates in calls:
+        counts[id(aggregates)] = counts.get(id(aggregates), 0) + 1
+    return list(counts.values())
+
+
+class TestSlotStableRows:
+    """Retired rows keep their slots until at most half still run."""
+
+    @pytest.mark.parametrize("name", ["2-state", "3-state"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_idle_slots_follow_the_reference(self, monkeypatch, name, shared):
+        # 20 replicas: the run compacts at least twice (at 10 running or
+        # fewer, and once none runs), idle slots riding every round in
+        # between, then again after a fault wave on the same engine.
+        if shared:
+            graphs = [graph(11, 70, 0.05)] * 20
+        else:
+            graphs = [graph(s + 11, 70, 0.05) for s in range(20)]
+        spec = fleet(
+            name, graphs, backend=SparseNeighborOps, waves=1, flips=3,
+            seed=11,
+        )
+        calls = count_filters(monkeypatch)
+        check_batched(spec, ((CROSSOVERS[1], None), (1e18, 0)))
+        runs = per_run(calls)
+        assert len(runs) == 4  # two modes, a clean start and one wave each
+        assert min(runs) >= 2
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_filter_runs_logarithmically_often(self, monkeypatch, shared):
+        # Cost shape, no timing: with retirement staggered over many
+        # rounds, a run compacts at most ceil(log2 R) + 2 times, not
+        # once per retiring round.
+        replicas = 64
+        if shared:
+            graphs = [gnp_random_graph(300, 0.01, rng=12)] * replicas
+        else:
+            graphs = [
+                gnp_random_graph(300, 0.01, rng=s) for s in range(replicas)
+            ]
+        ops = {id(g): SparseNeighborOps(g) for g in graphs}
+        procs = [
+            TwoStateMIS(g, coins=s, ops=ops[id(g)])
+            for s, g in zip(spawn_seeds(12, replicas), graphs)
+        ]
+        engine = BatchedTwoStateMIS(procs)
+        calls = count_filters(monkeypatch)
+        rng = np.random.default_rng(12)
+        for wave in range(2):
+            if wave:
+                for p in procs:
+                    p.corrupt(flip(rng, p.black, 4))
+            results = engine.run(MAX_ROUNDS)
+            assert all(r.stabilized for r in results)
+            rounds = {r.stabilization_round for r in results}
+            assert len(rounds) >= 8, "retirement is not staggered"
+        runs = per_run(calls)
+        assert len(runs) == 2
+        assert max(runs) <= int(np.ceil(np.log2(replicas))) + 2
+        assert min(runs) >= 1
+
+
 class TestMonteCarloEntryPoints:
     def test_run_many_rejects_unknown_engine(self):
         # engine= is a parameter of no entry point.

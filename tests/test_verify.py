@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.greedy import greedy_mis
 from repro.core.verify import (
+    _vertex_words,
     assert_valid_mis,
     greedy_mis_size_bounds,
     independence_violations,
@@ -13,6 +16,8 @@ from repro.core.verify import (
 )
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
 from repro.graphs.graph import Graph
+
+from oracle import random_graph
 
 
 class TestIndependence:
@@ -97,28 +102,91 @@ class TestSizeBounds:
         assert upper == 5
 
 
+#: Row counts at the byte and word edges of the packing (8 rows per
+#: byte, 64 per word), and past two words.
+EDGE_KS = (0, 1, 5, 7, 8, 9, 63, 64, 65, 70, 128, 129, 130)
+
+
+@st.composite
+def row_matrices(draw, k=None):
+    """A graph on up to 200 vertices, some isolated, and a ``(k, n)``
+    mask in C order, Fortran order or as a strided view, some rows of
+    it maximal independent sets."""
+    if k is None:
+        k = draw(st.integers(0, 130))
+    n = draw(st.integers(0, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    graph = random_graph(
+        n,
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from((3.0, 0.0, 1.0, 8.0))),
+        draw(st.sampled_from((0.0, 0.3, 1.0))),
+        seed,
+    )
+    rng = np.random.default_rng(seed)
+    density = draw(st.sampled_from((0.3, 0.0, 0.05, 0.7, 1.0)))
+    full = rng.random((2 * k, 2 * n + 1)) < density
+    mask = full[::2, 1::2]  # strided in both axes
+    for row in range(0, k, max(1, k // 3)):
+        mask[row] = False
+        mask[row, greedy_mis(graph, rng.permutation(n).tolist())] = True
+    layout = draw(st.sampled_from(("strided", "C", "F")))
+    if layout == "C":
+        mask = np.ascontiguousarray(mask)
+    elif layout == "F":
+        mask = np.asfortranarray(mask)
+    return graph, mask
+
+
 class TestRowForm:
     """A ``(k, n)`` matrix checks k sets at once, row-labelled."""
 
-    @pytest.mark.parametrize("k", [0, 1, 5, 64, 70])
-    def test_matches_per_row_checks(self, k):
-        from repro.graphs.random_graphs import gnp_random_graph
+    @pytest.mark.parametrize("k", EDGE_KS)
+    @given(data=st.data(), shared=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_per_row_checks(self, k, data, shared):
+        graph, rows = data.draw(row_matrices(k))
+        words = _vertex_words(rows) if shared else None
+        assert independence_violations(graph, rows, words=words) == [
+            (j, u, v)
+            for j in range(k)
+            for u, v in independence_violations(graph, rows[j])
+        ]
+        assert maximality_violations(graph, rows, words=words) == [
+            (j, v)
+            for j in range(k)
+            for v in maximality_violations(graph, rows[j])
+        ]
+        # The shared-words check names the first row failing
+        # independence, else the first failing maximality.
+        dependent = [j for j in range(k) if not is_independent_set(graph, rows[j])]
+        valid = [
+            j for j in range(k) if is_maximal_independent_set(graph, rows[j])
+        ]
+        assert_valid_mis(graph, rows[valid], rows=valid)
+        if dependent:
+            match = rf"^row {dependent[0]}: independence"
+        elif len(valid) < k:
+            first = min(set(range(k)) - set(valid))
+            match = rf"^row {first}: maximality"
+        else:
+            assert_valid_mis(graph, rows)
+            return
+        with pytest.raises(AssertionError, match=match):
+            assert_valid_mis(graph, rows)
 
-        rng = np.random.default_rng(k)
-        for trial in range(8):
-            n = int(rng.integers(0, 30))
-            g = gnp_random_graph(n, float(rng.random()), rng=trial)
-            rows = rng.random((k, n)) < rng.random()
-            assert independence_violations(g, rows) == [
-                (j, u, v)
-                for j in range(k)
-                for u, v in independence_violations(g, rows[j])
-            ]
-            assert maximality_violations(g, rows) == [
-                (j, v)
-                for j in range(k)
-                for v in maximality_violations(g, rows[j])
-            ]
+    @given(matrix=row_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_packing_is_packbits_in_whole_words(self, matrix):
+        _, mask = matrix
+        k, n = mask.shape
+        want = np.zeros((n, 8 * -(-k // 64)), dtype=np.uint8)
+        want[:, : -(-k // 8)] = np.packbits(
+            np.ascontiguousarray(mask.T), axis=1
+        )
+        words = _vertex_words(mask)
+        assert words.dtype == np.uint64 and words.shape == (n, -(-k // 64))
+        assert np.array_equal(words.view(np.uint8), want)
 
     def test_assert_names_the_failing_row(self):
         g = path_graph(4)
