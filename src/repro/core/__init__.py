@@ -42,7 +42,6 @@ from repro.core.switch import (
     SwitchTraceAnalyzer,
 )
 from repro.core.three_color import ThreeColorMIS
-from repro.core.randphase import RandPhaseClock
 from repro.core.schedulers import (
     ScheduledTwoStateMIS,
     SynchronousScheduler,
@@ -89,7 +88,6 @@ __all__ = [
     "OracleSwitch",
     "SwitchTraceAnalyzer",
     "ThreeColorMIS",
-    "RandPhaseClock",
     "ScheduledTwoStateMIS",
     "SynchronousScheduler",
     "IndependentScheduler",

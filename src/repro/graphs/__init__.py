@@ -40,16 +40,12 @@ from repro.graphs.random_graphs import (
 )
 from repro.graphs.properties import (
     degeneracy,
-    degeneracy_ordering,
     core_numbers,
-    max_average_degree,
-    arboricity_bounds,
     diameter,
     eccentricity,
     connected_components,
     is_connected,
     max_common_neighbors,
-    triangle_count,
 )
 from repro.graphs.good import (
     GoodGraphReport,
@@ -91,16 +87,12 @@ __all__ = [
     "planted_partition_graph",
     # properties
     "degeneracy",
-    "degeneracy_ordering",
     "core_numbers",
-    "max_average_degree",
-    "arboricity_bounds",
     "diameter",
     "eccentricity",
     "connected_components",
     "is_connected",
     "max_common_neighbors",
-    "triangle_count",
     # good graphs
     "GoodGraphReport",
     "check_good_graph",

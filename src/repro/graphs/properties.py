@@ -1,19 +1,16 @@
 """Structural graph properties used by the paper's theorems.
 
-* Theorem 11 is parameterized by *arboricity* (Nash-Williams):
-  :func:`arboricity_bounds` brackets it via the exact maximum average
-  degree (densest-subgraph max-flow reduction) and the degeneracy.
+* Theorem 11 is parameterized by *arboricity*; :func:`degeneracy` is the
+  arboricity proxy that :func:`repro.theory.budgets.recommended_budget`
+  uses.
 * Theorem 12 is parameterized by the maximum degree (on :class:`Graph`).
 * Definition 17 (P5, P6) needs common-neighbour counts and the diameter.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.graphs.flow import FlowNetwork
 from repro.graphs.graph import Graph
 
 
@@ -115,117 +112,6 @@ def degeneracy(graph: Graph) -> int:
     return int(core_numbers(graph).max())
 
 
-def degeneracy_ordering(graph: Graph) -> list[int]:
-    """A vertex ordering witnessing the degeneracy (smallest-last)."""
-    n = graph.n
-    removed = [False] * n
-    degree = graph.degrees().tolist()
-    import heapq
-
-    heap = [(degree[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in graph.neighbors(v):
-            if not removed[w]:
-                degree[w] -= 1
-                heapq.heappush(heap, (degree[w], w))
-    return order
-
-
-def max_average_degree(graph: Graph) -> float:
-    """Exact maximum average degree over all subgraphs, ``max_S 2|E(S)|/|S|``.
-
-    Computed by Goldberg's reduction: the maximum density ``|E(S)|/|S|``
-    is found by binary search over guesses ``g``, testing each guess with
-    a single max-flow.  Since densities are rationals with denominator at
-    most ``n``, O(log(n * m)) max-flows give the exact value.
-
-    The paper (proof of Theorem 11) uses the fact that this quantity is
-    within a factor 2 of the arboricity.
-    """
-    n, m = graph.n, graph.m
-    if m == 0:
-        return 0.0
-    lo, hi = 0.0, float(m)
-    # Distinct densities differ by at least 1/(n*(n-1)); binary search until
-    # the interval is smaller than that, then snap to the achieved density.
-    tol = 1.0 / (n * (n - 1) + 1)
-    best_set: set[int] | None = None
-    edge_list = graph.edge_list()
-    while hi - lo > tol:
-        guess = (lo + hi) / 2.0
-        side = _goldberg_cut(graph, edge_list, guess)
-        if side:
-            lo = guess
-            best_set = side
-        else:
-            hi = guess
-    if best_set is None:
-        # Densest subgraph is a single edge: density 1/2? No: any graph
-        # with an edge has a subgraph of density >= 1/2 (one edge, 2 vts).
-        best_set = set(graph.vertices())
-    sub_edges = graph.induced_edge_count(best_set)
-    return 2.0 * sub_edges / len(best_set)
-
-
-def _goldberg_cut(
-    graph: Graph, edge_list: list[tuple[int, int]], guess: float
-) -> set[int] | None:
-    """Return a non-empty S with density > guess, or None.
-
-    Standard construction: source -> edge-node (cap 1), edge-node -> both
-    endpoints (cap inf), vertex -> sink (cap guess).  Total flow < m iff
-    some subgraph has density > guess, and the min-cut's source side
-    (minus the source and edge nodes) realizes it.
-    """
-    n, m = graph.n, len(edge_list)
-    source = 0
-    sink = 1
-    vert_base = 2
-    edge_base = 2 + n
-    net = FlowNetwork(2 + n + m)
-    inf = float(m + 1)
-    for idx, (u, v) in enumerate(edge_list):
-        net.add_edge(source, edge_base + idx, 1.0)
-        net.add_edge(edge_base + idx, vert_base + u, inf)
-        net.add_edge(edge_base + idx, vert_base + v, inf)
-    for u in range(n):
-        net.add_edge(vert_base + u, sink, guess)
-    flow = net.max_flow(source, sink)
-    if flow >= m - 1e-9:
-        return None
-    side = net.min_cut_side(source)
-    result = {u - vert_base for u in side if vert_base <= u < edge_base}
-    return result or None
-
-
-def arboricity_bounds(graph: Graph) -> tuple[int, int]:
-    """Lower and upper bounds on the arboricity.
-
-    * Lower bound: ``ceil(mad / 2)`` where ``mad`` is the exact maximum
-      average degree (Nash-Williams gives ``arb >= ceil(max_S |E(S)| /
-      (|S| - 1)) >= ceil(mad/2)``).
-    * Upper bound: the degeneracy (every d-degenerate graph decomposes
-      into d forests... more precisely arboricity <= degeneracy).
-
-    For forests this returns ``(1, 1)``; for cliques ``K_n`` it returns
-    ``(ceil((n-1)/2), n - 1)``-ish brackets, adequate for classifying the
-    experiment workloads as bounded-arboricity or not.
-    """
-    if graph.m == 0:
-        return (0, 0)
-    mad = max_average_degree(graph)
-    lower = max(1, math.ceil(mad / 2.0 - 1e-9))
-    upper = max(lower, degeneracy(graph))
-    return (lower, upper)
-
-
 def max_common_neighbors(graph: Graph) -> int:
     """Maximum number of common neighbours over all vertex pairs.
 
@@ -246,73 +132,3 @@ def max_common_neighbors(graph: Graph) -> int:
     sq.setdiag(0)
     data = sq.tocsr().data
     return int(data.max()) if data.size else 0
-
-
-def triangle_count(graph: Graph) -> int:
-    """Total number of triangles (via trace of A^3 / 6 on the dense matrix
-    for small graphs, neighbour-intersection otherwise)."""
-    n = graph.n
-    if n <= 1200:
-        a = graph.adjacency_dense().astype(np.int64)
-        return int(np.trace(a @ a @ a) // 6)
-    count = 0
-    for u in graph.vertices():
-        nbrs_u = set(graph.neighbors(u))
-        for v in graph.neighbors(u):
-            if v > u:
-                for w in graph.neighbors(v):
-                    if w > v and w in nbrs_u:
-                        count += 1
-    return count
-
-
-def theta_profile(graph: Graph, u: int, i: int) -> int:
-    """The quantity θ_u(i) from equation (3) of the paper, approximately.
-
-    θ_u(i) = max over S ⊆ N(u) with |S| <= i of |N(u) ∩ N+(S)|.
-
-    Exact computation is exponential in ``i``; we use the standard greedy
-    upper-bounding: repeatedly add to S the neighbour covering the most
-    yet-uncovered vertices of N(u).  Greedy coverage is a lower bound on
-    the max; to stay on the safe side for *upper* bounds we also return
-    the trivial cap (see :func:`theta_upper_bound`).  This function
-    returns the greedy (achievable) value, which the Lemma 13/14
-    experiments use as an empirical proxy.
-    """
-    nbrs = set(graph.neighbors(u))
-    if i <= 0 or not nbrs:
-        return 0
-    uncovered = set(nbrs)
-    chosen = 0
-    total = 0
-    while chosen < i and uncovered:
-        best_v = None
-        best_gain = -1
-        for v in nbrs:
-            gain = len(uncovered & (set(graph.neighbors(v)) | {v}))
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        if best_v is None or best_gain <= 0:
-            break
-        uncovered -= set(graph.neighbors(best_v)) | {best_v}
-        total += best_gain
-        chosen += 1
-    return total
-
-
-def theta_upper_bound(graph: Graph, u: int, i: int) -> int:
-    """A rigorous upper bound on θ_u(i).
-
-    θ_u(i) <= min(deg(u), i * (1 + max common neighbours of u with any
-    neighbour v)); the paper (proof of Lemma 23) uses the analogous bound
-    θ_v(i) <= i * (6np² + 4) log n on good graphs via P5.
-    """
-    d = graph.degree(u)
-    if i <= 0 or d == 0:
-        return 0
-    worst = 0
-    for v in graph.neighbors(u):
-        shared = len(set(graph.common_neighbors(u, v)))
-        worst = max(worst, shared + 1)
-    return min(d, i * worst)

@@ -5,6 +5,7 @@ experiment registry, the bench files, and the markdown documents to
 each other.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -59,3 +60,35 @@ def test_examples_listed_in_readme():
 def test_docs_exist():
     assert (ROOT / "docs" / "API.md").exists()
     assert (ROOT / "docs" / "TUTORIAL.md").exists()
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def test_docs_name_live_symbols():
+    # CHANGES.md and ROADMAP.md are history and may name deleted code.
+    docs = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/TUTORIAL.md")
+    names = set()
+    for doc in docs:
+        text = (ROOT / doc).read_text()
+        names.update(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)", text))
+    assert names
+    dead = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            dead.append(name)
+    assert not dead, f"docs name symbols that do not exist: {dead}"

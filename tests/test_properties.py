@@ -1,65 +1,20 @@
-"""Tests for repro.graphs.properties and repro.graphs.flow."""
+"""Tests for repro.graphs.properties."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import generators as gen
-from repro.graphs.flow import FlowNetwork
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
-    arboricity_bounds,
     connected_components,
     core_numbers,
     degeneracy,
-    degeneracy_ordering,
     diameter,
     eccentricity,
     is_connected,
-    max_average_degree,
     max_common_neighbors,
-    theta_upper_bound,
-    triangle_count,
 )
 from repro.graphs.random_graphs import gnp_random_graph, random_tree
-
-
-class TestFlow:
-    def test_simple_max_flow(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 3)
-        net.add_edge(0, 2, 2)
-        net.add_edge(1, 3, 2)
-        net.add_edge(2, 3, 3)
-        assert net.max_flow(0, 3) == pytest.approx(4.0)
-
-    def test_bottleneck(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 10)
-        net.add_edge(1, 2, 1)
-        assert net.max_flow(0, 2) == pytest.approx(1.0)
-
-    def test_disconnected(self):
-        net = FlowNetwork(3)
-        net.add_edge(0, 1, 5)
-        assert net.max_flow(0, 2) == 0.0
-
-    def test_min_cut_side(self):
-        net = FlowNetwork(4)
-        net.add_edge(0, 1, 1)
-        net.add_edge(1, 2, 10)
-        net.add_edge(2, 3, 10)
-        net.max_flow(0, 3)
-        assert net.min_cut_side(0) == {0}
-
-    def test_same_source_sink_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(ValueError):
-            net.max_flow(1, 1)
-
-    def test_negative_capacity_rejected(self):
-        net = FlowNetwork(2)
-        with pytest.raises(ValueError):
-            net.add_edge(0, 1, -1)
 
 
 class TestConnectivity:
@@ -114,57 +69,9 @@ class TestCoresAndDegeneracy:
         assert degeneracy(gen.grid_graph(4, 4)) == 2
         assert degeneracy(Graph(0)) == 0
 
-    def test_degeneracy_ordering_is_permutation(self, small_zoo):
-        for g in small_zoo.values():
-            order = degeneracy_ordering(g)
-            assert sorted(order) == list(range(g.n))
-
     def test_tree_degeneracy_one(self):
         for seed in range(3):
             assert degeneracy(random_tree(40, rng=seed)) == 1
-
-
-class TestMaxAverageDegree:
-    def test_clique(self):
-        assert max_average_degree(gen.complete_graph(6)) == pytest.approx(5.0)
-
-    def test_tree(self):
-        g = random_tree(20, rng=0)
-        mad = max_average_degree(g)
-        # Densest subgraph of a tree is the whole tree-ish: < 2.
-        assert 1.0 <= mad < 2.0
-
-    def test_empty(self):
-        assert max_average_degree(Graph(5)) == 0.0
-
-    def test_planted_dense_subgraph_found(self):
-        # A K5 hidden in a sparse path: mad must be 4.
-        b = gen.disjoint_union([gen.complete_graph(5), gen.path_graph(20)])
-        assert max_average_degree(b) == pytest.approx(4.0)
-
-
-class TestArboricity:
-    def test_tree_bounds(self):
-        lower, upper = arboricity_bounds(random_tree(30, rng=1))
-        assert lower == 1
-        assert upper == 1
-
-    def test_clique_bounds(self):
-        lower, upper = arboricity_bounds(gen.complete_graph(8))
-        # True arboricity of K_8 is ceil(8/2) = 4.
-        assert lower <= 4 <= upper
-
-    def test_cycle(self):
-        lower, upper = arboricity_bounds(gen.cycle_graph(12))
-        assert lower <= 2 and upper >= 1
-
-    def test_empty(self):
-        assert arboricity_bounds(Graph(4)) == (0, 0)
-
-    def test_bounds_ordered(self, small_zoo):
-        for g in small_zoo.values():
-            lower, upper = arboricity_bounds(g)
-            assert lower <= upper
 
 
 class TestCommonNeighborsAndTriangles:
@@ -185,53 +92,3 @@ class TestCommonNeighborsAndTriangles:
             default=0,
         )
         assert dense == brute
-
-    def test_triangle_count_known(self):
-        assert triangle_count(gen.complete_graph(5)) == 10
-        assert triangle_count(gen.cycle_graph(3)) == 1
-        assert triangle_count(gen.cycle_graph(5)) == 0
-        assert triangle_count(gen.star_graph(10)) == 0
-
-    def test_theta_upper_bound_star(self):
-        g = gen.star_graph(8)
-        # Hub: neighbours are leaves; each leaf shares 0 common nbrs
-        # with hub beyond itself, so bound = min(deg, i * 1).
-        assert theta_upper_bound(g, 0, 3) == 3
-        assert theta_upper_bound(g, 0, 100) == 7
-
-    def test_theta_upper_bound_zero_cases(self):
-        g = gen.path_graph(3)
-        assert theta_upper_bound(g, 0, 0) == 0
-        assert theta_upper_bound(Graph(2), 0, 5) == 0
-
-
-class TestThetaProfile:
-    def test_star_hub_profile(self):
-        from repro.graphs.properties import theta_profile
-
-        g = gen.star_graph(8)
-        # Each leaf covers only itself within N(hub).
-        assert theta_profile(g, 0, 1) == 1
-        assert theta_profile(g, 0, 3) == 3
-        assert theta_profile(g, 0, 100) == 7
-
-    def test_clique_profile_saturates(self):
-        from repro.graphs.properties import theta_profile
-
-        g = gen.complete_graph(6)
-        assert theta_profile(g, 0, 1) == 5
-
-    def test_zero_cases(self):
-        from repro.graphs.properties import theta_profile
-
-        assert theta_profile(gen.path_graph(3), 0, 0) == 0
-        assert theta_profile(Graph(2), 0, 4) == 0
-
-    def test_profile_lower_bounds_exact_theta(self):
-        from repro.core.activity import theta_u
-        from repro.graphs.properties import theta_profile
-
-        g = gnp_random_graph(16, 0.3, rng=4)
-        for u in range(6):
-            for i in (1, 2, 3):
-                assert theta_profile(g, u, i) <= theta_u(g, u, i)

@@ -164,33 +164,3 @@ def test_subgraph_consistency(g, seed):
                 assert g.has_edge(u, v) == sub.has_edge(
                     mapping[u], mapping[v]
                 )
-
-
-@settings(max_examples=30, deadline=None)
-@given(graphs(max_n=14))
-def test_line_graph_degree_identity(g):
-    # deg_{L(G)}(e=(u,v)) = deg(u) + deg(v) - 2.
-    from repro.graphs.transforms import line_graph
-
-    lg, edges = line_graph(g)
-    for i, (u, v) in enumerate(edges):
-        assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
-
-
-@settings(max_examples=25, deadline=None)
-@given(graphs(max_n=10), st.integers(min_value=0, max_value=2**32 - 1))
-def test_matching_reduction_end_to_end(g, seed):
-    from repro.apps.matching import SelfStabilizingMatching
-
-    app = SelfStabilizingMatching(g, coins=seed)
-    app.run(max_rounds=200_000)  # run() verifies maximality itself
-
-
-@settings(max_examples=15, deadline=None)
-@given(graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
-def test_coloring_reduction_end_to_end(g, seed):
-    from repro.apps.coloring import SelfStabilizingColoring
-
-    app = SelfStabilizingColoring(g, coins=seed)
-    colors = app.run(max_rounds=500_000)  # run() verifies properness
-    assert colors.max(initial=0) <= g.max_degree()

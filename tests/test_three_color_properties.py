@@ -3,7 +3,6 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.randphase import RandPhaseClock
 from repro.core.states import BLACK, GRAY, WHITE
 from repro.core.switch import OracleSwitch, RandomizedLogSwitch
 from repro.core.three_color import ThreeColorMIS
@@ -101,20 +100,6 @@ def test_switch_levels_invariant(g, seed, zeta):
         assert switch.levels.max() <= 5
         # σ is exactly the level <= 2 mask.
         assert np.array_equal(switch.sigma(), switch.levels <= 2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    graphs(max_n=16),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_randphase_levels_invariant(g, d, seed):
-    clock = RandPhaseClock(g, d=d, coins=seed, zeta=0.25)
-    for _ in range(25):
-        clock.step()
-        assert clock.levels.min() >= 0
-        assert clock.levels.max() <= clock.top
 
 
 @settings(max_examples=30, deadline=None)
