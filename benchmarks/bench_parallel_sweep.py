@@ -3,7 +3,8 @@
 The acceptance workload for the parallel layer (ISSUE 8): the E4/E10
 Monte-Carlo shape — 256 independent 2-state trials on G(n = 4096, 3/n)
 — run through :func:`repro.sim.montecarlo.estimate_stabilization_time`
-serially (``n_jobs=1``) and sharded across a persistent
+serially (``n_jobs=1``), and the same trial fleet sharded by
+:func:`repro.sim.runner.run_many_until_stable` across a persistent
 :class:`repro.parallel.supervisor.SupervisedPool` (``n_jobs=4``), with
 the per-trial stabilization times asserted bitwise-identical between
 the two paths.  Two fleet shapes are measured:
@@ -14,10 +15,9 @@ the two paths.  Two fleet shapes are measured:
 * ``shared`` — one graph for every trial: a single pair of CSR arrays
   is published, and the per-job payload is only process state.
 
-The pool is created and warmed *outside* the timed region — worker
-startup amortizes over a whole sweep in real use (the sweep reuses one
-pool for every grid point), so it is not part of the per-call cost
-being measured.
+The pool is created and warmed *outside* the timed region — a caller
+that owns a pool amortizes worker startup over many fleets, so it is
+not part of the per-call cost being measured.
 
 **Hardware-aware acceptance floors.**  Sharding buys wall-clock only
 when the machine has cores to shard onto, so the asserted floor is a
@@ -55,6 +55,7 @@ from repro.core.two_state import TwoStateMIS
 from repro.graphs.random_graphs import gnp_random_graph
 from repro.parallel import SupervisedPool, cpu_count, resolve_n_jobs
 from repro.sim.montecarlo import estimate_stabilization_time
+from repro.sim.rng import spawn_seeds
 from repro.sim.runner import run_many_until_stable
 
 FAST = bool(int(os.environ.get("BENCH_FAST", "0"))) or "--fast" in sys.argv[1:]
@@ -102,15 +103,26 @@ def scaling_floor(workers: int, full: bool = True) -> float:
     return 0.35 if full else 0.25
 
 
-def _estimate(name, n_jobs=None, pool=None):
-    return estimate_stabilization_time(
-        _FACTORIES[name],
-        trials=TRIALS,
+def _serial_times(name):
+    """Per-trial outcomes of the in-process estimate."""
+    stats = estimate_stabilization_time(
+        _FACTORIES[name], trials=TRIALS, max_rounds=MAX_ROUNDS, seed=SEED,
+        n_jobs=1,
+    )
+    return stats.times, stats.failures
+
+
+def _sharded_times(name, pool):
+    """The same trial fleet, sharded through the persistent pool."""
+    factory = _FACTORIES[name]
+    results = run_many_until_stable(
+        [factory(s) for s in spawn_seeds(SEED, TRIALS)],
         max_rounds=MAX_ROUNDS,
-        seed=SEED,
-        n_jobs=n_jobs,
+        n_jobs=WORKERS,
         pool=pool,
     )
+    times = [r.stabilization_round for r in results if r.stabilized]
+    return np.array(times, dtype=np.int64), len(results) - len(times)
 
 
 def _warm_pool(pool):
@@ -127,13 +139,13 @@ def _measure_workload(name, pool):
     t_serial = t_parallel = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        serial = _estimate(name, n_jobs=1)
+        serial_times, serial_failures = _serial_times(name)
         t_serial = min(t_serial, time.perf_counter() - start)
         start = time.perf_counter()
-        parallel = _estimate(name, n_jobs=WORKERS, pool=pool)
+        parallel_times, parallel_failures = _sharded_times(name, pool)
         t_parallel = min(t_parallel, time.perf_counter() - start)
-        assert np.array_equal(serial.times, parallel.times)
-        assert serial.failures == parallel.failures
+        assert np.array_equal(serial_times, parallel_times)
+        assert serial_failures == parallel_failures
     return {
         "serial_s": t_serial,
         "parallel_s": t_parallel,

@@ -65,7 +65,6 @@ from repro.sim import (
     SeededCoins,
     run_until_stable,
     estimate_stabilization_time,
-    sweep_stabilization_times,
 )
 
 __version__ = "1.0.0"
@@ -94,6 +93,5 @@ __all__ = [
     "SeededCoins",
     "run_until_stable",
     "estimate_stabilization_time",
-    "sweep_stabilization_times",
     "__version__",
 ]

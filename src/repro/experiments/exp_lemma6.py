@@ -10,7 +10,7 @@ Workload: engineered all-black stars.  A star with black hub and k
 black leaves makes the hub active with exactly k active neighbours (and
 each leaf active with 1 active neighbour).  Disjoint unions of ℓ such
 stars realize the Lemma 7 setting.  Monte-Carlo probabilities are
-compared against the bounds.
+compared against the closed forms of :mod:`repro.theory.bounds`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
 from repro.graphs.generators import disjoint_union, star_graph
 from repro.sim.rng import spawn_seeds
+from repro.theory.bounds import (
+    lemma6_probability,
+    lemma6_rounds,
+    lemma7_probability,
+)
 
 
 def _star_trial(k: int, trial_seed: int) -> bool:
@@ -31,8 +36,7 @@ def _star_trial(k: int, trial_seed: int) -> bool:
     graph = star_graph(k + 1)
     init = np.ones(k + 1, dtype=bool)
     process = TwoStateMIS(graph, coins=trial_seed, init=init)
-    r = math.ceil(math.log2(k + 1))
-    process.step(r)
+    process.step(lemma6_rounds(k))
     return bool(process.stable_black_mask()[0])
 
 
@@ -42,8 +46,7 @@ def _multi_star_trial(ell: int, k: int, trial_seed: int) -> bool:
     graph = disjoint_union([star] * ell)
     init = np.ones(graph.n, dtype=bool)
     process = TwoStateMIS(graph, coins=trial_seed, init=init)
-    r = math.ceil(math.log2(k + 1))
-    process.step(r)
+    process.step(lemma6_rounds(k))
     stable = process.stable_black_mask()
     hubs = [i * (k + 1) for i in range(ell)]
     return bool(any(stable[h] for h in hubs))
@@ -70,7 +73,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             _star_trial(k, s) for s in spawn_seeds(seed + k_idx, trials)
         )
         p_hat = hits / trials
-        bound = 1.0 / (2 * math.e * k)
+        bound = lemma6_probability(k)
         # Allow 4 binomial std deviations of slack below the bound.
         slack = 4 * math.sqrt(bound * (1 - bound) / trials)
         ok = p_hat >= bound - slack
@@ -91,7 +94,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
             for s in spawn_seeds(seed + 100 + e_idx, trials)
         )
         p_hat = hits / trials
-        bound = 0.2 * min(1.0, ell / (2 * multi_k))
+        bound = lemma7_probability([multi_k] * ell)
         slack = 4 * math.sqrt(max(bound * (1 - bound), 1e-6) / trials)
         ok = p_hat >= bound - slack
         lemma7_ok &= ok

@@ -32,15 +32,14 @@ in PR 9:
   journaling, and restoring the returned records into the caller's
   processes; bitwise-identical to the serial path for any worker
   count, shard boundaries, or fault schedule.
-* :mod:`~repro.parallel.config` — process-wide default ``n_jobs`` and
-  supervision defaults for entry points (``python -m repro.experiments
-  run E4 --jobs auto``).
+* :mod:`~repro.parallel.config` — the process-wide default ``n_jobs``
+  for entry points (``python -m repro.experiments run E4 --jobs
+  auto``).
 
 Users normally never import this package directly: pass
 ``n_jobs="auto"`` (or an int) to
-:func:`repro.sim.runner.run_many_until_stable`,
-:func:`repro.sim.montecarlo.estimate_stabilization_time`, or
-:func:`repro.sim.montecarlo.sweep_stabilization_times`.  ``python -m
+:func:`repro.sim.runner.run_many_until_stable` or
+:func:`repro.sim.montecarlo.estimate_stabilization_time`.  ``python -m
 repro.parallel --doctor`` self-checks the machinery on the current
 machine.
 """
@@ -53,13 +52,9 @@ from repro.parallel.chaos import (
     WaveChaosPolicy,
 )
 from repro.parallel.config import (
-    SupervisionDefaults,
     default_n_jobs,
-    default_supervision,
     get_default_n_jobs,
-    get_default_supervision,
     set_default_n_jobs,
-    set_default_supervision,
 )
 from repro.parallel.fleet import (
     decode_results,
@@ -112,7 +107,6 @@ __all__ = [
     "SharedGraphHandle",
     "SharedGraphStore",
     "SupervisedPool",
-    "SupervisionDefaults",
     "SupervisionEvent",
     "WORKER_NAME_PREFIX",
     "WaveChaosPolicy",
@@ -120,10 +114,8 @@ __all__ = [
     "cpu_count",
     "decode_results",
     "default_n_jobs",
-    "default_supervision",
     "fleet_shards",
     "get_default_n_jobs",
-    "get_default_supervision",
     "install_signal_backstop",
     "iter_chaos_fault_plan",
     "leaked_segments",
@@ -131,7 +123,6 @@ __all__ = [
     "run_fleet_sharded",
     "run_shard",
     "set_default_n_jobs",
-    "set_default_supervision",
     "shard_key",
     "shard_ranges",
     "shutdown_processes",

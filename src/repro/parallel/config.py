@@ -1,4 +1,4 @@
-"""Process-wide default parallelism and supervision.
+"""Process-wide default parallelism.
 
 A tiny settings shim so entry points (the experiments CLI's ``--jobs``
 flag, scripts) can install a default ``n_jobs`` that every fleet
@@ -8,78 +8,14 @@ default parallelizes them all without threading a parameter through
 every call site.  Explicit ``n_jobs=`` arguments always win; worker
 processes never consult the default (they pin ``n_jobs=1``), so a
 forked worker cannot recurse into a pool of its own.
-
-The same shim carries :class:`SupervisionDefaults` — retry policy,
-per-shard deadline, and chaos injection — so the chaos smoke harness
-and the CLI can arm every internally-constructed
-:class:`~repro.parallel.supervisor.SupervisedPool` (the ones
-``run_many_until_stable`` and the sweep build themselves) without new
-parameters on every simulation entry point.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:
-    from repro.parallel.chaos import ChaosPolicy
-    from repro.parallel.retry import RetryPolicy
+from typing import Iterator
 
 _default_n_jobs: int | str | None = None
-
-
-@dataclass(frozen=True)
-class SupervisionDefaults:
-    """Process-wide defaults a SupervisedPool consults for unset args."""
-
-    retry: "RetryPolicy | None" = None
-    deadline: float | None = None
-    chaos: "ChaosPolicy | None" = None
-
-
-_default_supervision = SupervisionDefaults()
-
-
-def get_default_supervision() -> SupervisionDefaults:
-    """The installed supervision defaults (all-``None`` initially)."""
-    return _default_supervision
-
-
-def set_default_supervision(
-    retry: "RetryPolicy | None" = None,
-    deadline: float | None = None,
-    chaos: "ChaosPolicy | None" = None,
-) -> None:
-    """Install process-wide supervision defaults.
-
-    Every default left ``None`` means "pool decides": the stock
-    :class:`~repro.parallel.retry.RetryPolicy`, no deadline, no chaos.
-    Explicit ``SupervisedPool(...)`` arguments always win.
-    """
-    global _default_supervision
-    if deadline is not None and deadline <= 0:
-        raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
-    _default_supervision = SupervisionDefaults(
-        retry=retry, deadline=deadline, chaos=chaos
-    )
-
-
-@contextmanager
-def default_supervision(
-    retry: "RetryPolicy | None" = None,
-    deadline: float | None = None,
-    chaos: "ChaosPolicy | None" = None,
-) -> Iterator[None]:
-    """Scoped :func:`set_default_supervision` (restores on exit)."""
-    global _default_supervision
-    previous = _default_supervision
-    set_default_supervision(retry=retry, deadline=deadline, chaos=chaos)
-    try:
-        yield
-    finally:
-        _default_supervision = previous
 
 
 def get_default_n_jobs() -> int | str | None:

@@ -2,9 +2,9 @@
 
 This is the one parallel dispatch path, behind
 ``run_many_until_stable(..., n_jobs=...)`` and so behind every
-Monte-Carlo estimate and sweep: split a fleet of R independent
-replicas into contiguous per-worker ranges, publish the distinct
-graphs once (:class:`~repro.parallel.shared_graph.SharedGraphStore`),
+Monte-Carlo estimate: split a fleet of R independent replicas into
+contiguous per-worker ranges, publish the distinct graphs once
+(:class:`~repro.parallel.shared_graph.SharedGraphStore`),
 run the shards under a self-healing
 :class:`~repro.parallel.supervisor.SupervisedPool`, and graft each
 worker's final process state back onto the caller's original objects.
@@ -168,10 +168,10 @@ def run_fleet_sharded(
     :func:`~repro.parallel.supervisor.supervised_pool_for` (one worker
     per pending shard, clamped to the usable CPUs) and closes it before
     returning, with the graph store it published, on every exit path.
-    A persistent pool amortizes worker startup across calls (the sweep
-    path does) and keeps the store while the same graph objects come
-    back (:meth:`SupervisedPool.graph_store`), so a campaign of fault
-    waves publishes once and its workers repair their resident engines
+    A persistent pool amortizes worker startup across calls and keeps
+    the store while the same graph objects come back
+    (:meth:`SupervisedPool.graph_store`), so a campaign of fault waves
+    publishes once and its workers repair their resident engines
     (:mod:`repro.parallel.worker`); closing the pool unlinks it.
 
     With a ``journal``, each completed shard is persisted under

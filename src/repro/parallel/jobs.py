@@ -17,7 +17,7 @@ process objects from the records in place
 never crosses a queue, and neither do process objects.
 
 :class:`ShardJob` / :class:`ShardResult` are the wire format that
-:class:`~repro.parallel.supervisor.SupervisedPool` dispatches — sweeps,
+:class:`~repro.parallel.supervisor.SupervisedPool` dispatches — estimates,
 fault campaigns and experiment workloads all reduce to shard jobs, so
 no process factory ever crosses a process boundary.
 """

@@ -108,17 +108,16 @@ class SupervisedPool:
         :func:`~repro.parallel.pool.resolve_n_jobs`).
     retry:
         Re-dispatch policy for crashed/poisoned shards; ``None`` means
-        the process-wide default of :mod:`repro.parallel.config` (and
-        failing that, ``RetryPolicy()``).
+        ``RetryPolicy()``.
     deadline:
         Per-shard wall-clock deadline in seconds.  On expiry the
         straggling worker is killed and the shard degrades to
         in-process execution (when the dispatcher provides a local
-        runner) or is retried.  ``None`` (the default, modulo the
-        config default) disables deadlines.
+        runner) or is retried.  ``None`` (the default) disables
+        deadlines.
     chaos:
         Deterministic fault injector threaded into every worker;
-        ``None`` means the config default (normally: no chaos).
+        ``None`` (the default) injects no faults.
     start_method:
         ``multiprocessing`` start method; default is ``"fork"`` where
         available (cheap, inherits imports) and ``"spawn"`` elsewhere.
@@ -142,18 +141,13 @@ class SupervisedPool:
         chaos: ChaosPolicy | None = None,
         start_method: str | None = None,
     ) -> None:
-        from repro.parallel.config import get_default_supervision
-
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be > 0 seconds, got {deadline}")
-        defaults = get_default_supervision()
-        self.retry = retry if retry is not None else (
-            defaults.retry if defaults.retry is not None else RetryPolicy()
-        )
-        self.deadline = deadline if deadline is not None else defaults.deadline
-        self.chaos = chaos if chaos is not None else defaults.chaos
+        self.retry = retry or RetryPolicy()
+        self.deadline = deadline
+        self.chaos = chaos
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"

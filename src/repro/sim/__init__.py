@@ -1,4 +1,4 @@
-"""Simulation engine: coin sources, runners, metrics, Monte-Carlo tools."""
+"""Simulation engine: coin sources, runners, traces, Monte-Carlo tools."""
 
 from repro.sim.rng import (
     CoinSource,
@@ -9,11 +9,6 @@ from repro.sim.rng import (
 )
 from repro.sim.runner import RunResult, run_many_until_stable, run_until_stable
 from repro.sim.trace import Trace, TraceRecorder
-from repro.sim.metrics import (
-    ProgressCurve,
-    progress_curve,
-    stabilization_profile,
-)
 from repro.sim.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -25,10 +20,8 @@ from repro.sim.checkpoint import (
     set_default_checkpoint_dir,
 )
 from repro.sim.montecarlo import (
-    SweepResult,
     TrialStats,
     estimate_stabilization_time,
-    sweep_stabilization_times,
 )
 
 __all__ = [
@@ -50,11 +43,6 @@ __all__ = [
     "run_many_until_stable",
     "Trace",
     "TraceRecorder",
-    "ProgressCurve",
-    "progress_curve",
-    "stabilization_profile",
-    "SweepResult",
     "TrialStats",
     "estimate_stabilization_time",
-    "sweep_stabilization_times",
 ]

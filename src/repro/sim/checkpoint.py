@@ -1,6 +1,6 @@
 """Campaign checkpointing: a versioned, append-only journal.
 
-Long Monte-Carlo campaigns (a 12-point sweep × hundreds of trials) die
+Long Monte-Carlo campaigns (a 12-point grid × hundreds of trials) die
 for boring reasons — preemption, Ctrl-C, a full disk — and PR 9's
 resilience contract says dying must not forfeit completed work.  The
 :class:`CheckpointJournal` is the persistence half of that contract: a
@@ -23,8 +23,6 @@ key                    value
 ``trial:{i}``          serial-path per-trial ``[stabilized, round]``
 ``chunk:{lo}``         chunked-path per-chunk result list
 ``shard:{lo}:{hi}``    fleet-path shard records (bytes, ReplicaState)
-``point:{i}``          a sweep grid point's finished TrialStats
-``p{i}:...``           the i-th grid point's scoped sub-campaign
 =====================  ==============================================
 
 Robustness properties:
@@ -122,8 +120,8 @@ class CheckpointJournal:
     value)`` persists one completed unit (JSON-serializable values;
     raw ``bytes`` are transparently base64-framed), ``journal.get`` /
     ``in`` query the replayed + live state.  :meth:`scoped` returns a
-    key-prefixed view for nested campaigns (a sweep scoping each grid
-    point's sub-estimate).
+    key-prefixed view for nested campaigns (a fleet run or an MIS
+    service sharing one journal with other work).
     """
 
     def __init__(
@@ -300,9 +298,9 @@ class CheckpointView:
     """A key-prefixed window onto a :class:`CheckpointJournal`.
 
     Same ``put``/``get``/``in`` surface as the journal, with every key
-    transparently prefixed — a sweep hands grid point *i* the view
-    ``journal.scoped(f"p{i}:")`` and the point's fleet dispatch writes
-    its ``shard:{lo}:{hi}`` entries without knowing it is nested.
+    transparently prefixed — a campaign hands a fleet run the view
+    ``journal.scoped("phase1:")`` and the fleet dispatch writes its
+    ``shard:{lo}:{hi}`` entries without knowing it is nested.
     """
 
     def __init__(self, journal: CheckpointJournal, prefix: str) -> None:
@@ -361,8 +359,8 @@ def set_default_checkpoint_dir(
     """Install a process-wide checkpoint directory (``None`` disables).
 
     With a directory installed, every campaign launched *without* an
-    explicit ``checkpoint=`` (each ``estimate_stabilization_time`` /
-    ``sweep_stabilization_times`` call) journals itself into a file
+    explicit ``checkpoint=`` (each ``estimate_stabilization_time``
+    call) journals itself into a file
     there, named from the active :func:`checkpoint_scope` label, a
     per-scope campaign sequence number, and the campaign fingerprint —
     so one ``--checkpoint DIR --resume`` on the experiments CLI makes

@@ -3,8 +3,8 @@
 Every w.h.p. theorem in the paper is validated empirically by repeated
 independent trials.  :func:`estimate_stabilization_time` runs a process
 factory over independent seeds and summarizes the stabilization-time
-distribution; :func:`sweep_stabilization_times` maps that over a
-parameter grid (the engine behind every n-sweep experiment).
+distribution.  Experiments that sweep n or p call it once per grid
+point, in a plain loop.
 
 Trials are independent, so by default (``batch="auto"``) they execute on
 the vectorized batched engine family of :mod:`repro.core.batched`: the
@@ -19,20 +19,17 @@ silently take the serial path.
 Multi-core execution goes through :mod:`repro.parallel`:
 ``estimate_stabilization_time(n_jobs=...)`` shards each trial fleet
 into per-worker replica ranges against shared-memory graph views
-(statistics bitwise-identical to serial for any worker count), and
-``sweep_stabilization_times`` evaluates grid points in order, sharding
-each point's fleet through one supervised pool kept for the whole
-sweep — the factory never crosses a process boundary, so lambdas and
-closures parallelize like everything else.
+(statistics bitwise-identical to serial for any worker count).  The
+factory never crosses a process boundary, so lambdas and closures
+parallelize like everything else.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -45,9 +42,6 @@ from repro.sim.runner import (
     run_until_stable,
     validate_batch,
 )
-
-if TYPE_CHECKING:
-    from repro.parallel.supervisor import SupervisedPool
 
 
 @dataclass
@@ -161,11 +155,9 @@ def _open_checkpoint(
     A path is opened here — fingerprint-verified against the campaign
     when resuming — and the ``True`` second element tells the caller it
     owns the close.  An already-open journal or scoped view passes
-    through untouched and unverified: its opener did the verification
-    (this is how a sweep hands each grid point a ``p{i}:`` view whose
-    enclosing fingerprint is the *sweep's*, not the point's).  The coin
-    stream's identity is part of every fingerprint, so a journal of
-    results drawn from another stream is refused.
+    through untouched and unverified: its opener did the verification.
+    The coin stream's identity is part of every fingerprint, so a
+    journal of results drawn from another stream is refused.
     """
     fingerprint = {**fingerprint, "coins": COIN_STREAM}
     if checkpoint is None:
@@ -188,7 +180,6 @@ def estimate_stabilization_time(
     seed: int | None = 0,
     batch: str | int | None = "auto",
     n_jobs: int | str | None = None,
-    pool: "SupervisedPool | None" = None,
     checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
         None
     ),
@@ -223,15 +214,15 @@ def estimate_stabilization_time(
         are detected from the first trial and routed to the serial loop
         without up-front chunk construction; batchable families (see
         :mod:`repro.core.batched`) ride their engine automatically.
-    n_jobs, pool:
+    n_jobs:
         Multi-core fleet sharding, forwarded to
         :func:`~repro.sim.runner.run_many_until_stable`: the whole
         trial fleet is built up front (the in-process chunked path
         instead bounds live state at one ``batch`` chunk) and its
-        replicas are sharded across persistent workers.  Statistics
-        are bitwise-identical for any worker count.  Factories that
-        produce non-batchable processes ignore ``n_jobs`` and stay on
-        the in-process serial loop.
+        replicas are sharded across a supervised pool that lives for
+        this call.  Statistics are bitwise-identical for any worker
+        count.  Factories that produce non-batchable processes ignore
+        ``n_jobs`` and stay on the in-process serial loop.
     checkpoint, resume:
         Campaign checkpointing (see :mod:`repro.sim.checkpoint`): a
         journal path — opened here, fingerprint-verified when
@@ -267,7 +258,6 @@ def estimate_stabilization_time(
             seed,
             batch,
             n_jobs,
-            pool,
             journal,
         )
     finally:
@@ -282,7 +272,6 @@ def _estimate_journaled(
     seed: int | None,
     batch: str | int | None,
     n_jobs: int | str | None,
-    pool: "SupervisedPool | None",
     journal: "CheckpointJournal | CheckpointView | None",
 ) -> TrialStats:
     """The estimate body, with an optional journal threaded through."""
@@ -322,7 +311,7 @@ def _estimate_journaled(
     if batch is not None and trials >= 2:
         from repro.parallel.fleet import fleet_shards
 
-        use_fleet = fleet_shards(n_jobs, pool) >= 2
+        use_fleet = fleet_shards(n_jobs, None) >= 2
     if use_fleet:
         processes = [probe] + [process_factory(s) for s in seeds[1:]]
         record(
@@ -331,7 +320,6 @@ def _estimate_journaled(
                 max_rounds=max_rounds,
                 batch=batch,
                 n_jobs=n_jobs,
-                pool=pool,
                 journal=journal,
             )
         )
@@ -390,169 +378,3 @@ def _estimate_journaled(
     if journal is not None:
         journal.put("stats", _stats_to_json(stats))
     return stats
-
-
-class SweepResult(Mapping):
-    """Grid-aligned results of :func:`sweep_stabilization_times`.
-
-    Behaves like the mapping ``{grid point: TrialStats}`` (``keys`` /
-    ``values`` / ``items`` / ``[]`` over the *distinct* points, in grid
-    order), while :attr:`entries` preserves one ``(point, TrialStats)``
-    pair per grid entry even when points repeat — the plain-``dict``
-    return of earlier versions silently collapsed duplicates, dropping
-    whole trial campaigns.  With duplicate points, mapping lookups
-    return the first occurrence's stats and a :class:`UserWarning` is
-    emitted at construction.
-    """
-
-    def __init__(self, points: list, stats: list) -> None:
-        #: One ``(point, TrialStats)`` pair per grid entry, in grid order.
-        self.entries: list[tuple] = list(zip(points, stats))
-        self._map: dict = {}
-        duplicates = []
-        for point, point_stats in self.entries:
-            if point in self._map:
-                duplicates.append(point)
-            else:
-                self._map[point] = point_stats
-        if duplicates:
-            # stacklevel 3: __init__ → sweep_stabilization_times (the
-            # only in-repo constructor) → the user's sweep call.
-            warnings.warn(
-                f"duplicate grid points {sorted(set(duplicates))!r}: "
-                "mapping lookups return the first occurrence; iterate "
-                ".entries for the full per-grid-entry results",
-                UserWarning,
-                stacklevel=3,
-            )
-
-    def stats_for(self, point) -> list:
-        """All :class:`TrialStats` recorded for ``point``, in grid order."""
-        return [s for p, s in self.entries if p == point]
-
-    def __getitem__(self, point):
-        return self._map[point]
-
-    def __iter__(self):
-        return iter(self._map)
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __repr__(self) -> str:
-        return f"SweepResult({self.entries!r})"
-
-
-def sweep_stabilization_times(
-    make_factory: Callable[[object], Callable[[int], object]],
-    grid: list,
-    trials: int,
-    max_rounds: int | Callable[[object], int],
-    seed: int | None = 0,
-    batch: str | int | None = "auto",
-    n_jobs: int | str | None = None,
-    checkpoint: "str | Path | CheckpointJournal | CheckpointView | None" = (
-        None
-    ),
-    resume: bool = True,
-) -> SweepResult:
-    """Estimate stabilization times over a parameter grid.
-
-    Parameters
-    ----------
-    make_factory:
-        Maps a grid point to a ``process_factory(trial_seed)``.
-    grid:
-        Parameter values (e.g. a list of n).  Repeated points are
-        evaluated independently (each grid entry gets its own derived
-        seed) and all results are preserved in the returned
-        :attr:`SweepResult.entries`; a warning flags the ambiguity of
-        mapping-style lookups.
-    trials, seed:
-        Passed to :func:`estimate_stabilization_time` (the seed is
-        re-derived per grid point for independence).
-    max_rounds:
-        Either a constant budget or a callable of the grid point.
-    batch:
-        Per-point trial execution strategy (see
-        :func:`estimate_stabilization_time`).
-    n_jobs:
-        Multi-core width (``"auto"`` = every usable core).  ``None``
-        defers to the process-wide default of
-        :mod:`repro.parallel.config`; ``1`` (or a resolved 1) runs
-        fully in-process.  With ``n_jobs >= 2`` grid points are still
-        evaluated in order, each point's *trial fleet* sharded across
-        one supervised pool reused for the whole sweep —
-        ``make_factory`` never crosses a process boundary, so lambdas
-        and closures parallelize.  Results are identical in every
-        mode.
-    checkpoint, resume:
-        Campaign checkpointing (see :mod:`repro.sim.checkpoint`): a
-        journal path or open journal.  Each finished grid point is
-        persisted under ``point:{i}`` the moment it completes, and
-        each point additionally journals its own shards/chunks under a
-        ``p{i}:`` scope — so an interrupted sweep resumes mid-point,
-        not merely mid-grid, and produces a bitwise-identical
-        :class:`SweepResult`.
-
-    Returns
-    -------
-    SweepResult — a mapping from grid point to :class:`TrialStats`,
-    with ``.entries`` carrying one result per grid entry.
-    """
-    from repro.parallel.fleet import fleet_shards
-    from repro.parallel.supervisor import supervised_pool_for
-
-    point_seeds = spawn_seeds(seed, len(grid))
-    budgets = [
-        max_rounds(point) if callable(max_rounds) else max_rounds
-        for point in grid
-    ]
-    journal, own_journal = _open_checkpoint(
-        checkpoint,
-        {
-            "kind": "sweep",
-            "grid": [repr(point) for point in grid],
-            "trials": trials,
-            "budgets": budgets,
-            "seed": seed,
-            "batch": batch,
-        },
-        resume,
-    )
-    pool: SupervisedPool | None = None
-    try:
-        stats: list[TrialStats | None] = [None] * len(grid)
-        if journal is not None:
-            for i in range(len(grid)):
-                cached = journal.get(f"point:{i}")
-                if cached is not None:
-                    stats[i] = _stats_from_json(cached)
-        todo = [i for i, done in enumerate(stats) if done is None]
-        shards = fleet_shards(n_jobs, None)
-        if todo and shards >= 2:
-            # One pool serves every point: each point's trial fleet is
-            # sharded through it, so factories stay on this side.
-            pool = supervised_pool_for(shards, shards)
-        for i in todo:
-            point_stats = estimate_stabilization_time(
-                make_factory(grid[i]),
-                trials=trials,
-                max_rounds=budgets[i],
-                seed=point_seeds[i],
-                batch=batch,
-                n_jobs=shards,
-                pool=pool,
-                checkpoint=(
-                    journal.scoped(f"p{i}:") if journal is not None else None
-                ),
-            )
-            if journal is not None:
-                journal.put(f"point:{i}", _stats_to_json(point_stats))
-            stats[i] = point_stats
-    finally:
-        if pool is not None:
-            pool.close()
-        if own_journal and journal is not None:
-            journal.close()  # type: ignore[union-attr]
-    return SweepResult(list(grid), stats)

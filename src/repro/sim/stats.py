@@ -2,87 +2,16 @@
 
 Beyond the summary stats in :mod:`repro.sim.montecarlo`:
 
-* :func:`geometric_tail_fit` — fit the tail rate of Theorem 8's
-  P[T >= k log n] = 2^(-Θ(k)) claim, with a bootstrap CI;
-* :func:`bootstrap_mean_ci` — distribution-free CI on means of skewed
-  stabilization-time samples;
 * :func:`mann_whitney_faster` — one-sided test that one algorithm's
   times are stochastically smaller than another's (used by the
-  comparison experiments to avoid eyeballing means).
+  comparison experiments to avoid eyeballing means);
+* :func:`success_rate_ci` — Wilson interval on a success probability.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import stats as scipy_stats
-
-
-def geometric_tail_fit(
-    times: np.ndarray,
-    block: float,
-    max_k: int | None = None,
-) -> dict[str, float]:
-    """Fit P[T >= k·block] ≈ C·ρ^k and return the rate ρ.
-
-    Parameters
-    ----------
-    times:
-        Stabilization-time sample.
-    block:
-        The block length (Theorem 8 uses log n).
-    max_k:
-        Largest k to include; defaults to the largest with a positive,
-        non-unit empirical tail.
-
-    Returns a dict with ``rho`` (per-block survival ratio), ``log2_rho``
-    and ``points`` (the number of (k, P̂) pairs used).  Fewer than two
-    usable points yields ``rho = nan``.
-    """
-    times = np.asarray(times, dtype=float)
-    if block <= 0:
-        raise ValueError("block must be positive")
-    ks = []
-    probs = []
-    k = 1
-    while True:
-        p = float(np.mean(times >= k * block))
-        if p <= 0.0:
-            break
-        if p < 1.0:
-            ks.append(k)
-            probs.append(p)
-        if max_k is not None and k >= max_k:
-            break
-        k += 1
-        if k > 1000:
-            break
-    if len(ks) < 2:
-        return {"rho": float("nan"), "log2_rho": float("nan"),
-                "points": len(ks)}
-    slope, _ = np.polyfit(ks, np.log2(probs), 1)
-    rho = float(2.0 ** slope)
-    return {"rho": rho, "log2_rho": float(slope), "points": len(ks)}
-
-
-def bootstrap_mean_ci(
-    sample: np.ndarray,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int | None = 0,
-) -> tuple[float, float]:
-    """Percentile-bootstrap CI for the mean."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    if sample.size == 1:
-        return (float(sample[0]), float(sample[0]))
-    rng = np.random.default_rng(seed)
-    means = rng.choice(
-        sample, size=(resamples, sample.size), replace=True
-    ).mean(axis=1)
-    lo = float(np.quantile(means, (1 - confidence) / 2))
-    hi = float(np.quantile(means, 1 - (1 - confidence) / 2))
-    return (lo, hi)
 
 
 def mann_whitney_faster(

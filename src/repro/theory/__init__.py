@@ -1,12 +1,11 @@
 """The paper's explicit bounds as executable calculators.
 
-Every theorem/lemma with a concrete constant is mirrored here so that
-experiments, tests and users can compare measurements against *the
-paper's own numbers* rather than ad-hoc budgets:
+The constants the experiments and budgets use are mirrored here, so
+that measurements are compared against *the paper's own numbers*
+rather than ad-hoc budgets:
 
 * :mod:`repro.theory.bounds` — probability and round-count bounds
-  (Lemmas 6/7, Theorems 8/11/12, switch properties, good-graph
-  thresholds).
+  (Lemmas 6/7 and Theorem 12, and the α exponent of Lemmas 13-16).
 * :mod:`repro.theory.budgets` — recommended simulation round budgets
   derived from the bounds (used to size ``max_rounds`` honestly).
 """
@@ -16,16 +15,7 @@ from repro.theory.bounds import (
     lemma6_probability,
     lemma6_rounds,
     lemma7_probability,
-    theorem8_tail_exponent_band,
     theorem12_round_bound,
-    switch_s1_bound,
-    switch_s2_bound,
-    p1_density_bound,
-    p2_threshold_size,
-    p3_slack,
-    p4_edge_bound,
-    p5_common_neighbor_bound,
-    p6_probability_threshold,
 )
 from repro.theory.budgets import (
     recommended_budget,
@@ -41,16 +31,7 @@ __all__ = [
     "lemma6_probability",
     "lemma6_rounds",
     "lemma7_probability",
-    "theorem8_tail_exponent_band",
     "theorem12_round_bound",
-    "switch_s1_bound",
-    "switch_s2_bound",
-    "p1_density_bound",
-    "p2_threshold_size",
-    "p3_slack",
-    "p4_edge_bound",
-    "p5_common_neighbor_bound",
-    "p6_probability_threshold",
     "recommended_budget",
     "clique_budget",
     "arboricity_budget",

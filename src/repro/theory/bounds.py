@@ -2,9 +2,9 @@
 
 The functions are deliberately literal: each one cites the statement it
 encodes and uses the paper's constants, so experiment code reads like
-the paper.  All logarithms follow the paper's conventions: ``log`` is
-base 2 in round counts (e.g. Lemma 6's ``log(k+1)``), ``ln`` is natural
-in the good-graph properties and switch bounds.
+the paper.  ``log`` is base 2 in round counts, following the paper
+(e.g. Lemma 6's ``log(k+1)``).  The good-graph thresholds of
+Definition 17 live with their checkers in :mod:`repro.graphs.good`.
 """
 
 from __future__ import annotations
@@ -44,19 +44,6 @@ def lemma7_probability(ks: list[int]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Theorem 8 (complete graphs)
-# ----------------------------------------------------------------------
-def theorem8_tail_exponent_band() -> tuple[float, float]:
-    """Theorem 8's proof constants: the probability that the next
-    critical round is stable lies in [2/3, 17/21]; the tail
-    P[T >= k log n] = 2^(-Θ(k)) has rate within the corresponding band
-    (per k·log n block, failure probability ∈ [1 - 17/21, 1 - 2/3 + o(1)]
-    up to the coupon-collector terms).  Returned as the (lo, hi) failure
-    band used by E1's geometric-decay check."""
-    return (1.0 - 17.0 / 21.0, 1.0 - 2.0 / 3.0)
-
-
-# ----------------------------------------------------------------------
 # Theorem 12 (maximum degree)
 # ----------------------------------------------------------------------
 def theorem12_round_bound(n: int, delta: int) -> float:
@@ -67,65 +54,3 @@ def theorem12_round_bound(n: int, delta: int) -> float:
     if delta < 1:
         return 1.0
     return 24.0 * math.e * delta * math.log2(n)
-
-
-# ----------------------------------------------------------------------
-# Lemma 27 (logarithmic switch)
-# ----------------------------------------------------------------------
-def switch_s1_bound(n: int, zeta: float) -> float:
-    """(S1): max off-run length ``a ln n`` with ``a = 4/ζ``."""
-    _validate_zeta(zeta)
-    return (4.0 / zeta) * math.log(max(n, 2))
-
-
-def switch_s2_bound(n: int, zeta: float) -> float:
-    """(S2): min off-run length ``(a/6) ln n`` with ``a = 4/ζ``
-    (diam <= 2 graphs, after warm-up)."""
-    _validate_zeta(zeta)
-    return (4.0 / zeta) / 6.0 * math.log(max(n, 2))
-
-
-def _validate_zeta(zeta: float) -> None:
-    if not 0.0 < zeta <= 0.5:
-        raise ValueError(f"zeta must be in (0, 1/2], got {zeta}")
-
-
-# ----------------------------------------------------------------------
-# Definition 17 (good graphs)
-# ----------------------------------------------------------------------
-def p1_density_bound(n: int, p: float, subset_size: int) -> float:
-    """P1: max average degree allowed in an induced subgraph on
-    ``subset_size`` vertices: ``max(8 p |S|, 4 ln n)``."""
-    return max(8.0 * p * subset_size, 4.0 * math.log(max(n, 2)))
-
-
-def p2_threshold_size(n: int, p: float) -> float:
-    """P2: the property quantifies over sets of size >= ``40 ln(n)/p``."""
-    if p <= 0:
-        return math.inf
-    return 40.0 * math.log(max(n, 2)) / p
-
-
-def p3_slack(n: int, p: float) -> float:
-    """P3: the additive slack ``8 ln²(n)/p``."""
-    if p <= 0:
-        return math.inf
-    return 8.0 * math.log(max(n, 2)) ** 2 / p
-
-
-def p4_edge_bound(n: int, s_size: int) -> float:
-    """P4: ``|E(S, T)| <= 6 |S| ln n``."""
-    return 6.0 * s_size * math.log(max(n, 2))
-
-
-def p5_common_neighbor_bound(n: int, p: float) -> float:
-    """P5: no two vertices share more than ``max(6 n p², 4 ln n)``
-    neighbours."""
-    return max(6.0 * n * p * p, 4.0 * math.log(max(n, 2)))
-
-
-def p6_probability_threshold(n: int) -> float:
-    """P6 applies when ``p >= 2 sqrt(ln n / n)`` (then diam(G) <= 2)."""
-    if n < 2:
-        return math.inf
-    return 2.0 * math.sqrt(math.log(n) / n)

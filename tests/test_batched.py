@@ -6,8 +6,8 @@ trajectory its wrapped :class:`TwoStateMIS` would have produced under
 the literal reference.  ``tests/test_oracle.py`` draws the runs that
 pin this; the fixed cases here check named ones through the same
 oracle.  The rest pins the plumbing around the engines: ``batch=``
-modes, batchability and input validation, and the Monte-Carlo and
-sweep entry points.
+modes, batchability and input validation, and the Monte-Carlo entry
+point.
 """
 
 import numpy as np
@@ -22,10 +22,7 @@ from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
-from repro.sim.montecarlo import (
-    estimate_stabilization_time,
-    sweep_stabilization_times,
-)
+from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.rng import ScriptedCoins, spawn_seeds
 from repro.sim.runner import run_many_until_stable
 
@@ -225,28 +222,3 @@ class TestMonteCarloIntegration:
                 max_rounds=10,
                 batch=-3,
             )
-
-
-def _grid_point_factory(n):
-    """Module-level (hence picklable) make_factory for the n_jobs pool."""
-
-    def factory(s):
-        rng = np.random.default_rng(s)
-        return TwoStateMIS(gnp_random_graph(int(n), 0.1, rng=rng), coins=rng)
-
-    return factory
-
-
-class TestSweepProcessPool:
-    def test_n_jobs_matches_in_process(self):
-        kw = dict(
-            grid=[20, 30, 40], trials=6, max_rounds=10_000, seed=21
-        )
-        solo = sweep_stabilization_times(_grid_point_factory, **kw)
-        pooled = sweep_stabilization_times(
-            _grid_point_factory, n_jobs=2, **kw
-        )
-        assert solo.keys() == pooled.keys()
-        for point in solo:
-            assert np.array_equal(solo[point].times, pooled[point].times)
-            assert solo[point].failures == pooled[point].failures

@@ -4,7 +4,7 @@ The persistence half of the PR 9 resilience contract:
 
 * **Journal mechanics** — append/replay round-trips, bytes framing,
   scoped views, torn-tail tolerance, fingerprint/version/magic gates.
-* **Campaign resume** — an estimate or sweep interrupted mid-campaign
+* **Campaign resume** — an estimate or fleet interrupted mid-campaign
   and re-run with ``resume`` skips completed units and produces
   results bitwise-identical to an uninterrupted run.
 * **Default-directory plumbing** — the experiments CLI's
@@ -30,10 +30,7 @@ from repro.sim.checkpoint import (
     open_default_journal,
     set_default_checkpoint_dir,
 )
-from repro.sim.montecarlo import (
-    estimate_stabilization_time,
-    sweep_stabilization_times,
-)
+from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.runner import run_many_until_stable
 
 
@@ -308,79 +305,6 @@ def test_estimate_serial_path_resumes_per_trial(tmp_path):
         checkpoint=path,
     )
     _assert_stats_equal(baseline, resumed)
-
-
-# ---------------------------------------------------------------------------
-# Campaign resume: sweeps
-# ---------------------------------------------------------------------------
-
-
-def test_acceptance_interrupted_sweep_resumes_identically(tmp_path):
-    # ISSUE 9 acceptance: interrupt a sweep mid-campaign, re-run with
-    # resume, get the identical SweepResult.
-    grid = [0.05, 0.08, 0.11, 0.14]
-    path = tmp_path / "sweep.journal"
-    calls = {"count": 0}
-
-    def make_factory(p):
-        def factory(trial_seed):
-            return TwoStateMIS(
-                gnp_random_graph(28, p, rng=trial_seed), coins=trial_seed
-            )
-
-        return factory
-
-    def bombing_factory(p):
-        calls["count"] += 1
-        if calls["count"] > 2:
-            raise KeyboardInterrupt  # "Ctrl-C" after two grid points
-        return make_factory(p)
-
-    baseline = sweep_stabilization_times(
-        make_factory, grid, trials=4, max_rounds=300, seed=6
-    )
-    with pytest.raises(KeyboardInterrupt):
-        sweep_stabilization_times(
-            bombing_factory, grid, trials=4, max_rounds=300, seed=6,
-            checkpoint=path,
-        )
-    assert calls["count"] == 3  # two points completed, third bombed
-    resumed = sweep_stabilization_times(
-        make_factory, grid, trials=4, max_rounds=300, seed=6,
-        checkpoint=path,
-    )
-    assert [p for p, _ in resumed.entries] == grid
-    for (pa, a), (pb, b) in zip(baseline.entries, resumed.entries):
-        assert pa == pb
-        _assert_stats_equal(a, b)
-
-
-def test_sweep_checkpoint_serves_cached_points(tmp_path):
-    grid = [0.05, 0.1]
-    path = tmp_path / "sweep.journal"
-
-    def make_factory(p):
-        def factory(trial_seed):
-            return TwoStateMIS(
-                gnp_random_graph(25, p, rng=trial_seed), coins=trial_seed
-            )
-
-        return factory
-
-    first = sweep_stabilization_times(
-        make_factory, grid, trials=3, max_rounds=300, seed=1,
-        checkpoint=path,
-    )
-
-    def exploding_factory(p):
-        raise AssertionError("cached points must not be re-evaluated")
-
-    second = sweep_stabilization_times(
-        exploding_factory, grid, trials=3, max_rounds=300, seed=1,
-        checkpoint=path,
-    )
-    for (_, a), (_, b) in zip(first.entries, second.entries):
-        _assert_stats_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

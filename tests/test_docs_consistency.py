@@ -5,6 +5,7 @@ experiment registry, the bench files, and the markdown documents to
 each other.
 """
 
+import ast
 import importlib
 import pathlib
 import re
@@ -77,6 +78,22 @@ def _resolve(dotted):
     raise ModuleNotFoundError(dotted)
 
 
+def _fenced_imports(text):
+    """``repro.…`` names imported by the Python code blocks of ``text``."""
+    names = set()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        try:
+            tree = ast.parse(block)
+        except SyntaxError:
+            continue  # shell, output or prose, not Python
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "repro"
+            ):
+                names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
 def test_docs_name_live_symbols():
     # CHANGES.md and ROADMAP.md are history and may name deleted code.
     docs = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/TUTORIAL.md")
@@ -84,6 +101,7 @@ def test_docs_name_live_symbols():
     for doc in docs:
         text = (ROOT / doc).read_text()
         names.update(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)", text))
+        names.update(_fenced_imports(text))
     assert names
     dead = []
     for name in sorted(names):

@@ -26,7 +26,6 @@ from repro.baselines.greedy import greedy_mis
 from repro.core.switch import OracleSwitch
 from repro.models.beeping import BeepingTwoStateMIS
 from repro.models.faults import FaultInjectionCampaign, RandomCorruption
-from repro.sim.metrics import progress_curve
 
 
 class TestEndToEndPipelines:
@@ -65,11 +64,17 @@ class TestEndToEndPipelines:
         result = run_until_stable(
             TwoStateMIS(g, coins=6), record_trace=True
         )
-        curve = progress_curve(result.trace)
-        assert curve.unstable[0] <= 100
-        assert curve.unstable[-1] == 0
-        # halving times are nondecreasing.
-        halvings = curve.halving_times()
+        unstable = result.trace.unstable_counts
+        assert unstable[0] <= 100
+        assert unstable[-1] == 0
+        # Rounds at which |V_t| first drops to |V_0|/2, |V_0|/4, ...
+        # are nondecreasing.
+        halvings = []
+        target = unstable[0] / 2.0
+        for t, value in enumerate(unstable):
+            while value <= target and target >= 1:
+                halvings.append(t)
+                target /= 2.0
         assert halvings == sorted(halvings)
 
     def test_montecarlo_tree_vs_clique_ordering(self):

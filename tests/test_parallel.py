@@ -12,7 +12,7 @@ The load-bearing guarantees under test:
 * **Shared-memory hygiene** — no ``/dev/shm`` segment survives a pool
   shutdown, an exception, a dropped owner, or a worker crash mid-job.
 * **Dispatch plumbing** — ``n_jobs`` resolution/clamping, the
-  process-wide default, sweep routing, and supervised-pool reuse.
+  process-wide default, and supervised-pool reuse.
 """
 
 import gc
@@ -41,10 +41,7 @@ from repro.parallel import (
     shard_ranges,
     unshippable,
 )
-from repro.sim.montecarlo import (
-    estimate_stabilization_time,
-    sweep_stabilization_times,
-)
+from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.runner import run_many_until_stable
 
 from oracle import (
@@ -133,30 +130,6 @@ def test_estimate_stabilization_time_parallel_identical():
     )
     assert np.array_equal(a.times, b.times)
     assert a.failures == b.failures
-    _assert_no_leaks()
-
-
-# ---------------------------------------------------------------------------
-# Sweep dispatch
-# ---------------------------------------------------------------------------
-
-
-def test_sweep_fleet_dispatch_handles_lambdas():
-    make = lambda n: (  # noqa: E731 - the point is an unpicklable factory
-        lambda seed: TwoStateMIS(gnp_random_graph(n, 0.1, rng=seed), coins=seed)
-    )
-    serial = sweep_stabilization_times(
-        make, grid=[20, 30], trials=4, max_rounds=300, seed=2
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # fleet path must not warn
-        parallel = sweep_stabilization_times(
-            make, grid=[20, 30], trials=4, max_rounds=300, seed=2, n_jobs=2
-        )
-    for (pa, sa), (pb, sb) in zip(serial.entries, parallel.entries):
-        assert pa == pb
-        assert np.array_equal(sa.times, sb.times)
-        assert sa.failures == sb.failures
     _assert_no_leaks()
 
 
@@ -261,7 +234,7 @@ def test_pool_survives_python_level_job_errors():
 
 def test_pool_reuse_across_different_graph_stores():
     # Each call publishes a fresh segment; every worker must drop its
-    # cached attachment and re-attach (what a sweep relies on).
+    # cached attachment and re-attach.
     with SupervisedPool(2) as pool:
         for seed in (1, 2, 3):
             graphs = [gnp_random_graph(30, 0.1, rng=seed)] * 4

@@ -617,14 +617,14 @@ def test_parallel_safety_exempts_fleet_dispatch_callees(tmp_path):
     findings = lint_source(
         tmp_path,
         """
-        def run_sweep(grid):
+        def run_estimate():
             def factory(seed):
                 return make(seed)
 
-            a = sweep_stabilization_times(
-                lambda n: make(n), grid, n_jobs=4
+            a = estimate_stabilization_time(factory, 8, 100, n_jobs=2)
+            b = estimate_stabilization_time(
+                lambda s: make(s), 8, 100, n_jobs=2
             )
-            b = estimate_stabilization_time(factory, 8, 100, n_jobs=2)
             return a, b
         """,
         "parallel-safety",

@@ -3,70 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.stats import (
-    bootstrap_mean_ci,
-    geometric_tail_fit,
-    mann_whitney_faster,
-    success_rate_ci,
-)
-
-
-class TestGeometricTailFit:
-    def test_recovers_known_rate(self):
-        # Geometric sample: P[T >= k] = rho^k exactly for geometric T.
-        rng = np.random.default_rng(0)
-        rho = 0.5
-        times = rng.geometric(1 - rho, size=50_000).astype(float)
-        fit = geometric_tail_fit(times, block=1.0)
-        assert fit["rho"] == pytest.approx(rho, abs=0.05)
-        assert fit["points"] >= 3
-
-    def test_insufficient_points(self):
-        fit = geometric_tail_fit(np.array([1.0, 1.0, 1.0]), block=10.0)
-        assert np.isnan(fit["rho"])
-
-    def test_block_validation(self):
-        with pytest.raises(ValueError):
-            geometric_tail_fit(np.array([1.0]), block=0.0)
-
-    def test_theorem8_application(self):
-        # Actual clique stabilization times show sub-unit rho.
-        import math
-
-        from repro.core.two_state import TwoStateMIS
-        from repro.graphs.generators import complete_graph
-        from repro.sim.montecarlo import estimate_stabilization_time
-
-        n = 64
-        stats = estimate_stabilization_time(
-            lambda s: TwoStateMIS(complete_graph(n), coins=s),
-            trials=300, max_rounds=10_000, seed=1,
-        )
-        fit = geometric_tail_fit(stats.times, block=math.log(n))
-        if not np.isnan(fit["rho"]):
-            assert fit["rho"] < 0.9
-
-
-class TestBootstrap:
-    def test_contains_sample_mean(self):
-        rng = np.random.default_rng(2)
-        sample = rng.exponential(10.0, size=400)
-        lo, hi = bootstrap_mean_ci(sample, seed=3)
-        assert lo <= sample.mean() <= hi
-        # Width should be a few standard errors, not degenerate or huge.
-        sem = sample.std() / np.sqrt(sample.size)
-        assert 2 * sem < (hi - lo) < 8 * sem
-
-    def test_degenerate_cases(self):
-        assert bootstrap_mean_ci(np.array([5.0])) == (5.0, 5.0)
-        with pytest.raises(ValueError):
-            bootstrap_mean_ci(np.array([]))
-
-    def test_reproducible(self):
-        sample = np.arange(50, dtype=float)
-        assert bootstrap_mean_ci(sample, seed=4) == bootstrap_mean_ci(
-            sample, seed=4
-        )
+from repro.sim.stats import mann_whitney_faster, success_rate_ci
 
 
 class TestMannWhitney:

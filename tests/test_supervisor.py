@@ -20,7 +20,6 @@ The resilience contract under test:
   leak nothing either.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.two_state import TwoStateMIS
@@ -35,10 +34,8 @@ from repro.parallel import (
     shard_ranges,
     supervised_pool_for,
 )
-from repro.parallel.config import default_supervision, get_default_supervision
 from repro.parallel.jobs import GraphRegistry, ShardJob
 from repro.parallel.shared_graph import SharedGraphStore
-from repro.sim.montecarlo import sweep_stabilization_times
 from repro.sim.runner import run_many_until_stable
 
 from oracle import check_fleet, fleet
@@ -138,38 +135,6 @@ def test_acceptance_256_replica_fleet_under_seeded_chaos():
         4, chaos=chaos, retry=RetryPolicy(backoff_base=0.01)
     ) as pool:
         check_fleet(_spec(256, n=32, p=0.12), pool, n_jobs=8)
-    _assert_no_leaks()
-
-
-def test_acceptance_sweep_under_chaos_matches_serial():
-    # ISSUE 9 acceptance: a 12-point sweep dispatched under a seeded
-    # ChaosPolicy produces the exact SweepResult of the serial path.
-    grid = [0.04 + 0.01 * i for i in range(12)]
-
-    def make_factory(p):
-        def factory(trial_seed):
-            return TwoStateMIS(
-                gnp_random_graph(30, p, rng=trial_seed),
-                coins=trial_seed,
-            )
-
-        return factory
-
-    baseline = sweep_stabilization_times(
-        make_factory, grid, trials=6, max_rounds=400, seed=5
-    )
-    chaos = ChaosPolicy(seed=7, kill=0.35, poison=0.25)
-    with default_supervision(
-        chaos=chaos, retry=RetryPolicy(backoff_base=0.01)
-    ):
-        chaotic = sweep_stabilization_times(
-            make_factory, grid, trials=6, max_rounds=400, seed=5,
-            n_jobs=2,
-        )
-    for a, b in zip(baseline.entries, chaotic.entries):
-        assert a[0] == b[0]
-        assert np.array_equal(a[1].times, b[1].times)
-        assert a[1].failures == b[1].failures
     _assert_no_leaks()
 
 
@@ -288,6 +253,10 @@ def test_run_jobs_rejects_duplicate_indices():
     fleet = _fleet(4)
     ranges = [(0, 2), (0, 2)]
     with SupervisedPool(1) as pool:
+        # Unset supervision arguments take the stock values.
+        assert pool.retry == RetryPolicy()
+        assert pool.deadline is None
+        assert pool.chaos is None
         registry, store, jobs = _make_jobs(fleet, ranges)
         with store:
             with pytest.raises(ValueError, match="distinct"):
@@ -343,44 +312,6 @@ def test_supervised_pool_for_clamps_to_jobs():
         assert pool.workers == max(1, min(2, resolve_n_jobs(16)))
     finally:
         pool.close()
-
-
-# ---------------------------------------------------------------------------
-# Process-wide supervision defaults
-# ---------------------------------------------------------------------------
-
-
-def test_default_supervision_context():
-    chaos = ChaosPolicy(seed=1, kill=0.1)
-    retry = RetryPolicy(max_retries=7)
-    with default_supervision(retry=retry, deadline=2.5, chaos=chaos):
-        pool = SupervisedPool(1)
-        try:
-            assert pool.retry == retry
-            assert pool.deadline == 2.5
-            assert pool.chaos == chaos
-        finally:
-            pool.close()
-    defaults = get_default_supervision()
-    assert defaults.retry is None
-    assert defaults.deadline is None
-    assert defaults.chaos is None
-    pool = SupervisedPool(1)
-    try:
-        assert pool.retry == RetryPolicy()
-        assert pool.deadline is None
-        assert pool.chaos is None
-    finally:
-        pool.close()
-
-
-def test_explicit_args_beat_defaults():
-    with default_supervision(retry=RetryPolicy(max_retries=9)):
-        pool = SupervisedPool(1, retry=RetryPolicy(max_retries=0))
-        try:
-            assert pool.retry.max_retries == 0
-        finally:
-            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -37,52 +37,11 @@ class TestLemmaBounds:
         with pytest.raises(ValueError):
             bounds.lemma7_probability([])
 
-    def test_theorem8_band(self):
-        lo, hi = bounds.theorem8_tail_exponent_band()
-        assert 0 < lo < hi < 1
-
     def test_theorem12(self):
         assert bounds.theorem12_round_bound(1024, 8) == pytest.approx(
             24 * math.e * 8 * 10
         )
         assert bounds.theorem12_round_bound(1, 5) == 0.0
-
-    def test_switch_bounds(self):
-        n, zeta = 256, 0.125
-        s1 = bounds.switch_s1_bound(n, zeta)
-        s2 = bounds.switch_s2_bound(n, zeta)
-        assert s1 == pytest.approx(6 * s2)
-        with pytest.raises(ValueError):
-            bounds.switch_s1_bound(n, 0.9)
-
-
-class TestGoodGraphBounds:
-    def test_p1(self):
-        assert bounds.p1_density_bound(100, 0.5, 10) == pytest.approx(
-            max(40.0, 4 * math.log(100))
-        )
-
-    def test_p2_threshold(self):
-        assert bounds.p2_threshold_size(100, 0.0) == math.inf
-        assert bounds.p2_threshold_size(100, 0.5) == pytest.approx(
-            80 * math.log(100)
-        )
-
-    def test_p3_slack_and_p4(self):
-        assert bounds.p3_slack(100, 0.1) == pytest.approx(
-            80 * math.log(100) ** 2
-        )
-        assert bounds.p4_edge_bound(100, 10) == pytest.approx(
-            60 * math.log(100)
-        )
-
-    def test_p5_and_p6(self):
-        assert bounds.p5_common_neighbor_bound(1000, 0.1) == pytest.approx(
-            max(60.0, 4 * math.log(1000))
-        )
-        threshold = bounds.p6_probability_threshold(400)
-        assert threshold == pytest.approx(2 * math.sqrt(math.log(400) / 400))
-        assert bounds.p6_probability_threshold(1) == math.inf
 
 
 class TestBudgets:

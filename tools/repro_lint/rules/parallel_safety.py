@@ -72,7 +72,6 @@ _WORKER_KWARGS = {"target", "func", "function", "initializer"}
 _FLEET_SAFE_CALLEES = {
     "run_many_until_stable",
     "estimate_stabilization_time",
-    "sweep_stabilization_times",
     "run_fleet_sharded",
     "_estimate_journaled",
 }
