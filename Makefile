@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast oracle-dev exp-smoke bench-trajectory lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor chaos-smoke churn-smoke ci
+.PHONY: test test-fast oracle-dev exp-smoke bench-trajectory lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor ci
 
 test:            ## full test suite (tier-1 gate)
 	$(PYTHON) -m pytest -x -q
@@ -70,21 +70,15 @@ bench-trajectory: ## rewrite every BENCH_*.json, then check their floors
 	$(PYTHON) benchmarks/emit_bench_json.py
 	$(PYTHON) tools/check_bench.py
 
-exp-smoke:       ## fast-mode E12 (beeping/stone-age vs the reference) and E18 (execution paths)
+exp-smoke:       ## fast-mode E12 (beeping/stone-age vs the reference), E18 (execution paths) and E20 (churn service)
 	$(PYTHON) -m repro.experiments run E12
 	$(PYTHON) -m repro.experiments run E18
-
-doctor:          ## parallel-substrate self-check (spawn/crash/respawn, shm hygiene)
-	$(PYTHON) -m repro.parallel --doctor
-
-chaos-smoke:     ## seeded kill/hang/poison resilience matrix at 2 and 4 workers
-	$(PYTHON) -m repro.parallel --chaos-smoke --workers 2 4
-
-churn-smoke:     ## dynamic-service self-check (overlay/repair/resume doctor) + fast E20
-	$(PYTHON) -m repro.dynamic --doctor
 	$(PYTHON) -m repro.experiments run E20
 
-ci: lint test oracle-dev check-docs bench-smoke bench-trajectory exp-smoke doctor chaos-smoke churn-smoke   ## what the CI workflow runs
+doctor:          ## self-check: substrate (shm, wire format), kill/hang/poison chaos matrix at 2 and 4 workers, churn service
+	$(PYTHON) -m repro doctor
+
+ci: lint test oracle-dev check-docs bench-smoke bench-trajectory exp-smoke   ## what the CI workflow runs (tier-1 runs the doctor)
 
 bench-smoke:     ## CI-scale regression smoke (batched engines, substrate, frontier, fleet sharding, churn, E19)
 	BENCH_FAST=1 $(PYTHON) benchmarks/bench_batched_families.py

@@ -7,6 +7,10 @@ Usage examples::
     python -m repro run --graph tree --n 1000 --process 3-color --trace
     python -m repro run --edge-list mygraph.txt --process 2-state
     python -m repro budget --graph gnp --n 4096 --p 0.01
+    python -m repro doctor
+
+``doctor`` self-checks the worker fleet, the chaos recovery paths and
+the churn service on the current machine (:mod:`repro.doctor`).
 
 (Experiments have their own CLI: ``python -m repro.experiments``.)
 """
@@ -35,7 +39,10 @@ def _build_graph(args):
     if args.edge_list:
         from repro.io import read_edge_list
 
-        return read_edge_list(args.edge_list)
+        try:
+            return read_edge_list(args.edge_list)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(str(exc)) from exc
     n = args.n
     rng = np.random.default_rng(args.seed)
     builders = {
@@ -156,11 +163,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_graph_args(budget_parser)
 
+    sub.add_parser(
+        "doctor", help="self-check the fleet, chaos recovery and churn service"
+    )
+
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "budget":
         return _cmd_budget(args)
+    if args.command == "doctor":
+        from repro import doctor
+        from repro.parallel.pool import install_signal_backstop
+
+        install_signal_backstop()
+        return doctor.run()
     return 2
 
 

@@ -24,7 +24,7 @@ restart.  This package turns the reproduction into that service:
   queries, and journals its state through :mod:`repro.sim.checkpoint`
   so a killed service resumes bitwise-identically.
 
-``python -m repro.dynamic --doctor`` self-checks the whole stack;
+``python -m repro doctor`` (:mod:`repro.doctor`) self-checks the stack;
 experiment E20 and ``benchmarks/bench_churn.py`` measure it.
 """
 

@@ -23,7 +23,7 @@ Stream kinds (:data:`STREAM_KINDS`, built by :func:`make_stream`):
 * ``"burst"``    — localized churn: events arrive in fixed-size bursts
   that all touch the neighbourhood of one per-burst centre vertex.
 
-:class:`ScriptedStream` wraps an explicit event list (tests, doctor).
+:class:`ScriptedStream` wraps an explicit event list (tests).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ init coins*, and rebuilds the :class:`~repro.sim.rng.SeededCoins` at the
 saved ``(key, draw)`` — so a killed-and-resumed service
 produces the *bitwise-identical* trajectory of an uninterrupted run,
 whatever the checkpoint cadence.  ``tests/test_dynamic_service.py``
-and ``python -m repro.parallel --chaos-smoke`` pin this.
+and ``python -m repro doctor`` pin this.
 
 Dead slots: a removed vertex parks as an isolated, still-coin-drawing
 singleton (the fixed-width ``bits(n)`` discipline of §2.1 survives

@@ -50,15 +50,26 @@ def read_edge_list(path: str | pathlib.Path) -> Graph:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("n="):
-                    n = int(body[2:])
+                    n = _int(body[2:], f"{path}:{lineno}")
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(
                     f"{path}:{lineno}: expected 'u v', got {line!r}"
                 )
-            edges.append((int(parts[0]), int(parts[1])))
+            where = f"{path}:{lineno}"
+            edges.append((_int(parts[0], where), _int(parts[1], where)))
     return Graph.from_edge_list(edges, n=n)
+
+
+def _int(token: str, where: str) -> int:
+    """``int(token)``; a bad token raises ``ValueError`` naming ``where``."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(
+            f"{where}: expected an integer, got {token!r}"
+        ) from None
 
 
 def graph_to_dict(

@@ -40,8 +40,8 @@ Users normally never import this package directly: pass
 ``n_jobs="auto"`` (or an int) to
 :func:`repro.sim.runner.run_many_until_stable` or
 :func:`repro.sim.montecarlo.estimate_stabilization_time`.  ``python -m
-repro.parallel --doctor`` self-checks the machinery on the current
-machine.
+repro doctor`` (:mod:`repro.doctor`) self-checks the machinery on the
+current machine.
 """
 
 from repro.parallel.chaos import (

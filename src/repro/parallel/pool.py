@@ -31,8 +31,8 @@ _POLL_INTERVAL = 0.1
 _JOIN_TIMEOUT = 5.0
 
 #: Prefix of every worker process name — filterable in ``ps`` output
-#: and ``multiprocessing.active_children()`` (the doctor CLI and the
-#: interrupt-hygiene regression tests rely on it).
+#: and ``multiprocessing.active_children()`` (the interrupt-hygiene
+#: regression tests rely on it).
 WORKER_NAME_PREFIX = "repro-worker-"
 
 #: Every open pool registers here so the atexit/SIGTERM backstop can

@@ -66,7 +66,7 @@ _MIN_WAIT = 0.005
 
 @dataclass(frozen=True)
 class SupervisionEvent:
-    """One supervision decision, for tests, the doctor CLI, and logs.
+    """One supervision decision, for tests, ``repro.doctor``, and logs.
 
     ``kind`` is one of ``"respawn"`` (a dead worker was replaced),
     ``"retry"`` (an attempt was re-dispatched), ``"quarantine"`` (a
@@ -156,7 +156,7 @@ class SupervisedPool:
         self._next_id = 0
         self._closed = False
         self.respawns = 0
-        #: Supervision decisions, in order — the doctor CLI's evidence.
+        #: Supervision decisions, in order — ``repro.doctor``'s evidence.
         self.events: list[SupervisionEvent] = []
         self._store: SharedGraphStore | None = None
         self._slots = [self._spawn(i, 0) for i in range(workers)]

@@ -1,6 +1,11 @@
 """Tests for the command-line interfaces (repro.__main__ and
 repro.experiments.__main__)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main as repro_main
@@ -50,6 +55,12 @@ class TestReproCli:
         with pytest.raises(SystemExit):
             repro_main(["run", "--graph", "mystery"])
 
+    def test_malformed_edge_list_exits_with_location(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n0 x\n")
+        with pytest.raises(SystemExit, match=r"bad\.txt:2: expected an int"):
+            repro_main(["run", "--edge-list", str(path)])
+
     def test_unknown_process(self):
         with pytest.raises(SystemExit):
             repro_main(["run", "--process", "4-state"])
@@ -70,6 +81,27 @@ class TestReproCli:
             "run", "--edge-list", str(path), "--process", "2-state",
         ])
         assert code == 0
+
+
+class TestDoctor:
+    def test_doctor_is_healthy(self):
+        from repro.parallel import leaked_segments
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        paths = [str(src), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "doctor"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        lines = result.stdout.splitlines()
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert lines[-1] == "healthy"
+        assert not [line for line in lines if "[FAIL]" in line]
+        assert leaked_segments() == []
 
 
 class TestExperimentsCli:

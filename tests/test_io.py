@@ -46,6 +46,17 @@ class TestEdgeList:
         with pytest.raises(ValueError, match=":2:"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1\n0 x\n", "0 1\n0 1.5\n", "0 1\n# n=x\n"],
+        ids=["word", "float", "header"],
+    )
+    def test_non_integer_token_reported_with_location(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"g\.txt:2: expected an integer"):
+            read_edge_list(path)
+
 
 class TestJson:
     def test_roundtrip_graph_only(self, tmp_path):
