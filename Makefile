@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast oracle-dev exp-smoke bench-trajectory lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor ci
+.PHONY: test test-fast oracle-dev perfbench-test exp-smoke bench-trajectory lint repro-lint typecheck docs check-docs bench bench-batched bench-families bench-substrate bench-frontier bench-batched-frontier bench-parallel bench-churn bench-fast check-bench bench-smoke doctor ci
 
 test:            ## full test suite (tier-1 gate)
 	$(PYTHON) -m pytest -x -q
@@ -29,6 +29,9 @@ test-fast:       ## test suite without the slower integration modules
 
 oracle-dev:      ## differential oracle in dev mode (pools, shared memory, journals; leaked resources fail)
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest -q tests/test_oracle.py
+
+perfbench-test:  ## benchmark self-tests (perfbench MIS checks and tracer)
+	$(PYTHON) -m pytest perfbench -q
 
 docs:            ## regenerate docs/API.md from docstrings
 	$(PYTHON) tools/gen_api_docs.py
@@ -78,7 +81,7 @@ exp-smoke:       ## fast-mode E12 (beeping/stone-age vs the reference), E18 (exe
 doctor:          ## self-check: substrate (shm, wire format), kill/hang/poison chaos matrix at 2 and 4 workers, churn service
 	$(PYTHON) -m repro doctor
 
-ci: lint test oracle-dev check-docs bench-smoke bench-trajectory exp-smoke   ## what the CI workflow runs (tier-1 runs the doctor)
+ci: lint test oracle-dev perfbench-test check-docs bench-smoke bench-trajectory exp-smoke   ## what the CI workflow runs (tier-1 runs the doctor)
 
 bench-smoke:     ## CI-scale regression smoke (batched engines, substrate, frontier, fleet sharding, churn, E19)
 	BENCH_FAST=1 $(PYTHON) benchmarks/bench_batched_families.py

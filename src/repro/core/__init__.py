@@ -24,7 +24,7 @@ from repro.core.states import (
     THREE_STATE_NAMES,
     THREE_COLOR_NAMES,
 )
-from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
+from repro.core.neighbor_ops import NeighborOps, SparseNeighborOps
 from repro.core.process import MISProcess
 from repro.core.two_state import TwoStateMIS
 from repro.core.batched import (
@@ -74,7 +74,7 @@ __all__ = [
     "THREE_STATE_NAMES",
     "THREE_COLOR_NAMES",
     "NeighborOps",
-    "make_neighbor_ops",
+    "SparseNeighborOps",
     "MISProcess",
     "TwoStateMIS",
     "BatchedTwoStateMIS",

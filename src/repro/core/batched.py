@@ -43,12 +43,12 @@ Aggregate engine
 Engines with ``supports_frontier`` (the 2-state, 3-state and scheduled
 families) maintain the per-replica neighbour counts and the stability
 bookkeeping incrementally (:mod:`repro.core.batched_frontier`) wherever
-scatter can win — the block-diagonal path, or a shared graph on the CSR
-backend — so a round's cost tracks the fleet's changed set: bulk
-rounds for the early collapse, flat-index scatter updates plus O(1)
-retirement for the long tail.  Elsewhere, and always for the 3-color
-engine (its switch diffuses over every closed neighbourhood per round),
-they pay full ``(R, n)`` reductions every round.
+scatter can win — the block-diagonal path, or a shared graph whose
+``count_batch`` runs on CSR (not ``blas_batch``) — so a round's cost
+tracks the fleet's changed set: bulk rounds for the early collapse,
+flat-index scatter updates plus O(1) retirement for the long tail.
+Elsewhere, and always for the 3-color engine (its switch diffuses over
+every closed neighbourhood per round), they pay full ``(R, n)`` reductions every round.
 Engines are reusable across :meth:`~_BatchedMISEngine.run` calls
 (state is re-adopted per call), so fault-injection campaigns keep
 their block-diagonal adjacency.
@@ -655,12 +655,14 @@ class _BatchedMISEngine:
         kept_rows = 0
         self._reset_frontier_scratch()
         # The frontier only engages where scatter can win: the
-        # block-diagonal path, or a shared graph on the CSR backend.
-        # Against the dense matmul backend (small or dense graphs) a
-        # full reduction is a near-free BLAS call and the
-        # incremental bookkeeping only adds overhead.
-        engage = not self.shared_graph or isinstance(
-            self._ops, SparseNeighborOps
+        # block-diagonal path, or a shared graph whose count_batch runs
+        # on CSR.  Where it is a BLAS product (small dense graphs) a
+        # full reduction is near-free and the incremental bookkeeping
+        # only adds overhead.  The scatters read the graph's own CSR,
+        # so other backends (the dynamic overlay) never engage it.
+        engage = not self.shared_graph or (
+            isinstance(self._ops, SparseNeighborOps)
+            and not self._ops.blas_batch
         )
         if engage and self.supports_frontier:
             frontier = BatchedFrontierAggregates(

@@ -12,17 +12,12 @@ down)``, which scatter-updates a persistent count array along only the
 edges incident to a changed vertex set (the frontier engine of
 :mod:`repro.core.frontier`).
 
-Two backends implement the interface:
-
-* :class:`DenseNeighborOps`  — int8 adjacency matrix + matmul; fastest
-  for small or dense graphs.
-* :class:`SparseNeighborOps` — scipy CSR matvec; fastest for large
-  sparse graphs.
-
-:func:`make_neighbor_ops` picks one from the graph's size and density;
-the ablation benchmark ``bench_ablation_backends.py`` quantifies the
-choice.  A caller that needs a particular backend constructs it and
-passes it as ``ops=`` (e.g. ``ops=SparseNeighborOps(graph)``).
+:class:`SparseNeighborOps` is the one stock backend: every aggregate
+is a scipy CSR int32 product, except that on small dense graphs
+(``blas_batch``) the batched ``count_batch`` runs as one float32 BLAS
+product over a lazily built dense copy.  A caller that needs a
+different backend subclasses :class:`NeighborOps` and passes an
+instance as ``ops=``.
 """
 
 from __future__ import annotations
@@ -31,9 +26,9 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-#: Largest n for which the dense backend is considered at all.
+#: Largest n whose ``count_batch`` runs as a dense BLAS product.
 _DENSE_MAX_N = 4096
-#: Minimum density for which dense wins over sparse at large n.
+#: Minimum density at which the dense BLAS ``count_batch`` beats CSR.
 _DENSE_MIN_DENSITY = 0.02
 
 
@@ -282,55 +277,40 @@ class NeighborOps:
         return out
 
 
-class DenseNeighborOps(NeighborOps):
-    """Dense adjacency-matrix backend (int8 matrix, int32 matvec)."""
-
-    def __init__(self, graph: Graph) -> None:
-        super().__init__(graph)
-        self._a = graph.adjacency_dense()
-        self._a_f32: np.ndarray | None = None  # lazy BLAS copy for batches
-
-    def count(self, mask: np.ndarray) -> np.ndarray:
-        return self._a @ np.asarray(mask, dtype=np.int32)
-
-    def count_batch(self, masks: np.ndarray) -> np.ndarray:
-        # A is symmetric, so right-multiplying the (R, n) mask matrix
-        # computes every replica's neighbour counts in one matmul.  The
-        # product runs in float32 to hit BLAS (numpy integer matmul is a
-        # generic loop): every partial sum is an integer <= n < 2^24, so
-        # float32 arithmetic is exact and the cast back is lossless.
-        masks = self._validate_masks(masks)
-        if self._a_f32 is None:
-            self._a_f32 = self._a.astype(np.float32)
-        return (masks.astype(np.float32) @ self._a_f32).astype(np.int32)
-
-
 class SparseNeighborOps(NeighborOps):
-    """scipy CSR backend for large sparse graphs."""
+    """scipy CSR backend, with a BLAS ``count_batch`` on small dense graphs."""
 
     def __init__(self, graph: Graph) -> None:
         super().__init__(graph)
         self._a = graph.adjacency_csr_int32()
+        # Batched fleets on small dense graphs (K_n in E1 and E5 under
+        # --full) spend their time in count_batch; on CSR there,
+        # `run E1 --full` takes about 3x as long.  Serial counts and the
+        # frontier's scatters stay on CSR.
+        self._blas_batch = (
+            graph.n <= _DENSE_MAX_N and graph.density() >= _DENSE_MIN_DENSITY
+        )
+        self._a_f32: np.ndarray | None = None  # built on first BLAS batch
+
+    @property
+    def blas_batch(self) -> bool:
+        """Whether :meth:`count_batch` is a float32 BLAS product (n <= 4096, density >= 2%)."""
+        return self._blas_batch
 
     def count(self, mask: np.ndarray) -> np.ndarray:
         return self._a.dot(np.asarray(mask, dtype=np.int32))
 
     def count_batch(self, masks: np.ndarray) -> np.ndarray:
+        masks = self._validate_masks(masks)
+        if self._blas_batch:
+            # A is symmetric, so right-multiplying the (R, n) mask matrix
+            # computes every replica's counts in one matmul.  Every
+            # partial sum is an integer <= n < 2^24, so float32 is exact
+            # and the cast back is lossless.
+            if self._a_f32 is None:
+                self._a_f32 = self._a.astype(np.float32).toarray()
+            return (masks.astype(np.float32) @ self._a_f32).astype(np.int32)
         # One CSR × dense (n, R) product serves all replicas (A = Aᵀ).
         # The operand is cast straight into C order: scipy would copy an
         # F-ordered transpose again.  The result stays a transposed view.
-        masks = self._validate_masks(masks)
         return self._a.dot(masks.T.astype(np.int32, order="C")).T
-
-
-def make_neighbor_ops(graph: Graph) -> NeighborOps:
-    """The neighbourhood-ops backend for ``graph``.
-
-    Dense for small graphs (n <= 512) and for graphs with n <= 4096 and
-    density >= 2%; CSR otherwise.
-    """
-    if graph.n <= 512:
-        return DenseNeighborOps(graph)
-    if graph.n <= _DENSE_MAX_N and graph.density() >= _DENSE_MIN_DENSITY:
-        return DenseNeighborOps(graph)
-    return SparseNeighborOps(graph)

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
+from repro.core.neighbor_ops import NeighborOps, SparseNeighborOps
 from repro.core.replica import ReplicaState, replica_class
 from repro.graphs.graph import Graph
 from repro.sim.rng import CoinSource, SeededCoins, as_coin_source
@@ -66,10 +66,11 @@ class MISProcess:
         ``Generator``, or ``None`` (fresh OS entropy).
     ops:
         A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
-        adopt instead of the one :func:`~repro.core.neighbor_ops.make_neighbor_ops`
-        picks for ``graph`` — the way to pin a backend, and the way the
-        dynamic layer (:mod:`repro.dynamic`) injects its delta-aware
-        overlay backend.
+        adopt instead of a fresh
+        :class:`~repro.core.neighbor_ops.SparseNeighborOps` over
+        ``graph`` — the way the dynamic layer (:mod:`repro.dynamic`)
+        injects its delta-aware overlay backend, and the way a test
+        shares or instruments one.
     """
 
     #: Human-readable name of the process (subclasses override).
@@ -87,7 +88,7 @@ class MISProcess:
         self.n = graph.n
         self.coins = as_coin_source(coins)
         self.ops: NeighborOps = (
-            ops if ops is not None else make_neighbor_ops(graph)
+            ops if ops is not None else SparseNeighborOps(graph)
         )
         self.round: int = 0
         self._agg_cache: dict[str, np.ndarray] = {}

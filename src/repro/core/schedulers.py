@@ -122,8 +122,8 @@ class ScheduledTwoStateMIS(_BlackStateProcess):
     daemon's activation rate as well as with the frontier.
 
     ``ops`` adopts a pre-built
-    :class:`~repro.core.neighbor_ops.NeighborOps` instead of the one
-    the graph picks.
+    :class:`~repro.core.neighbor_ops.NeighborOps` instead of a fresh
+    ``SparseNeighborOps(graph)``.
     """
 
     name = "2-state (scheduled)"

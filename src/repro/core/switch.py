@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
+from repro.core.neighbor_ops import NeighborOps, SparseNeighborOps
 from repro.core.states import (
     SWITCH_ON_MAX_LEVEL,
     validate_switch_levels,
@@ -93,7 +93,7 @@ class RandomizedLogSwitch(SwitchProcess):
         self.n = graph.n
         self.zeta = float(zeta)
         self.coins = as_coin_source(coins)
-        self.ops = ops if ops is not None else make_neighbor_ops(graph)
+        self.ops = ops if ops is not None else SparseNeighborOps(graph)
         self.levels = self._resolve_init(init)
         self.round = 0
 

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.neighbor_ops import NeighborOps, make_neighbor_ops
+from repro.core.neighbor_ops import NeighborOps, SparseNeighborOps
 from repro.core.process import MISProcess
 from repro.core.replica import ReplicaState
 from repro.core.states import (
@@ -107,8 +107,8 @@ class ThreeColorMIS(MISProcess):
         a = 512, giving ζ = 4/a = 2^-7 and 18 states total).
     ops:
         A pre-built :class:`~repro.core.neighbor_ops.NeighborOps` to
-        adopt instead of the one the graph picks (shared with the
-        default switch).
+        adopt instead of a fresh ``SparseNeighborOps(graph)`` (shared
+        with the default switch).
 
     Notes
     -----
@@ -261,7 +261,7 @@ class ThreeColorMIS(MISProcess):
         ops: NeighborOps | None,
         config: dict[str, Any],
     ) -> "ThreeColorMIS":
-        ops = ops if ops is not None else make_neighbor_ops(graph)
+        ops = ops if ops is not None else SparseNeighborOps(graph)
         switch = RandomizedLogSwitch(
             graph, coins=coins, zeta=config["zeta"], init="all_zero", ops=ops
         )

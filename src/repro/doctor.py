@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.frontier import FrontierAggregates
-from repro.core.neighbor_ops import make_neighbor_ops
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.replica import RECORD_HEADER_BYTES
 from repro.core.two_state import TwoStateMIS
 from repro.dynamic import (
@@ -119,8 +119,8 @@ def _identical(ref: list[RunResult], got: list[RunResult]) -> bool:
 def _waves(run: Callable[[list[TwoStateMIS]], list[RunResult]]) -> Waves:
     """A clean start plus three 4-flip fault waves; each call's results.
 
-    The graph picks the CSR backend, so workers run the batched
-    frontier engines and keep them resident between calls.
+    G(600, 3/n) is too sparse for the BLAS batch, so workers run the
+    batched frontier engines and keep them resident between calls.
     """
     n = 600
     graph = gnp_random_graph(n, 3.0 / n, rng=11)
@@ -326,7 +326,7 @@ def _coverage_exact(service: MISService) -> bool:
     frontier = service.proc._frontier
     snap = service.overlay.snapshot()
     fresh = FrontierAggregates(
-        snap, make_neighbor_ops(snap), track_aux=frontier.track_aux
+        snap, SparseNeighborOps(snap), track_aux=frontier.track_aux
     )
     fresh.rebuild(black, token, aux=aux)
     return (

@@ -43,9 +43,9 @@ import numpy as np
 
 from repro.core.neighbor_ops import (
     NeighborOps,
+    SparseNeighborOps,
     _scatter_unit,
     gather_neighbors,
-    make_neighbor_ops,
 )
 from repro.graphs.graph import Graph
 
@@ -443,12 +443,12 @@ class DeltaNeighborOps(NeighborOps):
     def __init__(self, overlay: DeltaOverlay) -> None:
         super().__init__(overlay.base)
         self.overlay = overlay
-        self._base_ops: NeighborOps = make_neighbor_ops(overlay.base)
+        self._base_ops: NeighborOps = SparseNeighborOps(overlay.base)
 
     def rebase(self) -> None:
         """Re-anchor on the overlay's new base after a compaction."""
         self.graph = self.overlay.base
-        self._base_ops = make_neighbor_ops(self.overlay.base)
+        self._base_ops = SparseNeighborOps(self.overlay.base)
 
     # -- dynamic topology hooks -----------------------------------------
     def degrees(self) -> np.ndarray:

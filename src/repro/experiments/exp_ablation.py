@@ -1,6 +1,6 @@
 """E18 — design-choice ablations (DESIGN.md §6 table).
 
-Three ablations on the 2-state process:
+Two ablations on the 2-state process:
 
 1. **Transition randomization (footnote 1).**  The paper's process
    randomizes the white→black promotion (probability 1/2) "because it
@@ -12,11 +12,7 @@ Three ablations on the 2-state process:
    deterministically, while the coin breaks that symmetry.  The
    analysis choice is not just convenient; it is mildly helpful.
 
-2. **Neighbourhood backend.**  Steps/second under the dense (matmul)
-   and CSR backends on a dense and a sparse workload, justifying the
-   ``make_neighbor_ops`` heuristic.
-
-3. **Execution path.**  A small Monte-Carlo fleet on a sparse
+2. **Execution path.**  A small Monte-Carlo fleet on a sparse
    G(n, 3/n) run serially (:mod:`repro.core.frontier`) and batched
    (:mod:`repro.core.batched_frontier`), with identity verdicts: both
    paths must report the same per-seed stabilization round and MIS,
@@ -36,7 +32,6 @@ import time
 
 import numpy as np
 
-from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
 from repro.core.two_state import TwoStateMIS
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
@@ -46,16 +41,14 @@ from repro.sim.montecarlo import estimate_stabilization_time
 from repro.sim.stats import mann_whitney_faster
 
 
-@register("E18", "Ablations: transition randomization; backend; path")
+@register("E18", "Ablations: transition randomization; execution path")
 def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     if fast:
         n = 256
         trials = 15
-        bench_rounds = 30
     else:
         n = 1024
         trials = 60
-        bench_rounds = 100
 
     # --- Ablation 1: eager vs randomized white→black ---
     workloads = {
@@ -118,37 +111,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         title=f"Footnote-1 ablation at n={n} ({trials} trials)",
     )
 
-    # --- Ablation 2: backend throughput ---
-    dense_graph = complete_graph(min(n, 512))
-    sparse_graph = gnp_random_graph(4 * n, 1.0 / n, rng=seed + 5)
-    rows2 = []
-    for graph_name, graph in (
-        ("dense (clique)", dense_graph),
-        ("sparse (gnp)", sparse_graph),
-    ):
-        row = [f"{graph_name} n={graph.n}"]
-        for ops_cls in (DenseNeighborOps, SparseNeighborOps):
-            proc = TwoStateMIS(
-                graph, coins=1, init="all_black", ops=ops_cls(graph)
-            )
-            start = time.perf_counter()
-            proc.step(bench_rounds)
-            elapsed = time.perf_counter() - start
-            row.append(bench_rounds / max(elapsed, 1e-9))
-        rows2.append(row)
-    table2 = format_table(
-        ["workload", "dense backend (rounds/s)",
-         "CSR backend (rounds/s)"],
-        rows2,
-        title="Backend throughput",
-    )
-    # The heuristic is justified if each backend wins on its home
-    # turf (or at least never catastrophically loses on it).
-    verdicts["sparse backend >= 0.5x dense on the sparse workload"] = (
-        rows2[1][2] >= 0.5 * rows2[1][1]
-    )
-
-    # --- Ablation 3: execution path (serial / batched vs reference) ---
+    # --- Ablation 2: execution path (serial / batched vs reference) ---
     from repro.core.reference import ReferenceTwoState
     from repro.sim.rng import spawn_seeds
     from repro.sim.runner import run_many_until_stable, run_until_stable
@@ -160,7 +123,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     budget = 500 * int(math.log2(n_path)) ** 2
 
     path_results = {}
-    rows3 = []
+    rows2 = []
     for path in ("serial", "batched"):
         processes = [
             TwoStateMIS(path_graph, coins=s) for s in replica_seeds
@@ -177,7 +140,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         elapsed = time.perf_counter() - start
         path_results[path] = results
         total_rounds = sum(r.rounds_executed for r in results)
-        rows3.append(
+        rows2.append(
             [
                 path,
                 float(np.mean([r.stabilization_round for r in results])),
@@ -185,10 +148,10 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
                 total_rounds / max(elapsed, 1e-9),
             ]
         )
-    table3 = format_table(
+    table2 = format_table(
         ["execution path", "mean stab. round", "wall time",
          "replica-rounds/s"],
-        rows3,
+        rows2,
         title=(
             f"Execution-path ablation: {replicas} replicas on "
             f"G({n_path}, 3/n)"
@@ -223,12 +186,11 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="E18",
-        title="Design ablations (footnote 1; backends; execution path)",
-        tables=[table1, table2, table3],
+        title="Design ablations (footnote 1; execution path)",
+        tables=[table1, table2],
         verdicts=verdicts,
         data={
             "footnote1": rows1,
-            "backends": rows2,
-            "paths": rows3,
+            "paths": rows2,
         },
     )

@@ -1,11 +1,12 @@
 """Job specs and the replica-record wire format.
 
 Workers receive *small* payloads.  A shard job carries, per replica,
-the registry index of its graph, the class name of its
-:class:`~repro.core.neighbor_ops.NeighborOps` backend, and its
+the registry index of its graph and its
 :class:`~repro.core.replica.ReplicaState` — the round, the coin
 stream's ``(key, draw)`` and the bit-packed state planes, about
-``n / 8`` bytes for a 2-state replica.  The receiving side rebuilds
+``n / 8`` bytes for a 2-state replica.  Every shippable replica runs
+on the stock :class:`~repro.core.neighbor_ops.SparseNeighborOps`, so
+no backend name ships.  The receiving side rebuilds
 processes from those records against its own :class:`GraphRegistry`
 (a worker's is built over the shared-memory view graphs, the master's
 over the original objects) — or restores them into the processes it
@@ -35,26 +36,20 @@ from repro.parallel.shared_graph import SharedGraphHandle
 if TYPE_CHECKING:
     from repro.core.process import MISProcess
 
-#: NeighborOps classes a worker can rebuild from a graph alone; a
-#: replica's backend ships as its class name.
-_OPS_CLASSES: dict[str, type[_nops.NeighborOps]] = {
-    cls.__name__: cls
-    for cls in (_nops.SparseNeighborOps, _nops.DenseNeighborOps)
-}
-
 
 def unshippable(process: MISProcess) -> str | None:
     """Why ``process`` cannot ride a shard job, or ``None`` if it can.
 
     It needs a :class:`~repro.core.replica.ReplicaState` encoding and a
-    stock NeighborOps backend bound to its own graph.
+    plain :class:`~repro.core.neighbor_ops.SparseNeighborOps` bound to
+    its own graph (what a worker rebuilds from the graph alone).
     """
     reason = process.replica_unsupported()
     if reason is not None:
         return reason
     ops = process.ops
-    if _OPS_CLASSES.get(type(ops).__name__) is not type(ops):
-        return f"{type(ops).__name__} is not a stock NeighborOps backend"
+    if type(ops) is not _nops.SparseNeighborOps:
+        return f"{type(ops).__name__} is not the stock NeighborOps backend"
     if ops.graph is not process.graph:
         return "its NeighborOps is bound to another graph"
     return None
@@ -67,8 +62,8 @@ class GraphRegistry:
     over its attached shared-memory views — the graph at index ``i`` is
     the *same published graph* on both sides, so a record's graph index
     means the same thing at both ends.  NeighborOps resolve through a
-    per-``(graph, class)`` cache, so every replica of a shard that
-    shares a graph shares one ops instance.
+    per-graph cache, so every replica of a shard that shares a graph
+    shares one ops instance.
 
     :meth:`dumps` / :meth:`loads` are the one place shard payloads are
     serialized (the benchmark's pickling layer wraps them).
@@ -77,30 +72,28 @@ class GraphRegistry:
     def __init__(self, graphs: Sequence[Graph]) -> None:
         self.graphs: list[Graph] = list(graphs)
         self._index = {id(graph): i for i, graph in enumerate(self.graphs)}
-        self._ops: dict[tuple[int, str], _nops.NeighborOps] = {}
+        self._ops: dict[int, _nops.SparseNeighborOps] = {}
 
     def index_of(self, graph: Graph) -> int | None:
         """Registry index of ``graph`` (by identity), or ``None``."""
         return self._index.get(id(graph))
 
     def register_ops(self, ops: _nops.NeighborOps) -> None:
-        """Memoize an existing ops instance for its graph and class.
+        """Memoize an existing stock ops instance for its graph.
 
         The master registers each process's ops before dispatch, so a
         shard degraded to an in-process run reuses the *original*
         instances instead of fresh rebuilds.
         """
-        clsname = type(ops).__name__
         index = self.index_of(ops.graph)
-        if _OPS_CLASSES.get(clsname) is type(ops) and index is not None:
-            self._ops.setdefault((index, clsname), ops)
+        if type(ops) is _nops.SparseNeighborOps and index is not None:
+            self._ops.setdefault(index, ops)
 
-    def ops(self, index: int, clsname: str) -> _nops.NeighborOps:
-        """The (cached) ``clsname`` backend over graph ``index``."""
-        key = (index, clsname)
-        ops = self._ops.get(key)
+    def ops(self, index: int) -> _nops.SparseNeighborOps:
+        """The (cached) stock backend over graph ``index``."""
+        ops = self._ops.get(index)
         if ops is None:
-            ops = self._ops[key] = _OPS_CLASSES[clsname](self.graphs[index])
+            ops = self._ops[index] = _nops.SparseNeighborOps(self.graphs[index])
         return ops
 
     def dumps(self, obj: Any) -> bytes:
@@ -122,9 +115,7 @@ class GraphRegistry:
             index = self.index_of(process.graph)
             if index is None:
                 raise ValueError("process graph is not in the registry")
-            items.append(
-                (index, type(process.ops).__name__, process.replica_state())
-            )
+            items.append((index, process.replica_state()))
         return self.dumps(items)
 
 
@@ -133,7 +124,7 @@ class ShardJob:
     """One unit of worker work: run a slab of replicas to stabilization.
 
     ``payload`` is :meth:`GraphRegistry.encode_shard` of the shard's
-    replicas: a list of ``(graph index, ops class name, ReplicaState)``.
+    replicas: a list of ``(graph index, ReplicaState)``.
     ``handle`` locates the published graphs the indices refer to.
     Everything else mirrors the
     :func:`~repro.sim.runner.run_many_until_stable` parameters the

@@ -42,15 +42,15 @@ def _resident_key(job: Any, items: list) -> tuple:
     """The cache key of a shard job's decoded payload ``items``.
 
     A resident shard fits a job when the range, the batching, and each
-    replica's graph index, ops class, family and config all match;
+    replica's graph index, family and config all match;
     the records' states, coins and rounds are then restored into it.
     """
     return (
         tuple(job.indices),
         job.batch,
         tuple(
-            (index, clsname, record.family, tuple(sorted(record.config.items())))
-            for index, clsname, record in items
+            (index, record.family, tuple(sorted(record.config.items())))
+            for index, record in items
         ),
     )
 
@@ -92,13 +92,13 @@ def run_shard(
             del resident[other]
     if entry is None:
         processes = [
-            record.build(registry.graphs[index], registry.ops(index, clsname))
-            for index, clsname, record in items
+            record.build(registry.graphs[index], registry.ops(index))
+            for index, record in items
         ]
         plan = plan_batches(processes, job.batch)
     else:
         processes, plan = entry
-        for process, (_, _, record) in zip(processes, items):
+        for process, (_, record) in zip(processes, items):
             process.restore(record)
     shard_results = run_planned(
         processes, plan, max_rounds=job.max_rounds, verify=job.verify

@@ -16,6 +16,8 @@ ones.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from contextlib import contextmanager
 from typing import Any, Callable, NamedTuple
 
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import batched as batched_module
 from repro.core import frontier as frontier_module
+from repro.core import neighbor_ops as neighbor_ops_module
 from repro.core.batched import (
     BatchedScheduledTwoStateMIS,
     BatchedThreeColorMIS,
@@ -32,7 +35,7 @@ from repro.core.batched import (
     BatchedTwoStateMIS,
 )
 from repro.core.batched_frontier import BatchedFrontierAggregates
-from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.reference import (
     ReferenceIndependentDaemon,
     ReferenceThreeColor,
@@ -113,12 +116,13 @@ class Fleet(NamedTuple):
     """A run to check: replica ``i`` of family ``names[i]`` on
     ``graphs[i]`` with coin seed ``seed + i``; a clean or corrupted
     start, then ``waves`` fault waves of ``flips`` vertices each, every
-    run cut at ``budget`` rounds.  ``backend`` (a NeighborOps class)
-    pins the backend, one instance per graph."""
+    run cut at ``budget`` rounds.  ``blas`` forces the BLAS batch on
+    or off (:func:`blas_batch`) in one ``SparseNeighborOps`` per graph;
+    ``None`` lets each process build its own."""
 
     names: list[str]
     graphs: list[Graph]
-    backend: type | None = None
+    blas: bool | None = None
     corrupt: bool = False
     waves: int = 0
     flips: int = 1
@@ -135,8 +139,9 @@ def build_processes(spec: Fleet, coins=SeededCoins) -> list:
     ops: dict[int, Any] = {}
     procs = []
     for i, (name, graph) in enumerate(zip(spec.names, spec.graphs)):
-        if spec.backend is not None and id(graph) not in ops:
-            ops[id(graph)] = spec.backend(graph)
+        if spec.blas is not None and id(graph) not in ops:
+            with blas_batch(spec.blas):
+                ops[id(graph)] = SparseNeighborOps(graph)
         coin = coins(spec.seed + i)
         procs.append(FAMILIES[name].build(graph, coin, ops.get(id(graph)), i))
     return procs
@@ -493,6 +498,17 @@ def regime(crossover, bulk=None):
         yield
 
 
+@contextmanager
+def blas_batch(on: bool):
+    """``SparseNeighborOps`` built inside the block batch through BLAS
+    (``on``) or through CSR, whatever the graph; a shared-graph batched
+    run engages the frontier only on the latter."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighbor_ops_module, "_DENSE_MAX_N", sys.maxsize if on else -1)
+        mp.setattr(neighbor_ops_module, "_DENSE_MIN_DENSITY", 0.0 if on else math.inf)
+        yield
+
+
 def replay(procs, waves: list[Wave], run, label: dict) -> None:
     """Put ``procs`` through ``waves``: ``run(procs, trajectories,
     where)`` must return the references' results and leave every
@@ -600,7 +616,7 @@ def check_fleet(spec: Fleet, pool=None, n_jobs=None) -> None:
 SIZES = (70, 12, 130, 33, 5, 2, 1, 0)
 
 seeds = st.integers(0, 2**32 - 1)
-backends = st.sampled_from((SparseNeighborOps, None, DenseNeighborOps))
+blas = st.sampled_from((False, None, True))
 regimes = st.tuples(st.sampled_from(CROSSOVERS), st.sampled_from((None, 0)))
 #: Round budgets: small ones leave some replicas unstabilized.
 budgets = st.sampled_from((10_000, 4, 1))
@@ -660,7 +676,7 @@ def fleets(draw, first=None, min_replicas=1, max_replicas=8, mixed_sizes=False):
     return Fleet(
         names=[first] + [draw(st.sampled_from(group)) for _ in range(count - 1)],
         graphs=draw(graph_lists(count, mixed_sizes)),
-        backend=draw(backends),
+        blas=draw(blas),
         corrupt=draw(st.booleans()),
         waves=draw(st.sampled_from((3, 1, 0, 2))),
         flips=draw(flips),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.batched import BatchedTwoStateMIS, batchable
-from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.reference import ReferenceTwoState
 from repro.core.schedulers import IndependentScheduler, ScheduledTwoStateMIS
 from repro.core.three_color import ThreeColorMIS
@@ -48,7 +47,7 @@ class TestEquivalenceSharedGraph:
     def test_sparse_backend_graph(self):
         graph = gnp_random_graph(200, 0.02, rng=2)
         check_batched(
-            fleet("2-state", [graph] * 8, backend=SparseNeighborOps, seed=17)
+            fleet("2-state", [graph] * 8, blas=False, seed=17)
         )
 
     def test_eager_white_promotion_replicas(self):

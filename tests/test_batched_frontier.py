@@ -26,7 +26,7 @@ from repro.core.batched_frontier import (
     RoundDelta,
     apply_flat_delta,
 )
-from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import complete_graph
 from repro.graphs.graph import Graph
@@ -40,6 +40,7 @@ from oracle import (
     CROSSOVERS,
     FAMILIES,
     Fleet,
+    blas_batch,
     check_batched,
     check_serial,
     fleet,
@@ -51,15 +52,15 @@ MAX_ROUNDS = 50_000
 
 
 def check_every_path(spec):
-    """``spec`` serially, then batched: on the dense backend (where a
+    """``spec`` serially, then batched: with the BLAS batch (where a
     shared graph keeps the aggregates off), on CSR with every moving
     row recomputed, and on CSR scattering every round; each batched
     path on counting coins (per-source row draws) and on plain ones."""
     check_serial(spec, (CROSSOVERS[1],))
     coins = (CountingCoins, SeededCoins)
-    check_batched(spec._replace(backend=DenseNeighborOps), coins=coins)
+    check_batched(spec._replace(blas=True), coins=coins)
     check_batched(
-        spec._replace(backend=SparseNeighborOps),
+        spec._replace(blas=False),
         ((0.0, None), (1e18, 0)),
         coins,
     )
@@ -170,7 +171,7 @@ class TestSlotStableRows:
         else:
             graphs = [graph(s + 11, 70, 0.05) for s in range(20)]
         spec = fleet(
-            name, graphs, backend=SparseNeighborOps, waves=1, flips=3,
+            name, graphs, blas=False, waves=1, flips=3,
             seed=11,
         )
         calls = count_filters(monkeypatch)
@@ -333,11 +334,13 @@ class TestStabilityBookkeeping:
         # The O(1)-retirement contract: a near-stable fleet recovers
         # on the scatter path with exactly one count reduction (the
         # rebuild) — no per-round reductions, no final coverage pass.
-        # (The CSR backend: a shared graph on the matmul backend stays
-        # on full reductions.)  A fresh engine takes the cold path; a
-        # re-run engine needs none at all (TestResidentRepair).
+        # (The BLAS batch is off: with it a shared graph stays on full
+        # reductions.)  A fresh engine takes the cold path; a re-run
+        # engine needs none at all (TestResidentRepair).
         graph = gnp_random_graph(300, 0.02, rng=4)
         seeds = spawn_seeds(9, 8)
+        with blas_batch(False):
+            ops = SparseNeighborOps(graph)
 
         class CountingEngine(BatchedTwoStateMIS):
             reductions = 0
@@ -346,10 +349,7 @@ class TestStabilityBookkeeping:
                 type(self).reductions += 1
                 return super()._count_nbrs(masks, pos)
 
-        procs = [
-            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
-            for s in seeds
-        ]
+        procs = [TwoStateMIS(graph, coins=s, ops=ops) for s in seeds]
         BatchedTwoStateMIS(procs).run(MAX_ROUNDS, verify=False)
         for i, p in enumerate(procs):
             rng = np.random.default_rng(100 + i)
@@ -379,10 +379,9 @@ class TestStabilityBookkeeping:
             return orig_adv(self, *args, **kwargs)
 
         graph = gnp_random_graph(120, 0.04, rng=2)
-        procs = [
-            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
-            for s in range(6)
-        ]
+        with blas_batch(False):  # else the shared graph stays off the frontier
+            ops = SparseNeighborOps(graph)
+        procs = [TwoStateMIS(graph, coins=s, ops=ops) for s in range(6)]
         engine = BatchedTwoStateMIS(procs)
         engine.run(MAX_ROUNDS)
         for i, p in enumerate(procs):
@@ -408,7 +407,7 @@ class TestResidentRepair:
         for name in ("2-state", "3-state", "independent"):
             for graphs in ([graph(10, 70, 0.05)] * 4,
                            [graph(s, 70, 0.05) for s in range(4)]):
-                spec = fleet(name, graphs, backend=SparseNeighborOps,
+                spec = fleet(name, graphs, blas=False,
                              waves=2, flips=3, seed=10)
                 check_batched(spec)
 
@@ -463,10 +462,9 @@ class TestResidentRepair:
 
     def test_large_delta_falls_back_to_rebuild(self, monkeypatch):
         graph = gnp_random_graph(200, 0.02, rng=8)
-        procs = [
-            TwoStateMIS(graph, coins=s, ops=SparseNeighborOps(graph))
-            for s in spawn_seeds(2, 4)
-        ]
+        with blas_batch(False):  # else the shared graph stays off the frontier
+            ops = SparseNeighborOps(graph)
+        procs = [TwoStateMIS(graph, coins=s, ops=ops) for s in spawn_seeds(2, 4)]
         engine = BatchedTwoStateMIS(procs)
         engine.run(MAX_ROUNDS)
         rebuilds = []

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.frontier import FrontierAggregates
-from repro.core.neighbor_ops import SparseNeighborOps, make_neighbor_ops
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.states import BLACK1, WHITE
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
@@ -195,7 +195,7 @@ class TestDeltaNeighborOps:
     def test_count_matches_snapshot_backend(self):
         overlay = churned_overlay()
         ops = DeltaNeighborOps(overlay)
-        snap_ops = make_neighbor_ops(overlay.snapshot())
+        snap_ops = SparseNeighborOps(overlay.snapshot())
         rng = np.random.default_rng(2)
         for _ in range(20):
             mask = rng.random(overlay.n) < rng.random()
@@ -207,7 +207,7 @@ class TestDeltaNeighborOps:
         overlay = churned_overlay(seed=21)
         ops = DeltaNeighborOps(overlay)
         snap = overlay.snapshot()
-        snap_ops = make_neighbor_ops(snap)
+        snap_ops = SparseNeighborOps(snap)
         rng = np.random.default_rng(3)
         verts = np.unique(rng.integers(0, overlay.n, size=10))
         got = np.sort(ops.gather(verts))
@@ -217,7 +217,7 @@ class TestDeltaNeighborOps:
     def test_apply_count_delta_matches(self):
         overlay = churned_overlay(seed=31)
         ops = DeltaNeighborOps(overlay)
-        snap_ops = make_neighbor_ops(overlay.snapshot())
+        snap_ops = SparseNeighborOps(overlay.snapshot())
         rng = np.random.default_rng(4)
         counts_a = np.zeros(overlay.n, dtype=np.int64)
         counts_b = np.zeros(overlay.n, dtype=np.int64)
@@ -240,7 +240,7 @@ class TestDeltaNeighborOps:
     def test_inherited_reductions(self):
         overlay = churned_overlay(seed=51)
         ops = DeltaNeighborOps(overlay)
-        snap_ops = make_neighbor_ops(overlay.snapshot())
+        snap_ops = SparseNeighborOps(overlay.snapshot())
         mask = np.arange(overlay.n) % 2 == 0
         np.testing.assert_array_equal(ops.exists(mask), snap_ops.exists(mask))
         np.testing.assert_array_equal(
@@ -557,7 +557,7 @@ def test_direct_topology_delta_actions():
 
 def _assert_frontier_exact(overlay, frontier, black, aux=None):
     snap = overlay.snapshot()
-    ops = make_neighbor_ops(snap)
+    ops = SparseNeighborOps(snap)
     ref = FrontierAggregates(snap, ops, track_aux=frontier.track_aux)
     ref.rebuild(black, black, aux=aux)
     np.testing.assert_array_equal(frontier.counts, ref.counts)

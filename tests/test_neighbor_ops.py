@@ -1,10 +1,15 @@
 """Tests for repro.core.neighbor_ops.
 
-Both backends must agree with :class:`AdjListReference`, a short
-per-vertex loop over each neighbour list written here.  The reference
-overrides only ``count`` and ``max_closed``, so running the shared
-tests on it also exercises the base class's generic batched fallbacks.
+:class:`SparseNeighborOps` must agree with :class:`AdjListReference`, a
+short per-vertex loop over each neighbour list written here, with its
+BLAS ``count_batch`` forced on (``dense``) and off (``sparse``).  The
+reference overrides only ``count`` and ``max_closed``, so running the
+shared tests on it also exercises the base class's generic batched
+fallbacks.
 """
+
+from functools import partial
+
 
 import numpy as np
 import pytest
@@ -12,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.batched_frontier import apply_flat_delta
 from repro.core.neighbor_ops import (
-    DenseNeighborOps,
     NeighborOps,
     SparseNeighborOps,
     _scatter_unit,
-    make_neighbor_ops,
     setdiff_sorted,
     unique_flat,
 )
@@ -25,6 +28,8 @@ from repro.dynamic import DeltaNeighborOps, DeltaOverlay
 from repro.graphs.generators import complete_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.graphs.random_graphs import gnp_random_graph
+
+from oracle import blas_batch
 
 
 class AdjListReference(NeighborOps):
@@ -45,7 +50,15 @@ class AdjListReference(NeighborOps):
         )
 
 
-BACKENDS = [DenseNeighborOps, SparseNeighborOps]
+def sparse_ops(graph, blas):
+    """``SparseNeighborOps(graph)`` with its BLAS batch forced on or off."""
+    with blas_batch(blas):
+        ops = SparseNeighborOps(graph)
+    assert ops.blas_batch is blas
+    return ops
+
+
+BACKENDS = [partial(sparse_ops, blas=True), partial(sparse_ops, blas=False)]
 
 
 @pytest.fixture(
@@ -130,8 +143,8 @@ class TestCrossBackendAgreement:
         mask = rng.random(60) < 0.4
         values = rng.integers(0, 6, size=60)
         ref = AdjListReference(g)
-        for cls in BACKENDS:
-            ops = cls(g)
+        for build in BACKENDS:
+            ops = build(g)
             assert np.array_equal(ops.count(mask), ref.count(mask))
             assert np.array_equal(
                 ops.max_closed(values), ref.max_closed(values)
@@ -145,34 +158,33 @@ def _graph_with_edges(n, m):
 
 
 class TestFactory:
+    """Processes build ``SparseNeighborOps(graph)``, whose ``count_batch``
+    is a BLAS product exactly when n <= 4096 and density >= 2%."""
+
     def test_explicit_backends(self):
-        # A backend is pinned by constructing it and passing it as ops=.
+        # A process adopts the ops passed as ops=.
         g = complete_graph(4)
-        for cls in BACKENDS:
-            ops = cls(g)
+        for build in BACKENDS:
+            ops = build(g)
             assert TwoStateMIS(g, coins=1, ops=ops).ops is ops
+        assert type(TwoStateMIS(g, coins=1).ops) is SparseNeighborOps
 
     def test_unknown_backend_rejected(self):
-        # No string selects a backend: neither the selector nor a
-        # process takes one.
+        # No string selects a backend: neither the ops nor a process
+        # takes one.
         g = complete_graph(3)
         with pytest.raises(TypeError):
-            make_neighbor_ops(g, "sparse")
+            SparseNeighborOps(g, "sparse")
         with pytest.raises(TypeError):
             TwoStateMIS(g, coins=1, backend="sparse")
 
     def test_auto_small_graph_dense(self):
-        assert isinstance(
-            make_neighbor_ops(complete_graph(50)), DenseNeighborOps
-        )
+        assert SparseNeighborOps(complete_graph(50)).blas_batch
 
-    def test_auto_n_512_dense_n_513_sparse_at_low_density(self):
-        assert isinstance(
-            make_neighbor_ops(Graph(512, [(0, 1)])), DenseNeighborOps
-        )
-        assert isinstance(
-            make_neighbor_ops(Graph(513, [(0, 1)])), SparseNeighborOps
-        )
+    def test_auto_n_512_sparse_at_low_density(self):
+        # No small-n clause: a sparse graph batches on CSR at any n.
+        assert not SparseNeighborOps(Graph(512, [(0, 1)])).blas_batch
+        assert not SparseNeighborOps(Graph(2, [])).blas_batch
 
     def test_auto_n_4096_density_threshold(self):
         # 2% of C(4096, 2) = 167,690.4 edges: one edge either side.
@@ -180,21 +192,24 @@ class TestFactory:
         above = _graph_with_edges(4096, int(threshold) + 1)
         below = _graph_with_edges(4096, int(threshold))
         assert above.density() > 0.02 > below.density()
-        assert isinstance(make_neighbor_ops(above), DenseNeighborOps)
-        assert isinstance(make_neighbor_ops(below), SparseNeighborOps)
+        assert SparseNeighborOps(above).blas_batch
+        assert not SparseNeighborOps(below).blas_batch
 
     def test_auto_midsize_dense_graph_sparse(self):
-        # Past the dense backend's n cap, however dense: CSR.
-        g = gnp_random_graph(6000, 0.15, rng=6)
-        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
+        # Past the n cap, however dense: CSR.
+        assert not SparseNeighborOps(complete_graph(4097)).blas_batch
 
     def test_auto_large_sparse_graph_sparse(self):
         g = gnp_random_graph(5000, 0.0005, rng=5)
-        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
+        assert not SparseNeighborOps(g).blas_batch
 
     def test_auto_huge_graph_stays_sparse(self):
         g = gnp_random_graph(40_000, 0.0001, rng=7)
-        assert isinstance(make_neighbor_ops(g), SparseNeighborOps)
+        assert not SparseNeighborOps(g).blas_batch
+
+    def test_blas_batch_is_read_only(self):
+        with pytest.raises(AttributeError):
+            SparseNeighborOps(complete_graph(5)).blas_batch = False
 
 
 class TestCountBatch:
@@ -415,12 +430,12 @@ class TestCountDeltaScatter:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(vertex_cases(), st.sampled_from(BACKENDS))
-    def test_apply_count_delta_matches_adjacency(self, case, backend):
+    @given(vertex_cases())
+    def test_apply_count_delta_matches_adjacency(self, case):
         graph, dtype, up, down, seed = case
         adjacency = graph.adjacency_dense().astype(np.int64)
         self._check_vertex_delta(
-            backend(graph), adjacency, dtype, up, down, seed
+            SparseNeighborOps(graph), adjacency, dtype, up, down, seed
         )
 
     @settings(max_examples=60, deadline=None)

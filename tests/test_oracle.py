@@ -2,7 +2,7 @@
 
 The draws (``tests/oracle.py``) span the six families; graphs with
 ``n`` down to 0, isolated vertices and disjoint components, shared or
-one per replica; the dense and CSR backends and the graph's own pick;
+one per replica; the BLAS batch forced on or off, or the graph's own pick;
 every crossover regime, with or without bulk rounds; clean and
 corrupted starts; fault waves on a reused engine and on a persistent
 pool whose workers repair resident engines; budgets that cut runs

@@ -219,6 +219,24 @@ def test_unshippable_fleet_runs_in_process():
             assert_observes(proc, final, "in-process")
 
 
+def test_unshippable_refuses_instrumented_or_foreign_ops():
+    # Workers rebuild plain SparseNeighborOps over the replica's own
+    # graph, so a subclass or an ops bound to another graph stays home.
+    class CountingOps(SparseNeighborOps):
+        pass
+
+    graph = gnp_random_graph(30, 0.1, rng=1)
+    other = gnp_random_graph(30, 0.1, rng=2)
+    assert unshippable(TwoStateMIS(graph, coins=1)) is None
+    assert unshippable(
+        TwoStateMIS(graph, coins=1, ops=SparseNeighborOps(graph))
+    ) is None
+    subclassed = TwoStateMIS(graph, coins=1, ops=CountingOps(graph))
+    assert "CountingOps is not the stock" in unshippable(subclassed)
+    foreign = TwoStateMIS(graph, coins=1, ops=SparseNeighborOps(other))
+    assert "another graph" in unshippable(foreign)
+
+
 def test_pool_survives_python_level_job_errors():
     graph = gnp_random_graph(30, 0.1, rng=1)
     with SupervisedPool(2) as pool:
@@ -248,10 +266,12 @@ def test_pool_reuse_across_different_graph_stores():
 
 
 def _resident_waves():
-    """A clean start plus three 4-vertex fault waves on 10 replicas."""
+    """A clean start plus three 4-vertex fault waves on 10 replicas.
+
+    The graph's density (just under 2%) keeps its batches off BLAS, so
+    workers run the batched frontier and keep its engines resident."""
     graph = gnp_random_graph(150, 3.0 / 150, rng=21)
-    return fleet("2-state", [graph] * 10, backend=SparseNeighborOps,
-                 waves=3, flips=4, seed=500)
+    return fleet("2-state", [graph] * 10, waves=3, flips=4, seed=500)
 
 
 @pytest.mark.parametrize("shards", [2, 3])
@@ -299,9 +319,15 @@ def test_run_shard_repairs_its_resident_entry_on_the_next_wave(monkeypatch):
     registry = GraphRegistry([graph])
 
     def wave(resident, lo=0, hi=len(fleet)):
+        payload = registry.encode_shard(fleet[lo:hi])
+        # A payload item is (graph index, ReplicaState): no backend name.
+        items = registry.loads(payload)
+        assert all(len(item) == 2 for item in items)
+        assert [index for index, _ in items] == [0] * (hi - lo)
+        assert all(isinstance(record, ReplicaState) for _, record in items)
         job = ShardJob(
             indices=(lo, hi),
-            payload=registry.encode_shard(fleet[lo:hi]),
+            payload=payload,
             handle=None,
             max_rounds=10_000,
             verify=True,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.neighbor_ops import DenseNeighborOps, SparseNeighborOps
+from repro.core.neighbor_ops import SparseNeighborOps
 from repro.core.reference import ReferenceTwoState
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.generators import (
@@ -254,8 +254,7 @@ class TestEagerAblation:
 
 class TestBackends:
     @pytest.mark.parametrize(
-        "ops_cls", [DenseNeighborOps, SparseNeighborOps],
-        ids=["dense", "sparse"],
+        "ops_cls", [SparseNeighborOps], ids=["sparse"],
     )
     def test_backends_equivalent_trajectories(self, ops_cls):
         g = cycle_graph(15)
