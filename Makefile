@@ -73,7 +73,7 @@ bench-trajectory: ## rewrite every BENCH_*.json, then check their floors
 	$(PYTHON) benchmarks/emit_bench_json.py
 	$(PYTHON) tools/check_bench.py
 
-exp-smoke:       ## fast-mode E12 (beeping/stone-age vs the reference), E18 (execution paths) and E20 (churn service)
+exp-smoke:       ## fast-mode E12 (vectorized 2-state vs the beeping reference), E18 (execution paths) and E20 (churn service)
 	$(PYTHON) -m repro.experiments run E12
 	$(PYTHON) -m repro.experiments run E18
 	$(PYTHON) -m repro.experiments run E20

@@ -1,15 +1,14 @@
-"""E12 — beeping / stone-age model executions.
+"""E12 — beeping / stone-age network executions.
 
-Also quantifies the cost of simulating the explicit network layer
-(per-node python state machines) vs the vectorized abstract process.
+Also quantifies the cost of simulating the networks of
+:mod:`repro.core.reference` vs the vectorized abstract process.
 """
 
 import math
 
 from repro.core.two_state import TwoStateMIS
 from repro.graphs.random_graphs import gnp_random_graph
-from repro.models.beeping import BeepingTwoStateMIS
-from repro.models.stone_age import StoneAgeThreeStateMIS
+from repro.core.reference import ReferenceThreeState, ReferenceTwoState
 from repro.sim.runner import run_until_stable
 
 _N = 256
@@ -23,7 +22,7 @@ def test_e12_regenerate(regen):
 def test_beeping_execution(benchmark):
     def run():
         result = run_until_stable(
-            BeepingTwoStateMIS(_GRAPH, coins=1), max_rounds=100_000
+            ReferenceTwoState(_GRAPH, coins=1), max_rounds=100_000
         )
         assert result.stabilized
 
@@ -33,7 +32,7 @@ def test_beeping_execution(benchmark):
 def test_stone_age_execution(benchmark):
     def run():
         result = run_until_stable(
-            StoneAgeThreeStateMIS(_GRAPH, coins=2), max_rounds=100_000
+            ReferenceThreeState(_GRAPH, coins=2), max_rounds=100_000
         )
         assert result.stabilized
 
@@ -41,7 +40,7 @@ def test_stone_age_execution(benchmark):
 
 
 def test_abstract_process_same_workload(benchmark):
-    # The baseline the model layers are compared against.
+    # The baseline the networks are compared against.
     def run():
         result = run_until_stable(
             TwoStateMIS(_GRAPH, coins=1), max_rounds=100_000

@@ -10,9 +10,10 @@ inhibiting me", which is exactly the stone-age/beeping observation
 model.
 
 This example models the proneural field as a hex-like lattice of cell
-clusters and runs the 3-state MIS process (Definition 5) over the
-stone-age network simulation: black1/black0 play the role of the
-Delta-expressing (inhibiting) states, white is the inhibited state.
+clusters and runs the 3-state MIS process (Definition 5) as a stone-age
+network (:class:`repro.core.reference.ReferenceThreeState`): black1/black0
+play the role of the Delta-expressing (inhibiting) states, white is the
+inhibited state.
 
 It then reports the biologically relevant observables: time to pattern
 completion, SOP density, and the minimum pairwise SOP distance (always
@@ -22,7 +23,7 @@ Run:  python examples/fly_neural_precursors.py
 """
 
 from repro import Graph, assert_valid_mis, run_until_stable
-from repro.models.stone_age import StoneAgeThreeStateMIS
+from repro.core.reference import ReferenceThreeState
 
 
 def proneural_field(rows: int, cols: int) -> Graph:
@@ -53,7 +54,7 @@ def main() -> None:
 
     # All cells start in the undecided (white) state — but the process
     # would work from ANY initial pattern (self-stabilization).
-    culture = StoneAgeThreeStateMIS(field, coins=11, init="all_white")
+    culture = ReferenceThreeState(field, coins=11, init="all_white")
     result = run_until_stable(culture, max_rounds=20_000)
     sops = result.mis
     print(f"pattern complete after {result.stabilization_round} "

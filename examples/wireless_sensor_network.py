@@ -12,7 +12,8 @@ This example:
 1. builds a random geometric-ish communication graph (grid + random
    long links, a classic sensor-field stand-in);
 2. runs the 2-state MIS process *as an actual beeping protocol*
-   (`repro.models.beeping`) until cluster heads stabilize;
+   (`repro.core.reference.ReferenceTwoState`) until cluster heads
+   stabilize;
 3. kills 20% of the elected heads (battery failure) and shows the
    network re-electing heads around the failures without any restart —
    the self-stabilization guarantee.
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro import Graph, assert_valid_mis, run_until_stable
 from repro.graphs.generators import grid_graph
-from repro.models.beeping import BeepingTwoStateMIS
+from repro.core.reference import ReferenceTwoState
 
 
 def sensor_field(side: int, extra_links: int, rng: np.random.Generator) -> Graph:
@@ -44,7 +45,7 @@ def main() -> None:
     graph = sensor_field(side=24, extra_links=60, rng=rng)
     print(f"sensor field: {graph.n} nodes, {graph.m} links")
 
-    network = BeepingTwoStateMIS(graph, coins=5)
+    network = ReferenceTwoState(graph, coins=5)
     result = run_until_stable(network, max_rounds=50_000)
     heads = result.mis
     print(f"cluster heads elected after {result.stabilization_round} "

@@ -15,9 +15,10 @@ Processes (``repro.core``):
     :class:`~repro.core.RandomizedLogSwitch` (Definition 26),
     :class:`~repro.core.ThreeColorMIS` (Definition 28).
 
-Communication models (``repro.models``):
-    beeping with sender collision detection, synchronous stone age, and
-    transient-fault adversaries.
+Communication models (``repro.core.reference``):
+    the 2-state process as a beeping network with sender collision
+    detection, the 3-state process as a stone-age network; transient-fault
+    adversaries live in ``repro.models``.
 
 Baselines (``repro.baselines``):
     Luby's algorithm, greedy MIS, the sequential self-stabilizing

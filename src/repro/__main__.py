@@ -66,20 +66,24 @@ def _build_graph(args):
 
 
 def _build_process(args, graph):
+    """The process ``--process`` names, and its budget family."""
     from repro.core import ThreeColorMIS, ThreeStateMIS, TwoStateMIS
-    from repro.models.beeping import BeepingTwoStateMIS
-    from repro.models.stone_age import StoneAgeThreeStateMIS
+    from repro.core.reference import ReferenceThreeState, ReferenceTwoState
 
+    seed = args.seed
     processes = {
-        "2-state": lambda: TwoStateMIS(graph, coins=args.seed),
-        "3-state": lambda: ThreeStateMIS(graph, coins=args.seed),
-        "3-color": lambda: ThreeColorMIS(graph, coins=args.seed, a=args.a),
-        "beeping": lambda: BeepingTwoStateMIS(graph, coins=args.seed),
-        "stone-age": lambda: StoneAgeThreeStateMIS(graph, coins=args.seed),
+        "2-state": ("2-state", lambda: TwoStateMIS(graph, coins=seed)),
+        "3-state": ("3-state", lambda: ThreeStateMIS(graph, coins=seed)),
+        "3-color": ("3-color",
+                    lambda: ThreeColorMIS(graph, coins=seed, a=args.a)),
+        "beeping": ("2-state", lambda: ReferenceTwoState(graph, coins=seed)),
+        "stone-age": ("3-state",
+                      lambda: ReferenceThreeState(graph, coins=seed)),
     }
     if args.process not in processes:
         raise SystemExit(f"unknown process {args.process!r}")
-    return processes[args.process]()
+    family, build = processes[args.process]
+    return build(), family
 
 
 def _cmd_run(args) -> int:
@@ -87,13 +91,10 @@ def _cmd_run(args) -> int:
     from repro.theory.budgets import recommended_budget
 
     graph = _build_graph(args)
-    process = _build_process(args, graph)
+    process, family = _build_process(args, graph)
     budget = args.max_rounds
     if budget is None:
-        name = args.process if args.process in (
-            "2-state", "3-state", "3-color"
-        ) else "2-state"
-        budget = recommended_budget(graph, name)
+        budget = recommended_budget(graph, family)
     print(f"graph: n={graph.n} m={graph.m} Δ={graph.max_degree()}")
     print(f"process: {args.process}  budget: {budget} rounds  "
           f"seed: {args.seed}")

@@ -28,7 +28,7 @@ Both paths produce bitwise-identical trajectories: the aggregates are
 exact integer counts however they are computed, and the coin
 discipline is untouched (``bits(n)`` is drawn every round even when few
 vertices consume it).  The differential oracle ``tests/test_oracle.py``
-pins the processes against the literal per-vertex references of
+pins the processes against the reference networks of
 :mod:`repro.core.reference`, round by round, with the crossover forced
 to either extreme as well as at its default.
 

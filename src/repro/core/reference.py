@@ -1,25 +1,37 @@
-"""Pure-python reference implementations of the paper's processes.
+"""The paper's processes as literal networks in its communication models.
 
-These follow the pseudocode of Definitions 4, 5, 26 and 28 as literally
-as possible — per-vertex loops over neighbour state multisets — and
-consume coins from the shared :class:`~repro.sim.rng.CoinSource` in
-exactly the same order as the vectorized engines.  The footnote-1
-ablation (eager white promotion) and the independent daemon of
-:mod:`repro.core.schedulers` have literal transcriptions too.  The
-differential oracle ``tests/test_oracle.py`` verifies *trajectory
-equality* between the references and every execution path — serial,
-batched and sharded, in every aggregate regime — under a shared seed,
-which pins the vectorized engines to the paper's pseudocode.
+§1 claims the 2-state process runs in the beeping model with sender
+collision detection (Cornejo-Kuhn) and the 3-state process in the
+synchronous stone-age model (Emek-Wattenhofer).  The references here
+are those executions.  Each round every node beeps (on one channel) or
+listens, :meth:`_Network.heard` gives every node one bit per channel —
+whether at least one neighbour beeped there, with no counting and no
+sender identity — and a node updates from that bit, its own state and
+its coin alone.  The 3-color process (Definition 28) and the
+logarithmic switch (Definition 26) keep their per-vertex transcription.
+
+Coins come from the shared :class:`~repro.sim.rng.CoinSource` in
+exactly the order of the vectorized engines.  The differential oracle
+``tests/test_oracle.py`` checks *trajectory equality* between these
+references and every execution path — serial, batched and sharded, in
+every aggregate regime — under a shared seed, which pins the
+vectorized engines to the paper's communication models.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from repro.core.states import BLACK, BLACK0, BLACK1, GRAY, WHITE
-from repro.core.switch import DEFAULT_A
+from repro.core.states import (
+    BLACK,
+    BLACK0,
+    BLACK1,
+    GRAY,
+    WHITE,
+    validate_three_state,
+    validate_two_state,
+)
+from repro.core.switch import DEFAULT_A, resolve_switch_init
 from repro.core.three_color import resolve_three_color_init
 from repro.core.three_state import resolve_three_state_init
 from repro.core.two_state import resolve_two_state_init
@@ -27,43 +39,86 @@ from repro.graphs.graph import Graph
 from repro.sim.rng import CoinSource, as_coin_source
 
 
-class _ReferenceProcess:
-    """The stable/stabilized notions of Definition 4, vertex by vertex."""
+class _Network:
+    """A synchronous network of anonymous nodes on ``graph``, and the
+    stable/stabilized notions of Definition 4 read off what it delivers.
 
-    graph: Graph
-    n: int
+    ``beeps`` counts the beeps sent by :meth:`step`; the masks below
+    reuse :meth:`heard` to inspect the state and send none.
+    """
+
+    def __init__(self, graph: Graph, coins: CoinSource | int | None) -> None:
+        self.graph = graph
+        self.n = graph.n
+        self.coins = as_coin_source(coins)
+        self.round = 0
+        self.beeps = 0
+
+    def heard(self, beeping: np.ndarray) -> np.ndarray:
+        """Per node, whether at least one neighbour is in ``beeping``
+        (a node never hears itself)."""
+        beeping = np.asarray(beeping, dtype=bool)
+        if beeping.shape != (self.n,):
+            raise ValueError(f"beeping must have shape ({self.n},)")
+        out = np.zeros(self.n, dtype=bool)
+        for u in np.flatnonzero(beeping).tolist():
+            for v in self.graph.neighbors(u):
+                out[v] = True
+        return out
 
     def black_mask(self) -> np.ndarray:
         raise NotImplementedError
 
+    def active_mask(self) -> np.ndarray:
+        """``A_t``: the nodes that take their coin this round."""
+        raise NotImplementedError
+
     def stable_black_mask(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
+        """``I_t``: black nodes that hear no black neighbour."""
         black = self.black_mask()
-        for u in range(self.n):
-            if black[u] and not any(
-                black[v] for v in self.graph.neighbors(u)
-            ):
-                out[u] = True
-        return out
+        return black & ~self.heard(black)
 
     def covered_mask(self) -> np.ndarray:
         """``N+[I_t]``: stable black, or a neighbour of one."""
         stable = self.stable_black_mask()
-        out = stable.copy()
-        for u in range(self.n):
-            if any(stable[v] for v in self.graph.neighbors(u)):
-                out[u] = True
-        return out
+        return stable | self.heard(stable)
+
+    def unstable_mask(self) -> np.ndarray:
+        return ~self.covered_mask()
 
     def is_stabilized(self) -> bool:
         return bool(self.covered_mask().all())
 
+    def mis(self) -> np.ndarray:
+        if not self.is_stabilized():
+            raise RuntimeError("not stabilized")
+        return np.flatnonzero(self.black_mask())
 
-class ReferenceTwoState(_ReferenceProcess):
-    """Literal per-vertex implementation of Definition 4.
+    def trajectory_counts(self) -> tuple[int, int, int, int]:
+        """``(|B_t|, |A_t|, |I_t|, |V_t|)``, as a trace records them."""
+        return (
+            int(self.black_mask().sum()),
+            int(self.active_mask().sum()),
+            int(self.stable_black_mask().sum()),
+            int(self.unstable_mask().sum()),
+        )
 
-    ``eager_white_promotion=True`` is the footnote-1 ablation: an active
-    white vertex turns black outright (its coin is drawn and ignored).
+    def beeps_per_node_round(self) -> float:
+        """Average beeps sent per node per round stepped."""
+        if self.round == 0 or self.n == 0:
+            return 0.0
+        return self.beeps / (self.round * self.n)
+
+
+class ReferenceTwoState(_Network):
+    """Definition 4 as a beeping protocol: black nodes beep, white
+    nodes listen, and each node hears one bit.  A black node that hears
+    a beep (sender collision detection) and a white node that hears
+    silence take their coin; every other node keeps its state.
+
+    ``eager_white_promotion=True`` is the footnote-1 ablation: a white
+    node that hears silence turns black outright (its coin is drawn and
+    ignored).
     """
 
     def __init__(
@@ -73,52 +128,48 @@ class ReferenceTwoState(_ReferenceProcess):
         init: np.ndarray | str | None = None,
         eager_white_promotion: bool = False,
     ) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self.coins = as_coin_source(coins)
+        super().__init__(graph, coins)
         self.black = resolve_two_state_init(init, self.n, self.coins)
         self.eager_white_promotion = eager_white_promotion
-        self.round = 0
 
     def step(self) -> None:
-        """One parallel round, exactly as the Definition 4 pseudocode."""
+        """One round: φ_t is drawn, then every node acts."""
         phi = self.coins.bits(self.n)
-        self._update(phi, range(self.n))
+        self._update(phi, np.ones(self.n, dtype=bool))
 
-    def _update(self, phi: np.ndarray, selected: Iterable[int]) -> None:
-        """Apply the rule at the ``selected`` vertices; the rest keep."""
-        old = self.black
-        new = old.copy()
-        for u in selected:
-            neighbor_colors = {old[v] for v in self.graph.neighbors(u)}
-            has_black = True in neighbor_colors
-            if old[u] and has_black:
-                new[u] = phi[u]
-            elif not old[u] and not has_black:
-                new[u] = True if self.eager_white_promotion else phi[u]
-        self.black = new
+    def _update(self, phi: np.ndarray, selected: np.ndarray) -> None:
+        """One round: every black node beeps; the ``selected`` nodes act
+        on what they hear, the rest keep their state."""
+        black = self.black
+        heard = self.heard(black)
+        self.beeps += int(black.sum())
+        collision = selected & black & heard
+        silence = selected & ~black & ~heard
+        joined = True if self.eager_white_promotion else phi
+        self.black = np.where(collision, phi, np.where(silence, joined, black))
         self.round += 1
 
     def black_mask(self) -> np.ndarray:
         return self.black.copy()
 
     def active_mask(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=bool)
-        for u in range(self.n):
-            has_black = any(self.black[v] for v in self.graph.neighbors(u))
-            out[u] = (self.black[u] and has_black) or (
-                not self.black[u] and not has_black
-            )
-        return out
+        return self.black == self.heard(self.black)
+
+    def state_vector(self) -> np.ndarray:
+        return self.black.copy()
+
+    def corrupt(self, states: np.ndarray) -> None:
+        """Transient fault: overwrite every node's state."""
+        self.black = validate_two_state(states, self.n)
 
 
 class ReferenceIndependentDaemon(ReferenceTwoState):
-    """Definition 4's rule under the independent daemon, vertex by vertex.
+    """Definition 4's protocol under the independent daemon.
 
-    Each round every vertex is selected independently with probability
+    Each round every node is selected independently with probability
     ``q`` (the daemon's ``bernoulli(n, q)`` draw comes first, then φ_t,
-    as in :class:`~repro.core.schedulers.ScheduledTwoStateMIS`); only
-    selected vertices apply the rule.
+    as in :class:`~repro.core.schedulers.ScheduledTwoStateMIS`); black
+    nodes beep either way, and only selected nodes act.
     """
 
     def __init__(
@@ -134,11 +185,20 @@ class ReferenceIndependentDaemon(ReferenceTwoState):
     def step(self) -> None:
         selected = self.coins.bernoulli(self.n, self.q)
         phi = self.coins.bits(self.n)
-        self._update(phi, np.flatnonzero(selected).tolist())
+        self._update(phi, selected)
 
 
-class ReferenceThreeState(_ReferenceProcess):
-    """Literal per-vertex implementation of Definition 5."""
+class ReferenceThreeState(_Network):
+    """Definition 5 as a two-channel stone-age protocol: black1 nodes
+    beep on channel 0, black0 nodes on channel 1, white nodes listen on
+    both.  No node reads the channel it beeps on, so no collision
+    detection is needed:
+
+    * black1 takes its coin whatever it hears;
+    * black0 reads channel 0: a beep sends it white, silence makes it
+      take its coin;
+    * white takes its coin when both channels are silent.
+    """
 
     def __init__(
         self,
@@ -146,40 +206,41 @@ class ReferenceThreeState(_ReferenceProcess):
         coins: CoinSource | int | None = None,
         init: np.ndarray | str | None = None,
     ) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self.coins = as_coin_source(coins)
+        super().__init__(graph, coins)
         self.states = resolve_three_state_init(init, self.n, self.coins)
-        self.round = 0
 
     def active_mask(self) -> np.ndarray:
-        """The vertices that re-randomize next round (Definition 5)."""
-        out = np.zeros(self.n, dtype=bool)
-        for u in range(self.n):
-            nc = {int(self.states[v]) for v in self.graph.neighbors(u)}
-            state = int(self.states[u])
-            out[u] = (
-                state == BLACK1
-                or (state == BLACK0 and BLACK1 not in nc)
-                or (state == WHITE and nc <= {WHITE})
-            )
-        return out
+        """The nodes that take their coin this round (Definition 5)."""
+        states = self.states
+        channel0 = self.heard(states == BLACK1)
+        channel1 = self.heard(states == BLACK0)
+        return (
+            (states == BLACK1)
+            | ((states == BLACK0) & ~channel0)
+            | ((states == WHITE) & ~channel0 & ~channel1)
+        )
 
     def step(self) -> None:
         phi = self.coins.bits(self.n)
-        randomize = self.active_mask()
-        old = self.states
-        new = old.copy()
-        for u in range(self.n):
-            if randomize[u]:
-                new[u] = BLACK1 if phi[u] else BLACK0
-            elif old[u] == BLACK0:
-                new[u] = WHITE
-        self.states = new
+        states = self.states
+        active = self.active_mask()
+        self.beeps += int(np.count_nonzero(states != WHITE))
+        # An inactive black0 node heard a black1 neighbour: it retreats.
+        kept = np.where(states == BLACK0, WHITE, states)
+        self.states = np.where(
+            active, np.where(phi, BLACK1, BLACK0), kept
+        ).astype(np.int8)
         self.round += 1
 
     def black_mask(self) -> np.ndarray:
         return self.states != WHITE
+
+    def state_vector(self) -> np.ndarray:
+        return self.states.copy()
+
+    def corrupt(self, states: np.ndarray) -> None:
+        """Transient fault: overwrite every node's state."""
+        self.states = validate_three_state(states, self.n)
 
 
 class ReferenceLogSwitch:
@@ -196,13 +257,7 @@ class ReferenceLogSwitch:
         self.n = graph.n
         self.coins = as_coin_source(coins)
         self.zeta = zeta
-        # Mirror RandomizedLogSwitch's init coin consumption.
-        from repro.core.switch import RandomizedLogSwitch
-
-        helper = RandomizedLogSwitch.__new__(RandomizedLogSwitch)
-        helper.n = self.n
-        helper.coins = self.coins
-        self.levels = helper._resolve_init(init)
+        self.levels = resolve_switch_init(init, self.n, self.coins)
         self.round = 0
 
     def step(self) -> None:
@@ -224,7 +279,7 @@ class ReferenceLogSwitch:
         return self.levels <= 2
 
 
-class ReferenceThreeColor(_ReferenceProcess):
+class ReferenceThreeColor(_Network):
     """Literal per-vertex implementation of Definition 28.
 
     Coin order per round matches :class:`ThreeColorMIS`: main φ_t bits
@@ -238,12 +293,9 @@ class ReferenceThreeColor(_ReferenceProcess):
         init: np.ndarray | str | None = None,
         a: float = DEFAULT_A,
     ) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self.coins = as_coin_source(coins)
+        super().__init__(graph, coins)
         self.colors = resolve_three_color_init(init, self.n, self.coins)
         self.switch = ReferenceLogSwitch(graph, self.coins, zeta=4.0 / a)
-        self.round = 0
 
     def step(self) -> None:
         phi = self.coins.bits(self.n)
@@ -265,3 +317,9 @@ class ReferenceThreeColor(_ReferenceProcess):
 
     def black_mask(self) -> np.ndarray:
         return self.colors == BLACK
+
+    def active_mask(self) -> np.ndarray:
+        """Black with a black neighbour, or white with none; gray never."""
+        black = self.colors == BLACK
+        heard = self.heard(black)
+        return (black & heard) | ((self.colors == WHITE) & ~heard)

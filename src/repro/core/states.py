@@ -2,7 +2,7 @@
 
 All engines store per-vertex states in compact numpy ``int8`` arrays; the
 constants here fix the encodings shared between the vectorized engines,
-the pure-python references, and the communication-model simulations.
+and the reference networks of :mod:`repro.core.reference`.
 
 Encodings
 ---------

@@ -44,6 +44,35 @@ from repro.sim.rng import CoinSource, as_coin_source
 DEFAULT_A: float = 512.0
 
 
+def resolve_switch_init(
+    init: np.ndarray | str | None,
+    n: int,
+    coins: CoinSource,
+) -> np.ndarray:
+    """Resolve initial switch levels.
+
+    ``init`` may be an int array in 0..5 (validated), ``"all_zero"`` /
+    ``"all_five"``, or ``None`` / ``"random"``, which draws three
+    ``bits(n)`` arrays.
+    """
+    if init is None or (isinstance(init, str) and init == "random"):
+        # Three bits index 0..7 and fold 6,7 -> 0,1: non-uniform on
+        # purpose, as any start is an adversarial one.
+        b0 = coins.bits(n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
+        b1 = coins.bits(n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
+        b2 = coins.bits(n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
+        raw = b0 + 2 * b1 + 4 * b2
+        raw[raw >= 6] -= 6
+        return raw.astype(np.int8)
+    if isinstance(init, str):
+        if init == "all_zero":
+            return np.zeros(n, dtype=np.int8)
+        if init == "all_five":
+            return np.full(n, 5, dtype=np.int8)
+        raise ValueError(f"unknown init spec {init!r}")
+    return validate_switch_levels(init, n)
+
+
 class SwitchProcess:
     """Interface required by :class:`repro.core.three_color.ThreeColorMIS`.
 
@@ -73,10 +102,7 @@ class RandomizedLogSwitch(SwitchProcess):
         Reset probability ζ ∈ (0, 1/2].  Definition 28 uses ζ = 4/a with
         a = 512, i.e. ζ = 2^-7 = 0.0078125.
     init:
-        Initial levels: int array in 0..5, ``"random"`` or ``None``
-        (random levels, consuming one ``bernoulli(n, 0.5)``-free draw —
-        levels are derived from two ``bits`` draws), or ``"all_zero"`` /
-        ``"all_five"``.
+        Initial levels, as :func:`resolve_switch_init` reads them.
     """
 
     def __init__(
@@ -94,30 +120,8 @@ class RandomizedLogSwitch(SwitchProcess):
         self.zeta = float(zeta)
         self.coins = as_coin_source(coins)
         self.ops = ops if ops is not None else SparseNeighborOps(graph)
-        self.levels = self._resolve_init(init)
+        self.levels = resolve_switch_init(init, self.n, self.coins)
         self.round = 0
-
-    def _resolve_init(self, init: np.ndarray | str | None) -> np.ndarray:
-        if init is None or (isinstance(init, str) and init == "random"):
-            # Derive a uniform level in 0..5 from three coin bits via
-            # rejection-free folding: value = (b0 + 2 b1 + 4 b2) mod 6 is
-            # *not* uniform; instead draw uniforms via bernoulli trick.
-            # We simply use three bits to index 0..7 and fold 6,7 -> 0,1;
-            # slight non-uniformity is irrelevant for an *arbitrary*
-            # adversarial initialization, but we document it.
-            b0 = self.coins.bits(self.n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
-            b1 = self.coins.bits(self.n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
-            b2 = self.coins.bits(self.n).astype(np.int8)  # repro-lint: disable=coin-purity (documented init-time draw)
-            raw = b0 + 2 * b1 + 4 * b2
-            raw[raw >= 6] -= 6
-            return raw.astype(np.int8)
-        if isinstance(init, str):
-            if init == "all_zero":
-                return np.zeros(self.n, dtype=np.int8)
-            if init == "all_five":
-                return np.full(self.n, 5, dtype=np.int8)
-            raise ValueError(f"unknown init spec {init!r}")
-        return validate_switch_levels(init, self.n)
 
     def step(self) -> None:
         """One round of the Definition 26 update rule."""

@@ -16,8 +16,8 @@ Two ablations on the 2-state process:
    G(n, 3/n) run serially (:mod:`repro.core.frontier`) and batched
    (:mod:`repro.core.batched_frontier`), with identity verdicts: both
    paths must report the same per-seed stabilization round and MIS,
-   and the serial path's black masks must equal the literal
-   per-vertex reference (:class:`repro.core.reference.ReferenceTwoState`)
+   and the serial path's black masks must equal the beeping
+   reference (:class:`repro.core.reference.ReferenceTwoState`)
    round by round.  The wall-time column reports each path's cost;
    the incremental aggregates' payoff grows with n and with the
    fleet's tail (see ``benchmarks/bench_frontier.py`` and
@@ -165,7 +165,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     verdicts["serial and batched agree on every MIS"] = all(
         np.array_equal(a.mis, b.mis) for a, b in zip(serial, batched)
     )
-    # Every replica replays through the literal per-vertex reference,
+    # Every replica replays through the beeping reference,
     # compared round by round with a fresh serial process.
     matches = []
     for coin_seed, result in zip(replica_seeds, serial):

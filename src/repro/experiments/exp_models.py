@@ -8,12 +8,12 @@ The paper's translation claims (§1):
 * the 3-state process runs in the synchronous stone age model —
   constant channels, no collision detection.
 
-The experiment (a) proves operational equivalence: under shared coins,
-the beeping-network execution of the 2-state protocol is
-*trajectory-identical* to the abstract process (the literal per-vertex
-:class:`~repro.core.reference.ReferenceTwoState`); (b) runs both model
-implementations to stabilization on a workload suite, verifying the
-resulting MISes; and (c) reports the communication cost per round
+Both executions are the references of :mod:`repro.core.reference`.  The
+experiment (a) checks that under shared coins the vectorized
+:class:`~repro.core.two_state.TwoStateMIS` is *trajectory-identical* to
+the beeping network :class:`~repro.core.reference.ReferenceTwoState`;
+(b) runs both networks to stabilization on a workload suite, verifying
+the resulting MISes; and (c) reports the communication cost per round
 (bits observed per node — exactly 1 for beeping, 2 for the two-channel
 stone-age protocol).
 """
@@ -24,13 +24,12 @@ import math
 
 import numpy as np
 
-from repro.core.reference import ReferenceTwoState
+from repro.core.reference import ReferenceThreeState, ReferenceTwoState
+from repro.core.two_state import TwoStateMIS
 from repro.experiments.registry import ExperimentResult, register
 from repro.experiments.tables import format_table
 from repro.graphs.generators import complete_graph, cycle_graph
 from repro.graphs.random_graphs import gnp_random_graph, random_tree
-from repro.models.beeping import BeepingTwoStateMIS
-from repro.models.stone_age import StoneAgeThreeStateMIS
 from repro.sim.runner import run_until_stable
 from repro.sim.rng import spawn_seeds
 
@@ -54,21 +53,21 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
     }
     budget = 5000 * int(math.log2(n)) + 20000
 
-    # (a) Trajectory equivalence beeping vs abstract, shared coins.
+    # (a) Trajectory equivalence beeping vs vectorized, shared coins.
     equiv_ok = True
     for graph in suite.values():
         shared_seed = seed + 11
-        abstract = ReferenceTwoState(graph, coins=shared_seed)
-        beeping = BeepingTwoStateMIS(graph, coins=shared_seed)
+        vectorized = TwoStateMIS(graph, coins=shared_seed)
+        beeping = ReferenceTwoState(graph, coins=shared_seed)
         for _ in range(equiv_rounds):
-            abstract.step()
+            vectorized.step()
             beeping.step()
-            if not np.array_equal(abstract.black_mask(), beeping.black_mask()):
+            if not np.array_equal(vectorized.black, beeping.black):
                 equiv_ok = False
                 break
 
-    # (b) Stabilization of both model implementations on the suite,
-    # with measured channel traffic (beeps per node per round).
+    # (b) Stabilization of both networks on the suite, with measured
+    # channel traffic (beeps per node per round).
     rows = []
     all_stabilized = True
     for graph_name, graph in suite.items():
@@ -77,24 +76,19 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
         beep_traffic = []
         stone_traffic = []
         for s in spawn_seeds(seed + 21, trials):
-            beeping = BeepingTwoStateMIS(graph, coins=s)
+            beeping = ReferenceTwoState(graph, coins=s)
             result_b = run_until_stable(beeping, max_rounds=budget)
-            stone = StoneAgeThreeStateMIS(graph, coins=s + 1)
+            stone = ReferenceThreeState(graph, coins=s + 1)
             result_s = run_until_stable(stone, max_rounds=budget)
             all_stabilized &= result_b.stabilized and result_s.stabilized
             if result_b.stabilized:
                 beep_times.append(result_b.stabilization_round)
-                if beeping.network.deliveries:
-                    beep_traffic.append(
-                        beeping.network.beeps_per_node_round()
-                    )
+                if beeping.round:
+                    beep_traffic.append(beeping.beeps_per_node_round())
             if result_s.stabilized:
                 stone_times.append(result_s.stabilization_round)
-                if stone.network.deliveries:
-                    stone_traffic.append(
-                        stone.network.total_beeps
-                        / (stone.network.deliveries * graph.n)
-                    )
+                if stone.round:
+                    stone_traffic.append(stone.beeps_per_node_round())
         rows.append(
             [graph_name,
              float(np.mean(beep_times)) if beep_times else float("nan"),

@@ -1,27 +1,11 @@
-"""Communication models and adversaries.
+"""Transient-fault adversaries (:mod:`repro.models.faults`) for the
+self-stabilization experiments (E11).
 
-The paper's algorithms are designed for severely restricted models:
-
-* :mod:`repro.models.beeping` — the beeping model with sender collision
-  detection (full-duplex); hosts the 2-state MIS process as an actual
-  beeping protocol (§1).
-* :mod:`repro.models.stone_age` — the synchronous stone age model
-  (constant-alphabet multi-channel beeps, no collision detection);
-  hosts the 3-state MIS process (§1).
-* :mod:`repro.models.faults` — transient-fault adversaries for the
-  self-stabilization experiments (E11).
+The paper's communication models — beeping with sender collision
+detection and the stone-age model — are the reference processes of
+:mod:`repro.core.reference`.
 """
 
-from repro.models.beeping import (
-    BeepingNetwork,
-    BeepingTwoStateMIS,
-    TwoStateBeepNode,
-)
-from repro.models.stone_age import (
-    StoneAgeNetwork,
-    StoneAgeThreeStateMIS,
-    ThreeStateStoneAgeNode,
-)
 from repro.models.faults import (
     FaultEvent,
     RandomCorruption,
@@ -31,12 +15,6 @@ from repro.models.faults import (
 )
 
 __all__ = [
-    "BeepingNetwork",
-    "BeepingTwoStateMIS",
-    "TwoStateBeepNode",
-    "StoneAgeNetwork",
-    "StoneAgeThreeStateMIS",
-    "ThreeStateStoneAgeNode",
     "FaultEvent",
     "RandomCorruption",
     "TargetedCorruption",

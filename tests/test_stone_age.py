@@ -1,74 +1,94 @@
-"""Tests for the stone age model (repro.models.stone_age)."""
+"""Tests for the stone-age network (repro.core.reference.ReferenceThreeState)."""
 
 import numpy as np
 import pytest
 
+from repro.core.reference import ReferenceThreeState
 from repro.core.states import BLACK0, BLACK1, WHITE
 from repro.core.three_state import ThreeStateMIS
 from repro.core.verify import is_maximal_independent_set
 from repro.graphs.generators import complete_graph, path_graph, star_graph
-from repro.models.stone_age import (
-    CHANNEL_BLACK,
-    CHANNEL_BLACK1,
-    StoneAgeNetwork,
-    StoneAgeThreeStateMIS,
-    ThreeStateStoneAgeNode,
-)
+from repro.graphs.graph import Graph
+from repro.sim.rng import ScriptedCoins
 from repro.sim.runner import run_until_stable
+
+
+def one_round(graph, init, coins):
+    """The states after one round from ``init`` on scripted ``coins``."""
+    net = ReferenceThreeState(
+        graph, coins=ScriptedCoins([coins]), init=np.array(init)
+    )
+    net.step()
+    return net.states.tolist()
 
 
 class TestNetwork:
     def test_per_channel_delivery(self):
-        g = path_graph(3)
-        net = StoneAgeNetwork(g)
-        heard = net.deliver([CHANNEL_BLACK1, None, CHANNEL_BLACK])
-        assert heard[1, CHANNEL_BLACK1]
-        assert heard[1, CHANNEL_BLACK]
-        assert not heard[0, CHANNEL_BLACK1]  # no self-hearing
-        assert heard[0, CHANNEL_BLACK] == False  # vertex 2 not adjacent to 0
+        net = ReferenceThreeState(
+            path_graph(3), init=np.array([BLACK1, WHITE, BLACK0])
+        )
+        channel0 = net.heard(net.states == BLACK1)
+        channel1 = net.heard(net.states == BLACK0)
+        # The middle node hears both channels; no node hears itself, and
+        # the end nodes are not adjacent.
+        assert channel0.tolist() == [False, True, False]
+        assert channel1.tolist() == [False, True, False]
 
     def test_emission_validation(self):
-        net = StoneAgeNetwork(path_graph(2))
+        net = ReferenceThreeState(path_graph(2), init="all_white")
         with pytest.raises(ValueError):
-            net.deliver([0])
-        with pytest.raises(ValueError):
-            net.deliver([7, None])
+            net.heard(np.array([True]))
 
 
 class TestNode:
+    """Definition 5, one row per test: one round on two or three nodes."""
+
     def test_emissions(self):
-        assert ThreeStateStoneAgeNode(BLACK1).emit() == CHANNEL_BLACK1
-        assert ThreeStateStoneAgeNode(BLACK0).emit() == CHANNEL_BLACK
-        assert ThreeStateStoneAgeNode(WHITE).emit() is None
+        # Each black node beeps once (on its own channel); white listens.
+        net = ReferenceThreeState(
+            Graph(3), coins=ScriptedCoins([[False] * 3]),
+            init=np.array([BLACK1, BLACK0, WHITE]),
+        )
+        net.step()
+        assert net.beeps == 2
 
     def test_invalid_state(self):
         with pytest.raises(ValueError):
-            ThreeStateStoneAgeNode(7)
+            ReferenceThreeState(path_graph(2), init=np.array([7, WHITE]))
+        net = ReferenceThreeState(path_graph(2), init="all_white")
+        with pytest.raises(ValueError):
+            net.corrupt(np.array([7, WHITE]))
+        with pytest.raises(ValueError):
+            net.corrupt(np.array([WHITE]))
 
     def test_black1_rerandomizes(self):
-        node = ThreeStateStoneAgeNode(BLACK1)
-        node.observe(True, True, coin=False)
-        assert node.state == BLACK0
+        assert one_round(path_graph(2), [BLACK1, BLACK1], [False, True]) == [
+            BLACK0, BLACK1]
 
     def test_black0_retreats_on_black1(self):
-        node = ThreeStateStoneAgeNode(BLACK0)
-        node.observe(True, True, coin=True)
-        assert node.state == WHITE
+        assert one_round(path_graph(2), [BLACK0, BLACK1], [True, True]) == [
+            WHITE, BLACK1]
 
     def test_black0_rerandomizes_without_black1(self):
-        node = ThreeStateStoneAgeNode(BLACK0)
-        node.observe(False, True, coin=True)
-        assert node.state == BLACK1
+        # Node 1 (white) hears node 0 on channel 1 and stays white.
+        assert one_round(path_graph(2), [BLACK0, WHITE], [True, True]) == [
+            BLACK1, WHITE]
+
+    def test_black0_does_not_read_its_own_channel(self):
+        # Adjacent black0 nodes beep on channel 1 and read only channel
+        # 0: no collision detection, so both re-randomize.
+        assert one_round(path_graph(2), [BLACK0, BLACK0], [True, False]) == [
+            BLACK1, BLACK0]
 
     def test_white_joins_on_silence(self):
-        node = ThreeStateStoneAgeNode(WHITE)
-        node.observe(False, False, coin=False)
-        assert node.state == BLACK0
+        assert one_round(path_graph(2), [WHITE, WHITE], [False, True]) == [
+            BLACK0, BLACK1]
 
     def test_white_stays_on_black_tone(self):
-        node = ThreeStateStoneAgeNode(WHITE)
-        node.observe(False, True, coin=True)
-        assert node.state == WHITE
+        # One white node hears channel 0, the other channel 1.
+        assert one_round(
+            path_graph(4), [WHITE, BLACK1, BLACK0, WHITE], [True] * 4
+        ) == [WHITE, BLACK1, WHITE, WHITE]
 
 
 class TestExecution:
@@ -85,7 +105,7 @@ class TestExecution:
         graph = graph_factory()
         seed = 17
         abstract = ThreeStateMIS(graph, coins=seed)
-        stone = StoneAgeThreeStateMIS(graph, coins=seed)
+        stone = ReferenceThreeState(graph, coins=seed)
         assert np.array_equal(abstract.state_vector(), stone.state_vector())
         for _ in range(50):
             abstract.step()
@@ -96,7 +116,7 @@ class TestExecution:
 
     def test_stabilizes_on_suite(self, small_zoo):
         for seed, g in enumerate(small_zoo.values()):
-            proc = StoneAgeThreeStateMIS(g, coins=seed)
+            proc = ReferenceThreeState(g, coins=seed)
             result = run_until_stable(proc, max_rounds=50_000)
             assert result.stabilized
             assert is_maximal_independent_set(g, result.mis)
@@ -105,7 +125,7 @@ class TestExecution:
         graph = star_graph(7)
         seed = 23
         abstract = ThreeStateMIS(graph, coins=seed)
-        stone = StoneAgeThreeStateMIS(graph, coins=seed)
+        stone = ReferenceThreeState(graph, coins=seed)
         for _ in range(20):
             assert np.array_equal(
                 abstract.active_mask(), stone.active_mask()
@@ -115,7 +135,7 @@ class TestExecution:
 
     def test_corrupt_and_recover(self):
         g = complete_graph(8)
-        proc = StoneAgeThreeStateMIS(g, coins=3)
+        proc = ReferenceThreeState(g, coins=3)
         run_until_stable(proc, max_rounds=50_000)
         proc.corrupt(np.full(8, BLACK1, dtype=np.int8))
         recovery = run_until_stable(proc, max_rounds=50_000)
