@@ -46,7 +46,10 @@ bookkeeping incrementally (:mod:`repro.core.batched_frontier`) wherever
 scatter can win — the block-diagonal path, or a shared graph whose
 ``count_batch`` runs on CSR (not ``blas_batch``) — so a round's cost
 tracks the fleet's changed set: bulk rounds for the early collapse,
-flat-index scatter updates plus O(1) retirement for the long tail.
+flat-index scatter updates plus O(1) retirement for the long tail.  A
+2-state clean start on a shared graph runs its opening bulk rounds on
+bit words, 64 replicas a word and OR-reduces for counts, then hands
+over with one reduction (:meth:`BatchedTwoStateMIS._word_rounds`).
 Elsewhere, and always for the 3-color engine (its switch diffuses over
 every closed neighbourhood per round), they pay full ``(R, n)`` reductions every round.
 Engines are reusable across :meth:`~_BatchedMISEngine.run` calls
@@ -104,6 +107,7 @@ from repro.core.batched_frontier import (
     BatchedFrontierAggregates,
     ResidentCounts,
     RoundDelta,
+    word_round,
 )
 from repro.core.neighbor_ops import (
     SparseNeighborOps,
@@ -129,7 +133,7 @@ from repro.core.three_color import ThreeColorMIS
 from repro.core.three_state import ThreeStateMIS
 from repro.core.two_state import TwoStateMIS
 from repro.core.verify import assert_valid_mis
-from repro.sim.rng import CoinSource
+from repro.sim.rng import CoinSource, words_to_rows
 
 #: Dispatch table: serial process type → batched engine class.  Filled
 #: by :func:`register_engine`; keyed by the *exact* type (subclasses do
@@ -354,6 +358,13 @@ class _BatchedMISEngine:
         pairs and the changed edges, mutating ``black`` *in place*.
         """
         raise NotImplementedError
+
+    def _word_rounds(
+        self, live: np.ndarray, black: np.ndarray, budget: int
+    ) -> np.ndarray:
+        """A clean start's opening bulk rounds on bit words, if the
+        engine has them; returns the rows ``rebuild`` hands over from."""
+        return black
 
     def _reset_frontier_scratch(self) -> None:
         """Clear per-run frontier-local state (run start and end)."""
@@ -668,12 +679,14 @@ class _BatchedMISEngine:
             frontier = BatchedFrontierAggregates(
                 self, track_aux=self.track_aux_counts
             )
+            self._frontier_state = frontier
             aux_mask = self._aux_rows(live)
             repaired = None
             if resident is not None:
                 repaired = frontier.repair(black, pos, resident, aux_mask)
             candidates = None
             if repaired is None:
+                black = self._word_rounds(live, black, max_rounds)  # repro-lint: disable=coin-flow (word rounds take the one φ_t row draw per live stream of the bulk rounds they replace)
                 frontier.rebuild(black, pos, aux_mask=aux_mask)
             else:
                 # The first round then picks its regime from the
@@ -684,7 +697,6 @@ class _BatchedMISEngine:
             # rules consume); the integer matrix lives in the
             # aggregates and is only touched by the scatter paths.
             counts = frontier.has
-            self._frontier_state = frontier
             # Seed the activity set from the initial aggregates: a
             # fleet that starts near-stable (the self-stabilization
             # recovery shape) then rides pair rounds from round 1.
@@ -1023,6 +1035,35 @@ class BatchedTwoStateMIS(_BlackStateEngine):
             mask = np.zeros(black.size, dtype=bool)
             mask[act] = True
             self._act_mask = mask.reshape(black.shape)
+
+    def _word_rounds(
+        self, live: np.ndarray, black: np.ndarray, budget: int
+    ) -> np.ndarray:
+        """Bulk rounds on vertex-major bit words, 64 replicas a word
+        (DESIGN §5), until the run loop would take no bulk round: a
+        replica is covered, the budget ends, or the activity or the
+        last change fell below the bulk fractions.  Shared graphs
+        without eager replicas only: the words follow the plain rule."""
+        frontier = self._frontier_state
+        if frontier is None or not (self.shared_graph and self._pair_capable):
+            return black
+        cells = self._cells(live.size)
+        coins = self._live_coins(live)
+        words = frontier.start_words(black)
+        rounds = 0
+        while rounds < budget and not words.done.any():
+            active = cells - int(np.bitwise_count(words.black ^ words.has).sum())
+            changed = self._changed_count
+            if active * PAIR_ADVANCE_FRACTION < cells or (
+                changed is not None and changed * BULK_ADVANCE_FRACTION <= cells
+            ):
+                break
+            new_black, self._changed_count = word_round(words, coins)
+            frontier.full_round(new_black, None)
+            words = frontier.words
+            rounds += 1
+        self._rounds[live] += rounds
+        return words_to_rows(words.black, live.size)
 
     def _advance_rows(
         self,

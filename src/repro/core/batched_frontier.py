@@ -55,6 +55,7 @@ references of :mod:`repro.core.reference`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -62,6 +63,9 @@ import numpy as np
 
 from repro.core import frontier
 from repro.core.neighbor_ops import _scatter_unit, unique_flat
+from repro.core.verify import neighbor_or
+from repro.graphs.graph import Graph
+from repro.sim.rng import CoinSource, rows_to_words, words_to_rows
 
 if TYPE_CHECKING:  # import cycle: batched.py imports this module
     from repro.core.batched import _BatchedMISEngine
@@ -140,6 +144,39 @@ class RoundDelta:
     aux_mask: np.ndarray | None = None
 
 
+@dataclass
+class WordAggregates:
+    """The 2-state aggregates as ``(n, ⌈L/64⌉)`` uint64 words, replica
+    ``i`` at bit ``i % 64`` of word ``i // 64`` (DESIGN §5): ``B``,
+    ``H = OR_N(B)``, ``I = B & ~H`` and ``N+[I] = I | OR_N(I)``, plus
+    ``done``, the replicas that ``N+[I]`` covers."""
+
+    black: np.ndarray
+    has: np.ndarray
+    stable: np.ndarray
+    covered: np.ndarray
+    done: np.ndarray
+
+    @classmethod
+    def of(cls, black: np.ndarray, graph: Graph, rows: int) -> WordAggregates:
+        """The aggregates of ``rows`` replicas' black words on ``graph``."""
+        has = neighbor_or(black, graph)
+        stable = black & ~has
+        covered = stable | neighbor_or(stable, graph)
+        every = np.bitwise_and.reduce(covered, axis=0, keepdims=True)
+        return cls(black, has, stable, covered, words_to_rows(every, rows)[:, 0])
+
+
+def word_round(
+    words: WordAggregates, sources: Sequence[CoinSource]
+) -> tuple[np.ndarray, int]:
+    """One 2-state round on words, ``(B', |B' ^ B|)``: the active
+    ``~(B ^ H)`` take their coin, ``B' = B ^ (A & (Φ ^ B))``."""
+    phi = CoinSource.bits_words(sources, words.black.shape[0])
+    flip = ~(words.black ^ words.has) & (phi ^ words.black)
+    return words.black ^ flip, int(np.bitwise_count(flip).sum())
+
+
 def apply_flat_delta(
     counts_flat: np.ndarray,
     up: np.ndarray | None,
@@ -208,6 +245,8 @@ class BatchedFrontierAggregates:
         self.unstable: np.ndarray | None = None
         self.row_vols: np.ndarray | None = None
         self._thresholds: np.ndarray | None = None
+        #: The word form, from :meth:`start_words` to :meth:`rebuild`.
+        self.words: WordAggregates | None = None
         #: Round counters by update path (introspection / benchmarks).
         self.scatter_rounds = 0
         self.full_rounds = 0
@@ -254,9 +293,22 @@ class BatchedFrontierAggregates:
         pos: np.ndarray | None,
         aux_mask: np.ndarray | None = None,
     ) -> None:
-        """Recompute every aggregate from scratch for the given mask(s)."""
+        """Recompute every aggregate from scratch for the given mask(s).
+
+        After word rounds this is the hand-over: one reduction for the
+        counts; the masks unpack C-contiguous from :attr:`words`.
+        """
         self.row_vols = self.engine._row_volumes(pos)
         self._thresholds = frontier.DEFAULT_CROSSOVER * self.row_vols
+        words, self.words = self.words, None
+        if words is not None:
+            self.counts = np.ascontiguousarray(self.engine._count_nbrs(black, pos))
+            self.has, self.stable, self.covered = (
+                words_to_rows(w, black.shape[0])
+                for w in (words.has, words.stable, words.covered)
+            )
+            self.unstable = self.n - np.count_nonzero(self.covered, axis=1)
+            return
         # The backend's native count dtype is kept (int32 for the
         # matvec backends): the scatter adds stay exact — counts never
         # leave [0, n) — and narrower rows halve mask-pass traffic.
@@ -458,6 +510,12 @@ class BatchedFrontierAggregates:
         apply_flat_delta(counts.reshape(-1), up_t, down_t)
         return np.concatenate((up_t, down_t))
 
+    def start_words(self, black: np.ndarray) -> WordAggregates:
+        """Enter the word form: :meth:`rebuild`'s aggregates as words."""
+        graph = self.engine.processes[0].graph
+        self.words = WordAggregates.of(rows_to_words(black), graph, len(black))
+        return self.words
+
     def full_round(
         self,
         new_black: np.ndarray,
@@ -475,7 +533,15 @@ class BatchedFrontierAggregates:
         transpose view — and only materialized C-contiguous when a
         scatter round first needs flat-index writes into it
         (:meth:`_ensure_scatterable`).
+
+        In the word form (:meth:`start_words`) it takes black words and
+        recomputes :attr:`words`: two OR-reduces, no reduction.
         """
+        self.full_rounds += 1
+        if self.words is not None:
+            graph = self.engine.processes[0].graph
+            self.words = WordAggregates.of(new_black, graph, len(self.words.done))
+            return
         self.counts = self.engine._count_nbrs(new_black, pos)
         self.has = self.counts != 0
         if self.track_aux:
@@ -497,7 +563,6 @@ class BatchedFrontierAggregates:
             ).astype(np.int64)
         else:
             self._update_stability_masks(new_black, pos)
-        self.full_rounds += 1
 
     def _ensure_scatterable(self) -> None:
         """Materialize the count/has matrices C-contiguous.

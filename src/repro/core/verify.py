@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.sim.rng import rows_to_words
 
 
 def _as_mask(graph: Graph, vertices: Iterable[int] | np.ndarray) -> np.ndarray:
@@ -35,32 +36,24 @@ def _as_mask(graph: Graph, vertices: Iterable[int] | np.ndarray) -> np.ndarray:
     return mask
 
 
-def _vertex_words(mask: np.ndarray) -> np.ndarray:
-    """``(n, ⌈k/64⌉)`` words: ``np.packbits(mask.T, axis=1)``, zero-padded
-    to whole ``uint64`` words.
-
-    The row form's working representation: a whole row matrix costs
-    one bit per (row, vertex), and one gather per edge or CSR slot
-    checks 64 rows at once.  Packing ORs rows ``i, i+8, …`` into bit
-    ``7 - i`` of one byte per vertex (8 passes over ``k·n`` bytes, in
-    any memory order), then transposes only the ``(⌈k/8⌉, n)`` bytes.
-    """
-    k, n = mask.shape
-    packed = np.zeros((8 * -(-k // 64), n), dtype=np.uint8)
-    bits = mask.view(np.uint8)
-    shifted = np.empty((-(-k // 8), n), dtype=np.uint8)
-    for i in range(min(k, 8)):
-        rows = bits[i::8]
-        out = shifted[: rows.shape[0]]
-        np.left_shift(rows, 7 - i, out=out)
-        packed[: rows.shape[0]] |= out
-    return np.ascontiguousarray(packed.T).view(np.uint64)
+def neighbor_or(words: np.ndarray, graph: Graph) -> np.ndarray:
+    """Row ``v``: the OR of ``v``'s neighbours' word rows (the beep it
+    hears, 64 rows a word), by one ``np.bitwise_or.reduceat`` over the
+    non-empty CSR rows (it mishandles empty slices)."""
+    out = np.zeros_like(words)
+    indptr = graph.indptr.astype(np.intp)
+    busy = np.flatnonzero(np.diff(indptr))
+    if busy.size:
+        out[busy] = np.bitwise_or.reduceat(
+            words[graph.indices], indptr[busy], axis=0
+        )
+    return out
 
 
 def _by_row(hits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, items)`` of the set bits of ``hits`` (one word per item),
-    ordered by row, then item."""
-    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=k)
+    """``(rows, items)`` of the set bits of ``hits`` (one word row per
+    item), ordered by row, then item."""
+    bits = np.unpackbits(hits.view(np.uint8), axis=1, count=k, bitorder="little")
     items, rows = np.nonzero(bits)
     order = np.argsort(rows, kind="stable")
     return rows[order], items[order]
@@ -85,7 +78,7 @@ def independence_violations(
     if mask.ndim == 1:
         bad = mask[us] & mask[vs]
         return list(zip(us[bad].tolist(), vs[bad].tolist()))
-    words = _vertex_words(mask) if words is None else words
+    words = rows_to_words(mask) if words is None else words
     both = words[us] & words[vs]
     edges = np.flatnonzero(both.any(axis=1))
     rows, hit = _by_row(both[edges], mask.shape[0])
@@ -113,17 +106,10 @@ def maximality_violations(
     if mask.ndim == 1:
         counts = graph.adjacency_csr().dot(mask.astype(np.int32))
         return np.flatnonzero(~mask & (counts == 0)).tolist()
-    # Covered words: own word OR-ed with every neighbour's (reduceat
-    # over the non-empty CSR rows only — it mishandles empty slices).
-    words = _vertex_words(mask) if words is None else words
-    covered = words.copy()
-    indptr = graph.indptr.astype(np.intp)
-    busy = np.flatnonzero(np.diff(indptr))
-    if busy.size:
-        covered[busy] |= np.bitwise_or.reduceat(
-            words[graph.indices], indptr[busy], axis=0
-        )
-    missing = ~covered & _vertex_words(np.ones((mask.shape[0], 1), dtype=bool))
+    # Covered words: own word OR-ed with every neighbour's.
+    words = rows_to_words(mask) if words is None else words
+    covered = words | neighbor_or(words, graph)
+    missing = ~covered & rows_to_words(np.ones((mask.shape[0], 1), dtype=bool))
     verts = np.flatnonzero(missing.any(axis=1))
     rows, hit = _by_row(missing[verts], mask.shape[0])
     return list(zip(rows.tolist(), verts[hit].tolist()))
@@ -160,7 +146,7 @@ def assert_valid_mis(
     labels are given (the batched engines pass replica indices).
     """
     mask = _as_mask(graph, vertices)
-    words = _vertex_words(mask) if mask.ndim == 2 else None
+    words = rows_to_words(mask) if mask.ndim == 2 else None
     where = ""
     ind: list[Any] = independence_violations(graph, mask, words=words)
     if ind and mask.ndim == 2:

@@ -27,14 +27,15 @@ which is what checkpoints journal.
 
 Because a coin depends only on ``(key, draw, vertex)``, many streams can
 be drawn at once and only where they are read.  The row draws
-:meth:`CoinSource.bits_rows`, :meth:`CoinSource.bits_rows_at` and
+:meth:`CoinSource.bits_rows`, ``bits_rows_at``, ``bits_words`` and
 :meth:`CoinSource.bernoulli_rows` take one draw from each of a list of
 sources (the batched engines' live replicas) and return exactly what the
 per-source ``bits`` / ``bernoulli`` calls would, each source advancing
 its ``draw`` by one.  For a list of distinct, plain :class:`SeededCoins`
-the two ``bits`` row draws compute every row's ``base`` in one
+the ``bits`` row draws compute every row's ``base`` in one
 vectorised ``mix64`` and then hash either the whole ``(L, ⌈n/64⌉)`` word
-matrix or, for ``bits_rows_at``, one word per requested ``(row, vertex)``
+matrix (``bits_words`` then bit-transposes it to vertex-major words) or,
+for ``bits_rows_at``, one word per requested ``(row, vertex)``
 pair; any other list (scripted sources, subclasses, a repeated source)
 draws source by source.  ``bernoulli_rows`` always draws source by
 source: it hashes one word per vertex either way, and a vectorised
@@ -121,6 +122,48 @@ def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     ).view(np.bool_)
 
 
+#: Per bit-transpose stage ``shift``: the bits whose ``shift`` bit is 0.
+_LOW_HALVES = {
+    s: np.uint64(sum(1 << i for i in range(64) if not i & s))
+    for s in (32, 16, 8, 4, 2, 1)
+}
+
+
+def _transpose_words(words: np.ndarray) -> np.ndarray:
+    """Bit transpose: bit ``j % 64`` of ``words[i, j // 64]`` becomes
+    bit ``i % 64`` of ``out[j, i // 64]``, for ``(a, b)`` words and a
+    ``(64·b, ⌈a/64⌉)`` result.  Six masked-swap stages transpose every
+    64 × 64 block at once, each swapping its sub-blocks' off-diagonal
+    halves."""
+    a, b = words.shape
+    lanes = -(-a // 64)
+    x = np.zeros((64 * lanes, b), dtype=np.uint64)
+    x[:a] = words
+    x = np.ascontiguousarray(x.reshape(lanes, 64, b).transpose(0, 2, 1))
+    for shift, low in _LOW_HALVES.items():
+        half = x.reshape(lanes, b, 32 // shift, 2, shift)
+        lo, hi = half[..., 0, :], half[..., 1, :]
+        t = ((lo >> np.uint64(shift)) ^ hi) & low
+        hi ^= t
+        lo ^= t << np.uint64(shift)
+    return np.ascontiguousarray(x.transpose(1, 2, 0).reshape(64 * b, lanes))
+
+
+def rows_to_words(mask: np.ndarray) -> np.ndarray:
+    """The ``(n, ⌈k/64⌉)`` uint64 words of a ``(k, n)`` boolean matrix:
+    row ``v`` holds ``mask[i, v]`` at bit ``i % 64`` of word ``i // 64``
+    (DESIGN §2); :func:`words_to_rows` inverts it."""
+    k, n = mask.shape
+    packed = np.zeros((k, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return _transpose_words(packed.view("<u8"))[:n]
+
+
+def words_to_rows(words: np.ndarray, k: int) -> np.ndarray:
+    """The C-contiguous ``(k, n)`` booleans of ``(n, ·)`` words."""
+    return _unpack_words(_transpose_words(words)[:k], words.shape[0])
+
+
 def _counter_rows(
     sources: Sequence["CoinSource"],
 ) -> TypeGuard[Sequence["SeededCoins"]]:
@@ -197,6 +240,16 @@ class CoinSource:
         if _counter_rows(sources):
             return SeededCoins._counter_bits_rows_at(sources, rows, verts)
         return cls.bits_rows(sources, n)[rows, verts]
+
+    @classmethod
+    def bits_words(cls, sources: Sequence["CoinSource"], n: int) -> np.ndarray:
+        """:meth:`bits_rows` as :func:`rows_to_words` words; the
+        vectorised path bit-transposes the hashed coin words."""
+        if _counter_rows(sources):
+            bases = SeededCoins._next_bases(sources)
+            words = _mix64_inplace(bases[:, None] + _offsets(-(-n // 64)))
+            return _transpose_words(words)[:n]
+        return rows_to_words(cls.bits_rows(sources, n))
 
     @classmethod
     def bernoulli_rows(

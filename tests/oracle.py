@@ -406,6 +406,36 @@ def audit_batched(aggregates, black, pos, aux=None, where="batched") -> None:
     expect_equal("unstable", aggregates.unstable, unstable, where)
 
 
+def _word_rows(words: np.ndarray, rows: int) -> np.ndarray:
+    """``(rows, n)`` booleans of vertex-major words, bit ``i % 64`` of
+    word ``i // 64`` being row ``i``: unpacked without the engine's
+    transpose."""
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    return bits[:, :rows].T.astype(bool)
+
+
+def audit_words(aggregates, where="batched") -> None:
+    """Word-form aggregates (:attr:`BatchedFrontierAggregates.words`)
+    equal a recomputation for their own black words, and so does the
+    covered-replica verdict."""
+    words = aggregates.words
+    rows = words.done.size
+    black = _word_rows(words.black, rows)
+    graph = aggregates.engine.processes[0].graph
+    scratch = [scratch_aggregates(graph, row) for row in black]
+    for key, got in (
+        ("has", words.has),
+        ("stable", words.stable),
+        ("covered", words.covered),
+    ):
+        want = np.array(
+            [row["counts"] > 0 if key == "has" else row[key] for row in scratch]
+        ).reshape(black.shape)
+        expect_equal(f"{key} words", _word_rows(got, rows), want, where)
+    covered = np.array([row["covered"].all() for row in scratch], dtype=bool)
+    expect_equal("covered replicas", words.done, covered, where)
+
+
 def audit_activity(engine, black, has, where="batched") -> None:
     """A maintained 2-state activity set is exactly ``{black == has}``."""
     if engine._act_pairs is not None:
@@ -429,16 +459,23 @@ def audited(label: dict):
     name ``label["family"]``, ``label["wave"]`` and the round."""
     cls = BatchedFrontierAggregates
     rebuild, repair = cls.rebuild, cls.repair
-    full_round, advance = cls.full_round, cls.advance
+    start_words, full_round, advance = cls.start_words, cls.full_round, cls.advance
     seed_act = BatchedTwoStateMIS._seed_act_mask
     sync_act = BatchedTwoStateMIS._sync_act_pairs
 
     def where(agg):
         return f"{label['family']} wave {label['wave']} round {agg.oracle_round}"
 
+    def on_start_words(self, black):
+        words = start_words(self, black)
+        self.oracle_round = 0
+        audit_words(self, where(self) + " (words)")
+        return words
+
     def on_rebuild(self, black, pos, aux_mask=None):
         rebuild(self, black, pos, aux_mask)
-        self.oracle_round = 0
+        # Word rounds before the rebuild keep their count.
+        self.oracle_round = getattr(self, "oracle_round", 0)
         audit_batched(self, black, pos, aux_mask, where(self) + " (rebuild)")
 
     def on_repair(self, black, pos, resident, aux_mask=None):
@@ -450,8 +487,11 @@ def audited(label: dict):
 
     def on_full_round(self, new_black, pos, aux_mask=None):
         full_round(self, new_black, pos, aux_mask)
-        self.oracle_round += 1
-        audit_batched(self, new_black, pos, aux_mask, where(self))
+        self.oracle_round = getattr(self, "oracle_round", 0) + 1
+        if self.words is not None:
+            audit_words(self, where(self) + " (words)")
+        else:
+            audit_batched(self, new_black, pos, aux_mask, where(self))
 
     def on_advance(self, new_black, delta, pos):
         touched = advance(self, new_black, delta, pos)
@@ -470,6 +510,7 @@ def audited(label: dict):
     with pytest.MonkeyPatch.context() as mp:
         for owner, name, hook in (
             (cls, "rebuild", on_rebuild),
+            (cls, "start_words", on_start_words),
             (cls, "repair", on_repair),
             (cls, "full_round", on_full_round),
             (cls, "advance", on_advance),

@@ -108,6 +108,39 @@ class TestEngineEquivalence:
         check_every_path(Fleet(["eager", "2-state"] * 3, [graph(8)] * 6, seed=8))
 
 
+class TestWordRounds:
+    """A clean 2-state start on a shared CSR graph opens with word
+    rounds, 64 replicas per word, and hands over to the frontier."""
+
+    @pytest.mark.parametrize("budget", [10_000, 2])
+    def test_word_rounds_follow_the_reference(self, monkeypatch, budget):
+        forms = []
+        full_round = BatchedFrontierAggregates.full_round
+
+        def noting(self, new_black, pos, aux_mask=None):
+            forms.append(self.words is not None)
+            full_round(self, new_black, pos, aux_mask)
+
+        monkeypatch.setattr(BatchedFrontierAggregates, "full_round", noting)
+        # 70 replicas: two words per vertex, the second mostly padding.
+        spec = fleet(
+            "2-state", [graph(10, 130, 0.03)] * 70, waves=1, flips=3,
+            budget=budget, seed=10, blas=False,
+        )
+        check_batched(spec, coins=(SeededCoins, CountingCoins))
+        assert any(forms)
+
+    def test_eager_replicas_and_resampled_graphs_take_no_word_round(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            BatchedFrontierAggregates, "start_words",
+            lambda *a: pytest.fail("word round off its scope"),
+        )
+        check_batched(Fleet(["eager", "2-state"] * 3, [graph(8)] * 6, blas=False))
+        check_batched(fleet("2-state", [graph(s) for s in range(4)], seed=4))
+
+
 class TestEngineReuse:
     def test_fault_waves_reuse_one_engine(self):
         # One engine serves a whole fault-injection campaign (and, on

@@ -304,6 +304,35 @@ class TestRowDraws:
         assert np.array_equal(drawn, _stacked(expected, n))
         assert _positions(rows) == _positions(serial)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(0, 300),
+        st.sampled_from(["seeded", "subclass", "repeated"]),
+        st.integers(0, 2**32),
+    )
+    def test_bits_words_unpack_to_bits_rows(self, count, n, kind, seed):
+        def build():
+            rows = [SeededCoins(s) for s in spawn_seeds(seed, count)]
+            if kind == "subclass":
+                rows[count // 2] = CountingCoins(seed)
+            elif kind == "repeated":
+                rows[-1] = rows[0]
+            return rows
+
+        rows, twin = build(), build()
+        words = CoinSource.bits_words(rows, n)
+        assert words.dtype == np.uint64 and words.shape == (n, -(-count // 64))
+        # Row i is bit i % 64 of word i // 64, little-endian; padding is 0.
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, count:].any()
+        assert np.array_equal(bits[:, :count].T, CoinSource.bits_rows(twin, n))
+        # One draw per entry: a repeated source takes one per occurrence.
+        taken = {}
+        for source in rows:
+            taken[id(source)] = taken.get(id(source), 0) + 1
+        assert [s.state["draw"] for s in rows] == [taken[id(s)] for s in rows]
+
     def test_row_without_pairs_still_advances(self):
         rows = [SeededCoins(1), SeededCoins(2), SeededCoins(3)]
         CoinSource.bits_rows_at(rows, 100, np.array([0]), np.array([7]))

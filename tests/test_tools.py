@@ -22,6 +22,23 @@ def test_api_docs_render_covers_key_symbols():
         assert symbol in text, symbol
 
 
+def test_api_docs_list_methods_of_private_bases():
+    import gen_api_docs
+
+    text = gen_api_docs.render()
+
+    def methods(symbol):
+        section = text.split(f"### `{symbol}`", 1)[1].split("\n### ", 1)[0]
+        return {
+            line.split("`")[1]
+            for line in section.splitlines()
+            if line.startswith("- **`")
+        }
+
+    assert {"heard", "mis"} <= methods("repro.core.reference.ReferenceTwoState")
+    assert "corrupt" in methods("repro.core.two_state.TwoStateMIS")
+
+
 def test_first_paragraph_handling():
     import gen_api_docs
 

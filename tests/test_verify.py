@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.greedy import greedy_mis
 from repro.core.verify import (
-    _vertex_words,
     assert_valid_mis,
     greedy_mis_size_bounds,
     independence_violations,
@@ -16,6 +15,7 @@ from repro.core.verify import (
 )
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
 from repro.graphs.graph import Graph
+from repro.sim.rng import rows_to_words
 
 from oracle import random_graph
 
@@ -146,7 +146,7 @@ class TestRowForm:
     @settings(max_examples=15, deadline=None)
     def test_matches_per_row_checks(self, k, data, shared):
         graph, rows = data.draw(row_matrices(k))
-        words = _vertex_words(rows) if shared else None
+        words = rows_to_words(rows) if shared else None
         assert independence_violations(graph, rows, words=words) == [
             (j, u, v)
             for j in range(k)
@@ -182,9 +182,9 @@ class TestRowForm:
         k, n = mask.shape
         want = np.zeros((n, 8 * -(-k // 64)), dtype=np.uint8)
         want[:, : -(-k // 8)] = np.packbits(
-            np.ascontiguousarray(mask.T), axis=1
+            np.ascontiguousarray(mask.T), axis=1, bitorder="little"
         )
-        words = _vertex_words(mask)
+        words = rows_to_words(mask)
         assert words.dtype == np.uint64 and words.shape == (n, -(-k // 64))
         assert np.array_equal(words.view(np.uint8), want)
 

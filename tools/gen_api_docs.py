@@ -55,6 +55,22 @@ def public_members(module):
             yield name, obj
 
 
+def class_members(cls) -> dict:
+    """Public attributes of ``cls`` as it resolves them: its own, plus
+    those it inherits from private (``_``-prefixed) bases, which get no
+    entry of their own."""
+    members, seen = {}, set()
+    for base in cls.__mro__:
+        listed = base is cls or base.__name__.startswith("_")
+        for name, value in vars(base).items():
+            if name.startswith("_") or name in seen:
+                continue
+            seen.add(name)
+            if listed:
+                members[name] = value
+    return members
+
+
 def render() -> str:
     lines = [
         "# API reference",
@@ -82,9 +98,7 @@ def render() -> str:
             lines.append(first_paragraph(inspect.getdoc(obj)))
             lines.append("")
             if inspect.isclass(obj):
-                for meth_name, meth in sorted(vars(obj).items()):
-                    if meth_name.startswith("_"):
-                        continue
+                for meth_name, meth in sorted(class_members(obj).items()):
                     if not (
                         inspect.isfunction(meth)
                         or isinstance(meth, property)
